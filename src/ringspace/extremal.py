@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ArgumentError, GeometryError, SingularConstraintsError
+from .errors import ArgumentError, GeometryError, RingspaceError, SingularConstraintsError
 from .geometry import AnnulusDomain, boundary_angles
 from .inner import InnerFunctionSpec, blaschke_factor
 from .kernels import KernelEvaluator, build_kernel, count_zeros, full_ring, locate_zeros
 from .laurent import LaurentPolynomial
-from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag,
-                     equilibrated, gram_matrix, monomial_norms, quadrature_for)
+from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag, monomial_norms,
+                     quadrature_for, ring_gram, weighted_gram)
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,13 @@ class DivisorReport:
     notes: str
 
 
-def _space_gram(p: ExtremalProblem, m: int) -> np.ndarray:
+def _space_gram(p: ExtremalProblem, m: int):
     tag = p.space
     if not tag.weighted and tag.kind in (SpaceKind.SMIRNOV_ARCLENGTH, SpaceKind.BERGMAN_AREA):
-        return np.diag(monomial_norms(p.domain, tag, p.truncation)).astype(complex)
-    return gram_matrix(p.domain, tag, p.truncation, m)
+        norms = monomial_norms(p.domain, tag, p.truncation)
+        d = np.sqrt(norms)
+        return np.diag(norms).astype(complex) / d[:, None] / d[None, :], d
+    return weighted_gram(p.domain, tag, p.truncation, m)
 
 
 def _constraint_rows(p: ExtremalProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -78,12 +80,11 @@ def _constraint_rows(p: ExtremalProblem) -> tuple[np.ndarray, np.ndarray]:
 def solve_extremal(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     """Minimize the space norm subject to the evaluation constraints.
 
-    Bordered system [[G, E*], [E, 0]] [a; mu] = [0; b] solved in the
-    diagonally equilibrated basis; the quadratic form is positive definite so
-    the solution is unique whenever the constraint rows are independent.
+    Bordered system [[conj(G), E*], [E, 0]] [a; mu] = [0; b] (the norm is
+    ``a^H conj(G) a``) solved in the diagonally equilibrated basis; the form is
+    positive definite so the solution is unique for independent constraints.
     """
-    G = _space_gram(p, m)
-    Gs, d = equilibrated(G)
+    Gs, d = _space_gram(p, m)
     E, b = _constraint_rows(p)
     Es = E / d[None, :]
     k = Es.shape[0]
@@ -92,7 +93,7 @@ def solve_extremal(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
             "evaluation constraints are linearly dependent on this window")
     n = Gs.shape[0]
     kkt = np.zeros((n + k, n + k), dtype=complex)
-    kkt[:n, :n] = Gs
+    kkt[:n, :n] = Gs.conj()
     kkt[:n, n:] = Es.conj().T
     kkt[n:, :n] = Es
     rhs = np.concatenate([np.zeros(n, dtype=complex), b])
@@ -216,20 +217,6 @@ def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96,
     return cand
 
 
-def _division_grams(G, z1: complex, domain: AnnulusDomain, N: int, m: int):
-    """Gram pencil of the basis (z - z1) z^n and of the same basis divided by G."""
-    ns = np.arange(-N, N + 1, dtype=float)
-    pts, w = area_quadrature(domain, m)
-    phi = (pts - z1)[:, None] * pts[:, None]**ns[None, :]
-    g_vals = np.asarray(G(pts), dtype=complex)
-    psi = phi / g_vals[:, None]
-    def hermitian_gram(V):
-        M = (V.conj().T * w) @ V
-        M = 0.5 * (M + M.conj().T)
-        return M.conj()
-    return hermitian_gram(phi), hermitian_gram(psi)
-
-
 def quasicontract_estimate(G, z1: complex, domain: AnnulusDomain,
                            ladder: tuple[int, ...] = (8, 16, 24, 32),
                            m: int = 512) -> DivisorReport:
@@ -237,16 +224,16 @@ def quasicontract_estimate(G, z1: complex, domain: AnnulusDomain,
 
     ``G0`` is ``G`` scaled to unit Bergman norm (a canonical gauge so the
     estimate is invariant under rescaling ``G``).  For each window size the
-    squared norm is the top generalized eigenvalue of (divided Gram, plain
-    Gram); the reported estimates are the square roots, nondecreasing in the
-    window.  Extraneous zeros of ``G`` beyond ``z1`` make the quotients
-    meromorphic and the ladder grow without settling; they are detected by
-    the argument principle and flagged.
+    squared norm is the top generalized eigenvalue of the Grams of ``z^n``
+    weighted by ``|z - z1|^2 / |G0|^2`` and by ``|z - z1|^2``.  Each rung is a
+    principal submatrix of the pencil at the largest window, so the reported
+    square roots are nondecreasing.  Extraneous zeros of ``G`` beyond ``z1``
+    make the quotients meromorphic and the ladder grow without settling; they
+    are detected by the argument principle and flagged.
     """
     pts, w = area_quadrature(domain, m)
-    g_norm = math.sqrt(float(np.sum(w * np.abs(np.asarray(G(pts), dtype=complex))**2)))
-    def g0(z):
-        return np.asarray(G(z), dtype=complex) / g_norm
+    g_vals = np.asarray(G(pts), dtype=complex)
+    g_norm_sq = float(np.sum(w * np.abs(g_vals)**2))
     ring = full_ring(domain)
     total = count_zeros(G, domain, ring, m=512)
     notes = ""
@@ -258,14 +245,17 @@ def quasicontract_estimate(G, z1: complex, domain: AnnulusDomain,
             report = locate_zeros(G, domain, expected=total)
             extra_locations = tuple(z for z in report.locations
                                     if abs(z - z1) > 1e-4)
-        except Exception:
-            extra_locations = ()
+        except RingspaceError as exc:
+            notes += f"; zeros not located ({type(exc).__name__}: {exc})"
+    top = max(ladder)
+    plain = w * np.abs(pts - z1)**2
+    A_s, d = ring_gram(pts, plain, m, top)
+    B_s, d_div = ring_gram(pts, plain * g_norm_sq / np.abs(g_vals)**2, m, top)
+    B_s = B_s * np.outer(d_div / d, d_div / d)  # into the plain Gram's scaling
     estimates = []
     for N in ladder:
-        A, B = _division_grams(g0, z1, domain, N, m)
-        A_s, d = equilibrated(A)
-        B_s = B / d[:, None] / d[None, :]
-        eig = scipy.linalg.eigh(B_s, A_s, eigvals_only=True)
+        rung = slice(top - N, top + N + 1)
+        eig = scipy.linalg.eigh(B_s[rung, rung], A_s[rung, rung], eigvals_only=True)
         estimates.append((int(N), float(math.sqrt(max(eig)))))
     return DivisorReport(constant_estimate=estimates[-1][1],
                          per_truncation=tuple(estimates),

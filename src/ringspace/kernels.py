@@ -2,8 +2,8 @@
 
 Unweighted arclength and area kernels are diagonal series over the monomial
 norms.  Weighted kernels (and the harmonic-measure kernel, whose monomials
-are not orthogonal because the base point breaks rotational symmetry) come
-from the inverse Gram matrix on the truncated window.
+are not orthogonal because the base point breaks rotational symmetry) solve
+through a Cholesky factor of the equilibrated Gram on the truncated window.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ import scipy.linalg
 from .errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
 from .geometry import AnnulusDomain, boundary_angles
 from .laurent import LaurentPolynomial
-from .spaces import (SpaceKind, SpaceTag, equilibrated, gram_matrix, monomial_norms,
-                     quadrature_for)
+from .spaces import SpaceKind, SpaceTag, monomial_norms, quadrature_for, weighted_gram
 
 
 class KernelForm(enum.Enum):
     DIAGONAL_SERIES = "diagonal"
-    GRAM_INVERSE = "gram"
+    GRAM_FACTOR = "gram"
 
 
 @dataclass
@@ -39,30 +38,19 @@ class KernelEvaluator:
     N: int
     form: KernelForm
     norms: Optional[np.ndarray] = None        # diagonal form
-    gram_inv: Optional[np.ndarray] = None     # gram form: inverse of <z^j, z^k>
-
-    def _powers(self, z):
-        ns = np.arange(-self.N, self.N + 1, dtype=float)
-        return np.asarray(z, dtype=complex)[..., None]**ns
+    factor: Optional[tuple] = None            # gram form: cho_factor of conj(Gs)
+    scale: Optional[np.ndarray] = None        # gram form: equilibration, G = d Gs d
 
     def __call__(self, z, w):
-        z = np.asarray(z, dtype=complex)
-        pz = self._powers(z)
-        qw = np.conj(self._powers(complex(w)))
-        if self.form is KernelForm.DIAGONAL_SERIES:
-            out = (pz * qw / self.norms).sum(axis=-1)
-        else:
-            # K(z, w) = sum_{j,k} (G^-1)[k, j] z^j conj(w)^k
-            out = pz @ (self.gram_inv.T @ qw)
-        return out if out.shape else complex(out)
+        return self.section(w)(z)
 
     def section(self, w):
-        """The Laurent polynomial ``K(., w)`` for fixed second argument."""
-        qw = np.conj(self._powers(complex(w)))
+        """The Laurent polynomial ``K(., w)``, coefficients ``conj(G)^-1 conj(w^n)``."""
+        qw = np.conj(complex(w)**np.arange(-self.N, self.N + 1, dtype=float))
         if self.form is KernelForm.DIAGONAL_SERIES:
             coeffs = qw / self.norms
         else:
-            coeffs = self.gram_inv.T @ qw
+            coeffs = scipy.linalg.cho_solve(self.factor, qw / self.scale) / self.scale
         return LaurentPolynomial(-self.N, self.N, coeffs)
 
 
@@ -71,25 +59,26 @@ def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
     """Build the reproducing kernel for a tagged space.
 
     Unweighted arclength/area kernels use the diagonal monomial series.
-    Weighted kernels invert the quadrature Gram; so does the unweighted
-    harmonic-measure kernel, whose Gram is dense.  A scaled condition number
-    above 1e14 raises ``SingularGramError``.
+    Weighted kernels factor the equilibrated quadrature Gram; so does the
+    unweighted harmonic-measure kernel, whose Gram is dense.  A scaled
+    condition number above 1e14 or a failed factorization raises
+    ``SingularGramError``.
     """
     needs_gram = tag.weighted or tag.kind is SpaceKind.HARDY_HARMONIC_MEASURE
     if not needs_gram:
         return KernelEvaluator(domain, tag, N, KernelForm.DIAGONAL_SERIES,
                                norms=monomial_norms(domain, tag, N))
     m = m or max(512, 4 * N + 4)
-    G = gram_matrix(domain, tag, N, m)
-    Gs, d = equilibrated(G)
+    Gs, d = weighted_gram(domain, tag, N, m)
     cond = np.linalg.cond(Gs)
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularGramError(f"weighted Gram is numerically singular "
                                 f"(scaled condition {cond:.3e})")
-    inv_scaled = scipy.linalg.inv(Gs)
-    inv_scaled = 0.5 * (inv_scaled + inv_scaled.conj().T)
-    gram_inv = inv_scaled / d[:, None] / d[None, :]
-    return KernelEvaluator(domain, tag, N, KernelForm.GRAM_INVERSE, gram_inv=gram_inv)
+    try:
+        factor = scipy.linalg.cho_factor(Gs.conj())
+    except np.linalg.LinAlgError as exc:
+        raise SingularGramError(f"weighted Gram is not positive definite ({exc})") from exc
+    return KernelEvaluator(domain, tag, N, KernelForm.GRAM_FACTOR, factor=factor, scale=d)
 
 
 @dataclass(frozen=True)
@@ -110,24 +99,28 @@ def reproduce_check(K: KernelEvaluator, f: LaurentPolynomial, w: complex,
     return ReproduceReport(residual=residual, out_of_window=out)
 
 
+_WINDING_BLOCK = 8192  # nodes per call of f, so memory stays flat as m doubles
+
+
 def _winding_on_circle(f, rho: float, m: int) -> int:
     """Winding number of ``f`` along ``|z| = rho`` by phase unwrapping.
 
-    Doubles the node count when consecutive phase jumps exceed pi/2, which is
-    the documented guard against unwrap ambiguity.
+    Doubles the node count while phase jumps exceed pi/2, the guard against
+    unwrap ambiguity.  ``f`` sees ``_WINDING_BLOCK`` nodes per call.
     """
     while True:
-        theta = boundary_angles(m)
-        z = rho * np.exp(1j * theta)
-        vals = np.asarray(f(z), dtype=complex)
-        vals = np.append(vals, vals[0])
-        if np.min(np.abs(vals)) < 1e-10:
-            raise ZeroOnContourError(
-                f"|f| dips below 1e-10 on the circle |z| = {rho}; cannot count")
-        phase = np.unwrap(np.angle(vals))
-        jumps = np.abs(np.diff(phase))
-        total = (phase[-1] - phase[0]) / (2.0 * np.pi)
-        if np.max(jumps) <= 0.5 * np.pi:
+        worst, turn, end = 0.0, 0.0, None
+        for start in range(0, m + 1, _WINDING_BLOCK):  # node m closes the loop at node 0
+            k = np.arange(start, min(start + _WINDING_BLOCK, m + 1)) % m
+            vals = np.asarray(f(rho * np.exp(1j * (2.0 * np.pi * k / m))), dtype=complex)
+            if np.min(np.abs(vals)) < 1e-10:
+                raise ZeroOnContourError(
+                    f"|f| dips below 1e-10 on the circle |z| = {rho}; cannot count")
+            phase = np.unwrap(np.angle(vals) if end is None else np.append(end, np.angle(vals)))
+            worst = max(worst, float(np.max(np.abs(np.diff(phase)))))
+            turn, end = turn + phase[-1] - phase[0], phase[-1]
+        total = turn / (2.0 * np.pi)
+        if worst <= 0.5 * np.pi:
             rounded = int(round(total))
             if abs(total - rounded) > 0.25:
                 raise ConvergenceError(

@@ -4,7 +4,8 @@ Three tags: boundary arclength (Smirnov), boundary harmonic measure at the
 base point (Hardy), and normalized area (Bergman), each optionally weighted
 by ``|u|^2`` for a supplied analytic ``u``.  Everything is expressed in the
 Laurent monomial basis, so weighted problems reduce to dense Hermitian
-linear algebra on Gram matrices assembled by quadrature.
+linear algebra on Gram matrices assembled ring by ring from the FFT of the
+quadrature weights.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, SingularGramError
 from .geometry import INNER, OUTER, AnnulusDomain, boundary_angles, boundary_nodes
 from .harmonic import GreenFunction, measure_density
 from .laurent import LaurentPolynomial, to_laurent  # noqa: F401  (re-export)
@@ -139,27 +140,56 @@ def monomial_norms(domain: AnnulusDomain, tag: SpaceTag, N: int) -> np.ndarray:
     raise ArgumentError(f"unknown space tag {tag.kind}")
 
 
-def _vandermonde(pts: np.ndarray, N: int) -> np.ndarray:
-    """V[s, j] = pts[s]^(j - N) for columns j = 0..2N."""
-    ns = np.arange(-N, N + 1, dtype=float)
-    return pts[:, None]**ns[None, :]
+def ring_gram(pts: np.ndarray, weights: np.ndarray, m: int, N: int):
+    """Equilibrated Gram ``(Gs, d)``, ``G[j, k] = d[j] d[k] Gs[j, k]``, of
+    ``z^-N..z^N`` against node weights, with ``diag(Gs) == 1``.
+
+    The nodes lie ring after ring, ``m`` equispaced angles from 0 on each, as
+    every quadrature here lays them out.  On a ring of radius rho,
+    ``<z^a, z^b> = rho^(a+b) W[a-b]`` with ``W = m * ifft(weights on the ring)``:
+    a diagonally scaled Toeplitz matrix.  Powers of rho are taken in log space
+    with the equilibration folded in, so nothing overflows where ``r^(-2N)``
+    would.  ``m`` below ``4N + 4`` aliases the top frequencies.
+    """
+    if m < 4 * N + 4:
+        raise ArgumentError(f"need m >= 4N+4 = {4 * N + 4} quadrature nodes, got {m}")
+    ns = np.arange(-N, N + 1)
+    spectra = m * np.fft.ifft(np.reshape(weights, (-1, m)), axis=1)
+    log_pow = np.log(np.abs(pts[::m]))[:, None] * ns[None, :]
+    with np.errstate(divide="ignore"):  # provisional scale: the largest ring term
+        log_d = np.max(log_pow + 0.5 * np.log(np.abs(spectra[:, :1].real)), axis=0)
+    lags = (ns[:, None] - ns[None, :]) % m
+    Gs = np.zeros((ns.size, ns.size), dtype=complex)
+    for scaled, spectrum in zip(np.exp(log_pow - log_d), spectra):
+        Gs += np.outer(scaled, scaled) * spectrum[lags]
+    Gs = 0.5 * (Gs + Gs.conj().T)
+    delta = np.sqrt(Gs.diagonal().real)
+    Gs = Gs / np.outer(delta, delta)
+    np.fill_diagonal(Gs, 1.0)
+    d = np.exp(log_d) * delta
+    if not (np.all(np.isfinite(Gs)) and np.all(np.isfinite(d)) and np.all(d > 0.0)):
+        raise SingularGramError("Gram assembly left the floating-point range "
+                                "(weights vanish on every ring or the scales overflow)")
+    return Gs, d
+
+
+def weighted_gram(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int,
+                  green_fn: GreenFunction | None = None):
+    """``ring_gram`` of a tag, weight included; ``m`` counts angular nodes per
+    circle (boundary tags) or per radial ring (area tag)."""
+    pts, w = quadrature_for(domain, tag, m, green_fn=green_fn)
+    return ring_gram(pts, w * tag.weight_values(pts), m, N)
 
 
 def gram_matrix(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int,
                 green_fn: GreenFunction | None = None) -> np.ndarray:
     """Hermitian Gram ``G[j, k] = <z^j, z^k>`` on the window -N..N, weight included.
 
-    ``m`` counts angular nodes per circle (boundary tags) or per radial ring
-    (area tag); fewer than ``4N + 4`` aliases the top frequencies.
+    Unscaled, so it overflows where ``r^(-2N)`` does; solvers use
+    ``weighted_gram``.
     """
-    if m < 4 * N + 4:
-        raise ArgumentError(f"need m >= 4N+4 = {4 * N + 4} quadrature nodes, got {m}")
-    pts, w = quadrature_for(domain, tag, m, green_fn=green_fn)
-    wv = w * tag.weight_values(pts)
-    V = _vandermonde(pts, N)
-    M = (V.conj().T * wv) @ V  # M[j, k] = <z^k, z^j>
-    M = 0.5 * (M + M.conj().T)
-    return M.conj()
+    Gs, d = weighted_gram(domain, tag, N, m, green_fn=green_fn)
+    return Gs * np.outer(d, d)
 
 
 def inner_product(f: LaurentPolynomial, g: LaurentPolynomial,
@@ -179,13 +209,3 @@ def norm(f, domain: AnnulusDomain, tag: SpaceTag, m: int = 512) -> float:
     vals = np.asarray(f(pts), dtype=complex)
     return float(np.sqrt(np.sum(wv * np.abs(vals)**2).real))
 
-
-def equilibrated(G: np.ndarray):
-    """Symmetric diagonal scaling ``D^-1/2 G D^-1/2`` and the scale vector.
-
-    The raw monomial Gram has diagonal spanning ``r^{-(2N+1)}`` orders of
-    magnitude, so conditioning is always measured after equilibration.
-    """
-    d = np.sqrt(np.real(np.diag(G)))
-    Gs = G / d[:, None] / d[None, :]
-    return Gs, d

@@ -9,7 +9,9 @@ least a different algorithm) than the library path it checks:
   from Gram inversion;
 * monomial norms come from adaptive quadrature, not closed forms;
 * the operator-norm oracle maximizes Rayleigh quotients by seeded random
-  search with pencil power-iteration polish, not by a packed eigensolver.
+  search with pencil power-iteration polish, not by a packed eigensolver;
+* Gram matrices and the division pencil are dense Vandermonde products over
+  every quadrature node, not ring-wise FFT sums.
 """
 
 from __future__ import annotations
@@ -75,6 +77,41 @@ def deflated_weighted_kernel(K, B, z, w, z1):
     km = (np.asarray(K(z, w))
           - np.asarray(K(z, z1)) * complex(K(z1, w)) / complex(K(z1, z1)))
     return km / (np.asarray(B(z)) * np.conj(complex(B(w))))
+
+
+def equilibrated(G):
+    """Symmetric diagonal scaling ``D^-1/2 G D^-1/2`` and the scale vector."""
+    d = np.sqrt(np.real(np.diag(G)))
+    return G / d[:, None] / d[None, :], d
+
+
+def basis_gram(V, weights):
+    """Hermitian ``G[j, k] = sum_s weights[s] V[s, j] conj(V[s, k])`` from the
+    dense (nodes x basis) value table ``V``."""
+    M = (V.conj().T * weights) @ V  # M[j, k] = <v_k, v_j>
+    M = 0.5 * (M + M.conj().T)
+    return M.conj()
+
+
+def _powers(pts, N: int):
+    ns = np.arange(-N, N + 1, dtype=float)
+    return np.asarray(pts, dtype=complex)[:, None]**ns[None, :]
+
+
+def dense_gram(domain, tag, N: int, m: int):
+    """A tag's Gram ``<z^j, z^k>`` on the window -N..N, weight included."""
+    from ringspace.spaces import quadrature_for
+    pts, w = quadrature_for(domain, tag, m)
+    return basis_gram(_powers(pts, N), w * tag.weight_values(pts))
+
+
+def division_grams(G, z1: complex, domain, N: int, m: int):
+    """Gram pencil of the basis (z - z1) z^n and of the same basis divided by G."""
+    from ringspace.spaces import area_quadrature
+    pts, w = area_quadrature(domain, m)
+    phi = (pts - z1)[:, None] * _powers(pts, N)
+    psi = phi / np.asarray(G(pts), dtype=complex)[:, None]
+    return basis_gram(phi, w), basis_gram(psi, w)
 
 
 def rayleigh_maximize(A, B, trials: int = 10000, polish: int = 200, seed: int = 0):

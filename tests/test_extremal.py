@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ringspace as rs
-from ringspace.errors import ArgumentError, GeometryError, SingularConstraintsError
-from ringspace.extremal import _division_grams, polar_grid
+from ringspace.errors import (ArgumentError, ConvergenceError, GeometryError,
+                              SingularConstraintsError)
+from ringspace.extremal import polar_grid
 from ringspace.kernels import build_kernel, count_zeros, locate_zeros
 from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import bergman_tag, hardy_tag, norm as space_norm, quadrature_for, smirnov_tag
 
-from oracles import rayleigh_maximize
+from oracles import division_grams, equilibrated, rayleigh_maximize
 
 EXTREMAL_NORM_FIXTURE = 0.3085661677610915  # A2, r=0.5, z0=0.7, z1=-0.7, from N=96
 
@@ -77,6 +79,18 @@ def test_formulation_equivalence(dom):
         F = rs.extremal_maximizer(p)
         pts = polar_grid(dom, 16)
         assert np.max(np.abs(G(pts) - F(pts) / complex(F(0.7)))) <= 1e-9
+
+
+def test_formulation_equivalence_complex_hardy_gram():
+    # a non-real base point makes the harmonic-measure Gram complex, so the
+    # bordered system needs its conjugate
+    d = rs.make_annulus(0.5, 0.7j)
+    p = rs.ExtremalProblem(domain=d, space=hardy_tag(), base=0.7j, zeros=(-0.6,),
+                           truncation=48)
+    G = rs.solve_extremal(p, m=512)
+    F = rs.extremal_maximizer(p, m=512)
+    pts = polar_grid(d, 24)
+    assert np.max(np.abs(G(pts) - F(pts) / complex(F(p.base)))) <= 1e-9
 
 
 def test_norm_monotone_in_constraints(dom):
@@ -173,9 +187,39 @@ def test_quasicontract_sanity_against_random_search(dom06):
     # oracle: seeded random Rayleigh search with power-iteration polish
     pts_norm = rs.norm(G, dom06, bergman_tag(), m=256)
     g0 = lambda z: (np.asarray(z, dtype=complex) - 0.8) / pts_norm
-    A, B = _division_grams(g0, 0.8, dom06, 8, 256)
+    A, B = division_grams(g0, 0.8, dom06, 8, 256)
     brute = math.sqrt(rayleigh_maximize(A, B, trials=10000, seed=0))
     assert est == pytest.approx(brute, rel=0.02)
+
+
+def test_quasicontract_rungs_match_dense_pencil(dom06):
+    # each rung is sliced from the pencil at the top window; it must match a
+    # fresh dense assembly at its own window
+    G = lambda z: (np.asarray(z, dtype=complex) - 0.8) * (np.asarray(z, dtype=complex) + 0.1j)
+    report = rs.quasicontract_estimate(G, 0.8, dom06, ladder=(4, 8, 16), m=256)
+    g_norm = rs.norm(G, dom06, bergman_tag(), m=256)
+    g0 = lambda z: G(z) / g_norm
+    for N, est in report.per_truncation[:2]:
+        A, B = division_grams(g0, 0.8, dom06, N, 256)
+        A_s, d = equilibrated(A)
+        top = scipy.linalg.eigh(B / np.outer(d, d), A_s, eigvals_only=True)[-1]
+        assert est == pytest.approx(math.sqrt(top), rel=1e-9)
+    fresh = rs.quasicontract_estimate(G, 0.8, dom06, ladder=(8,), m=256)
+    assert fresh.per_truncation[0][1] == pytest.approx(report.per_truncation[1][1], rel=1e-12)
+
+
+def test_quasicontract_notes_failed_zero_location(dom06, monkeypatch):
+    import ringspace.extremal as extremal
+
+    def fail(*args, **kwargs):
+        raise ConvergenceError("Newton refinement found 1 of 2 zeros")
+
+    monkeypatch.setattr(extremal, "locate_zeros", fail)
+    G = lambda z: (np.asarray(z, dtype=complex) - 0.8) * (np.asarray(z, dtype=complex) + 0.7j)
+    report = rs.quasicontract_estimate(G, 0.8, dom06, ladder=(8,), m=256)
+    assert "EXTRANEOUS_ZERO" in report.notes
+    assert "ConvergenceError: Newton refinement found 1 of 2 zeros" in report.notes
+    assert report.zero_locations_of_kernel == ()
 
 
 def test_quasicontract_scale_invariance(dom06):

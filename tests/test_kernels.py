@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ringspace as rs
-from ringspace.errors import ArgumentError, ConvergenceError, ZeroOnContourError
+from ringspace.errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
 from ringspace.kernels import KernelForm, build_kernel, count_zeros, full_ring, locate_zeros, reproduce_check
 from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import bergman_tag, hardy_tag, smirnov_tag
@@ -98,6 +98,22 @@ def test_weighted_kernel_matches_deflation_oracle(dom06):
 
 # -------------------------------------------------------------- reproduction
 
+@pytest.mark.parametrize("r,N", [(0.05, 128), (0.1, 160)])
+@pytest.mark.parametrize("make_tag", [bergman_tag, smirnov_tag])
+def test_deep_window_weighted_kernel_is_finite_or_typed(r, N, make_tag):
+    # r^(-2N) overflows a double here; the Gram must not pass inf or NaN on
+    d = rs.make_annulus(r, (1 + r) / 2)
+    tag = make_tag(weight_fn=rs.blaschke_factor(d, 0.3 + 0.2j))
+    try:
+        K = build_kernel(d, tag, N=N)
+    except SingularGramError:
+        return
+    section = K.section(d.base_point)
+    assert np.all(np.isfinite(section.coeffs))
+    z = np.array([0.5, 0.3j, -0.8, 2 * r * np.exp(1j)])
+    assert np.all(np.isfinite(np.asarray(K(z, d.base_point))))
+
+
 def test_reproduce_constant(dom):
     for tag in (smirnov_tag(), bergman_tag(), hardy_tag()):
         K = build_kernel(dom, tag, N=24)
@@ -144,6 +160,26 @@ def test_count_monomial_windings(dom):
         f = LaurentPolynomial.monomial(k)
         assert _winding_on_circle(f, 0.75, 512) == k
         assert count_zeros(f, dom, (0.55, 0.95)) == 0
+
+
+@pytest.mark.parametrize("block", [8192, 1000])
+def test_winding_refines_in_bounded_blocks(monkeypatch, block):
+    # z^5461 (5461 = 0b1010101010101, so no coarse grid aliases it to a small
+    # step) and a zero 1e-5 inside |z| = 1 force the node count far past one
+    # block; each evaluation stays within a block and the phase is carried
+    # across the block edges
+    from ringspace import kernels
+    monkeypatch.setattr(kernels, "_WINDING_BLOCK", block)
+    sizes = []
+    def probe(f):
+        def g(z):
+            sizes.append(np.size(z))
+            return f(z)
+        return g
+    assert kernels._winding_on_circle(probe(LaurentPolynomial.monomial(5461)), 1.0, 512) == 5461
+    near = LaurentPolynomial.from_dict({1: 1.0, 0: -0.99999 * np.exp(1j)})
+    assert kernels._winding_on_circle(probe(near), 1.0, 512) == 1
+    assert len(sizes) > 100 and max(sizes) <= block
 
 
 def test_count_rejects_zero_on_contour(dom):

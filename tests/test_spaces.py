@@ -6,11 +6,12 @@ import pytest
 import ringspace as rs
 from ringspace.errors import ArgumentError
 from ringspace.laurent import LaurentPolynomial
-from ringspace.spaces import (SpaceKind, bergman_tag, equilibrated, gram_matrix,
+from ringspace.spaces import (SpaceKind, bergman_tag, gram_matrix,
                               hardy_tag, inner_product, monomial_norms,
-                              smirnov_tag)
+                              smirnov_tag, weighted_gram)
 
-from oracles import bergman_monomial_norm, hardy_monomial_norm, smirnov_monomial_norm
+from oracles import (bergman_monomial_norm, dense_gram, equilibrated,
+                     hardy_monomial_norm, smirnov_monomial_norm)
 
 
 # ------------------------------------------------------------ monomial norms
@@ -103,6 +104,20 @@ def test_gram_doubling_m_stability(make_tag, m):
     G2 = gram_matrix(d, tag, N, 2 * m)
     scale = np.max(np.abs(G1))
     assert np.max(np.abs(G1 - G2)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("make_tag", [smirnov_tag, hardy_tag, bergman_tag])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("N,m", [(8, 36), (24, 512)])
+def test_ring_gram_matches_dense_vandermonde(make_tag, weighted, N, m):
+    # a non-real base point and weight zero make every Gram genuinely complex
+    d = rs.make_annulus(0.4, 0.65j)
+    tag = make_tag(weight_fn=rs.blaschke_factor(d, 0.55 - 0.3j) if weighted else None)
+    Gs, scale = weighted_gram(d, tag, N, m)
+    oracle, oracle_scale = equilibrated(dense_gram(d, tag, N, m))
+    assert np.all(np.diag(Gs) == 1.0)
+    assert np.max(np.abs(Gs - oracle)) <= 1e-13
+    assert np.max(np.abs(scale / oracle_scale - 1.0)) <= 1e-13
 
 
 def test_gram_hermitian():
