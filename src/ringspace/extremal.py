@@ -23,7 +23,8 @@ import scipy.linalg
 from .errors import ArgumentError, GeometryError, RingspaceError, SingularConstraintsError
 from .geometry import AnnulusDomain, boundary_angles
 from .inner import InnerFunctionSpec, blaschke_factor
-from .kernels import KernelEvaluator, build_kernel, count_zeros, full_ring, locate_zeros
+from .kernels import (KernelEvaluator, build_kernel, count_zeros, full_ring, locate_zeros,
+                      refined_solve)
 from .laurent import LaurentPolynomial
 from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag, monomial_norms,
                      quadrature_for, ring_gram, weighted_gram)
@@ -81,8 +82,9 @@ def solve_extremal(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     """Minimize the space norm subject to the evaluation constraints.
 
     Bordered system [[conj(G), E*], [E, 0]] [a; mu] = [0; b] (the norm is
-    ``a^H conj(G) a``) solved in the diagonally equilibrated basis; the form is
-    positive definite so the solution is unique for independent constraints.
+    ``a^H conj(G) a``) solved in the diagonally equilibrated basis and refined
+    once (``refined_solve``); the form is positive definite so the solution is
+    unique for independent constraints.
     """
     Gs, d = _space_gram(p, m)
     E, b = _constraint_rows(p)
@@ -97,7 +99,7 @@ def solve_extremal(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     kkt[:n, n:] = Es.conj().T
     kkt[n:, :n] = Es
     rhs = np.concatenate([np.zeros(n, dtype=complex), b])
-    sol = np.linalg.solve(kkt, rhs)
+    sol = refined_solve(kkt.astype(np.clongdouble), lambda v: np.linalg.solve(kkt, v), rhs)
     coeffs = sol[:n] / d
     return LaurentPolynomial(-p.truncation, p.truncation, coeffs)
 

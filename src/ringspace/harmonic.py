@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, GeometryError
-from .geometry import INNER, OUTER, AnnulusDomain, BoundarySample
+from .errors import ArgumentError, ConvergenceError, GeometryError
+from .geometry import INNER, OUTER, AnnulusDomain, BoundarySample, boundary_angles
 from .laurent import LaurentPolynomial
 
 
@@ -101,6 +101,23 @@ class HarmonicRepresentation:
             out = out + np.real(term.sum(axis=0)).reshape(rho.shape)
         return out if out.shape else float(out)
 
+    def radial_derivative_on_circle(self, rho: float, m: int) -> np.ndarray:
+        """d/d(rho) at the ``m`` equispaced points ``rho e^{2 pi i k/m}``, by one FFT.
+
+        Mode ``n`` contributes ``Re[c_n e^{i n theta}]`` with
+        ``c_n = (n/rho)(A_n rho^n - Bhat_n (rref/rho)^n)``.  At the nodes
+        ``e^{i n theta_k}`` depends on ``n mod m`` only, so folding ``c_n``
+        onto ``n mod m`` is exact for every ``m`` and the sum is ``m * ifft``.
+        """
+        out = np.full(m, self.clog / rho)
+        if self._ns.size:
+            ns = self._ns
+            c = (ns / rho) * (self._A * rho**ns - self._Bhat * (self.rref / rho)**ns)
+            folded = np.zeros(-(-(ns[-1] + 1) // m) * m, dtype=complex)
+            folded[ns] = c
+            out += np.real(m * np.fft.ifft(folded.reshape(-1, m).sum(axis=0)))
+        return out
+
     def scale(self, factor: float) -> "HarmonicRepresentation":
         out = HarmonicRepresentation(self.c0 * factor, self.clog * factor, {}, self.rref)
         out._ns = self._ns.copy()
@@ -170,7 +187,8 @@ def solve_dirichlet(domain: AnnulusDomain, outer_data, inner_data, N: int) -> Ha
     ns = np.arange(1, N + 1)
     rn = r**ns.astype(float)
     det = 1.0 - rn**2
-    assert det.min() > 0.0
+    if not det.min() > 0.0:
+        raise ArgumentError(f"matching determinant 1 - r^(2n) is not positive for r = {r}")
     dout = 2.0 * outer[N + ns]
     din = 2.0 * inner[N + ns]
     # [[1, r^n], [r^n, 1]] @ [A, Bhat] = [dout, din]
@@ -214,6 +232,18 @@ def _log_kernel_data(domain: AnnulusDomain, pole: complex, N: int):
     return outer, inner
 
 
+def tail_truncation(domain: AnnulusDomain, pole: complex, tol: float, floor: int) -> int:
+    """Smallest ``N`` with ``max(|pole|, r/|pole|)^N <= tol``, clipped to ``[floor, 4096]``.
+
+    The Fourier data of ``log|zeta - pole|`` decays like ``|pole|^n`` on the
+    outer circle and ``(r/|pole|)^n`` on the inner one, so this bounds the
+    boundary residual of a Green corrector truncated at ``N``.
+    """
+    q = max(abs(pole), domain.inner_radius / abs(pole))
+    n = int(math.ceil(math.log(tol) / math.log(q))) if q < 1.0 else 4096
+    return int(np.clip(n, floor, 4096))
+
+
 def green(domain: AnnulusDomain, pole: complex, N: int = 64) -> GreenFunction:
     """Green's function of the annulus with the given interior pole.
 
@@ -255,6 +285,39 @@ def normal_derivative(h, s):
     return float(vals[0]) if isinstance(s, BoundarySample) else vals
 
 
+def green_boundary_flux(domain: AnnulusDomain, m: int, N: int | None = None,
+                        green_fn: GreenFunction | None = None) -> np.ndarray:
+    """Outward ``dg/dn`` of Green's function with pole at the base point, at
+    ``m`` equispaced nodes on the unit circle followed by ``m`` on the inner
+    circle (the layout of ``spaces.boundary_quadrature``).
+
+    The ``-log|z - a|`` term is taken node by node and the corrector by one
+    FFT per circle, so a long truncation costs little.  ``N=None`` takes it
+    from ``tail_truncation`` at ``1e-15`` with a floor of 128: a fixed 128
+    left boundary residuals of order ``1e-4`` and negative harmonic-measure
+    weights for base points near a circle (r=0.7, |a|=0.955; r=0.9, a=0.95).
+    """
+    a = domain.base_point
+    N = tail_truncation(domain, a, 1e-15, 128) if N is None else N
+    g = green_fn or green(domain, a, N)
+    unit = np.exp(1j * boundary_angles(m))
+    flux = []
+    for rho, sign in ((1.0, 1.0), (domain.inner_radius, -1.0)):
+        diff = rho * unit - g.pole
+        sing = -np.real(unit * np.conj(diff)) / np.abs(diff)**2
+        flux.append(sign * (sing + g.corrector.radial_derivative_on_circle(rho, m)))
+    return np.concatenate(flux)
+
+
+def schottky_ratio(num, den) -> np.ndarray:
+    """``(d omega_1/dn) / (dg/dn)``, guarding the denominator."""
+    den = np.asarray(den)
+    # dg/dn < 0 on an analytic boundary with an interior pole; guard anyway.
+    if not np.min(np.abs(den)) > 1e-14:
+        raise ConvergenceError("dg/dn vanished on the boundary")
+    return np.asarray(num) / den
+
+
 def measure_density(domain: AnnulusDomain, samples, N: int = 128,
                     green_fn: GreenFunction | None = None) -> np.ndarray:
     """Density of harmonic measure at ``domain.base_point`` w.r.t. arclength:
@@ -276,12 +339,7 @@ def schottky(domain: AnnulusDomain, j: int, s, N: int = 128,
     g = green_fn or green(domain, domain.base_point, N)
     omega = harmonic_measure(domain, OUTER)
     samples = _as_points(s)
-    num = normal_derivative(omega, samples)
-    den = normal_derivative(g, samples)
-    den_arr = np.asarray(den)
-    # dg/dn < 0 on an analytic boundary with an interior pole; guard anyway.
-    assert np.min(np.abs(den_arr)) > 1e-14, "dg/dn vanished on the boundary"
-    vals = np.asarray(num) / den_arr
+    vals = schottky_ratio(normal_derivative(omega, samples), normal_derivative(g, samples))
     return float(vals[0]) if isinstance(s, BoundarySample) else vals
 
 

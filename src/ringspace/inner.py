@@ -29,10 +29,11 @@ from .errors import (ArgumentError, BlaschkeDivergenceError, GeometryError,
                      PeriodError)
 from .geometry import INNER, OUTER, AnnulusDomain, boundary_angles
 from .harmonic import (HarmonicRepresentation, _log_kernel_data,
-                       analytic_completion, green, harmonic_measure,
-                       point_mass_kernel, solve_dirichlet)
+                       analytic_completion, green, green_boundary_flux,
+                       harmonic_measure, point_mass_kernel, schottky_ratio,
+                       solve_dirichlet, tail_truncation)
 from .laurent import LaurentPolynomial
-from .spaces import hardy_tag, norm
+from .spaces import boundary_quadrature, hardy_tag, norm
 
 _PERIOD_TOL = 1e-8
 
@@ -121,9 +122,7 @@ def _loop_period_residual(rep: HarmonicRepresentation, rho: float, m: int = 512)
 
     Uses the polar Cauchy-Riemann relation d(conj)/d(theta) = rho * d(rep)/d(rho).
     """
-    theta = boundary_angles(m)
-    z = rho * np.exp(1j * theta)
-    period = float(np.sum(rho * rep.radial_derivative(z)) * 2.0 * np.pi / m)
+    period = float(np.sum(rho * rep.radial_derivative_on_circle(rho, m)) * 2.0 * np.pi / m)
     return abs(period - 2.0 * np.pi * round(period / (2.0 * np.pi)))
 
 
@@ -155,14 +154,6 @@ def _normalize_phase(domain: AnnulusDomain, spec_value: complex,
     return series + LaurentPolynomial.constant(-1j * np.angle(spec_value))
 
 
-def _auto_truncation(domain: AnnulusDomain, a: complex, N: Optional[int]) -> int:
-    if N is not None:
-        return N
-    q = max(abs(a), domain.inner_radius / abs(a))
-    n = int(math.ceil(math.log(1e-12) / math.log(q))) if q < 1.0 else 4096
-    return int(np.clip(n, 64, 4096))
-
-
 def blaschke_factor(domain: AnnulusDomain, a: complex, N: Optional[int] = None,
                     lattice_shift: int = 0) -> InnerFunctionSpec:
     """Single-zero inner factor ``exp(-p(., a) + lambda (omega_1 + i conj))``.
@@ -176,7 +167,7 @@ def blaschke_factor(domain: AnnulusDomain, a: complex, N: Optional[int] = None,
     a = complex(a)
     if not domain.contains(a):
         raise GeometryError(f"Blaschke zero {a} must be strictly interior")
-    N = _auto_truncation(domain, a, N)
+    N = tail_truncation(domain, a, 1e-12, 64) if N is None else N
     L = domain.log_gap
     # Same corrector as the Green's function, without its pole-margin guard:
     # zeros of convergent products legitimately approach the boundary.
@@ -190,7 +181,8 @@ def blaschke_factor(domain: AnnulusDomain, a: complex, N: Optional[int] = None,
     # Residual of the period cancellation, measured on the exponent.
     exponent_rep = corrector.scale(-1.0) + harmonic_measure(domain, OUTER).scale(lam)
     residual = abs(2.0 * np.pi * (exponent_rep.clog - power))
-    assert residual <= _PERIOD_TOL, "Blaschke period bookkeeping failed"
+    if not residual <= _PERIOD_TOL:
+        raise PeriodError(f"Blaschke period bookkeeping failed: residual {residual:.3e}")
     spec = InnerFunctionSpec(domain=domain, zeros=(a,),
                              singular=AtomicSingularMeasure.empty(),
                              lam=lam, power=power, series=series,
@@ -399,15 +391,17 @@ def check_orthogonality(f: LaurentPolynomial, domain: AnnulusDomain, N: int) -> 
 
 
 def schottky_fit(f: Callable, domain: AnnulusDomain, m: int = 512,
-                 N_green: int = 128) -> tuple[float, float]:
+                 N_green: int | None = None) -> tuple[float, float]:
     """Least-squares fit of ``|f|^2 - 1`` against the Schottky function ``s_1``
-    over all boundary nodes; residual in the boundary arclength norm."""
-    from .geometry import boundary_nodes
-    from .harmonic import schottky as schottky_values
-    nodes = boundary_nodes(domain, OUTER, m) + boundary_nodes(domain, INNER, m)
-    pts = np.array([s.point for s in nodes])
-    ds = np.array([s.weight for s in nodes])
-    s1 = np.asarray(schottky_values(domain, 1, nodes, N=N_green))
+    over all boundary nodes; residual in the boundary arclength norm.
+
+    ``d omega_1/dn = +-1/(rho log(1/r))`` is constant on each circle; ``dg/dn``
+    comes from ``green_boundary_flux`` (``N_green=None``: tail-bound truncation).
+    """
+    pts, ds = boundary_quadrature(domain, m)
+    L = domain.log_gap
+    num = np.repeat([1.0 / L, -1.0 / (domain.inner_radius * L)], m)
+    s1 = schottky_ratio(num, green_boundary_flux(domain, m, N_green))
     y = np.abs(np.asarray(f(pts), dtype=complex))**2 - 1.0
     denom = float(np.sum(ds * s1 * s1))
     lam1 = float(np.sum(ds * s1 * y) / denom)

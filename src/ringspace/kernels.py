@@ -3,7 +3,8 @@
 Unweighted arclength and area kernels are diagonal series over the monomial
 norms.  Weighted kernels (and the harmonic-measure kernel, whose monomials
 are not orthogonal because the base point breaks rotational symmetry) solve
-through a Cholesky factor of the equilibrated Gram on the truncated window.
+through a Cholesky factor of the equilibrated Gram on the truncated window,
+refined once with an extended-precision residual.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ class KernelEvaluator:
     form: KernelForm
     norms: Optional[np.ndarray] = None        # diagonal form
     factor: Optional[tuple] = None            # gram form: cho_factor of conj(Gs)
+    gram: Optional[np.ndarray] = None         # gram form: conj(Gs) in extended precision
     scale: Optional[np.ndarray] = None        # gram form: equilibration, G = d Gs d
 
     def __call__(self, z, w):
@@ -50,8 +52,25 @@ class KernelEvaluator:
         if self.form is KernelForm.DIAGONAL_SERIES:
             coeffs = qw / self.norms
         else:
-            coeffs = scipy.linalg.cho_solve(self.factor, qw / self.scale) / self.scale
+            coeffs = refined_solve(self.gram, lambda b: scipy.linalg.cho_solve(self.factor, b),
+                                   qw / self.scale) / self.scale
         return LaurentPolynomial(-self.N, self.N, coeffs)
+
+
+def refined_solve(a_ext: np.ndarray, solve, b: np.ndarray) -> np.ndarray:
+    """``solve(b)`` plus one refinement step whose residual ``b - a x`` is
+    formed in extended precision (``a_ext`` is ``a`` as ``clongdouble``).
+
+    Hardy Grams reach scaled condition 1e8 and beyond when the base point is
+    near a circle, so a plain solve is good to about ``cond * eps`` and the KKT
+    and kernel routes to one extremal disagreed by 1e-9.  The extended
+    residual brings each solve to about ``eps + cond * 1e-19`` relative to the
+    stored matrix (where ``clongdouble`` is plain double it is ordinary
+    fixed-precision refinement).
+    """
+    x = solve(b)
+    r = np.asarray(b, dtype=np.clongdouble) - a_ext @ x.astype(np.clongdouble)
+    return x + solve(r.astype(complex))
 
 
 def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
@@ -78,7 +97,8 @@ def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
         factor = scipy.linalg.cho_factor(Gs.conj())
     except np.linalg.LinAlgError as exc:
         raise SingularGramError(f"weighted Gram is not positive definite ({exc})") from exc
-    return KernelEvaluator(domain, tag, N, KernelForm.GRAM_FACTOR, factor=factor, scale=d)
+    return KernelEvaluator(domain, tag, N, KernelForm.GRAM_FACTOR, factor=factor,
+                           gram=Gs.conj().astype(np.clongdouble), scale=d)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ArgumentError, SingularGramError
-from .geometry import INNER, OUTER, AnnulusDomain, boundary_angles, boundary_nodes
-from .harmonic import GreenFunction, measure_density
+from .geometry import AnnulusDomain, boundary_angles
+from .harmonic import GreenFunction, green_boundary_flux
 from .laurent import LaurentPolynomial, to_laurent  # noqa: F401  (re-export)
 
 
@@ -63,6 +63,8 @@ _GAUSS_RADIAL = 64  # exact for the polynomial radial integrands used in tests
 
 def boundary_quadrature(domain: AnnulusDomain, m: int):
     """Points and arclength weights for both circles, m nodes each."""
+    if m < 4:
+        raise ArgumentError(f"need at least 4 boundary nodes, got {m}")
     theta = boundary_angles(m)
     r = domain.inner_radius
     pts = np.concatenate([np.exp(1j * theta), r * np.exp(1j * theta)])
@@ -87,14 +89,13 @@ def area_quadrature(domain: AnnulusDomain, m: int, n_radial: int = _GAUSS_RADIAL
     return pts, w
 
 
-def measure_quadrature(domain: AnnulusDomain, m: int, N_green: int = 128,
+def measure_quadrature(domain: AnnulusDomain, m: int, N_green: int | None = None,
                        green_fn: GreenFunction | None = None):
-    """Points and harmonic-measure weights (density times arclength weight)."""
-    nodes = boundary_nodes(domain, OUTER, m) + boundary_nodes(domain, INNER, m)
-    pts = np.array([s.point for s in nodes])
-    ds = np.array([s.weight for s in nodes])
-    dens = measure_density(domain, nodes, N=N_green, green_fn=green_fn)
-    return pts, dens * ds
+    """``boundary_quadrature``'s points with harmonic-measure weights: the
+    density ``-(1/2 pi) dg/dn`` times the arclength weight.  ``N_green=None``
+    picks the Green truncation from its tail bound (``green_boundary_flux``)."""
+    pts, ds = boundary_quadrature(domain, m)
+    return pts, -green_boundary_flux(domain, m, N_green, green_fn) / (2.0 * np.pi) * ds
 
 
 def quadrature_for(domain: AnnulusDomain, tag: SpaceTag, m: int,

@@ -12,6 +12,8 @@ least a different algorithm) than the library path it checks:
   search with pencil power-iteration polish, not by a packed eigensolver;
 * Gram matrices and the division pencil are dense Vandermonde products over
   every quadrature node, not ring-wise FFT sums.
+* harmonic-measure weights come from one ``BoundarySample`` per node and the
+  dense mode-by-node Green derivative table, not from one FFT per circle.
 """
 
 from __future__ import annotations
@@ -38,6 +40,16 @@ def green_images(z, a, r: float, terms: int = 80):
             + np.log(np.abs(prime_product(z * np.conj(a), r, terms)))
             + np.log(abs(a)) * np.log(np.abs(z)) / np.log(r)
             - np.log(abs(a)))
+
+
+def node_measure_quadrature(domain, m: int, N_green: int = 128):
+    """Points and harmonic-measure weights over a ``boundary_nodes`` list."""
+    from ringspace.geometry import INNER, OUTER, boundary_nodes
+    from ringspace.harmonic import measure_density
+    nodes = boundary_nodes(domain, OUTER, m) + boundary_nodes(domain, INNER, m)
+    pts = np.array([s.point for s in nodes])
+    ds = np.array([s.weight for s in nodes])
+    return pts, measure_density(domain, nodes, N=N_green) * ds
 
 
 def bergman_monomial_norm(r: float, n: int) -> float:

@@ -98,6 +98,12 @@ def test_rejected_geometry_exit_code():
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("m", ["0", "2"])
+def test_too_few_boundary_nodes_exit_code(m):
+    result = run_cli(["green", "--r", "0.5", "--pole", "0.7", "--m", m])
+    assert result.exit_code == 3
+
+
 def test_convergence_failure_exit_code(monkeypatch, tmp_path):
     def broken(config):
         raise ConvergenceError("did not settle")

@@ -93,6 +93,24 @@ def test_formulation_equivalence_complex_hardy_gram():
     assert np.max(np.abs(G(pts) - F(pts) / complex(F(p.base)))) <= 1e-9
 
 
+@pytest.mark.parametrize("r, base, zero", [
+    (0.5899576950879258, -0.5674284398909917 + 0.6785782836931317j,
+     0.6918882912571583 + 0.4391544211491283j),
+    (0.584318218585263, 0.8612702081077235 + 0.18793177211308074j,
+     -0.6885543639156495 + 0.18611218503182025j),
+])
+def test_formulation_equivalence_ill_conditioned_hardy_gram(r, base, zero):
+    # base points near the outer circle give scaled Gram condition ~1e8; plain
+    # double solves left the two routes 1e-9 apart
+    d = rs.make_annulus(r, base)
+    p = rs.ExtremalProblem(domain=d, space=hardy_tag(), base=base, zeros=(zero,),
+                           truncation=48)
+    G = rs.solve_extremal(p, m=512)
+    F = rs.extremal_maximizer(p, m=512)
+    pts = polar_grid(d, 24)
+    assert np.max(np.abs(G(pts) - F(pts) / complex(F(p.base)))) <= 1e-10
+
+
 def test_norm_monotone_in_constraints(dom):
     tag = bergman_tag()
     n1 = space_norm(rs.solve_extremal(problem(dom, tag, (-0.7,), 32)), dom, tag)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringspace as rs
-from ringspace.errors import ArgumentError, GeometryError
+from ringspace.errors import ArgumentError, ConvergenceError, GeometryError
 from ringspace.harmonic import (HarmonicRepresentation, log_cut, point_mass_kernel,
                                 solve_dirichlet)
 
@@ -153,6 +153,49 @@ def test_green_rejects_boundary_pole(dom):
         rs.green(dom, 1.2)
 
 
+def test_dirichlet_rejects_nonpositive_determinant():
+    # 1 - r^(2n) <= 0 only for data outside (0, 1); the check must survive -O
+    bad = type("Ring", (), {"inner_radius": 1.5})()
+    data = np.zeros(9, dtype=complex)
+    with pytest.raises(ArgumentError, match="determinant"):
+        solve_dirichlet(bad, data, data, 4)
+
+
+# ---------------------------------------------------- FFT radial derivative
+
+def _random_representation(rng, r, N):
+    """Harmonic function with random conjugate-symmetric data on both circles."""
+    data = []
+    for _ in range(2):
+        pos = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / np.arange(1, N + 1)
+        data.append(np.concatenate([np.conj(pos[::-1]), [rng.standard_normal()], pos]))
+    return solve_dirichlet(rs.make_annulus(r, 0.5 * (1 + r)), data[0], data[1], N)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m", [256, 101, 40, 16])  # m > 2N, and m <= N folds modes
+def test_radial_derivative_on_circle_matches_dense(seed, m):
+    rng = np.random.default_rng(seed)
+    r = (0.2, 0.5, 0.7, 0.9)[seed]
+    N = 48
+    h = _random_representation(rng, r, N)
+    theta = 2 * np.pi * np.arange(m) / m
+    for rho in (1.0, r, math.sqrt(r)):
+        dense = h.radial_derivative(rho * np.exp(1j * theta))
+        fft = h.radial_derivative_on_circle(rho, m)
+        assert np.max(np.abs(fft - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_radial_derivative_on_circle_of_green_corrector():
+    d = rs.make_annulus(0.7, 0.955 * np.exp(0.3j))
+    g = rs.green(d, d.base_point, N=751)
+    theta = 2 * np.pi * np.arange(512) / 512
+    for rho in (1.0, 0.7):
+        dense = g.corrector.radial_derivative(rho * np.exp(1j * theta))
+        fft = g.corrector.radial_derivative_on_circle(rho, 512)
+        assert np.max(np.abs(fft - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
 # ------------------------------------------------- normal derivative & mass
 
 def test_normal_derivative_of_measure_closed_form(dom):
@@ -222,6 +265,13 @@ def test_schottky_eight_node_fixture(dom):
     inner = rs.schottky(dom, 1, rs.boundary_nodes(dom, 2, 8), N=128)
     assert outer == pytest.approx(SCHOTTKY_OUTER_8, rel=1e-12)
     assert inner == pytest.approx(SCHOTTKY_INNER_8, rel=1e-12)
+
+
+def test_schottky_vanishing_flux_is_typed(dom, monkeypatch):
+    monkeypatch.setattr(rs.harmonic, "normal_derivative",
+                        lambda h, s: np.zeros(len(s)))
+    with pytest.raises(ConvergenceError, match="vanished"):
+        rs.schottky(dom, 1, rs.boundary_nodes(dom, 1, 8))
 
 
 def test_schottky_component_restriction(dom):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import ringspace as rs
-from ringspace.errors import ArgumentError, BlaschkeDivergenceError, GeometryError
+from ringspace.errors import (ArgumentError, BlaschkeDivergenceError, ConvergenceError,
+                             GeometryError, PeriodError)
 from ringspace.inner import _loop_period_residual, _test_grid
 from ringspace.kernels import count_zeros, full_ring
 from ringspace.laurent import LaurentPolynomial, to_laurent
@@ -256,6 +257,39 @@ def test_schottky_fit_of_identity_function(dom):
     # |z|^2 - 1 is locally constant per circle but not a Schottky multiple
     lam1, residual = rs.schottky_fit(lambda z: np.asarray(z), dom, m=256)
     assert residual > 1e-3
+
+
+def test_schottky_fit_vanishing_flux_is_typed(dom, monkeypatch):
+    monkeypatch.setattr(rs.inner, "green_boundary_flux",
+                        lambda domain, m, N=None: np.zeros(2 * m))
+    with pytest.raises(ConvergenceError, match="vanished"):
+        rs.schottky_fit(lambda z: np.ones(np.shape(z)), dom, m=64)
+
+
+def test_schottky_fit_rejects_too_few_nodes(dom):
+    with pytest.raises(ArgumentError, match="at least 4"):
+        rs.schottky_fit(lambda z: np.ones(np.shape(z)), dom, m=2)
+
+
+def test_schottky_fit_matches_dense_schottky(dom):
+    # the per-circle flux ratio equals the node-list Schottky function
+    nodes = rs.boundary_nodes(dom, 1, 128) + rs.boundary_nodes(dom, 2, 128)
+    pts = np.array([s.point for s in nodes])
+    ds = np.array([s.weight for s in nodes])
+    s1 = np.asarray(rs.schottky(dom, 1, nodes, N=128))
+    f = lambda z: 1.0 + 0.3 * np.asarray(z)
+    y = np.abs(f(pts))**2 - 1.0
+    lam_dense = float(np.sum(ds * s1 * y) / np.sum(ds * s1 * s1))
+    lam1, _ = rs.schottky_fit(f, dom, m=128, N_green=128)
+    assert lam1 == pytest.approx(lam_dense, rel=1e-12)
+
+
+def test_blaschke_period_bookkeeping_failure_is_typed(dom, monkeypatch):
+    # a period remover without its log term leaves the period uncancelled
+    monkeypatch.setattr(rs.inner, "harmonic_measure",
+                        lambda domain, j: rs.HarmonicRepresentation(0.0, 0.0, {}, 0.5))
+    with pytest.raises(PeriodError, match="bookkeeping"):
+        rs.blaschke_factor(dom, 0.7)
 
 
 # ----------------------------------------------------------------- divisors

@@ -3,7 +3,8 @@ import pytest
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
-from ringspace.kernels import KernelForm, build_kernel, count_zeros, full_ring, locate_zeros, reproduce_check
+from ringspace.kernels import (KernelForm, build_kernel, count_zeros, full_ring, locate_zeros,
+                              refined_solve, reproduce_check)
 from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import bergman_tag, hardy_tag, smirnov_tag
 
@@ -112,6 +113,25 @@ def test_deep_window_weighted_kernel_is_finite_or_typed(r, N, make_tag):
     assert np.all(np.isfinite(section.coeffs))
     z = np.array([0.5, 0.3j, -0.8, 2 * r * np.exp(1j)])
     assert np.all(np.isfinite(np.asarray(K(z, d.base_point))))
+
+
+def test_refined_solve_reaches_the_stored_matrix():
+    # Hermitian, condition 1e9; the exact solution of the stored
+    # double matrix comes from a 40-digit solve
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+    a = (q * np.logspace(0, -9, 12)) @ q.conj().T
+    b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    with mp.workdps(40):
+        exact = mp.lu_solve(mp.matrix([[mp.mpc(complex(x)) for x in row] for row in a]),
+                            mp.matrix([mp.mpc(complex(x)) for x in b]))
+    exact = np.array([complex(exact[i]) for i in range(12)])
+    plain = np.linalg.solve(a, b)
+    refined = refined_solve(a.astype(np.clongdouble), lambda v: np.linalg.solve(a, v), b)
+    scale = np.max(np.abs(exact))
+    assert np.max(np.abs(plain - exact)) > 1e-9 * scale
+    assert np.max(np.abs(refined - exact)) <= 1e-11 * scale
 
 
 def test_reproduce_constant(dom):

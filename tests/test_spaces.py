@@ -7,11 +7,12 @@ import ringspace as rs
 from ringspace.errors import ArgumentError
 from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import (SpaceKind, bergman_tag, gram_matrix,
-                              hardy_tag, inner_product, monomial_norms,
-                              smirnov_tag, weighted_gram)
+                              hardy_tag, inner_product, measure_quadrature,
+                              monomial_norms, smirnov_tag, weighted_gram)
 
-from oracles import (bergman_monomial_norm, dense_gram, equilibrated,
-                     hardy_monomial_norm, smirnov_monomial_norm)
+from oracles import (bergman_monomial_norm, dense_gram, equilibrated, green_images,
+                     hardy_monomial_norm, node_measure_quadrature,
+                     smirnov_monomial_norm)
 
 
 # ------------------------------------------------------------ monomial norms
@@ -47,6 +48,44 @@ def test_hardy_norms_match_per_circle_masses():
     norms = monomial_norms(d, hardy_tag(), N)
     for i, n in enumerate(range(-N, N + 1)):
         assert norms[i] == pytest.approx(hardy_monomial_norm(0.5, 0.7, n), rel=1e-10)
+
+
+@pytest.mark.parametrize("r, base", [(0.5, 0.7), (0.3, 0.4 - 0.3j),
+                                     (0.7, 0.955 * np.exp(0.3j)), (0.9, 0.95)])
+@pytest.mark.parametrize("m", [64, 512])
+def test_measure_quadrature_matches_node_oracle(r, base, m):
+    d = rs.make_annulus(r, base)
+    pts, w = measure_quadrature(d, m, N_green=128)
+    opts, ow = node_measure_quadrature(d, m, N_green=128)
+    assert np.max(np.abs(pts - opts)) <= 1e-15
+    assert np.max(np.abs(w - ow)) <= 1e-13 * np.max(np.abs(ow))
+
+
+@pytest.mark.parametrize("r, base", [(0.7, 0.955 * np.exp(0.3j)), (0.9, 0.95)])
+def test_measure_quadrature_envelope_near_a_circle(r, base):
+    # At N_green = 128 both geometries leave Green boundary residuals near
+    # 1e-4 and weights down to -4e-6; the tail-bound truncation must not.
+    d = rs.make_annulus(r, base)
+    m = 1024
+    pts, w = measure_quadrature(d, m)
+    dens = w / np.concatenate([np.full(m, 2 * np.pi / m), np.full(m, 2 * np.pi * r / m)])
+    # The far-side density at r = 0.9 is near exp(-pi^2 / (1 - r)), below the
+    # rounding of the O(1) flux terms that cancel to give it.
+    assert np.min(dens) >= -4 * np.finfo(float).eps * np.max(dens)
+    assert abs(np.sum(w) - 1.0) <= 1e-10
+    N = rs.harmonic.tail_truncation(d, base, 1e-15, 128)
+    g = rs.green(d, base, N)
+    assert g.truncation > 128
+    boundary = pts[::4]
+    exact = green_images(boundary, base, r, terms=400)
+    assert np.max(np.abs(g(boundary) - exact)) <= 1e-12
+    assert np.max(np.abs(exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [0, 2, 3])
+def test_measure_quadrature_rejects_too_few_nodes(m):
+    with pytest.raises(ArgumentError, match="at least 4"):
+        measure_quadrature(rs.make_annulus(0.5, 0.7), m)
 
 
 def test_weighted_tag_rejected_by_monomial_norms():
