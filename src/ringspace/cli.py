@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, GeometryError, RingspaceError
-from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, make_annulus
+from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, make_annulus, ring_nodes
 from .harmonic import conjugate_period, green, harmonic_measure, normal_derivative
 from .inner import (AtomicSingularMeasure, ZeroSet, blaschke_product,
                     division_bound_check, qc_divisor, schottky_fit, singular_inner,
@@ -214,11 +214,6 @@ def _domain(config: RunConfig, fallback_base: complex | None = None) -> AnnulusD
     return make_annulus(config.r, base)
 
 
-def _boundary_points(domain: AnnulusDomain, m: int):
-    theta = 2.0 * np.pi * np.arange(m) / m
-    return np.exp(1j * theta), domain.inner_radius * np.exp(1j * theta)
-
-
 def _inner_spec_results(spec, domain, m) -> dict:
     v = verify_inner(spec, domain, m=min(m, 1024))
     return {
@@ -266,7 +261,7 @@ def _cmd_green(config: RunConfig):
     pole = parse_complex(pole) if isinstance(pole, str) else complex(pole)
     domain = _domain(config, fallback_base=pole)
     g = green(domain, pole, N=config.N)
-    outer, inner = _boundary_points(domain, 256)
+    outer, inner = ring_nodes([1.0, domain.inner_radius], 256)
     residual = max(float(np.max(np.abs(g(outer)))), float(np.max(np.abs(g(inner)))))
     nodes = boundary_nodes(domain, OUTER, config.m) + boundary_nodes(domain, INNER, config.m)
     ds = np.array([s.weight for s in nodes])
@@ -423,8 +418,7 @@ def _cmd_qc_divisor(config: RunConfig):
     G, C = qc_divisor(domain, ZeroSet(points=config.zeros),
                       AtomicSingularMeasure(atoms=config.atoms),
                       N=config.N, tol=config.tol)
-    outer, inner = _boundary_points(domain, config.m)
-    mods = np.abs(np.concatenate([G(outer), G(inner)]))
+    mods = np.abs(G(ring_nodes([1.0, domain.inner_radius], config.m)))
     trials = int(config.extras.get("trials", 100))
     bound = division_bound_check(G, C, domain, trials=trials, seed=config.seed,
                                  m=config.m)

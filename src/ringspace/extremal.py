@@ -20,14 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ArgumentError, GeometryError, RingspaceError, SingularConstraintsError
-from .geometry import AnnulusDomain, boundary_angles
+from .errors import (ArgumentError, GeometryError, RingspaceError, SingularConstraintsError,
+                     SingularGramError)
+from .geometry import AnnulusDomain, polar_grid
 from .inner import InnerFunctionSpec, blaschke_factor
 from .kernels import (KernelEvaluator, build_kernel, count_zeros, full_ring, locate_zeros,
                       refined_solve)
 from .laurent import LaurentPolynomial
 from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag, monomial_norms,
-                     quadrature_for, ring_gram, weighted_gram)
+                     quadrature_for, ring_gram, ring_values, weighted_gram)
 
 
 @dataclass(frozen=True)
@@ -117,20 +118,15 @@ def extremal_maximizer(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     if p.zeros:
         kz = np.array([[complex(K(zi, zj)) for zj in p.zeros] for zi in p.zeros])
         rhs = np.array([complex(K(zi, p.base)) for zi in p.zeros])
-        c = np.linalg.solve(kz, rhs)
+        try:
+            c = np.linalg.solve(kz, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularConstraintsError(
+                f"kernel matrix at the zeros is singular ({exc})") from exc
         for cj, zj in zip(c, p.zeros):
             section = section + K.section(zj) * (-cj)
     value = complex(section(p.base))  # equals ||section||^2, positive real
     return section * (1.0 / math.sqrt(value.real))
-
-
-def polar_grid(domain: AnnulusDomain, n: int, inset: float = 0.2) -> np.ndarray:
-    """n x n polar grid with a radial inset keeping truncation tails small."""
-    r = domain.inner_radius
-    gap = 1.0 - r
-    rho = np.linspace(r + inset * gap, 1.0 - inset * gap, n)
-    theta = boundary_angles(n)
-    return (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
 
 
 def extremal_identity_check(p: ExtremalProblem, m: int = 512, grid: int = 32) -> float:
@@ -192,6 +188,11 @@ class CandidateDivisor:
         out = num / np.asarray(self.kernel_zero_factor(z))
         return out if out.shape else complex(out)
 
+    def on_rings(self, radii, m: int) -> np.ndarray:
+        """Values at ``ring_nodes(radii, m)``, every factor by one FFT per ring."""
+        num = self.blaschke.on_rings(radii, m) * self.kernel.section(self.base).on_rings(radii, m)
+        return num / self.kernel_zero_factor.on_rings(radii, m)
+
 
 def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96,
                       m: int = 512, base: complex | None = None) -> CandidateDivisor:
@@ -234,7 +235,7 @@ def quasicontract_estimate(G, z1: complex, domain: AnnulusDomain,
     are detected by the argument principle and flagged.
     """
     pts, w = area_quadrature(domain, m)
-    g_vals = np.asarray(G(pts), dtype=complex)
+    g_vals = ring_values(G, pts, m)
     g_norm_sq = float(np.sum(w * np.abs(g_vals)**2))
     ring = full_ring(domain)
     total = count_zeros(G, domain, ring, m=512)
@@ -257,7 +258,10 @@ def quasicontract_estimate(G, z1: complex, domain: AnnulusDomain,
     estimates = []
     for N in ladder:
         rung = slice(top - N, top + N + 1)
-        eig = scipy.linalg.eigh(B_s[rung, rung], A_s[rung, rung], eigvals_only=True)
+        try:
+            eig = scipy.linalg.eigh(B_s[rung, rung], A_s[rung, rung], eigvals_only=True)
+        except np.linalg.LinAlgError as exc:
+            raise SingularGramError(f"division pencil at N={N} is singular ({exc})") from exc
         estimates.append((int(N), float(math.sqrt(max(eig)))))
     return DivisorReport(constant_estimate=estimates[-1][1],
                          per_truncation=tuple(estimates),

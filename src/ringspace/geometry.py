@@ -99,6 +99,19 @@ def boundary_angles(m: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(m) / m
 
 
+def ring_nodes(radii, m: int) -> np.ndarray:
+    """``radii[i] * e^{2 pi i k/m}`` as a ``(len(radii), m)`` array: the ring by
+    ring node layout of every quadrature here."""
+    return np.asarray(radii, dtype=float)[:, None] * np.exp(1j * boundary_angles(m))[None, :]
+
+
+def polar_grid(domain: AnnulusDomain, n: int, inset: float = 0.2) -> np.ndarray:
+    """n x n polar grid with a radial inset keeping truncation tails small."""
+    r = domain.inner_radius
+    gap = 1.0 - r
+    return ring_nodes(np.linspace(r + inset * gap, 1.0 - inset * gap, n), n).ravel()
+
+
 def boundary_nodes(domain: AnnulusDomain, component: int, m: int) -> list[BoundarySample]:
     """``m`` equispaced trapezoid nodes on one boundary circle.
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ArgumentError, ConvergenceError, GeometryError
 from .geometry import INNER, OUTER, AnnulusDomain, BoundarySample, boundary_angles
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, fold_sum
 
 
 def _as_points(s):
@@ -107,15 +107,13 @@ class HarmonicRepresentation:
         Mode ``n`` contributes ``Re[c_n e^{i n theta}]`` with
         ``c_n = (n/rho)(A_n rho^n - Bhat_n (rref/rho)^n)``.  At the nodes
         ``e^{i n theta_k}`` depends on ``n mod m`` only, so folding ``c_n``
-        onto ``n mod m`` is exact for every ``m`` and the sum is ``m * ifft``.
+        onto ``n mod m`` is exact for every ``m`` (``fold_sum``).
         """
         out = np.full(m, self.clog / rho)
         if self._ns.size:
             ns = self._ns
             c = (ns / rho) * (self._A * rho**ns - self._Bhat * (self.rref / rho)**ns)
-            folded = np.zeros(-(-(ns[-1] + 1) // m) * m, dtype=complex)
-            folded[ns] = c
-            out += np.real(m * np.fft.ifft(folded.reshape(-1, m).sum(axis=0)))
+            out += np.real(fold_sum(ns, c, m))
         return out
 
     def scale(self, factor: float) -> "HarmonicRepresentation":

@@ -27,13 +27,13 @@ import numpy as np
 
 from .errors import (ArgumentError, BlaschkeDivergenceError, GeometryError,
                      PeriodError)
-from .geometry import INNER, OUTER, AnnulusDomain, boundary_angles
+from .geometry import INNER, OUTER, AnnulusDomain, polar_grid, ring_nodes
 from .harmonic import (HarmonicRepresentation, _log_kernel_data,
                        analytic_completion, green, green_boundary_flux,
                        harmonic_measure, point_mass_kernel, schottky_ratio,
                        solve_dirichlet, tail_truncation)
 from .laurent import LaurentPolynomial
-from .spaces import boundary_quadrature, hardy_tag, norm
+from .spaces import boundary_quadrature, hardy_tag, quadrature_for, ring_values
 
 _PERIOD_TOL = 1e-8
 
@@ -101,12 +101,19 @@ class InnerFunctionSpec:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        out = np.exp(self.series(z))
+        out = self._times_factors(z, np.exp(self.series(z)))
+        return out if out.shape else complex(out)
+
+    def on_rings(self, radii, m: int) -> np.ndarray:
+        """Values at ``ring_nodes(radii, m)``, the series by one FFT per ring."""
+        return self._times_factors(ring_nodes(radii, m), np.exp(self.series.on_rings(radii, m)))
+
+    def _times_factors(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         if self.power != 0:
             out = out * z**self.power
         for a in self.zeros:
             out = out * (z - a)
-        return out if out.shape else complex(out)
+        return out
 
     def log_modulus(self, z):
         z = np.asarray(z, dtype=complex)
@@ -237,11 +244,7 @@ def blaschke_sum(domain: AnnulusDomain, zeros: ZeroSet, prefix: int = 200,
 
 def _test_grid(domain: AnnulusDomain, n: int = 16) -> np.ndarray:
     """Polar grid strictly inside the ring (10% inset) for product truncation."""
-    r = domain.inner_radius
-    gap = 1.0 - r
-    rho = np.linspace(r + 0.1 * gap, 1.0 - 0.1 * gap, n)
-    theta = boundary_angles(n)
-    return (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    return polar_grid(domain, n, inset=0.1)
 
 
 def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet, tol: float = 1e-8,
@@ -357,9 +360,8 @@ class InnerVerification:
 
 def verify_inner(f: Callable, domain: AnnulusDomain, m: int = 256) -> InnerVerification:
     """Check constancy of ``|f|`` on each boundary circle at ``m`` nodes."""
-    theta = boundary_angles(m)
-    outer = np.abs(np.asarray(f(np.exp(1j * theta)), dtype=complex))
-    inner_v = np.abs(np.asarray(f(domain.inner_radius * np.exp(1j * theta)), dtype=complex))
+    pts = ring_nodes([1.0, domain.inner_radius], m).ravel()
+    outer, inner_v = np.abs(ring_values(f, pts, m)).reshape(2, m)
     c1, c2 = float(outer.mean()), float(inner_v.mean())
     return InnerVerification(c1=c1, c2=c2,
                              dev1=float(np.max(np.abs(outer - c1))),
@@ -426,11 +428,6 @@ def qc_divisor(domain: AnnulusDomain, zeros: ZeroSet | None = None,
     return G, 1.0 / domain.inner_radius
 
 
-def _random_laurent(rng: np.random.Generator, window: int) -> LaurentPolynomial:
-    c = rng.standard_normal(2 * window + 1) + 1j * rng.standard_normal(2 * window + 1)
-    return LaurentPolynomial(-window, window, c)
-
-
 @dataclass(frozen=True)
 class DivisionBoundReport:
     max_ratio: float
@@ -445,20 +442,19 @@ def division_bound_check(G: InnerFunctionSpec, C: float, domain: AnnulusDomain,
 
     Draws random Laurent ``h``, forms ``f = G0 h`` with ``G0 = G / ||G||``,
     and records ``||f / G0|| / ||f|| = ||h|| / ||f||`` per trial; the max must
-    stay below ``C`` and the min above ``1/C``.
+    stay below ``C`` and the min above ``1/C``.  All trials are drawn up front
+    (per trial, real parts then imaginary parts); each squared norm is
+    ``c^T P conj(c)`` with ``P`` a weighted Gram of the window on the nodes.
     """
-    tag = hardy_tag()
-    g_norm = norm(G, domain, tag, m=m)
-    rng = np.random.default_rng(seed)
-    from .spaces import quadrature_for
-    pts, w = quadrature_for(domain, tag, m)
-    g_vals = np.asarray(G(pts)) / g_norm
-    ratios = []
-    for _ in range(trials):
-        h = _random_laurent(rng, window)
-        h_vals = h(pts)
-        norm_h = math.sqrt(float(np.sum(w * np.abs(h_vals)**2)))
-        norm_f = math.sqrt(float(np.sum(w * np.abs(g_vals * h_vals)**2)))
-        ratios.append(norm_h / norm_f)
+    pts, w = quadrature_for(domain, hardy_tag(), m)
+    g_sq = np.abs(ring_values(G, pts, m))**2
+    draws = np.random.default_rng(seed).standard_normal((trials, 2, 2 * window + 1))
+    c = draws[:, 0] + 1j * draws[:, 1]
+    powers = pts[:, None] ** np.arange(-window, window + 1)[None, :]
+
+    def sq_norms(weights):
+        return np.einsum("tj,jk,tk->t", c, (powers.T * weights) @ powers.conj(), c.conj()).real
+
+    ratios = np.sqrt(sq_norms(w) / sq_norms(w * g_sq) * np.sum(w * g_sq))  # G0 = G / ||G||
     return DivisionBoundReport(max_ratio=float(np.max(ratios)),
                                min_ratio=float(np.min(ratios)), trials=trials)

@@ -17,9 +17,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
-from .geometry import AnnulusDomain, boundary_angles
+from .geometry import AnnulusDomain, ring_nodes
 from .laurent import LaurentPolynomial
-from .spaces import SpaceKind, SpaceTag, monomial_norms, quadrature_for, weighted_gram
+from .spaces import SpaceKind, SpaceTag, inner_product, monomial_norms, weighted_gram
 
 
 class KernelForm(enum.Enum):
@@ -110,10 +110,7 @@ class ReproduceReport:
 def reproduce_check(K: KernelEvaluator, f: LaurentPolynomial, w: complex,
                     m: int = 512) -> ReproduceReport:
     """Residual ``|<f, K(., w)> - f(w)|`` by quadrature in the kernel's space."""
-    pts, weights = quadrature_for(K.domain, K.tag, m)
-    wv = weights * K.tag.weight_values(pts)
-    kv = K(pts, w)
-    lhs = complex(np.sum(wv * f(pts) * np.conj(kv)))
+    lhs = inner_product(f, K.section(w), K.domain, K.tag, m)
     residual = abs(lhs - f(complex(w)))
     out = not (-K.N <= f.lo and f.hi <= K.N)
     return ReproduceReport(residual=residual, out_of_window=out)
@@ -222,9 +219,7 @@ def locate_zeros(f, domain: AnnulusDomain, expected: int,
             f"argument principle found {count} zeros where {expected} were expected")
     if expected == 0:
         return ZeroReport(contour_count=0, locations=(), residual=0.0)
-    rho = np.linspace(ring[0], ring[1], grid)
-    theta = boundary_angles(grid)
-    Z = rho[:, None] * np.exp(1j * theta)[None, :]
+    Z = ring_nodes(np.linspace(ring[0], ring[1], grid), grid)
     vals = np.abs(np.asarray(f(Z.ravel()))).reshape(Z.shape)
     # Seed Newton from grid-local minima (wrapping in angle), so a shallow
     # boundary dip cannot crowd out a genuine interior zero; fall back to the

@@ -14,6 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def fold_sum(ns: np.ndarray, terms: np.ndarray, m: int) -> np.ndarray:
+    """``sum_n terms_n e^{2 pi i n k/m}`` for ``k = 0..m-1`` by one inverse FFT
+    (``ns`` strictly ascending).  ``e^{2 pi i n k/m}`` depends on ``n mod m``
+    only, so folding the terms onto ``n mod m`` is exact for every ``m``."""
+    base = ns[0] - ns[0] % m
+    folded = np.zeros(-(-(ns[-1] - base + 1) // m) * m, dtype=complex)
+    folded[ns - base] = terms
+    return m * np.fft.ifft(folded.reshape(-1, m).sum(axis=0))
+
+
 @dataclass(frozen=True)
 class LaurentPolynomial:
     """Finite Laurent sum ``f(z) = sum_{n=lo..hi} c_n z^n``.
@@ -84,6 +94,29 @@ class LaurentPolynomial:
                 acc = (acc + c) * w
             result = result + acc
         return result if result.shape else complex(result)
+
+    def on_rings(self, radii, m: int) -> np.ndarray:
+        """Values at ``radii[i] * e^{2 pi i k/m}``, shape ``(len(radii), m)``, by one
+        ``fold_sum`` per ring in O(width + len(radii) * m) memory.  Each ring's
+        terms ``c_n rho^n`` are scaled by the largest in log space, so ``rho^n``
+        cannot overflow where the term does not; the logs are in ``longdouble``
+        because ``log|c_n|`` and ``n log rho`` cancel, and the phase is
+        ``np.angle``, exact for subnormal coefficients too.
+        """
+        out = np.zeros((len(radii), m), dtype=complex)
+        nz = np.flatnonzero(self.coeffs)  # zero terms stay out: -inf is slow in longdouble
+        if nz.size == 0:
+            return out
+        ns, c = self.lo + nz, self.coeffs[nz]
+        log_c = np.log(np.hypot(c.real.astype(np.longdouble), c.imag.astype(np.longdouble)))
+        phase, n_ld = np.exp(1j * np.angle(c)), ns.astype(np.longdouble)
+        for row, rho in zip(out, radii):
+            log_t = log_c + n_ld * np.log(np.longdouble(rho))
+            top = log_t.max()
+            x = (log_t - top).astype(float)  # terms below e^-700 of the top are dropped
+            terms = np.exp(x, out=np.zeros(x.size), where=x > -700.0) * phase
+            row[:] = np.exp(float(top)) * fold_sum(ns, terms, m)
+        return out
 
     def derivative(self) -> "LaurentPolynomial":
         ns = np.arange(self.lo, self.hi + 1)

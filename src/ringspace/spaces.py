@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ArgumentError, SingularGramError
-from .geometry import AnnulusDomain, boundary_angles
+from .geometry import AnnulusDomain, ring_nodes
 from .harmonic import GreenFunction, green_boundary_flux
 from .laurent import LaurentPolynomial, to_laurent  # noqa: F401  (re-export)
 
@@ -40,10 +40,11 @@ class SpaceTag:
     def weighted(self) -> bool:
         return self.weight_fn is not None
 
-    def weight_values(self, z: np.ndarray) -> np.ndarray:
+    def weight_values(self, z: np.ndarray, m: int) -> np.ndarray:
+        """``|weight_fn|^2`` at quadrature nodes ``z``, ``m`` per ring (``ring_values``)."""
         if self.weight_fn is None:
             return np.ones(np.shape(z))
-        return np.abs(np.asarray(self.weight_fn(z), dtype=complex))**2
+        return np.abs(ring_values(self.weight_fn, z, m))**2
 
 
 def smirnov_tag(weight_fn=None) -> SpaceTag:
@@ -58,6 +59,14 @@ def bergman_tag(weight_fn=None) -> SpaceTag:
     return SpaceTag(SpaceKind.BERGMAN_AREA, weight_fn)
 
 
+def ring_values(f, pts: np.ndarray, m: int) -> np.ndarray:
+    """``f`` at quadrature nodes laid out ring by ring (``ring_nodes``): one FFT
+    per ring through ``f.on_rings`` where ``f`` has it, ``f(pts)`` otherwise."""
+    if hasattr(f, "on_rings"):
+        return f.on_rings(np.abs(pts[::m]), m).ravel()
+    return np.asarray(f(pts), dtype=complex)
+
+
 _GAUSS_RADIAL = 64  # exact for the polynomial radial integrands used in tests
 
 
@@ -65,9 +74,8 @@ def boundary_quadrature(domain: AnnulusDomain, m: int):
     """Points and arclength weights for both circles, m nodes each."""
     if m < 4:
         raise ArgumentError(f"need at least 4 boundary nodes, got {m}")
-    theta = boundary_angles(m)
     r = domain.inner_radius
-    pts = np.concatenate([np.exp(1j * theta), r * np.exp(1j * theta)])
+    pts = ring_nodes([1.0, r], m).ravel()
     w = np.concatenate([np.full(m, 2.0 * np.pi / m), np.full(m, 2.0 * np.pi * r / m)])
     return pts, w
 
@@ -82,9 +90,8 @@ def area_quadrature(domain: AnnulusDomain, m: int, n_radial: int = _GAUSS_RADIAL
     x, wx = np.polynomial.legendre.leggauss(n_radial)
     rho = 0.5 * (1.0 - r) * x + 0.5 * (1.0 + r)
     wr = 0.5 * (1.0 - r) * wx
-    theta = boundary_angles(m)
     wt = 2.0 * np.pi / m
-    pts = (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    pts = ring_nodes(rho, m).ravel()
     w = ((wr * rho)[:, None] * np.full(m, wt)[None, :]).ravel() / np.pi
     return pts, w
 
@@ -179,7 +186,7 @@ def weighted_gram(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int,
     """``ring_gram`` of a tag, weight included; ``m`` counts angular nodes per
     circle (boundary tags) or per radial ring (area tag)."""
     pts, w = quadrature_for(domain, tag, m, green_fn=green_fn)
-    return ring_gram(pts, w * tag.weight_values(pts), m, N)
+    return ring_gram(pts, w * tag.weight_values(pts, m), m, N)
 
 
 def gram_matrix(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int,
@@ -199,14 +206,14 @@ def inner_product(f: LaurentPolynomial, g: LaurentPolynomial,
     if m < 4:
         raise ArgumentError("need at least 4 quadrature nodes")
     pts, w = quadrature_for(domain, tag, m)
-    wv = w * tag.weight_values(pts)
+    wv = w * tag.weight_values(pts, m)
     return complex(np.sum(wv * f(pts) * np.conj(g(pts))))
 
 
 def norm(f, domain: AnnulusDomain, tag: SpaceTag, m: int = 512) -> float:
     """Space norm of an arbitrary evaluator by quadrature."""
     pts, w = quadrature_for(domain, tag, m)
-    wv = w * tag.weight_values(pts)
-    vals = np.asarray(f(pts), dtype=complex)
+    wv = w * tag.weight_values(pts, m)
+    vals = ring_values(f, pts, m)
     return float(np.sqrt(np.sum(wv * np.abs(vals)**2).real))
 

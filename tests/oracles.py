@@ -114,7 +114,9 @@ def dense_gram(domain, tag, N: int, m: int):
     """A tag's Gram ``<z^j, z^k>`` on the window -N..N, weight included."""
     from ringspace.spaces import quadrature_for
     pts, w = quadrature_for(domain, tag, m)
-    return basis_gram(_powers(pts, N), w * tag.weight_values(pts))
+    if tag.weighted:  # pointwise, not through the library's ring FFT
+        w = w * np.abs(np.asarray(tag.weight_fn(pts), dtype=complex))**2
+    return basis_gram(_powers(pts, N), w)
 
 
 def division_grams(G, z1: complex, domain, N: int, m: int):
@@ -147,3 +149,22 @@ def rayleigh_maximize(A, B, trials: int = 10000, polish: int = 200, seed: int = 
         v = scipy.linalg.cho_solve(cho, B @ v)
         v = v / np.linalg.norm(v)
     return float(np.real(np.vdot(v, B @ v)) / np.real(np.vdot(v, A @ v)))
+
+
+def division_ratios_per_trial(G, domain, trials: int, seed: int, window: int = 8,
+                              m: int = 512) -> np.ndarray:
+    """``||h|| / ||G0 h||`` in the Hardy space, one random Laurent ``h`` at a
+    time, every function evaluated node by node (Horner), ``G0 = G / ||G||``."""
+    from ringspace.laurent import LaurentPolynomial
+    from ringspace.spaces import hardy_tag, quadrature_for
+    pts, w = quadrature_for(domain, hardy_tag(), m)
+    g_vals = np.asarray(G(pts), dtype=complex)
+    g_vals = g_vals / np.sqrt(np.sum(w * np.abs(g_vals)**2))
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(trials):
+        c = rng.standard_normal(2 * window + 1) + 1j * rng.standard_normal(2 * window + 1)
+        h_vals = LaurentPolynomial(-window, window, c)(pts)
+        ratios.append(np.sqrt(np.sum(w * np.abs(h_vals)**2))
+                      / np.sqrt(np.sum(w * np.abs(g_vals * h_vals)**2)))
+    return np.array(ratios)

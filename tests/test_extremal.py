@@ -6,7 +6,7 @@ import scipy.linalg
 
 import ringspace as rs
 from ringspace.errors import (ArgumentError, ConvergenceError, GeometryError,
-                              SingularConstraintsError)
+                              SingularConstraintsError, SingularGramError)
 from ringspace.extremal import polar_grid
 from ringspace.kernels import build_kernel, count_zeros, locate_zeros
 from ringspace.laurent import LaurentPolynomial
@@ -125,6 +125,18 @@ def test_repeated_zero_beyond_capacity_rejected(dom):
                                              zeros=(0.6j, 0.6j), truncation=32))
 
 
+def test_maximizer_repeated_zero_is_typed():
+    # the kernel matrix at a repeated zero is exactly singular; the KKT route
+    # already rejects the same problem
+    d = rs.make_annulus(0.5, 0.75)
+    p = rs.ExtremalProblem(domain=d, space=bergman_tag(), base=0.75,
+                           zeros=(0.6 + 0.1j, 0.6 + 0.1j), truncation=16)
+    with pytest.raises(SingularConstraintsError):
+        rs.solve_extremal(p)
+    with pytest.raises(SingularConstraintsError):
+        rs.extremal_maximizer(p)
+
+
 # ---------------------------------------------------------- kernel identity
 
 @pytest.mark.parametrize("make_tag", [smirnov_tag, bergman_tag])
@@ -238,6 +250,16 @@ def test_quasicontract_notes_failed_zero_location(dom06, monkeypatch):
     assert "EXTRANEOUS_ZERO" in report.notes
     assert "ConvergenceError: Newton refinement found 1 of 2 zeros" in report.notes
     assert report.zero_locations_of_kernel == ()
+
+
+def test_quasicontract_singular_pencil_is_typed(dom06, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("the leading minor of order 3 is not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    G = lambda z: np.asarray(z, dtype=complex) - 0.8
+    with pytest.raises(SingularGramError, match="division pencil at N=8"):
+        rs.quasicontract_estimate(G, 0.8, dom06, ladder=(8,), m=256)
 
 
 def test_quasicontract_scale_invariance(dom06):

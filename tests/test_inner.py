@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from ringspace.errors import (ArgumentError, BlaschkeDivergenceError, Convergenc
 from ringspace.inner import _loop_period_residual, _test_grid
 from ringspace.kernels import count_zeros, full_ring
 from ringspace.laurent import LaurentPolynomial, to_laurent
-from ringspace.spaces import hardy_tag, norm as space_norm
+from ringspace.spaces import (area_quadrature, bergman_tag, boundary_quadrature, hardy_tag,
+                              norm as space_norm)
+
+from oracles import division_ratios_per_trial
 
 
 # ------------------------------------------------------------ single factor
@@ -353,3 +357,57 @@ def test_multiply_reduces_into_one_lattice_cell(dom):
     L = math.log(2.0)
     assert 0.0 < prod.lam <= L + 1e-12
     assert prod.boundary_moduli[0] == pytest.approx(math.exp(prod.lam))
+
+
+# ------------------------------------------------------- ring evaluation by FFT
+
+def _assert_on_rings_matches_pointwise(f, pts, m, rtol=1e-13):
+    rings = pts.size // m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fast = f.on_rings(np.abs(pts[::m]), m)
+        slow = np.asarray(f(pts)).reshape(rings, m)
+    scale = np.max(np.abs(slow), axis=1)
+    assert np.max(np.abs(fast - slow).max(axis=1) / scale) <= rtol
+
+
+@pytest.mark.parametrize("quadrature", ["area", "boundary"])
+def test_inner_spec_on_rings_near_the_outer_circle(dom, quadrature):
+    # |a| = 0.99: the tail bound gives the series thousands of terms a side
+    B = rs.blaschke_factor(dom, 0.99 * np.exp(0.3j))
+    assert B.series.hi - B.series.lo + 1 > 4000
+    product = rs.multiply(B, rs.blaschke_factor(dom, -0.6 + 0.2j))
+    quad = area_quadrature if quadrature == "area" else boundary_quadrature
+    pts, _ = quad(dom, 512)
+    singular = rs.singular_inner(dom, rs.AtomicSingularMeasure(atoms=((np.exp(1j), -0.5),)))
+    for spec in (B, product, singular):
+        _assert_on_rings_matches_pointwise(spec, pts, 512)
+
+
+@pytest.mark.parametrize("quadrature", ["area", "boundary"])
+def test_candidate_divisor_on_rings(dom06, quadrature):
+    cand = rs.candidate_divisor(dom06, -0.7, N=96, m=512)
+    quad = area_quadrature if quadrature == "area" else boundary_quadrature
+    pts, _ = quad(dom06, 512)
+    _assert_on_rings_matches_pointwise(cand, pts, 512)
+
+
+def test_ring_values_routes_by_evaluator(dom):
+    # objects with on_rings go by FFT, plain callables node by node: same norm
+    B = rs.blaschke_factor(dom, 0.8j)
+    for tag in (hardy_tag(), bergman_tag()):
+        assert space_norm(B, dom, tag) == pytest.approx(
+            space_norm(lambda z: B(z), dom, tag), rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_division_bound_check_matches_per_trial_loop(seed):
+    # a non-real base point makes the Hardy weights asymmetric under z -> conj(z),
+    # so the order in which the coefficients are drawn shows in the ratios
+    d = rs.make_annulus(0.5, 0.5 + 0.4j)
+    G, C = rs.qc_divisor(d, rs.ZeroSet(points=(0.7, 0.6j)),
+                         rs.AtomicSingularMeasure(atoms=((-1.0, -0.3),)))
+    rep = rs.division_bound_check(G, C, d, trials=60, seed=seed)
+    ratios = division_ratios_per_trial(G, d, trials=60, seed=seed)
+    assert rep.max_ratio == pytest.approx(ratios.max(), rel=1e-12)
+    assert rep.min_ratio == pytest.approx(ratios.min(), rel=1e-12)

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,3 +85,112 @@ def test_trim():
     assert t.window() == (-1, 2)
     z = 0.9
     assert t(z) == pytest.approx(f(z))
+
+
+# ------------------------------------------------------- ring evaluation by FFT
+
+def _ring_nodes(radii, m):
+    return np.asarray(radii)[:, None] * np.exp(2j * np.pi * np.arange(m) / m)[None, :]
+
+
+def _decaying(rng, lo, hi, r, q):
+    """Random coefficients whose terms stay below 1 on every circle in [r, 1]:
+    ``q^n`` for n >= 0 and ``(q r)^|n|`` for n < 0 (deep ones go subnormal, then 0)."""
+    ns = np.arange(lo, hi + 1)
+    scale = np.where(ns >= 0, q ** np.abs(ns), (q * r) ** np.abs(ns))
+    return (rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size)) * scale
+
+
+def _assert_rings_match_horner(f, radii, m, rtol=1e-13):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fast = f.on_rings(radii, m)
+        slow = f(_ring_nodes(radii, m).ravel()).reshape(len(radii), m)
+    assert fast.shape == (len(radii), m)
+    scale = np.max(np.abs(slow), axis=1)
+    assert np.all(scale > 0)
+    assert np.max(np.abs(fast - slow).max(axis=1) / scale) <= rtol
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 100, 513, 1000, 8193])
+@pytest.mark.parametrize("m", [16, 101, 512])
+@pytest.mark.parametrize("window", ["centred", "lo>0", "hi<0"])
+def test_on_rings_matches_horner(width, m, window):
+    # widths above m fold several frequencies onto one FFT bin
+    lo = {"centred": -(width // 2), "lo>0": 3, "hi<0": -width - 4}[window]
+    rng = np.random.default_rng(width * 1000 + m)
+    r = 0.5
+    f = LaurentPolynomial(lo, lo + width - 1, _decaying(rng, lo, lo + width - 1, r, 0.95))
+    _assert_rings_match_horner(f, [r, 0.6, np.sqrt(r), 0.9, 1.0], m)
+
+
+def test_on_rings_deep_window_at_small_r():
+    # 0.05^-4096 overflows; the terms c_n rho^n do not
+    r = 0.05
+    rng = np.random.default_rng(5)
+    f = LaurentPolynomial(-4096, 64, _decaying(rng, -4096, 64, r, 0.8))
+    assert np.any((f.coeffs != 0) & (np.abs(f.coeffs) < np.finfo(float).tiny))
+    assert np.any(f.coeffs == 0)
+    x, _ = np.polynomial.legendre.leggauss(64)
+    area_radii = 0.5 * (1.0 - r) * x + 0.5 * (1.0 + r)
+    _assert_rings_match_horner(f, area_radii, 512)
+    _assert_rings_match_horner(f, [1.0, r], 512)
+
+
+def test_on_rings_zero_and_subnormal_coefficients():
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(301) + 1j * rng.standard_normal(301)
+    c[::3] = 0.0
+    c[1::7] = 5e-320 * (1 + 1j)
+    f = LaurentPolynomial(-150, 150, c * 0.9 ** np.abs(np.arange(-150, 151)))
+    _assert_rings_match_horner(f, [0.95, 1.0], 101)
+    zero = LaurentPolynomial(-3, 3, np.zeros(7))
+    assert np.array_equal(zero.on_rings([0.5, 1.0], 16), np.zeros((2, 16)))
+
+
+def test_on_rings_is_exact_where_horner_loses_subnormal_digits():
+    # Coefficients (0.99 r)^|n| at r=0.05 go subnormal while their terms on
+    # |z| = r are still 0.99^|n| ~ 0.1: Horner's partial sums pass through the
+    # subnormal range and lose digits, the log-scaled terms do not.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    r, m = 0.05, 16
+    rng = np.random.default_rng(1)
+    f = LaurentPolynomial(-256, 256, _decaying(rng, -256, 256, r, 0.99))
+    fast = f.on_rings([r], m)[0]
+    ns = np.arange(f.lo, f.hi + 1)
+    for k in (0, 5, 11):
+        z = mp.mpf(r) * mp.expjpi(mp.mpf(2 * k) / m)
+        exact = complex(mp.fsum(mp.mpc(c) * z**int(n) for n, c in zip(ns, f.coeffs) if c != 0))
+        assert abs(fast[k] - exact) <= 1e-13 * abs(exact)
+
+
+@pytest.mark.parametrize("n, rho", [(-230, 0.05), (-700, 0.37), (400, 0.2),
+                                    (-4000, 0.84), (4000, 0.84), (-150, 0.01)])
+def test_on_rings_monomial_to_rounding(n, rho):
+    # |c| near 1e300 or 1e-300 and rho^n its inverse: log|c| and n log rho
+    # cancel, so each must keep its digits (in double this is off by ~200 eps)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    c = complex(mp.mpf(rho) ** (-n)) * np.exp(0.3j)
+    fast = LaurentPolynomial(n, n, np.array([c])).on_rings([rho], 16)[0]
+    for k in range(16):
+        exact = complex(mp.mpc(c) * (mp.mpf(rho) * mp.expjpi(mp.mpf(2 * k) / 16)) ** n)
+        assert abs(fast[k] - exact) <= 4 * np.finfo(float).eps * abs(exact)
+
+
+def test_on_rings_memory_stays_flat():
+    # 64 rings x 8193 coefficients at m=512: no (rings x width) array
+    ns = np.arange(-4096, 4097)
+    f = LaurentPolynomial(-4096, 4096, np.exp(1j * ns) * 0.95 ** np.abs(ns))  # none zero
+    radii = np.linspace(0.9, 1.0, 64)
+    f.on_rings(radii[:2], 512)  # warm the FFT plan cache
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f.on_rings(radii, 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
