@@ -20,6 +20,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import click
@@ -27,12 +28,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, GeometryError, RingspaceError
-from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, make_annulus, ring_nodes
+from .geometry import (INNER, OUTER, AnnulusDomain, boundary_angles, boundary_nodes,
+                       make_annulus, ring_nodes)
 from .harmonic import conjugate_period, green, harmonic_measure, normal_derivative
 from .inner import (AtomicSingularMeasure, ZeroSet, blaschke_product,
                     division_bound_check, qc_divisor, schottky_fit, singular_inner,
                     verify_inner)
-from .kernels import build_kernel, count_zeros, full_ring, locate_zeros
+from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, reproduce_check
 from .laurent import LaurentPolynomial
 from .extremal import (ExtremalProblem, candidate_divisor,
                        extremal_identity_check, extremal_maximizer, polar_grid,
@@ -45,6 +47,22 @@ SCHEMA_NAME = "ringspace-results"
 SCHEMA_VERSION = 1
 
 _DEFAULTS = {"N": 64, "m": 512, "tol": 1e-8, "seed": 0, "format": "json"}
+
+# Flags every subcommand takes; a config file key with the same name is a default for it.
+_COMMON_OPTIONS = [
+    click.Option(["--r"], type=float, help="inner radius in (0,1)"),
+    click.Option(["--base"], type=str, help="base point (a+bi or rho∠theta)"),
+    click.Option(["--zeros"], type=str, help="comma-separated zero list"),
+    click.Option(["--atoms"], type=str, help="comma-separated point:mass atoms"),
+    click.Option(["--N", "N"], type=int, help="series/window truncation"),
+    click.Option(["--m"], type=int, help="quadrature nodes per circle/ring"),
+    click.Option(["--tol"], type=float, help="stopping tolerance"),
+    click.Option(["--seed"], type=int, help="seed for random trials"),
+    click.Option(["--out"], type=str, help="write the result document here"),
+    click.Option(["--format"], type=click.Choice(["json", "csv"]), help="primary output format"),
+]
+_CONFIG_OPTION = click.Option(["--config", "config_path"], type=str,
+                              help="JSON config file mirroring the flags (flags win)")
 
 _SPACES = {"smirnov": smirnov_tag, "arclength": smirnov_tag,
            "hardy": hardy_tag, "bergman": bergman_tag}
@@ -121,7 +139,11 @@ class RunConfig:
 
 
 def parse_config(command: str, cli_values: dict, config_path: str | None) -> RunConfig:
-    """Merge defaults, the optional JSON config file, and explicit flags."""
+    """Merge defaults, the optional JSON config file, and explicit flags.
+
+    A flag counts as given unless its value is ``None`` (or ``False`` for an
+    on/off flag), so ``--seed 0`` still overrides the file.
+    """
     merged: dict = dict(_DEFAULTS)
     if config_path:
         with open(config_path) as fh:
@@ -129,12 +151,10 @@ def parse_config(command: str, cli_values: dict, config_path: str | None) -> Run
                 merged.update(json.load(fh))
             except json.JSONDecodeError as exc:
                 raise click.UsageError(f"config file {config_path} is not valid JSON: {exc}")
-    for key, value in cli_values.items():
-        if value is not None:
-            merged[key] = value
+    merged.update({k: v for k, v in cli_values.items() if v is not None and v is not False})
     if "r" not in merged or merged["r"] is None:
         raise click.UsageError("missing required flag --r (inner radius)")
-    known = {"r", "base", "zeros", "atoms", "N", "m", "tol", "seed", "out", "format"}
+    known = {option.name for option in _COMMON_OPTIONS}
     base = merged.get("base")
     zeros = merged.get("zeros", ())
     atoms = merged.get("atoms", ())
@@ -196,15 +216,20 @@ def _emit(doc: dict, config: RunConfig) -> None:
         click.echo(text, nl=False)
 
 
-def write_grid_csv(path: str, radii, angles, values) -> None:
-    """Polar grid as ``rho,theta,re,im`` rows."""
-    values = np.asarray(values)
+def _grid_out(config: RunConfig, name: str, radii, m: int, f) -> list | None:
+    """Write ``f`` on ``ring_nodes(radii, m)`` to the ``--grid-out`` CSV as
+    ``rho,theta,re,im`` rows, if one was asked for; returns the ``grids`` entry."""
+    path = config.extras.get("grid_out")
+    if not path:
+        return None
+    values = np.asarray(f(ring_nodes(radii, m)))
     with open(path, "w") as fh:
         fh.write("rho,theta,re,im\n")
         for i, rho in enumerate(radii):
-            for j, theta in enumerate(angles):
+            for j, theta in enumerate(boundary_angles(m)):
                 v = complex(values[i, j])
                 fh.write(f"{rho!r},{theta!r},{v.real!r},{v.imag!r}\n")
+    return [{"name": name, "path": str(path)}]
 
 
 def _domain(config: RunConfig, fallback_base: complex | None = None) -> AnnulusDomain:
@@ -268,14 +293,8 @@ def _cmd_green(config: RunConfig):
     mass = float(np.sum(-np.asarray(normal_derivative(g, nodes)) / (2 * np.pi) * ds))
     grid_pts = polar_grid(domain, 50, inset=0.02)
     interior_min = float(np.min(g(grid_pts)))
-    grids = None
-    grid_out = config.extras.get("grid_out")
-    if grid_out:
-        rho = np.linspace(domain.inner_radius + 0.01, 0.99, 64)
-        theta = 2 * np.pi * np.arange(64) / 64
-        Z = rho[:, None] * np.exp(1j * theta)[None, :]
-        write_grid_csv(grid_out, rho, theta, g(Z).astype(complex))
-        grids = [{"name": "green_values", "path": str(grid_out)}]
+    grids = _grid_out(config, "green_values",
+                      np.linspace(domain.inner_radius + 0.01, 0.99, 64), 64, g)
     results = {"boundary_residual_max": residual, "measure_mass": mass,
                "interior_min": interior_min, "pole": _cnum(pole)}
     return results, None, {"boundary_residual": 1e-10, "mass": 1e-10}, grids
@@ -341,7 +360,6 @@ def _cmd_kernel(config: RunConfig):
     K = build_kernel(domain, tag, N=config.N, m=config.m)
     w = domain.base_point
     probe = LaurentPolynomial.from_dict({0: 1.0, 2: 0.5, -1: 0.25})
-    from .kernels import reproduce_check
     rep = reproduce_check(K, probe, 0.5 * (domain.inner_radius + 1.0), m=config.m)
     z_probe = 0.5 * (domain.inner_radius + 1.0) * np.exp(0.7j)
     herm = abs(complex(K(z_probe, w)) - np.conj(complex(K(w, z_probe))))
@@ -349,14 +367,8 @@ def _cmd_kernel(config: RunConfig):
                "value_at_base": float(np.real(K(w, w))),
                "reproduce_residual": rep.residual,
                "hermitian_residual": herm}
-    grids = None
-    grid_out = config.extras.get("grid_out")
-    if grid_out:
-        rho = np.linspace(domain.inner_radius + 0.02, 0.98, 48)
-        theta = 2 * np.pi * np.arange(48) / 48
-        Z = rho[:, None] * np.exp(1j * theta)[None, :]
-        write_grid_csv(grid_out, rho, theta, np.asarray(K(Z, w)))
-        grids = [{"name": "kernel_section", "path": str(grid_out)}]
+    grids = _grid_out(config, "kernel_section",
+                      np.linspace(domain.inner_radius + 0.02, 0.98, 48), 48, lambda Z: K(Z, w))
     return results, None, {"reproduce": 1e-9}, grids
 
 
@@ -519,12 +531,8 @@ def _cmd_biharmonic(config: RunConfig):
     domain = None if disk else make_annulus(config.r, pole)
     sol = biharmonic_green(domain, pole, n_rho, n_theta,
                            check_refinement=bool(config.extras.get("check_refinement", False)))
-    grids = None
-    grid_out = config.extras.get("grid_out")
-    if grid_out:
-        write_grid_csv(grid_out, sol.grid.radii, sol.grid.angles,
-                       sol.grid.values.astype(complex))
-        grids = [{"name": "biharmonic_solution", "path": str(grid_out)}]
+    grids = _grid_out(config, "biharmonic_solution", sol.grid.radii, sol.grid.angles.size,
+                      lambda Z: sol.grid.values)
     results = {
         "disk": disk,
         "min_value": sol.min_value,
@@ -537,43 +545,54 @@ def _cmd_biharmonic(config: RunConfig):
     return results, None, {"positivity_floor": 1e-6}, grids
 
 
-_HANDLERS = {
-    "green": _cmd_green,
-    "hmeasure": _cmd_hmeasure,
-    "blaschke": _cmd_blaschke,
-    "singular": _cmd_singular,
-    "inner-verify": _cmd_inner_verify,
-    "kernel": _cmd_kernel,
-    "kernel-zeros": _cmd_kernel_zeros,
-    "extremal": _cmd_extremal,
-    "candidate-divisor": _cmd_candidate_divisor,
-    "qc-divisor": _cmd_qc_divisor,
-    "qc-estimate": _cmd_qc_estimate,
-    "schottky-fit": _cmd_schottky_fit,
-    "decomposition": _cmd_decomposition,
-    "biharmonic": _cmd_biharmonic,
+def _grid_option(what: str) -> click.Option:
+    return click.Option(["--grid-out"], type=str, help=f"CSV path for {what}")
+
+
+_SPACE_OPTION = click.Option(["--space"], type=str, help="smirnov | hardy | bergman")
+
+# One row per subcommand: handler, help text, and the flags it takes beyond the
+# common ones (each lands in ``RunConfig.extras`` under its parameter name).
+_COMMANDS = {
+    "green": (_cmd_green, "Green's function: boundary residual, measure mass, positivity.", [
+        click.Option(["--pole"], type=str, help="interior pole of the Green's function"),
+        _grid_option("sampled values")]),
+    "hmeasure": (_cmd_hmeasure, "Harmonic measure of one boundary circle.", [
+        click.Option(["--j"], type=int, help="boundary component (1 outer, 2 inner)")]),
+    "blaschke": (_cmd_blaschke, "Generalized Blaschke product over the given zeros.", []),
+    "singular": (_cmd_singular, "Singular inner function driven by boundary atoms.", []),
+    "inner-verify": (_cmd_inner_verify,
+                     "Constant-modulus verification of the inner function built from flags.", []),
+    "kernel": (_cmd_kernel, "Reproducing kernel diagnostics at the base point.",
+               [_SPACE_OPTION, _grid_option("the kernel section")]),
+    "kernel-zeros": (_cmd_kernel_zeros,
+                     "Count and locate the zeros of the kernel section at the base point.",
+                     [_SPACE_OPTION]),
+    "extremal": (_cmd_extremal, "Constrained least-norm extremal function.", [_SPACE_OPTION]),
+    "candidate-divisor": (_cmd_candidate_divisor,
+                          "One-zero Bergman divisor candidate (kernel zero divided out).", []),
+    "qc-divisor": (_cmd_qc_divisor,
+                   "Quasi-contractive divisor with boundary bounds and division ratios.", [
+        click.Option(["--trials"], type=int, help="random division trials")]),
+    "qc-estimate": (_cmd_qc_estimate,
+                    "Operator-norm ladder for division by the candidate divisor.", [
+        click.Option(["--undivided"], is_flag=True,
+                     help="probe the raw extremal with its extraneous kernel zero")]),
+    "schottky-fit": (_cmd_schottky_fit,
+                     "Fit |G|^2 - 1 of the Hardy extremal against the Schottky function.", []),
+    "decomposition": (
+        _cmd_decomposition,
+        "Pairings of |G|^2 - H(., z0) against harmonic tests and the log defect.", []),
+    "biharmonic": (_cmd_biharmonic, "Clamped biharmonic Green's function probe.", [
+        click.Option(["--disk"], is_flag=True, help="solve on the unit disk"),
+        click.Option(["--pole"], type=str, help="load location"),
+        click.Option(["--n-rho"], type=int, help="radial resolution"),
+        click.Option(["--n-theta"], type=int, help="angular resolution"),
+        click.Option(["--check-refinement"], is_flag=True,
+                     help="re-solve at doubled resolution and compare minima"),
+        _grid_option("the solution grid")]),
 }
-
-
-def _common_options(fn):
-    decorators = [
-        click.option("--r", type=float, default=None, help="inner radius in (0,1)"),
-        click.option("--base", type=str, default=None, help="base point (a+bi or rho∠theta)"),
-        click.option("--zeros", type=str, default=None, help="comma-separated zero list"),
-        click.option("--atoms", type=str, default=None, help="comma-separated point:mass atoms"),
-        click.option("--N", "N", type=int, default=None, help="series/window truncation"),
-        click.option("--m", type=int, default=None, help="quadrature nodes per circle/ring"),
-        click.option("--tol", type=float, default=None, help="stopping tolerance"),
-        click.option("--seed", type=int, default=None, help="seed for random trials"),
-        click.option("--out", type=str, default=None, help="write the result document here"),
-        click.option("--format", "format_", type=click.Choice(["json", "csv"]),
-                     default=None, help="primary output format"),
-        click.option("--config", "config_path", type=str, default=None,
-                     help="JSON config file mirroring the flags (flags win)"),
-    ]
-    for dec in reversed(decorators):
-        fn = dec(fn)
-    return fn
+_HANDLERS = {name: handler for name, (handler, _, _) in _COMMANDS.items()}
 
 
 @click.group()
@@ -582,134 +601,13 @@ def main():
     """Numerics for function spaces on the annulus {r < |z| < 1}."""
 
 
-def _invoke(command: str, extras: dict, **kw):
-    cli_values = {
-        "r": kw.get("r"), "base": kw.get("base"), "zeros": kw.get("zeros"),
-        "atoms": kw.get("atoms"), "N": kw.get("N"), "m": kw.get("m"),
-        "tol": kw.get("tol"), "seed": kw.get("seed"), "out": kw.get("out"),
-        "format": kw.get("format_"),
-    }
-    config = parse_config(command, cli_values, kw.get("config_path"))
-    config.extras.update({k: v for k, v in extras.items() if v is not None})
-    sys.exit(run(config))
+def _invoke(command: str, config_path: str | None, **flags):
+    sys.exit(run(parse_config(command, flags, config_path)))
 
 
-@main.command("green")
-@_common_options
-@click.option("--pole", type=str, default=None, help="interior pole of the Green's function")
-@click.option("--grid-out", type=str, default=None, help="CSV path for sampled values")
-def green_cmd(pole, grid_out, **kw):
-    """Green's function: boundary residual, measure mass, positivity."""
-    _invoke("green", {"pole": pole, "grid_out": grid_out}, **kw)
-
-
-@main.command("hmeasure")
-@_common_options
-@click.option("--j", type=int, default=None, help="boundary component (1 outer, 2 inner)")
-def hmeasure_cmd(j, **kw):
-    """Harmonic measure of one boundary circle."""
-    _invoke("hmeasure", {"j": j}, **kw)
-
-
-@main.command("blaschke")
-@_common_options
-def blaschke_cmd(**kw):
-    """Generalized Blaschke product over the given zeros."""
-    _invoke("blaschke", {}, **kw)
-
-
-@main.command("singular")
-@_common_options
-def singular_cmd(**kw):
-    """Singular inner function driven by boundary atoms."""
-    _invoke("singular", {}, **kw)
-
-
-@main.command("inner-verify")
-@_common_options
-def inner_verify_cmd(**kw):
-    """Constant-modulus verification of the inner function built from flags."""
-    _invoke("inner-verify", {}, **kw)
-
-
-@main.command("kernel")
-@_common_options
-@click.option("--space", type=str, default=None, help="smirnov | hardy | bergman")
-@click.option("--grid-out", type=str, default=None, help="CSV path for the kernel section")
-def kernel_cmd(space, grid_out, **kw):
-    """Reproducing kernel diagnostics at the base point."""
-    _invoke("kernel", {"space": space, "grid_out": grid_out}, **kw)
-
-
-@main.command("kernel-zeros")
-@_common_options
-@click.option("--space", type=str, default=None, help="smirnov | hardy | bergman")
-def kernel_zeros_cmd(space, **kw):
-    """Count and locate the zeros of the kernel section at the base point."""
-    _invoke("kernel-zeros", {"space": space}, **kw)
-
-
-@main.command("extremal")
-@_common_options
-@click.option("--space", type=str, default=None, help="smirnov | hardy | bergman")
-def extremal_cmd(space, **kw):
-    """Constrained least-norm extremal function."""
-    _invoke("extremal", {"space": space}, **kw)
-
-
-@main.command("candidate-divisor")
-@_common_options
-def candidate_divisor_cmd(**kw):
-    """One-zero Bergman divisor candidate (kernel zero divided out)."""
-    _invoke("candidate-divisor", {}, **kw)
-
-
-@main.command("qc-divisor")
-@_common_options
-@click.option("--trials", type=int, default=None, help="random division trials")
-def qc_divisor_cmd(trials, **kw):
-    """Quasi-contractive divisor with boundary bounds and division ratios."""
-    _invoke("qc-divisor", {"trials": trials}, **kw)
-
-
-@main.command("qc-estimate")
-@_common_options
-@click.option("--undivided", is_flag=True, default=False,
-              help="probe the raw extremal with its extraneous kernel zero")
-def qc_estimate_cmd(undivided, **kw):
-    """Operator-norm ladder for division by the candidate divisor."""
-    _invoke("qc-estimate", {"undivided": undivided or None}, **kw)
-
-
-@main.command("schottky-fit")
-@_common_options
-def schottky_fit_cmd(**kw):
-    """Fit |G|^2 - 1 of the Hardy extremal against the Schottky function."""
-    _invoke("schottky-fit", {}, **kw)
-
-
-@main.command("decomposition")
-@_common_options
-def decomposition_cmd(**kw):
-    """Pairings of |G|^2 - H(., z0) against harmonic tests and the log defect."""
-    _invoke("decomposition", {}, **kw)
-
-
-@main.command("biharmonic")
-@_common_options
-@click.option("--disk", is_flag=True, default=False, help="solve on the unit disk")
-@click.option("--pole", type=str, default=None, help="load location")
-@click.option("--n-rho", type=int, default=None, help="radial resolution")
-@click.option("--n-theta", type=int, default=None, help="angular resolution")
-@click.option("--check-refinement", is_flag=True, default=False,
-              help="re-solve at doubled resolution and compare minima")
-@click.option("--grid-out", type=str, default=None, help="CSV path for the solution grid")
-def biharmonic_cmd(disk, pole, n_rho, n_theta, check_refinement, grid_out, **kw):
-    """Clamped biharmonic Green's function probe."""
-    _invoke("biharmonic", {"disk": disk or None, "pole": pole, "n_rho": n_rho,
-                           "n_theta": n_theta,
-                           "check_refinement": check_refinement or None,
-                           "grid_out": grid_out}, **kw)
+for _name, (_, _help, _extras) in _COMMANDS.items():
+    main.add_command(click.Command(_name, callback=partial(_invoke, _name), help=_help,
+                                   params=[*_COMMON_OPTIONS, _CONFIG_OPTION, *_extras]))
 
 
 if __name__ == "__main__":

@@ -180,16 +180,17 @@ def _derivative(f, z, h: float = 1e-6):
 
 def _newton_polish(f, z0: complex, tol: float = 1e-10, maxiter: int = 60):
     z = complex(z0)
-    with np.errstate(all="ignore"):
-        best = (abs(complex(f(z))), z)
+    with np.errstate(all="ignore"):   # np.abs: a modulus past 1.8e308 is inf, not OverflowError
+        best = (np.abs(complex(f(z))), z)
         for _ in range(maxiter):
             fz = complex(f(z))
             if not np.isfinite(fz):
                 break
-            if abs(fz) < best[0]:
-                best = (abs(fz), z)
-            if abs(fz) <= tol:
-                return z, abs(fz)
+            modulus = np.abs(fz)
+            if modulus < best[0]:
+                best = (modulus, z)
+            if modulus <= tol:
+                return z, modulus
             dz = complex(_derivative(f, z))
             if dz == 0.0:
                 break
@@ -197,7 +198,7 @@ def _newton_polish(f, z0: complex, tol: float = 1e-10, maxiter: int = 60):
             if not np.isfinite(step):
                 break
             z = z - step
-        fz = abs(complex(f(z)))
+        fz = np.abs(complex(f(z)))
     if np.isfinite(fz) and fz <= tol:
         return z, fz
     return None, min(fz if np.isfinite(fz) else np.inf, best[0])

@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import jsonschema
@@ -203,3 +204,99 @@ def test_remaining_command_surfaces():
                     "--zeros", "-0.6", "--N", "48"])
     assert doc["results"]["residual"] <= 1e-5
     assert doc["results"]["log_radial_moment"] == pytest.approx(-0.6337007225202719)
+
+
+# ------------------------------------------------------------ flag surface
+
+def _option(opt, name, type_name, is_flag=False):
+    return {"opt": opt, "name": name, "type": type_name,
+            "default": False if is_flag else None, "is_flag": is_flag}
+
+
+COMMON_OPTIONS = [
+    _option("--r", "r", "float"), _option("--base", "base", "text"),
+    _option("--zeros", "zeros", "text"), _option("--atoms", "atoms", "text"),
+    _option("--N", "N", "integer"), _option("--m", "m", "integer"),
+    _option("--tol", "tol", "float"), _option("--seed", "seed", "integer"),
+    _option("--out", "out", "text"), _option("--format", "format", "choice"),
+    _option("--config", "config_path", "text"),
+]
+SPACE = _option("--space", "space", "text")
+GRID_OUT = _option("--grid-out", "grid_out", "text")
+EXTRA_OPTIONS = {
+    "green": [_option("--pole", "pole", "text"), GRID_OUT],
+    "hmeasure": [_option("--j", "j", "integer")],
+    "blaschke": [],
+    "singular": [],
+    "inner-verify": [],
+    "kernel": [SPACE, GRID_OUT],
+    "kernel-zeros": [SPACE],
+    "extremal": [SPACE],
+    "candidate-divisor": [],
+    "qc-divisor": [_option("--trials", "trials", "integer")],
+    "qc-estimate": [_option("--undivided", "undivided", "boolean", is_flag=True)],
+    "schottky-fit": [],
+    "decomposition": [],
+    "biharmonic": [_option("--disk", "disk", "boolean", is_flag=True),
+                   _option("--pole", "pole", "text"),
+                   _option("--n-rho", "n_rho", "integer"),
+                   _option("--n-theta", "n_theta", "integer"),
+                   _option("--check-refinement", "check_refinement", "boolean", is_flag=True),
+                   GRID_OUT],
+}
+
+
+def test_flag_surface():
+    assert sorted(cli.main.commands) == sorted(EXTRA_OPTIONS)
+    assert sorted(cli._HANDLERS) == sorted(EXTRA_OPTIONS)
+    for name, extras in EXTRA_OPTIONS.items():
+        surface = []
+        for param in cli.main.commands[name].params:
+            info = param.to_info_dict()
+            surface.append({"opt": info["opts"][0], "name": info["name"],
+                            "type": info["type"]["name"], "default": info["default"],
+                            "is_flag": info["is_flag"]})
+        assert surface == COMMON_OPTIONS + extras, name
+        fmt = next(p for p in cli.main.commands[name].params if p.name == "format")
+        assert list(fmt.type.choices) == ["json", "csv"]
+
+
+# ------------------------------------------------ config file vs explicit flags
+
+def test_config_file_supplies_subcommand_flags(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"disk": True, "pole": "0.3", "n_rho": 32, "n_theta": 32}))
+    doc = run_json(["biharmonic", "--r", "0.5", "--config", str(cfg)])
+    assert doc["results"]["disk"] is True
+    assert doc["parameters"]["n_theta"] == 32
+    # an explicit subcommand flag wins over the file
+    doc = run_json(["biharmonic", "--r", "0.5", "--config", str(cfg), "--n-theta", "64"])
+    assert doc["results"]["disk"] is True
+    assert doc["parameters"]["n_theta"] == 64
+    assert doc["parameters"]["n_rho"] == 32
+
+
+def test_explicit_zero_flag_beats_config_file(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"r": 0.5, "base": "0.7", "j": 1}))
+    assert run_cli(["hmeasure", "--config", str(cfg)]).exit_code == 0
+    assert run_cli(["hmeasure", "--config", str(cfg), "--j", "0"]).exit_code == 3
+
+
+# ------------------------------------------------------------ README examples
+
+def readme_cli_examples():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("ringspace ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    examples = readme_cli_examples()
+    assert len(examples) == 8
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"base": "0.7", "m": 128}))
+    for args in examples:
+        doc = run_json(args)
+        assert doc["command"] == args[0]

@@ -3,8 +3,8 @@ import pytest
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
-from ringspace.kernels import (KernelForm, build_kernel, count_zeros, full_ring, locate_zeros,
-                              refined_solve, reproduce_check)
+from ringspace.kernels import (KernelForm, _newton_polish, build_kernel, count_zeros, full_ring,
+                              locate_zeros, refined_solve, reproduce_check)
 from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import bergman_tag, hardy_tag, smirnov_tag
 
@@ -257,6 +257,25 @@ def test_locate_mismatched_expectation(dom):
     f = LaurentPolynomial.from_dict({1: 1.0, 0: -0.7})
     with pytest.raises(ConvergenceError):
         locate_zeros(f, dom, expected=2, ring=(0.55, 0.95))
+
+
+def test_newton_polish_overflowing_modulus_is_inf():
+    # |1.5e308 + 1.5e308i| is past the largest double: Python's abs() raises
+    # OverflowError, the polish must report an infinite residual instead.
+    huge = 1.5e308 + 1.5e308j
+    root, residual = _newton_polish(lambda z: np.asarray(z) * 0 + huge, 0.5 + 0.1j)
+    assert root is None
+    assert residual == np.inf
+
+
+def test_locate_zeros_overflow_near_the_zero_is_typed(dom):
+    # One zero by the argument principle, but every Newton step lands where
+    # |f| overflows: the search ends in ConvergenceError, not OverflowError.
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        return np.where(np.abs(z - 0.7) < 1e-3, 1.5e308 + 1.5e308j, z - 0.7)
+    with pytest.raises(ConvergenceError):
+        locate_zeros(f, dom, expected=1)
 
 
 def test_weighted_zero_matches_extremal_extraneous_zero(dom06):
