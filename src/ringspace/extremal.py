@@ -42,6 +42,8 @@ class ExtremalProblem:
     truncation: int
 
     def __post_init__(self):
+        if self.truncation < 0:
+            raise ArgumentError(f"window N must be non-negative, got {self.truncation}")
         object.__setattr__(self, "base", complex(self.base))
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
         for z in (self.base, *self.zeros):

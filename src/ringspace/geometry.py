@@ -102,6 +102,8 @@ def boundary_angles(m: int) -> np.ndarray:
 def ring_nodes(radii, m: int) -> np.ndarray:
     """``radii[i] * e^{2 pi i k/m}`` as a ``(len(radii), m)`` array: the ring by
     ring node layout of every quadrature here."""
+    if m < 4:
+        raise ArgumentError(f"need at least 4 nodes per ring, got {m}")
     return np.asarray(radii, dtype=float)[:, None] * np.exp(1j * boundary_angles(m))[None, :]
 
 

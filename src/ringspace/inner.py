@@ -53,11 +53,6 @@ class ZeroSet:
         for p in self.points:
             yield complex(p)
 
-    def finite_points(self) -> tuple[complex, ...]:
-        if self.is_lazy:
-            raise ArgumentError("zero set is lazily generated; take a finite prefix")
-        return tuple(complex(p) for p in self.points)
-
 
 @dataclass(frozen=True)
 class AtomicSingularMeasure:
@@ -446,6 +441,8 @@ def division_bound_check(G: InnerFunctionSpec, C: float, domain: AnnulusDomain,
     (per trial, real parts then imaginary parts); each squared norm is
     ``c^T P conj(c)`` with ``P`` a weighted Gram of the window on the nodes.
     """
+    if trials < 1:
+        raise ArgumentError(f"need at least one trial, got {trials}")
     pts, w = quadrature_for(domain, hardy_tag(), m)
     g_sq = np.abs(ring_values(G, pts, m))**2
     draws = np.random.default_rng(seed).standard_normal((trials, 2, 2 * window + 1))

@@ -83,6 +83,8 @@ def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
     condition number above 1e14 or a failed factorization raises
     ``SingularGramError``.
     """
+    if N < 0:
+        raise ArgumentError(f"window N must be non-negative, got {N}")
     needs_gram = tag.weighted or tag.kind is SpaceKind.HARDY_HARMONIC_MEASURE
     if not needs_gram:
         return KernelEvaluator(domain, tag, N, KernelForm.DIAGONAL_SERIES,
@@ -156,6 +158,8 @@ def count_zeros(f, domain: AnnulusDomain, ring: tuple[float, float],
     along the inner one.
     """
     rho_lo, rho_hi = ring
+    if m < 4:
+        raise ArgumentError(f"need at least 4 nodes per counting circle, got {m}")
     if not (domain.inner_radius <= rho_lo < rho_hi <= 1.0):
         raise ArgumentError(f"ring {ring} is not inside the annulus")
     return _winding_on_circle(f, rho_hi, m) - _winding_on_circle(f, rho_lo, m)

@@ -122,10 +122,6 @@ class LaurentPolynomial:
         ns = np.arange(self.lo, self.hi + 1)
         return LaurentPolynomial(self.lo - 1, self.hi - 1, self.coeffs * ns)
 
-    def conjugate_coeffs(self) -> "LaurentPolynomial":
-        """Coefficient-wise conjugate; equals conj(f(conj(z)))."""
-        return LaurentPolynomial(self.lo, self.hi, np.conj(self.coeffs))
-
     def __add__(self, other):
         if np.isscalar(other) or isinstance(other, complex):
             other = LaurentPolynomial.constant(other)
@@ -148,10 +144,6 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.lo + other.lo, self.hi + other.hi, c)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "LaurentPolynomial":
-        """Multiply by z^k."""
-        return LaurentPolynomial(self.lo + k, self.hi + k, self.coeffs.copy())
 
     def window(self) -> tuple[int, int]:
         return (self.lo, self.hi)

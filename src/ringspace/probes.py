@@ -198,31 +198,49 @@ class BiharmonicSolution:
     refinement_warning: bool | None = None
 
 
-def _polar_laplacian_stencil(i, j, rho, h, htheta, T, center_flip: bool):
-    """Stencil entries of the five-point polar Laplacian at (i, j).
+def _clamped_operator(rho, h: float, T: int, disk: bool):
+    """CSC matrix of the clamped biharmonic operator on the interior unknowns.
 
-    Yields ((i', j'), coefficient); radial neighbors outside the row range
-    are produced as-is and filtered by the caller.  ``center_flip`` marks the
-    disk-center trick where row -1 means (0, j + T/2).
+    The five-point polar Laplacian is one ``(interior rows, T, 5)`` table of
+    coefficients and neighbour indices (centre, i+1, i-1, j+1, j-1), applied
+    twice: ``A1`` maps the interior unknowns to the field on every row, with
+    ``u = 0`` on boundary rows and the clamped ghost rows ``2 u_adjacent / h^2``;
+    ``A2`` takes that field back to the interior rows.  On the disk, row -1 is
+    row 0 turned by half a circle: ``(-1, j) -> (0, j + T/2)``; with
+    ``rho_0 = h/2`` that link's coefficient is exactly 0.
     """
-    r_i = rho[i]
+    R = rho.size
+    lo = 0 if disk else 1  # interior rows lo..R-2
+    n_int = (R - 1 - lo) * T
+    shape = (R - 1 - lo, T, 5)
+    htheta = 2.0 * np.pi / T
+    r_i = rho[lo:R - 1, None, None]
     c_rr = 1.0 / (h * h)
     c_r = 1.0 / (2.0 * h * r_i)
     c_tt = 1.0 / (r_i * r_i * htheta * htheta)
-    entries = [((i, j), -2.0 * c_rr - 2.0 * c_tt),
-               ((i + 1, j), c_rr + c_r),
-               ((i - 1, j), c_rr - c_r),
-               ((i, (j + 1) % T), c_tt),
-               ((i, (j - 1) % T), c_tt)]
-    if center_flip and i == 0:
-        fixed = []
-        for (ii, jj), coef in entries:
-            if ii == -1:
-                fixed.append(((0, (jj + T // 2) % T), coef))
-            else:
-                fixed.append(((ii, jj), coef))
-        return fixed
-    return entries
+    coef = np.broadcast_to(np.concatenate(
+        [-2.0 * c_rr - 2.0 * c_tt, c_rr + c_r, c_rr - c_r, c_tt, c_tt], axis=2), shape)
+    i = np.arange(lo, R - 1)[:, None, None]
+    j = np.arange(T)[None, :, None]
+    row = np.broadcast_to(i * T + j, shape)
+    ni = np.broadcast_to(i + np.array([0, 1, -1, 0, 0]), shape)
+    nj = (j + np.array([0, 0, 0, 1, -1])) % T
+    flip = ni == -1
+    ni, nj = np.where(flip, 0, ni), np.where(flip, (nj + T // 2) % T, nj)
+
+    keep = (ni >= lo) & (ni < R - 1)  # u = 0 on boundary rows
+    edges = np.array([R - 1] if disk else [0, R - 1])
+    adjacent = np.array([R - 2] if disk else [1, R - 2])
+    ghost_rows = (edges[:, None] * T + np.arange(T)).ravel()
+    ghost_cols = ((adjacent[:, None] - lo) * T + np.arange(T)).ravel()
+    A1 = scipy.sparse.coo_matrix(
+        (np.concatenate([coef[keep], np.full(ghost_rows.size, 2.0 / (h * h))]),
+         (np.concatenate([row[keep], ghost_rows]),
+          np.concatenate([(ni[keep] - lo) * T + nj[keep], ghost_cols]))),
+        shape=(R * T, n_int)).tocsr()
+    A2 = scipy.sparse.coo_matrix((coef.ravel(), ((row - lo * T).ravel(), (ni * T + nj).ravel())),
+                                 shape=(n_int, R * T)).tocsr()
+    return (A2 @ A1).tocsc()
 
 
 def biharmonic_green(domain: AnnulusDomain | None, pole: complex,
@@ -243,79 +261,34 @@ def biharmonic_green(domain: AnnulusDomain | None, pole: complex,
     if n_theta % 2:
         raise ArgumentError("need an even number of angular nodes")
     disk = domain is None
-    T = n_theta
+    R, T = n_rho, n_theta
     htheta = 2.0 * np.pi / T
     if disk:
-        R = n_rho
         h = 2.0 / (2 * R - 1)
         rho = (np.arange(R) + 0.5) * h
-        interior = list(range(0, R - 1))
-        boundary_rows = [R - 1]
+        lo, edges = 0, [R - 1]
     else:
-        R = n_rho
         r = domain.inner_radius
         h = (1.0 - r) / (R - 1)
         rho = r + np.arange(R) * h
-        interior = list(range(1, R - 1))
-        boundary_rows = [0, R - 1]
+        lo, edges = 1, [0, R - 1]
     pole = complex(pole)
     rp, tp = abs(pole), float(np.angle(pole)) % (2 * np.pi)
-    if min(abs(rp - rho[b]) for b in boundary_rows) < 2.0 * h:
+    if min(abs(rp - rho[b]) for b in edges) < 2.0 * h:
         raise GeometryError("pole must sit at least two grid cells from the boundary")
 
-    int_index = {i: k for k, i in enumerate(interior)}
-    n_int = len(interior) * T
-
-    def uidx(i, j):
-        return int_index[i] * T + j
-
-    def allidx(i, j):
-        return i * T + j
-
-    # First application: u (interior unknowns) -> w = Laplacian(u) on all rows.
-    rows1, cols1, vals1 = [], [], []
-    for i in interior:
-        for j in range(T):
-            for (ii, jj), coef in _polar_laplacian_stencil(i, j, rho, h, htheta, T, disk):
-                if ii in int_index:
-                    rows1.append(allidx(i, j))
-                    cols1.append(uidx(ii, jj))
-                    vals1.append(coef)
-                # boundary rows carry u = 0: dropped
-    for b in boundary_rows:
-        adj = b + 1 if b == 0 else b - 1
-        for j in range(T):
-            rows1.append(allidx(b, j))
-            cols1.append(uidx(adj, j))
-            vals1.append(2.0 / (h * h))
-    A1 = scipy.sparse.coo_matrix((vals1, (rows1, cols1)),
-                                 shape=(R * T, n_int)).tocsr()
-
-    # Second application: w (all rows) -> Laplacian(w) on interior rows.
-    rows2, cols2, vals2 = [], [], []
-    for i in interior:
-        for j in range(T):
-            for (ii, jj), coef in _polar_laplacian_stencil(i, j, rho, h, htheta, T, disk):
-                rows2.append(uidx(i, j))
-                cols2.append(allidx(ii, jj))
-                vals2.append(coef)
-    A2 = scipy.sparse.coo_matrix((vals2, (rows2, cols2)),
-                                 shape=(n_int, R * T)).tocsr()
-
-    Bi = (A2 @ A1).tocsc()
-    i_star = int(np.argmin(np.abs(rho[interior] - rp)))
-    i_star = interior[i_star]
+    Bi = _clamped_operator(rho, h, T, disk)
+    i_star = lo + int(np.argmin(np.abs(rho[lo:R - 1] - rp)))
     j_star = int(round(tp / htheta)) % T
-    b = np.zeros(n_int)
-    b[uidx(i_star, j_star)] = 1.0 / (rho[i_star] * h * htheta)
+    b = np.zeros(Bi.shape[0])
+    b[(i_star - lo) * T + j_star] = 1.0 / (rho[i_star] * h * htheta)
     u = scipy.sparse.linalg.spsolve(Bi, b)
     if not np.all(np.isfinite(u)):
         raise SolverError("biharmonic system is numerically singular")
     residual = float(np.max(np.abs(Bi @ u - b)) / np.max(np.abs(b)))
 
     values = np.zeros((R, T))
-    for i in interior:
-        values[i, :] = u[int_index[i] * T:(int_index[i] + 1) * T]
+    values[lo:R - 1] = u.reshape(-1, T)
     vmax = float(values.max())
     vmin = float(values.min())
     floor = -1e-6 * max(vmax, 0.0)

@@ -72,8 +72,6 @@ _GAUSS_RADIAL = 64  # exact for the polynomial radial integrands used in tests
 
 def boundary_quadrature(domain: AnnulusDomain, m: int):
     """Points and arclength weights for both circles, m nodes each."""
-    if m < 4:
-        raise ArgumentError(f"need at least 4 boundary nodes, got {m}")
     r = domain.inner_radius
     pts = ring_nodes([1.0, r], m).ravel()
     w = np.concatenate([np.full(m, 2.0 * np.pi / m), np.full(m, 2.0 * np.pi * r / m)])
@@ -90,8 +88,8 @@ def area_quadrature(domain: AnnulusDomain, m: int, n_radial: int = _GAUSS_RADIAL
     x, wx = np.polynomial.legendre.leggauss(n_radial)
     rho = 0.5 * (1.0 - r) * x + 0.5 * (1.0 + r)
     wr = 0.5 * (1.0 - r) * wx
-    wt = 2.0 * np.pi / m
     pts = ring_nodes(rho, m).ravel()
+    wt = 2.0 * np.pi / m
     w = ((wr * rho)[:, None] * np.full(m, wt)[None, :]).ravel() / np.pi
     return pts, w
 
@@ -203,8 +201,6 @@ def gram_matrix(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int,
 def inner_product(f: LaurentPolynomial, g: LaurentPolynomial,
                   domain: AnnulusDomain, tag: SpaceTag, m: int = 512) -> complex:
     """Sesquilinear ``<f, g>`` in the tagged space, by quadrature."""
-    if m < 4:
-        raise ArgumentError("need at least 4 quadrature nodes")
     pts, w = quadrature_for(domain, tag, m)
     wv = w * tag.weight_values(pts, m)
     return complex(np.sum(wv * f(pts) * np.conj(g(pts))))

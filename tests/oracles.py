@@ -14,6 +14,8 @@ least a different algorithm) than the library path it checks:
   every quadrature node, not ring-wise FFT sums.
 * harmonic-measure weights come from one ``BoundarySample`` per node and the
   dense mode-by-node Green derivative table, not from one FFT per circle.
+* the clamped biharmonic operator is assembled entry by entry from a
+  per-node five-point stencil, not from one vectorized stencil table.
 """
 
 from __future__ import annotations
@@ -168,3 +170,67 @@ def division_ratios_per_trial(G, domain, trials: int, seed: int, window: int = 8
         ratios.append(np.sqrt(np.sum(w * np.abs(h_vals)**2))
                       / np.sqrt(np.sum(w * np.abs(g_vals * h_vals)**2)))
     return np.array(ratios)
+
+
+def _polar_laplacian_stencil(i, j, rho, h, htheta, T, center_flip: bool):
+    """Stencil entries ``((i', j'), coefficient)`` of the five-point polar
+    Laplacian at (i, j); on the disk (``center_flip``) row -1 is (0, j + T/2)."""
+    r_i = rho[i]
+    c_rr = 1.0 / (h * h)
+    c_r = 1.0 / (2.0 * h * r_i)
+    c_tt = 1.0 / (r_i * r_i * htheta * htheta)
+    entries = [((i, j), -2.0 * c_rr - 2.0 * c_tt),
+               ((i + 1, j), c_rr + c_r),
+               ((i - 1, j), c_rr - c_r),
+               ((i, (j + 1) % T), c_tt),
+               ((i, (j - 1) % T), c_tt)]
+    if center_flip and i == 0:
+        return [((0, (jj + T // 2) % T), coef) if ii == -1 else ((ii, jj), coef)
+                for (ii, jj), coef in entries]
+    return entries
+
+
+def loop_clamped_operator(rho, h: float, T: int, disk: bool):
+    """The clamped biharmonic operator ``(A2 @ A1).tocsc()`` assembled by
+    loops over the grid, one stencil call per node and application."""
+    import scipy.sparse
+    R = len(rho)
+    htheta = 2.0 * np.pi / T
+    interior = list(range(0, R - 1)) if disk else list(range(1, R - 1))
+    boundary_rows = [R - 1] if disk else [0, R - 1]
+    int_index = {i: k for k, i in enumerate(interior)}
+    n_int = len(interior) * T
+
+    def uidx(i, j):
+        return int_index[i] * T + j
+
+    def allidx(i, j):
+        return i * T + j
+
+    # First application: u (interior unknowns) -> w = Laplacian(u) on all rows.
+    rows1, cols1, vals1 = [], [], []
+    for i in interior:
+        for j in range(T):
+            for (ii, jj), coef in _polar_laplacian_stencil(i, j, rho, h, htheta, T, disk):
+                if ii in int_index:  # boundary rows carry u = 0
+                    rows1.append(allidx(i, j))
+                    cols1.append(uidx(ii, jj))
+                    vals1.append(coef)
+    for b in boundary_rows:
+        adj = b + 1 if b == 0 else b - 1
+        for j in range(T):
+            rows1.append(allidx(b, j))
+            cols1.append(uidx(adj, j))
+            vals1.append(2.0 / (h * h))
+    A1 = scipy.sparse.coo_matrix((vals1, (rows1, cols1)), shape=(R * T, n_int)).tocsr()
+
+    # Second application: w (all rows) -> Laplacian(w) on interior rows.
+    rows2, cols2, vals2 = [], [], []
+    for i in interior:
+        for j in range(T):
+            for (ii, jj), coef in _polar_laplacian_stencil(i, j, rho, h, htheta, T, disk):
+                rows2.append(uidx(i, j))
+                cols2.append(allidx(ii, jj))
+                vals2.append(coef)
+    A2 = scipy.sparse.coo_matrix((vals2, (rows2, cols2)), shape=(n_int, R * T)).tocsr()
+    return (A2 @ A1).tocsc()

@@ -99,10 +99,33 @@ def test_rejected_geometry_exit_code():
     assert result.exit_code == 3
 
 
-@pytest.mark.parametrize("m", ["0", "2"])
-def test_too_few_boundary_nodes_exit_code(m):
-    result = run_cli(["green", "--r", "0.5", "--pole", "0.7", "--m", m])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["green", "--r", "0.5", "--pole", "0.7", "--m", "0"], id="0"),
+    pytest.param(["green", "--r", "0.5", "--pole", "0.7", "--m", "2"], id="2"),
+    pytest.param(["kernel-zeros", "--r", "0.5", "--m", "0"], id="kernel-zeros"),
+    pytest.param(["blaschke", "--r", "0.5", "--zeros", "0.7", "--m", "0"], id="blaschke"),
+    pytest.param(["singular", "--r", "0.5", "--m", "0"], id="singular"),
+    pytest.param(["extremal", "--r", "0.5", "--m", "0"], id="extremal"),
+    pytest.param(["decomposition", "--r", "0.5", "--m", "0"], id="decomposition"),
+])
+def test_too_few_boundary_nodes_exit_code(argv):
+    result = run_cli(argv)
     assert result.exit_code == 3
+    assert result.stderr.startswith("rejected:")
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_too_few_division_trials_exit_code(trials):
+    result = run_cli(["qc-divisor", "--r", "0.5", "--zeros", "0.7", "--trials", trials])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("rejected:")
+
+
+@pytest.mark.parametrize("command", ["kernel", "extremal"])
+def test_negative_window_exit_code(command):
+    result = run_cli([command, "--r", "0.5", "--N", "-3"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("rejected:")
 
 
 def test_convergence_failure_exit_code(monkeypatch, tmp_path):

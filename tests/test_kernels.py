@@ -172,6 +172,15 @@ def test_count_single_linear_zero(dom):
     assert count_zeros(f, dom, (0.55, 0.95)) == 1
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_count_rejects_too_few_nodes(dom, m):
+    # (z - 0.7)(z - 0.6i) has 2 zeros in the ring
+    f = LaurentPolynomial.from_dict({2: 1.0, 1: -0.7 - 0.6j, 0: 0.42j})
+    assert count_zeros(f, dom, full_ring(dom)) == 2
+    with pytest.raises(ArgumentError, match="at least 4"):
+        count_zeros(f, dom, full_ring(dom), m=m)
+
+
 def test_count_monomial_windings(dom):
     # monomials have no zeros inside the ring (zeros/poles sit at the origin),
     # so the two circle windings, each equal to k, cancel

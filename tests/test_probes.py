@@ -6,10 +6,12 @@ from scipy.integrate import quad
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, GeometryError
-from ringspace.probes import (bergman_decomposition_residual, biharmonic_green,
-                              defect_direction, harmonic_l2_kernel,
+from ringspace.probes import (_clamped_operator, bergman_decomposition_residual,
+                              biharmonic_green, defect_direction, harmonic_l2_kernel,
                               log_radial_moment)
 from ringspace.spaces import area_quadrature, bergman_tag, norm as space_norm
+
+from oracles import loop_clamped_operator
 
 
 # --------------------------------------------------------- harmonic kernel
@@ -142,3 +144,20 @@ def test_disk_center_handling():
     sol = biharmonic_green(None, 0.05 + 0.02j, 64, 64)
     assert sol.min_value >= -1e-6 * sol.max_value
     assert np.isfinite(sol.grid.values).all()
+
+
+@pytest.mark.parametrize("disk, n_rho, n_theta",
+                         [(True, 32, 32), (False, 32, 32), (True, 96, 96), (False, 96, 96),
+                          (False, 40, 32), (True, 33, 34)])
+def test_clamped_operator_matches_loop_assembly(disk, n_rho, n_theta):
+    if disk:  # offset radial grid through the centre, as biharmonic_green lays it out
+        h = 2.0 / (2 * n_rho - 1)
+        rho = (np.arange(n_rho) + 0.5) * h
+    else:
+        h = (1.0 - 0.5) / (n_rho - 1)
+        rho = 0.5 + np.arange(n_rho) * h
+    fast = _clamped_operator(rho, h, n_theta, disk)
+    slow = loop_clamped_operator(rho, h, n_theta, disk)
+    assert fast.shape == slow.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(fast, part), getattr(slow, part))
