@@ -59,4 +59,4 @@ class PeriodError(RingspaceError):
 
 
 class SolverError(RingspaceError):
-    """A sparse linear system (biharmonic probe) is numerically singular."""
+    """The biharmonic probe's radial systems are singular or give no finite solution."""

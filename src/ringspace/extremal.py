@@ -102,7 +102,10 @@ def solve_extremal(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     kkt[:n, n:] = Es.conj().T
     kkt[n:, :n] = Es
     rhs = np.concatenate([np.zeros(n, dtype=complex), b])
-    sol = refined_solve(kkt.astype(np.clongdouble), lambda v: np.linalg.solve(kkt, v), rhs)
+    try:
+        sol = refined_solve(kkt.astype(np.clongdouble), lambda v: np.linalg.solve(kkt, v), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGramError(f"bordered KKT system is singular ({exc})") from exc
     coeffs = sol[:n] / d
     return LaurentPolynomial(-p.truncation, p.truncation, coeffs)
 

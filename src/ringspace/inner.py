@@ -110,13 +110,6 @@ class InnerFunctionSpec:
             out = out * (z - a)
         return out
 
-    def log_modulus(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.real(self.series(z)) + self.power * np.log(np.abs(z))
-        for a in self.zeros:
-            out = out + np.log(np.abs(z - a))
-        return out
-
 
 def _loop_period_residual(rep: HarmonicRepresentation, rho: float, m: int = 512) -> float:
     """Deviation of the numerically integrated conjugate period of ``rep``

@@ -16,12 +16,13 @@ import numpy as np
 
 def fold_sum(ns: np.ndarray, terms: np.ndarray, m: int) -> np.ndarray:
     """``sum_n terms_n e^{2 pi i n k/m}`` for ``k = 0..m-1`` by one inverse FFT
-    (``ns`` strictly ascending).  ``e^{2 pi i n k/m}`` depends on ``n mod m``
-    only, so folding the terms onto ``n mod m`` is exact for every ``m``."""
-    base = ns[0] - ns[0] % m
-    folded = np.zeros(-(-(ns[-1] - base + 1) // m) * m, dtype=complex)
-    folded[ns - base] = terms
-    return m * np.fft.ifft(folded.reshape(-1, m).sum(axis=0))
+    (``ns`` strictly ascending), one sum per row of ``terms`` along its last
+    axis.  ``e^{2 pi i n k/m}`` depends on ``n mod m`` only, so folding the
+    terms onto ``n mod m`` is exact for every ``m``."""
+    base, rows = ns[0] - ns[0] % m, terms.shape[:-1]
+    folded = np.zeros(rows + (-(-(ns[-1] - base + 1) // m) * m,), dtype=complex)
+    folded[..., ns - base] = terms
+    return m * np.fft.ifft(folded.reshape(rows + (-1, m)).sum(axis=-2))
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy.linalg
+import scipy.sparse.linalg  # noqa: F401  (unused; perfbench/tracer.py looks it up in sys.modules)
 
 from .errors import ArgumentError, GeometryError, SolverError
 from .geometry import AnnulusDomain, boundary_angles
-from .spaces import area_quadrature
+from .laurent import fold_sum
+from .spaces import area_quadrature, ring_values
 
 
 def log_radial_moment(r: float) -> float:
@@ -71,33 +72,28 @@ class HarmonicKernel:
         self._beta = (V / 2.0) * np.exp(-0.5 * (self._log_a + self._log_c))
         self._det = 1.0 - self._beta**2
 
-    def _profiles(self, z):
-        """Scaled radial profiles x = rho^n/sqrt(a_n), y = rho^-n/sqrt(c_n)."""
-        rho = np.abs(np.asarray(z, dtype=complex)).ravel()
+    def _radial_parts(self, rho, w: complex):
+        """``H(z, w) = const + sum_n quad_n cos(n (arg z - arg w))`` at ``|z| = rho``:
+        ``const`` (log and constant modes) and ``quad`` of shape ``(rho.size, N)``,
+        from the scaled radial profiles ``x = rho^n/sqrt(a_n)``, ``y = rho^-n/sqrt(c_n)``."""
         ns = np.arange(1, self.N + 1, dtype=float)
-        lr = np.log(rho)[:, None]
+        lr = np.log(np.append(np.ravel(rho), abs(w)))[:, None]  # last row: the base
         x = np.exp(ns[None, :] * lr - 0.5 * self._log_a[None, :])
         y = np.exp(-ns[None, :] * lr - 0.5 * self._log_c[None, :])
-        return x, y
+        c = self._M0_inv @ np.array([1.0, lr[-1, 0]])
+        xz, yz, xw, yw = x[:-1], y[:-1], x[-1], y[-1]
+        return (c[0] + c[1] * lr[:-1, 0],
+                (xz * xw - self._beta * (xz * yw + yz * xw) + yz * yw) / self._det)
 
     def pair(self, z, w):
         """H(z, w), vectorized over ``z`` for scalar ``w``."""
         z = np.asarray(z, dtype=complex)
         w = complex(w)
-        shape = z.shape
-        zf = z.ravel()
-        v0z = np.stack([np.ones(zf.size), np.log(np.abs(zf))])
-        v0w = np.array([1.0, math.log(abs(w))])
-        out = v0z.T @ (self._M0_inv @ v0w)
-        xz, yz = self._profiles(zf)
-        xw, yw = self._profiles(np.array([w]))
+        const, quad = self._radial_parts(np.abs(z), w)
         ns = np.arange(1, self.N + 1, dtype=float)
-        dtheta = np.angle(zf)[:, None] - np.angle(w)
-        cosd = np.cos(ns[None, :] * dtheta)
-        quad = (xz * xw - self._beta * (xz * yw + yz * xw) + yz * yw) / self._det
-        out = out + (cosd * quad).sum(axis=1)
-        out = out.reshape(shape)
-        return out if shape else float(out)
+        cosd = np.cos(ns[None, :] * (np.angle(z.ravel())[:, None] - np.angle(w)))
+        out = (const + (cosd * quad).sum(axis=1)).reshape(z.shape)
+        return out if z.shape else float(out)
 
 
 @dataclass
@@ -109,6 +105,13 @@ class HarmonicKernelSection:
 
     def __call__(self, z):
         return self.kernel.pair(z, self.base)
+
+    def on_rings(self, radii, m: int) -> np.ndarray:
+        """Values at ``radii[i] * e^{2 pi i k/m}``, shape ``(len(radii), m)``: the
+        cosine series of every ring as one ``fold_sum``."""
+        const, quad = self.kernel._radial_parts(radii, self.base)
+        ns = np.arange(1, self.kernel.N + 1)
+        return const[:, None] + fold_sum(ns, quad * np.exp(-1j * ns * np.angle(self.base)), m).real
 
 
 def harmonic_l2_kernel(domain: AnnulusDomain, z0: complex, N: int = 64) -> HarmonicKernelSection:
@@ -125,16 +128,15 @@ def harmonic_l2_kernel(domain: AnnulusDomain, z0: complex, N: int = 64) -> Harmo
 def harmonic_test_family(domain: AnnulusDomain, degree: int = 8):
     """Real harmonic test functions: 1, Re/Im z^(+-n) up to ``degree``, log|z|.
 
-    Returned as (label, evaluator, value-at) pairs where the evaluator acts on
-    complex arrays.
+    Returned as (label, evaluator) pairs where the evaluator acts on complex
+    arrays.
     """
     family = [("1", lambda z: np.ones(np.shape(z)))]
     for n in range(1, degree + 1):
         for sign in (n, -n):
-            family.append((f"Re z^{sign}",
-                           lambda z, k=sign: np.real(np.asarray(z, dtype=complex)**k)))
-            family.append((f"Im z^{sign}",
-                           lambda z, k=sign: np.imag(np.asarray(z, dtype=complex)**k)))
+            for name, part in (("Re", np.real), ("Im", np.imag)):
+                family.append((f"{name} z^{sign}",
+                               lambda z, k=sign, p=part: p(np.asarray(z, dtype=complex)**k)))
     family.append(("log|z|", lambda z: np.log(np.abs(np.asarray(z, dtype=complex)))))
     return family
 
@@ -162,18 +164,12 @@ def bergman_decomposition_residual(G, domain: AnnulusDomain, z0: complex,
     """
     pts, w = area_quadrature(domain, m)
     H = harmonic_l2_kernel(domain, z0, N_kernel)
-    D = np.abs(np.asarray(G(pts), dtype=complex))**2 - H(pts)
+    D = np.abs(np.asarray(G(pts), dtype=complex))**2 - ring_values(H, pts, m).real
     nu, _ = defect_direction(domain, m)
-    nu_vals = nu(pts)
-    ps, qs = [], []
-    for _, u in harmonic_test_family(domain, degree):
-        uv = np.asarray(u(pts))
-        ps.append(float(np.sum(w * D * uv)))
-        qs.append(float(np.sum(w * nu_vals * uv)))
-    ps_arr, qs_arr = np.array(ps), np.array(qs)
-    lam1 = float(np.sum(ps_arr * qs_arr) / np.sum(qs_arr**2))
-    residual = float(np.max(np.abs(ps_arr - lam1 * qs_arr)))
-    return lam1, residual
+    weights = np.stack([w * D, w * nu(pts)], axis=1)
+    ps, qs = np.array([u(pts) @ weights for _, u in harmonic_test_family(domain, degree)]).T
+    lam1 = float(ps @ qs / (qs @ qs))
+    return lam1, float(np.max(np.abs(ps - lam1 * qs)))
 
 
 @dataclass(frozen=True)
@@ -198,49 +194,62 @@ class BiharmonicSolution:
     refinement_warning: bool | None = None
 
 
-def _clamped_operator(rho, h: float, T: int, disk: bool):
-    """CSC matrix of the clamped biharmonic operator on the interior unknowns.
+def _polar_laplacian(rho, h: float, lo: int, T: int):
+    """``c_rr, c_r(i), c_tt(i)`` of the five-point polar Laplacian on rows ``lo..R-2``."""
+    r_i, htheta = rho[lo:-1], 2.0 * np.pi / T
+    return 1.0 / (h * h), 1.0 / (2.0 * h * r_i), 1.0 / (r_i * r_i * htheta * htheta)
 
-    The five-point polar Laplacian is one ``(interior rows, T, 5)`` table of
-    coefficients and neighbour indices (centre, i+1, i-1, j+1, j-1), applied
-    twice: ``A1`` maps the interior unknowns to the field on every row, with
-    ``u = 0`` on boundary rows and the clamped ghost rows ``2 u_adjacent / h^2``;
-    ``A2`` takes that field back to the interior rows.  On the disk, row -1 is
-    row 0 turned by half a circle: ``(-1, j) -> (0, j + T/2)``; with
-    ``rho_0 = h/2`` that link's coefficient is exactly 0.
+
+def _clamped_apply(u, rho, h: float, lo: int):
+    """The clamped operator on interior values ``u`` (rows ``lo..R-2``), matrix-free
+    in the dtype of ``u``: the polar Laplacian, angular links by ``np.roll``, first
+    with ``u = 0`` on the boundary rows, then with the ghost values ``2 u_adjacent
+    / h^2`` there.  On the disk (``lo = 0``) row -1 is row 0 turned by half a circle.
     """
-    R = rho.size
-    lo = 0 if disk else 1  # interior rows lo..R-2
-    n_int = (R - 1 - lo) * T
-    shape = (R - 1 - lo, T, 5)
-    htheta = 2.0 * np.pi / T
-    r_i = rho[lo:R - 1, None, None]
-    c_rr = 1.0 / (h * h)
-    c_r = 1.0 / (2.0 * h * r_i)
-    c_tt = 1.0 / (r_i * r_i * htheta * htheta)
-    coef = np.broadcast_to(np.concatenate(
-        [-2.0 * c_rr - 2.0 * c_tt, c_rr + c_r, c_rr - c_r, c_tt, c_tt], axis=2), shape)
-    i = np.arange(lo, R - 1)[:, None, None]
-    j = np.arange(T)[None, :, None]
-    row = np.broadcast_to(i * T + j, shape)
-    ni = np.broadcast_to(i + np.array([0, 1, -1, 0, 0]), shape)
-    nj = (j + np.array([0, 0, 0, 1, -1])) % T
-    flip = ni == -1
-    ni, nj = np.where(flip, 0, ni), np.where(flip, (nj + T // 2) % T, nj)
+    T = u.shape[1]
+    c_rr, c_r, c_tt = _polar_laplacian(rho, h, lo, T)
+    c_r, c_tt = c_r[:, None], c_tt[:, None]
 
-    keep = (ni >= lo) & (ni < R - 1)  # u = 0 on boundary rows
-    edges = np.array([R - 1] if disk else [0, R - 1])
-    adjacent = np.array([R - 2] if disk else [1, R - 2])
-    ghost_rows = (edges[:, None] * T + np.arange(T)).ravel()
-    ghost_cols = ((adjacent[:, None] - lo) * T + np.arange(T)).ravel()
-    A1 = scipy.sparse.coo_matrix(
-        (np.concatenate([coef[keep], np.full(ghost_rows.size, 2.0 / (h * h))]),
-         (np.concatenate([row[keep], ghost_rows]),
-          np.concatenate([(ni[keep] - lo) * T + nj[keep], ghost_cols]))),
-        shape=(R * T, n_int)).tocsr()
-    A2 = scipy.sparse.coo_matrix((coef.ravel(), ((row - lo * T).ravel(), (ni * T + nj).ravel())),
-                                 shape=(n_int, R * T)).tocsr()
-    return (A2 @ A1).tocsc()
+    def lap(f):  # rows lo-1..R-1 in, rows lo..R-2 out
+        mid = f[1:-1]
+        return ((-2.0 * c_rr - 2.0 * c_tt) * mid + (c_rr + c_r) * f[2:] + (c_rr - c_r) * f[:-2]
+                + c_tt * (np.roll(mid, 1, axis=1) + np.roll(mid, -1, axis=1)))
+
+    def below(f, ring_row):
+        return np.roll(f[:1], T // 2, axis=1) if lo == 0 else ring_row
+    zero = np.zeros_like(u[:1])
+    v = lap(np.concatenate([below(u, zero), u, zero]))
+    return lap(np.concatenate([below(v, 2.0 * c_rr * u[:1]), v, 2.0 * c_rr * u[-1:]]))
+
+
+def _banded_solve(b, rho, h: float, lo: int):
+    """Solve the clamped system for interior loads ``b`` by a real FFT in angle:
+    mode ``k`` is the pentadiagonal radial system ``B_k = A2_k A1_k``.  With
+    ``a_i = c_rr - c_r(i)``, ``e_i = c_rr + c_r(i)`` and ``d_ik = -2 c_rr - 4 c_tt(i)
+    sin^2(pi k/T)``, row ``i`` of ``B_k`` is ``a_i a_{i-1}, a_i (d_{i-1} + d_i),
+    d_i^2 + a_i e_{i-1} + e_i a_{i+1}, e_i (d_i + d_{i+1}), e_i e_{i+1}``, with the
+    ghost value ``2/h^2`` for ``a_{i+1}`` on the last row and ``e_{i-1}`` on the
+    ring's first.  On the disk ``a_0 = 1/h^2 - 1/(2 h rho_0)`` is exactly 0, so the
+    centre flip never enters.  Each mode's bands vanish outside its block, so the
+    modes side by side form one banded system.
+    """
+    n, T = b.shape
+    c_rr, c_r, c_tt = _polar_laplacian(rho, h, lo, T)
+    a, e, g = c_rr - c_r, c_rr + c_r, 2.0 * c_rr
+    d = -2.0 * c_rr - 4.0 * c_tt * np.sin(np.pi * np.arange(T // 2 + 1)[:, None] / T)**2
+    bands = np.zeros((T // 2 + 1, 5, n))
+    bands[:, 0, 2:] = e[:-2] * e[1:-1]
+    bands[:, 1, 1:] = e[:-1] * (d[:, :-1] + d[:, 1:])
+    bands[:, 2] = d * d + a * np.append(0.0 if lo == 0 else g, e[:-1]) + e * np.append(a[1:], g)
+    bands[:, 3, :-1] = a[1:] * (d[:, 1:] + d[:, :-1])
+    bands[:, 4, :-2] = a[2:] * a[1:-1]
+    bh = np.fft.rfft(b, axis=1).T.ravel()
+    try:
+        x = scipy.linalg.solve_banded((2, 2), bands.transpose(1, 0, 2).reshape(5, -1),
+                                      np.column_stack([bh.real, bh.imag]))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"biharmonic radial system is singular ({exc})") from exc
+    return np.fft.irfft((x @ [1.0, 1j]).reshape(-1, n).T, n=T, axis=1)
 
 
 def biharmonic_green(domain: AnnulusDomain | None, pole: complex,
@@ -250,20 +259,19 @@ def biharmonic_green(domain: AnnulusDomain | None, pole: complex,
 
     ``domain=None`` selects the unit disk (offset radial grid through the
     center, no inner boundary).  Both clamped conditions enter through the
-    two applications of the Laplacian: the first uses ``u = 0`` on boundary
-    rows, and the boundary rows of the intermediate field are
-    ``2 u_adjacent / h^2``, which encodes the mirrored ghost row of the
-    zero-normal-derivative condition.  The point load is scaled by the
-    inverse polar cell area.
+    two applications of the Laplacian (``_clamped_apply``): ``u = 0`` on the
+    boundary rows, and there the intermediate field takes the mirrored ghost
+    value ``2 u_adjacent / h^2`` of the zero normal derivative.  The point
+    load, scaled by the inverse polar cell area, is solved mode by mode
+    (``_banded_solve``) and refined once against the operator in ``longdouble``.
     """
     if n_rho < 32 or n_theta < 32:
         raise ArgumentError("grid resolutions must be at least 32")
     if n_theta % 2:
         raise ArgumentError("need an even number of angular nodes")
-    disk = domain is None
     R, T = n_rho, n_theta
     htheta = 2.0 * np.pi / T
-    if disk:
+    if domain is None:
         h = 2.0 / (2 * R - 1)
         rho = (np.arange(R) + 0.5) * h
         lo, edges = 0, [R - 1]
@@ -277,18 +285,19 @@ def biharmonic_green(domain: AnnulusDomain | None, pole: complex,
     if min(abs(rp - rho[b]) for b in edges) < 2.0 * h:
         raise GeometryError("pole must sit at least two grid cells from the boundary")
 
-    Bi = _clamped_operator(rho, h, T, disk)
     i_star = lo + int(np.argmin(np.abs(rho[lo:R - 1] - rp)))
     j_star = int(round(tp / htheta)) % T
-    b = np.zeros(Bi.shape[0])
-    b[(i_star - lo) * T + j_star] = 1.0 / (rho[i_star] * h * htheta)
-    u = scipy.sparse.linalg.spsolve(Bi, b)
+    b = np.zeros((R - 1 - lo, T))
+    b[i_star - lo, j_star] = 1.0 / (rho[i_star] * h * htheta)
+    u = _banded_solve(b, rho, h, lo)
+    refine = b - _clamped_apply(u.astype(np.longdouble), rho, h, lo)  # residual in longdouble
+    u = u + _banded_solve(refine.astype(float), rho, h, lo)
     if not np.all(np.isfinite(u)):
         raise SolverError("biharmonic system is numerically singular")
-    residual = float(np.max(np.abs(Bi @ u - b)) / np.max(np.abs(b)))
+    residual = float(np.max(np.abs(_clamped_apply(u, rho, h, lo) - b)) / np.max(np.abs(b)))
 
     values = np.zeros((R, T))
-    values[lo:R - 1] = u.reshape(-1, T)
+    values[lo:R - 1] = u
     vmax = float(values.max())
     vmin = float(values.min())
     floor = -1e-6 * max(vmax, 0.0)

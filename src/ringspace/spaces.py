@@ -11,6 +11,7 @@ quadrature weights.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -70,6 +71,14 @@ def ring_values(f, pts: np.ndarray, m: int) -> np.ndarray:
 _GAUSS_RADIAL = 64  # exact for the polynomial radial integrands used in tests
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per ``n``."""
+    x, wx = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = wx.flags.writeable = False
+    return x, wx
+
+
 def boundary_quadrature(domain: AnnulusDomain, m: int):
     """Points and arclength weights for both circles, m nodes each."""
     r = domain.inner_radius
@@ -85,7 +94,7 @@ def area_quadrature(domain: AnnulusDomain, m: int, n_radial: int = _GAUSS_RADIAL
     weights include the polar metric factor rho.
     """
     r = domain.inner_radius
-    x, wx = np.polynomial.legendre.leggauss(n_radial)
+    x, wx = _gauss_legendre(n_radial)
     rho = 0.5 * (1.0 - r) * x + 0.5 * (1.0 + r)
     wr = 0.5 * (1.0 - r) * wx
     pts = ring_nodes(rho, m).ravel()

@@ -14,8 +14,10 @@ least a different algorithm) than the library path it checks:
   every quadrature node, not ring-wise FFT sums.
 * harmonic-measure weights come from one ``BoundarySample`` per node and the
   dense mode-by-node Green derivative table, not from one FFT per circle.
-* the clamped biharmonic operator is assembled entry by entry from a
-  per-node five-point stencil, not from one vectorized stencil table.
+* the clamped biharmonic operator is one sparse matrix, assembled from a
+  vectorized stencil table (``clamped_operator``) or entry by entry from a
+  per-node five-point stencil (``loop_clamped_operator``), not applied
+  matrix-free and solved mode by mode after an FFT in angle.
 """
 
 from __future__ import annotations
@@ -234,3 +236,56 @@ def loop_clamped_operator(rho, h: float, T: int, disk: bool):
                 vals2.append(coef)
     A2 = scipy.sparse.coo_matrix((vals2, (rows2, cols2)), shape=(n_int, R * T)).tocsr()
     return (A2 @ A1).tocsc()
+
+
+def clamped_operator(rho, h: float, T: int, disk: bool):
+    """CSC matrix of the clamped biharmonic operator on the interior unknowns,
+    ``A2 @ A1`` of ``clamped_factors``."""
+    A2, A1 = clamped_factors(rho, h, T, disk)
+    return (A2 @ A1).tocsc()
+
+
+def clamped_factors(rho, h: float, T: int, disk: bool):
+    """The two CSR factors ``(A2, A1)`` of the clamped biharmonic operator.
+
+    The five-point polar Laplacian is one ``(interior rows, T, 5)`` table of
+    coefficients and neighbour indices (centre, i+1, i-1, j+1, j-1), applied
+    twice: ``A1`` maps the interior unknowns to the field on every row, with
+    ``u = 0`` on boundary rows and the clamped ghost rows ``2 u_adjacent / h^2``;
+    ``A2`` takes that field back to the interior rows.  On the disk, row -1 is
+    row 0 turned by half a circle: ``(-1, j) -> (0, j + T/2)``; with
+    ``rho_0 = h/2`` that link's coefficient is exactly 0.
+    """
+    import scipy.sparse
+    R = rho.size
+    lo = 0 if disk else 1  # interior rows lo..R-2
+    n_int = (R - 1 - lo) * T
+    shape = (R - 1 - lo, T, 5)
+    htheta = 2.0 * np.pi / T
+    r_i = rho[lo:R - 1, None, None]
+    c_rr = 1.0 / (h * h)
+    c_r = 1.0 / (2.0 * h * r_i)
+    c_tt = 1.0 / (r_i * r_i * htheta * htheta)
+    coef = np.broadcast_to(np.concatenate(
+        [-2.0 * c_rr - 2.0 * c_tt, c_rr + c_r, c_rr - c_r, c_tt, c_tt], axis=2), shape)
+    i = np.arange(lo, R - 1)[:, None, None]
+    j = np.arange(T)[None, :, None]
+    row = np.broadcast_to(i * T + j, shape)
+    ni = np.broadcast_to(i + np.array([0, 1, -1, 0, 0]), shape)
+    nj = (j + np.array([0, 0, 0, 1, -1])) % T
+    flip = ni == -1
+    ni, nj = np.where(flip, 0, ni), np.where(flip, (nj + T // 2) % T, nj)
+
+    keep = (ni >= lo) & (ni < R - 1)  # u = 0 on boundary rows
+    edges = np.array([R - 1] if disk else [0, R - 1])
+    adjacent = np.array([R - 2] if disk else [1, R - 2])
+    ghost_rows = (edges[:, None] * T + np.arange(T)).ravel()
+    ghost_cols = ((adjacent[:, None] - lo) * T + np.arange(T)).ravel()
+    A1 = scipy.sparse.coo_matrix(
+        (np.concatenate([coef[keep], np.full(ghost_rows.size, 2.0 / (h * h))]),
+         (np.concatenate([row[keep], ghost_rows]),
+          np.concatenate([(ni[keep] - lo) * T + nj[keep], ghost_cols]))),
+        shape=(R * T, n_int)).tocsr()
+    A2 = scipy.sparse.coo_matrix((coef.ravel(), ((row - lo * T).ravel(), (ni * T + nj).ravel())),
+                                 shape=(n_int, R * T)).tocsr()
+    return A2, A1

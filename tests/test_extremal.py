@@ -42,6 +42,16 @@ def test_no_zero_extremal_is_kernel_direction(dom):
         assert np.max(np.abs(G(pts) - expected)) <= tol
 
 
+def test_singular_kkt_system_is_typed(dom, monkeypatch):
+    p = problem(dom, bergman_tag(), (-0.7,), 16)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularGramError):
+        rs.solve_extremal(p)
+
+
 def test_constraints_are_interpolated(dom):
     p = problem(dom, bergman_tag(), (-0.7,), 24)
     G = rs.solve_extremal(p)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringspace as rs
-from ringspace.laurent import LaurentPolynomial, to_laurent
+from ringspace.laurent import LaurentPolynomial, fold_sum, to_laurent
 
 
 def brute_eval(f, z):
@@ -135,6 +135,17 @@ def test_on_rings_deep_window_at_small_r():
     area_radii = 0.5 * (1.0 - r) * x + 0.5 * (1.0 + r)
     _assert_rings_match_horner(f, area_radii, 512)
     _assert_rings_match_horner(f, [1.0, r], 512)
+
+
+def test_fold_sum_rows_match_one_row_at_a_time():
+    rng = np.random.default_rng(3)
+    ns = np.array([-40, -7, 0, 3, 64, 65, 200])
+    terms = rng.standard_normal((4, ns.size)) + 1j * rng.standard_normal((4, ns.size))
+    for m in (16, 64):
+        rows = fold_sum(ns, terms, m)
+        assert rows.shape == (4, m)
+        for row, t in zip(rows, terms):
+            assert np.array_equal(row, fold_sum(ns, t, m))
 
 
 def test_on_rings_zero_and_subnormal_coefficients():

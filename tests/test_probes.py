@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import scipy.linalg
+import scipy.sparse.linalg
+
 import ringspace as rs
-from ringspace.errors import ArgumentError, GeometryError
-from ringspace.probes import (_clamped_operator, bergman_decomposition_residual,
+from ringspace.errors import ArgumentError, GeometryError, SolverError
+from ringspace.probes import (_banded_solve, _clamped_apply, bergman_decomposition_residual,
                               biharmonic_green, defect_direction, harmonic_l2_kernel,
                               log_radial_moment)
-from ringspace.spaces import area_quadrature, bergman_tag, norm as space_norm
+from ringspace.spaces import area_quadrature, bergman_tag, norm as space_norm, ring_values
 
-from oracles import loop_clamped_operator
+from oracles import clamped_factors, clamped_operator, loop_clamped_operator
 
 
 # --------------------------------------------------------- harmonic kernel
@@ -47,6 +50,16 @@ def test_kernel_symmetry(dom):
         z, w_pt = (rng.uniform(0.55, 0.95, 2)
                    * np.exp(1j * rng.uniform(0, 2 * np.pi, 2)))
         assert H.kernel.pair(z, w_pt) == pytest.approx(H.kernel.pair(w_pt, z), abs=1e-10)
+
+
+@pytest.mark.parametrize("r, base", [(0.5, 0.7), (0.3, 0.5 + 0.4j), (0.8, -0.85 + 0.1j)])
+@pytest.mark.parametrize("m", [64, 512])
+def test_kernel_on_rings_matches_pair(r, base, m):
+    dom = rs.make_annulus(r, base)
+    H = harmonic_l2_kernel(dom, base, N=64)
+    pts, _ = area_quadrature(dom, m)
+    direct = H(pts)
+    assert np.max(np.abs(ring_values(H, pts, m).real - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 def test_kernel_base_must_be_interior(dom):
@@ -146,18 +159,73 @@ def test_disk_center_handling():
     assert np.isfinite(sol.grid.values).all()
 
 
-@pytest.mark.parametrize("disk, n_rho, n_theta",
-                         [(True, 32, 32), (False, 32, 32), (True, 96, 96), (False, 96, 96),
-                          (False, 40, 32), (True, 33, 34)])
-def test_clamped_operator_matches_loop_assembly(disk, n_rho, n_theta):
-    if disk:  # offset radial grid through the centre, as biharmonic_green lays it out
+OPERATOR_GRIDS = [(True, 32, 32), (False, 32, 32), (True, 96, 96), (False, 96, 96),
+                  (False, 40, 32), (True, 33, 34)]
+
+
+def _grid(disk, n_rho):
+    """``(rho, h, lo)`` as ``biharmonic_green`` lays the grid out (ring: r = 0.5)."""
+    if disk:  # offset radial grid through the centre
         h = 2.0 / (2 * n_rho - 1)
-        rho = (np.arange(n_rho) + 0.5) * h
-    else:
-        h = (1.0 - 0.5) / (n_rho - 1)
-        rho = 0.5 + np.arange(n_rho) * h
-    fast = _clamped_operator(rho, h, n_theta, disk)
+        return (np.arange(n_rho) + 0.5) * h, h, 0
+    h = (1.0 - 0.5) / (n_rho - 1)
+    return 0.5 + np.arange(n_rho) * h, h, 1
+
+
+@pytest.mark.parametrize("disk, n_rho, n_theta", OPERATOR_GRIDS)
+def test_clamped_operator_matches_loop_assembly(disk, n_rho, n_theta):
+    rho, h, _ = _grid(disk, n_rho)
+    fast = clamped_operator(rho, h, n_theta, disk)
     slow = loop_clamped_operator(rho, h, n_theta, disk)
     assert fast.shape == slow.shape
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(fast, part), getattr(slow, part))
+
+
+@pytest.mark.parametrize("disk, n_rho, n_theta", OPERATOR_GRIDS)
+def test_matrix_free_stencil_matches_sparse_operator(disk, n_rho, n_theta):
+    rho, h, lo = _grid(disk, n_rho)
+    u = np.random.default_rng(n_rho + n_theta).standard_normal((n_rho - 1 - lo, n_theta))
+    expected = clamped_operator(rho, h, n_theta, disk) @ u.ravel()
+    got = _clamped_apply(u, rho, h, lo).ravel()
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("disk, n_rho, n_theta",
+                         OPERATOR_GRIDS + [(True, 256, 256), (False, 256, 256)])
+def test_biharmonic_solve_is_at_least_as_accurate_as_sparse_lu(disk, n_rho, n_theta):
+    rho, h, lo = _grid(disk, n_rho)
+    pole = 0.3 + 0.2j if disk else 0.75 + 0.1j
+    sol = biharmonic_green(None if disk else rs.make_annulus(0.5, 0.75), pole, n_rho, n_theta)
+    htheta = 2.0 * np.pi / n_theta
+    i_star = lo + int(np.argmin(np.abs(rho[lo:-1] - abs(pole))))
+    j_star = int(round(float(np.angle(pole)) % (2 * np.pi) / htheta)) % n_theta
+    b = np.zeros((n_rho - 1 - lo, n_theta))
+    b[i_star - lo, j_star] = 1.0 / (rho[i_star] * h * htheta)
+    u_sparse = scipy.sparse.linalg.spsolve(clamped_operator(rho, h, n_theta, disk), b.ravel())
+    # Reference: refine to convergence against the oracle's two factors applied in
+    # longdouble.  The correction solver only sets the rate; the fixed point is the
+    # oracle operator's solution.
+    A2, A1 = (A.astype(np.longdouble) for A in clamped_factors(rho, h, n_theta, disk))
+    ref = u_sparse.copy()
+    for _ in range(10):
+        res = (b.ravel() - A2 @ (A1 @ ref.astype(np.longdouble))).astype(float)
+        step = _banded_solve(res.reshape(b.shape), rho, h, lo).ravel()
+        ref = ref + step
+        if np.max(np.abs(step)) <= 1e-15 * np.max(np.abs(ref)):
+            break
+    else:
+        pytest.fail("reference refinement did not converge")
+    scale = np.max(np.abs(ref))
+    err_fft = np.max(np.abs(sol.grid.values[lo:-1].ravel() - ref)) / scale
+    err_sparse = np.max(np.abs(u_sparse - ref)) / scale
+    assert err_fft <= err_sparse
+    assert err_fft <= 1e-13
+
+
+def test_radial_solve_failure_is_typed(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+    monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+    with pytest.raises(SolverError):
+        biharmonic_green(None, 0.3, 32, 32)

@@ -6,8 +6,8 @@ import pytest
 import ringspace as rs
 from ringspace.errors import ArgumentError
 from ringspace.laurent import LaurentPolynomial
-from ringspace.spaces import (SpaceKind, bergman_tag, gram_matrix,
-                              hardy_tag, inner_product, measure_quadrature,
+from ringspace.spaces import (SpaceKind, _gauss_legendre, area_quadrature, bergman_tag,
+                              gram_matrix, hardy_tag, inner_product, measure_quadrature,
                               monomial_norms, smirnov_tag, weighted_gram)
 
 from oracles import (bergman_monomial_norm, dense_gram, equilibrated, green_images,
@@ -86,6 +86,17 @@ def test_measure_quadrature_envelope_near_a_circle(r, base):
 def test_measure_quadrature_rejects_too_few_nodes(m):
     with pytest.raises(ArgumentError, match="at least 4"):
         measure_quadrature(rs.make_annulus(0.5, 0.7), m)
+
+
+def test_radial_gauss_rule_is_cached_read_only_and_unchanged():
+    x, w = _gauss_legendre(64)
+    x0, w0 = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(x, x0) and np.array_equal(w, w0)
+    assert _gauss_legendre(64)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    dom = rs.make_annulus(0.3, 0.6)
+    first, again = area_quadrature(dom, 64), area_quadrature(dom, 64)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 def test_weighted_tag_rejected_by_monomial_norms():
