@@ -457,7 +457,7 @@ def _cmd_qc_estimate(config: RunConfig):
     if undivided:
         def target(z):
             z = np.asarray(z, dtype=complex)
-            return np.asarray(cand.blaschke(z)) * np.asarray(cand.kernel(z, cand.base))
+            return np.asarray(cand.blaschke(z)) * np.asarray(cand.kernel_section(z))
     else:
         target = cand
     report = quasicontract_estimate(target, z1, domain, m=config.m)

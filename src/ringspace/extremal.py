@@ -24,8 +24,7 @@ from .errors import (ArgumentError, GeometryError, RingspaceError, SingularConst
                      SingularGramError)
 from .geometry import AnnulusDomain, polar_grid
 from .inner import InnerFunctionSpec, blaschke_factor
-from .kernels import (KernelEvaluator, build_kernel, count_zeros, full_ring, locate_zeros,
-                      refined_solve)
+from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, refined_solve
 from .laurent import LaurentPolynomial
 from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag, monomial_norms,
                      quadrature_for, ring_gram, ring_values, weighted_gram)
@@ -184,19 +183,20 @@ class CandidateDivisor:
     base: complex
     kernel_zero: complex
     blaschke: InnerFunctionSpec
-    kernel: KernelEvaluator
+    kernel_section: LaurentPolynomial  # K_w(., base), solved once
     kernel_zero_factor: InnerFunctionSpec
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        num = np.asarray(self.blaschke(z)) * np.asarray(self.kernel(z, self.base))
+        num = np.asarray(self.blaschke(z)) * np.asarray(self.kernel_section(z))
         out = num / np.asarray(self.kernel_zero_factor(z))
         return out if out.shape else complex(out)
 
-    def on_rings(self, radii, m: int) -> np.ndarray:
-        """Values at ``ring_nodes(radii, m)``, every factor by one FFT per ring."""
-        num = self.blaschke.on_rings(radii, m) * self.kernel.section(self.base).on_rings(radii, m)
-        return num / self.kernel_zero_factor.on_rings(radii, m)
+    def on_rings(self, radii, m: int, turn: float = 0.0) -> np.ndarray:
+        """Values at ``ring_nodes(radii, m, turn)``, every factor by one FFT per ring."""
+        num = (self.blaschke.on_rings(radii, m, turn)
+               * self.kernel_section.on_rings(radii, m, turn))
+        return num / self.kernel_zero_factor.on_rings(radii, m, turn)
 
 
 def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96,
@@ -211,13 +211,11 @@ def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96,
     """
     z0 = complex(base) if base is not None else domain.base_point
     B = blaschke_factor(domain, z1)
-    Kw = build_kernel(domain, bergman_tag(weight_fn=B), N, m)
-    report = locate_zeros(Kw.section(z0), domain, expected=1)
-    w_star = report.locations[0]
-    Bg = blaschke_factor(domain, w_star)
+    section = build_kernel(domain, bergman_tag(weight_fn=B), N, m).section(z0)
+    w_star = locate_zeros(section, domain, expected=1).locations[0]
     cand = CandidateDivisor(domain=domain, zero=complex(z1), base=z0,
-                            kernel_zero=w_star, blaschke=B, kernel=Kw,
-                            kernel_zero_factor=Bg)
+                            kernel_zero=w_star, blaschke=B, kernel_section=section,
+                            kernel_zero_factor=blaschke_factor(domain, w_star))
     ring_zeros = count_zeros(cand, domain, full_ring(domain))
     if ring_zeros != 1:
         raise ArgumentError(

@@ -99,12 +99,13 @@ def boundary_angles(m: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(m) / m
 
 
-def ring_nodes(radii, m: int) -> np.ndarray:
-    """``radii[i] * e^{2 pi i k/m}`` as a ``(len(radii), m)`` array: the ring by
-    ring node layout of every quadrature here."""
+def ring_nodes(radii, m: int, turn: float = 0.0) -> np.ndarray:
+    """``radii[i] * e^{i (turn + 2 pi k/m)}`` as a ``(len(radii), m)`` array: the
+    ring by ring node layout of every quadrature here."""
     if m < 4:
         raise ArgumentError(f"need at least 4 nodes per ring, got {m}")
-    return np.asarray(radii, dtype=float)[:, None] * np.exp(1j * boundary_angles(m))[None, :]
+    angles = turn + boundary_angles(m)
+    return np.asarray(radii, dtype=float)[:, None] * np.exp(1j * angles)[None, :]
 
 
 def polar_grid(domain: AnnulusDomain, n: int, inset: float = 0.2) -> np.ndarray:

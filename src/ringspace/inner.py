@@ -99,9 +99,10 @@ class InnerFunctionSpec:
         out = self._times_factors(z, np.exp(self.series(z)))
         return out if out.shape else complex(out)
 
-    def on_rings(self, radii, m: int) -> np.ndarray:
-        """Values at ``ring_nodes(radii, m)``, the series by one FFT per ring."""
-        return self._times_factors(ring_nodes(radii, m), np.exp(self.series.on_rings(radii, m)))
+    def on_rings(self, radii, m: int, turn: float = 0.0) -> np.ndarray:
+        """Values at ``ring_nodes(radii, m, turn)``, the series by one FFT per ring."""
+        return self._times_factors(ring_nodes(radii, m, turn),
+                                   np.exp(self.series.on_rings(radii, m, turn)))
 
     def _times_factors(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         if self.power != 0:

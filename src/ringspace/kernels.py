@@ -19,7 +19,8 @@ import scipy.linalg
 from .errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
 from .geometry import AnnulusDomain, ring_nodes
 from .laurent import LaurentPolynomial
-from .spaces import SpaceKind, SpaceTag, inner_product, monomial_norms, weighted_gram
+from .spaces import (SpaceKind, SpaceTag, inner_product, monomial_norms, ring_values,
+                     weighted_gram)
 
 
 class KernelForm(enum.Enum):
@@ -73,6 +74,12 @@ def refined_solve(a_ext: np.ndarray, solve, b: np.ndarray) -> np.ndarray:
     return x + solve(r.astype(complex))
 
 
+def _check_scaled_condition(cond: float) -> None:
+    if not np.isfinite(cond) or cond > 1e14:
+        raise SingularGramError(f"weighted Gram is numerically singular "
+                                f"(scaled condition {cond:.3e})")
+
+
 def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
                  m: int | None = None) -> KernelEvaluator:
     """Build the reproducing kernel for a tagged space.
@@ -91,14 +98,17 @@ def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
                                norms=monomial_norms(domain, tag, N))
     m = m or max(512, 4 * N + 4)
     Gs, d = weighted_gram(domain, tag, N, m)
-    cond = np.linalg.cond(Gs)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularGramError(f"weighted Gram is numerically singular "
-                                f"(scaled condition {cond:.3e})")
     try:
-        factor = scipy.linalg.cho_factor(Gs.conj())
+        factor = scipy.linalg.cho_factor(Gs.conj(), check_finite=False)  # NaN: cond raises
     except np.linalg.LinAlgError as exc:
+        _check_scaled_condition(np.linalg.cond(Gs))
         raise SingularGramError(f"weighted Gram is not positive definite ({exc})") from exc
+    # Screen: kappa_2 <= |Gs|_F |Gs^-1|_F, Gs^-1 from the factor (upper triangle),
+    # good to about n eps kappa; the SVD decides only what the screen cannot.
+    inv = np.triu(scipy.linalg.lapack.zpotri(*factor)[0])
+    bound = np.linalg.norm(Gs) * np.linalg.norm(inv + np.triu(inv, 1).conj().T)
+    if not bound * (1.0 + 2.0 * Gs.shape[0] * np.finfo(float).eps * bound) <= 1e14:
+        _check_scaled_condition(np.linalg.cond(Gs))
     return KernelEvaluator(domain, tag, N, KernelForm.GRAM_FACTOR, factor=factor,
                            gram=Gs.conj().astype(np.clongdouble), scale=d)
 
@@ -118,26 +128,39 @@ def reproduce_check(K: KernelEvaluator, f: LaurentPolynomial, w: complex,
     return ReproduceReport(residual=residual, out_of_window=out)
 
 
-_WINDING_BLOCK = 8192  # nodes per call of f, so memory stays flat as m doubles
+_WINDING_BLOCK = 8192  # nodes per evaluation of f, so memory stays flat as m doubles
 
 
 def _winding_on_circle(f, rho: float, m: int) -> int:
-    """Winding number of ``f`` along ``|z| = rho`` by phase unwrapping.
+    """Winding number of ``f`` along ``|z| = rho`` from its wrapped phase steps.
 
-    Doubles the node count while phase jumps exceed pi/2, the guard against
-    unwrap ambiguity.  ``f`` sees ``_WINDING_BLOCK`` nodes per call.
+    Doubles the node count while a step exceeds pi/2, the guard against wrap
+    ambiguity.  The circle is read as ``P`` strided sub-rings (``P`` a power of
+    two dividing ``m``, ``m/P <= _WINDING_BLOCK`` where that exists): sub-ring
+    ``s`` holds nodes ``s, s + P, ...`` and is one FFT through ``f.on_rings``
+    at turn ``2 pi s/m`` where ``f`` has it, point values otherwise.  Node
+    ``j + 1`` of sub-ring ``s`` is node ``j`` of sub-ring ``s + 1``, so the
+    steps come elementwise from consecutive sub-rings.
     """
     while True:
-        worst, turn, end = 0.0, 0.0, None
-        for start in range(0, m + 1, _WINDING_BLOCK):  # node m closes the loop at node 0
-            k = np.arange(start, min(start + _WINDING_BLOCK, m + 1)) % m
-            vals = np.asarray(f(rho * np.exp(1j * (2.0 * np.pi * k / m))), dtype=complex)
-            if np.min(np.abs(vals)) < 1e-10:
-                raise ZeroOnContourError(
-                    f"|f| dips below 1e-10 on the circle |z| = {rho}; cannot count")
-            phase = np.unwrap(np.angle(vals) if end is None else np.append(end, np.angle(vals)))
-            worst = max(worst, float(np.max(np.abs(np.diff(phase)))))
-            turn, end = turn + phase[-1] - phase[0], phase[-1]
+        P = 1
+        while m // P > _WINDING_BLOCK and m % (2 * P) == 0:
+            P *= 2
+        worst, turn = 0.0, 0.0
+        for s in range(P + 1):  # sub-ring P is sub-ring 0 shifted by one node
+            if s < P:
+                angle = 2.0 * np.pi * s / m
+                vals = (f.on_rings([rho], m // P, angle)[0] if hasattr(f, "on_rings")
+                        else np.asarray(f(ring_nodes([rho], m // P, angle)[0]), dtype=complex))
+                if np.min(np.abs(vals)) < 1e-10:
+                    raise ZeroOnContourError(
+                        f"|f| dips below 1e-10 on the circle |z| = {rho}; cannot count")
+            phase = np.angle(vals) if s < P else np.roll(first, -1)
+            if s == 0:
+                first = prev = phase
+            step = np.mod(phase - prev + np.pi, 2.0 * np.pi) - np.pi
+            worst = max(worst, float(np.max(np.abs(step))))
+            turn, prev = turn + float(step.sum()), phase
         total = turn / (2.0 * np.pi)
         if worst <= 0.5 * np.pi:
             rounded = int(round(total))
@@ -225,7 +248,7 @@ def locate_zeros(f, domain: AnnulusDomain, expected: int,
     if expected == 0:
         return ZeroReport(contour_count=0, locations=(), residual=0.0)
     Z = ring_nodes(np.linspace(ring[0], ring[1], grid), grid)
-    vals = np.abs(np.asarray(f(Z.ravel()))).reshape(Z.shape)
+    vals = np.abs(ring_values(f, Z.ravel(), grid)).reshape(Z.shape)
     # Seed Newton from grid-local minima (wrapping in angle), so a shallow
     # boundary dip cannot crowd out a genuine interior zero; fall back to the
     # globally smallest cells afterwards.

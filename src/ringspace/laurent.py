@@ -96,13 +96,15 @@ class LaurentPolynomial:
             result = result + acc
         return result if result.shape else complex(result)
 
-    def on_rings(self, radii, m: int) -> np.ndarray:
-        """Values at ``radii[i] * e^{2 pi i k/m}``, shape ``(len(radii), m)``, by one
-        ``fold_sum`` per ring in O(width + len(radii) * m) memory.  Each ring's
-        terms ``c_n rho^n`` are scaled by the largest in log space, so ``rho^n``
-        cannot overflow where the term does not; the logs are in ``longdouble``
-        because ``log|c_n|`` and ``n log rho`` cancel, and the phase is
-        ``np.angle``, exact for subnormal coefficients too.
+    def on_rings(self, radii, m: int, turn: float = 0.0) -> np.ndarray:
+        """Values at ``radii[i] * e^{i (turn + 2 pi k/m)}``, shape ``(len(radii), m)``,
+        by ``fold_sum`` over a few rings at a time (work arrays near ``2^13``
+        entries), in O(width + len(radii) * m) memory.  Each ring's terms
+        ``c_n rho^n`` are scaled by the largest in log space, so ``rho^n`` cannot
+        overflow where the term does not; the logs are in ``longdouble`` because
+        ``log|c_n|`` and ``n log rho`` cancel, and the phase is ``np.angle``,
+        exact for subnormal coefficients too.  A turn adds ``n * turn`` to the
+        phase of ``c_n``, to about ``|n turn| eps``.
         """
         out = np.zeros((len(radii), m), dtype=complex)
         nz = np.flatnonzero(self.coeffs)  # zero terms stay out: -inf is slow in longdouble
@@ -110,13 +112,15 @@ class LaurentPolynomial:
             return out
         ns, c = self.lo + nz, self.coeffs[nz]
         log_c = np.log(np.hypot(c.real.astype(np.longdouble), c.imag.astype(np.longdouble)))
-        phase, n_ld = np.exp(1j * np.angle(c)), ns.astype(np.longdouble)
-        for row, rho in zip(out, radii):
-            log_t = log_c + n_ld * np.log(np.longdouble(rho))
-            top = log_t.max()
+        phase, n_ld = np.exp(1j * (np.angle(c) + ns * turn)), ns.astype(np.longdouble)
+        log_rho = np.log(np.asarray(radii, dtype=np.longdouble))
+        step = max(1, 2**13 // max(ns.size, m))  # rings per fold_sum
+        for k in range(0, len(out), step):
+            log_t = log_c + log_rho[k:k + step, None] * n_ld
+            top = log_t.max(axis=1, keepdims=True)
             x = (log_t - top).astype(float)  # terms below e^-700 of the top are dropped
-            terms = np.exp(x, out=np.zeros(x.size), where=x > -700.0) * phase
-            row[:] = np.exp(float(top)) * fold_sum(ns, terms, m)
+            terms = np.exp(x, out=np.zeros(x.shape), where=x > -700.0) * phase
+            out[k:k + step] = np.exp(top.astype(float)) * fold_sum(ns, terms, m)
         return out
 
     def derivative(self) -> "LaurentPolynomial":

@@ -14,6 +14,8 @@ least a different algorithm) than the library path it checks:
   every quadrature node, not ring-wise FFT sums.
 * harmonic-measure weights come from one ``BoundarySample`` per node and the
   dense mode-by-node Green derivative table, not from one FFT per circle.
+* winding numbers come from Horner point values on contiguous blocks of the
+  circle and ``np.unwrap``, not from strided sub-rings by FFT;
 * the clamped biharmonic operator is one sparse matrix, assembled from a
   vectorized stencil table (``clamped_operator``) or entry by entry from a
   per-node five-point stencil (``loop_clamped_operator``), not applied
@@ -289,3 +291,34 @@ def clamped_factors(rho, h: float, T: int, disk: bool):
     A2 = scipy.sparse.coo_matrix((coef.ravel(), ((row - lo * T).ravel(), (ni * T + nj).ravel())),
                                  shape=(n_int, R * T)).tocsr()
     return A2, A1
+
+
+def horner_winding(f, rho: float, m: int, block: int = 8192) -> int:
+    """Winding number of ``f`` along ``|z| = rho`` by point values and phase
+    unwrapping, doubling ``m`` while a phase jump exceeds pi/2 (the same
+    doubling, settle and cap rules as the library count)."""
+    from ringspace.errors import ConvergenceError, ZeroOnContourError
+    while True:
+        worst, turn, end = 0.0, 0.0, None
+        for start in range(0, m + 1, block):  # node m closes the loop at node 0
+            k = np.arange(start, min(start + block, m + 1)) % m
+            vals = np.asarray(f(rho * np.exp(1j * (2.0 * np.pi * k / m))), dtype=complex)
+            if np.min(np.abs(vals)) < 1e-10:
+                raise ZeroOnContourError(f"|f| dips below 1e-10 on |z| = {rho}")
+            phase = np.unwrap(np.angle(vals) if end is None else np.append(end, np.angle(vals)))
+            worst = max(worst, float(np.max(np.abs(np.diff(phase)))))
+            turn, end = turn + phase[-1] - phase[0], phase[-1]
+        total = turn / (2.0 * np.pi)
+        if worst <= 0.5 * np.pi:
+            rounded = int(round(total))
+            if abs(total - rounded) > 0.25:
+                raise ConvergenceError(f"winding number did not settle: {total}")
+            return rounded
+        if m >= 2**20:
+            raise ConvergenceError(f"phase unwrapping failed to settle at m = {m}")
+        m *= 2
+
+
+def horner_count(f, ring, m: int = 512) -> int:
+    """Zeros of ``f`` in ``{ring[0] < |z| < ring[1]}`` by ``horner_winding``."""
+    return horner_winding(f, ring[1], m) - horner_winding(f, ring[0], m)

@@ -239,7 +239,7 @@ def test_criterion_9_open_problem_probe(dom06):
 
     def raw(z):
         z = np.asarray(z, dtype=complex)
-        return np.asarray(cand.blaschke(z)) * np.asarray(cand.kernel(z, cand.base))
+        return np.asarray(cand.blaschke(z)) * np.asarray(cand.kernel_section(z))
 
     control = rs.quasicontract_estimate(raw, 0.8, dom06, m=512)
     flagged = "EXTRANEOUS_ZERO" in control.notes

@@ -296,7 +296,7 @@ def test_quasicontract_flags_extraneous_zero(dom06):
 
     def raw(z):
         z = np.asarray(z, dtype=complex)
-        return np.asarray(cand.blaschke(z)) * np.asarray(cand.kernel(z, cand.base))
+        return np.asarray(cand.blaschke(z)) * np.asarray(cand.kernel_section(z))
 
     report = rs.quasicontract_estimate(raw, 0.8, dom06, m=512)
     assert "EXTRANEOUS_ZERO" in report.notes

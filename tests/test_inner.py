@@ -13,7 +13,7 @@ from ringspace.laurent import LaurentPolynomial, to_laurent
 from ringspace.spaces import (area_quadrature, bergman_tag, boundary_quadrature, hardy_tag,
                               norm as space_norm)
 
-from oracles import division_ratios_per_trial
+from oracles import division_ratios_per_trial, horner_count
 
 
 # ------------------------------------------------------------ single factor
@@ -46,7 +46,7 @@ def test_blaschke_factor_vanishes_only_at_zero(dom):
     a = 0.8 * np.exp(0.5j)
     B = rs.blaschke_factor(dom, a)
     assert abs(B(a)) <= 1e-10
-    assert count_zeros(B, dom, full_ring(dom)) == 1
+    assert count_zeros(B, dom, full_ring(dom)) == horner_count(B, full_ring(dom)) == 1
 
 
 def test_blaschke_factor_modulus_constancy(dom):
@@ -84,7 +84,7 @@ def test_lattice_shift_scales_outer_modulus(dom):
 def test_blaschke_product_counts_finite_zeros(dom):
     zeros = rs.ZeroSet(points=(0.7, 0.6j, -0.8, 0.7))  # multiplicity two at 0.7
     B = rs.blaschke_product(dom, zeros)
-    assert count_zeros(B, dom, full_ring(dom)) == 4
+    assert count_zeros(B, dom, full_ring(dom)) == horner_count(B, full_ring(dom)) == 4
     assert 0.0 < B.lam <= math.log(2.0) + 1e-12
 
 
@@ -103,7 +103,7 @@ def test_blaschke_product_infinite_sequence_converges(dom06):
     B = rs.blaschke_product(dom06, rs.ZeroSet(points=zgen()), tol=1e-8)
     assert len(B.zeros) <= 40
     # the three zeros with moduli inside the test ring are reproduced
-    assert count_zeros(B, dom06, (0.55, 0.95)) == 3
+    assert count_zeros(B, dom06, (0.55, 0.95)) == horner_count(B, (0.55, 0.95)) == 3
 
 
 def test_blaschke_product_divergent_sequence_rejected(dom06):
@@ -138,7 +138,7 @@ def test_singular_inner_empty_measure_is_scaled_identity(dom):
 def test_singular_inner_single_atom(dom):
     mu = rs.AtomicSingularMeasure(atoms=((1.0 + 0j, -1.0),))
     S = rs.singular_inner(dom, mu, N=64)
-    assert count_zeros(S, dom, full_ring(dom)) == 0
+    assert count_zeros(S, dom, full_ring(dom)) == horner_count(S, full_ring(dom)) == 0
     theta = 2 * np.pi * np.arange(256) / 256
     inner_vals = np.abs(S(0.5 * np.exp(1j * theta)))
     assert np.max(np.abs(inner_vals - inner_vals.mean())) <= 1e-7
@@ -390,6 +390,27 @@ def test_candidate_divisor_on_rings(dom06, quadrature):
     quad = area_quadrature if quadrature == "area" else boundary_quadrature
     pts, _ = quad(dom06, 512)
     _assert_on_rings_matches_pointwise(cand, pts, 512)
+
+
+@pytest.mark.parametrize("turn", [2 * np.pi * 3 / 2**19, 0.3, -1.1])
+def test_on_rings_turn_matches_rotated_points(dom06, turn):
+    # nodes rho e^{i turn} e^{2 pi i k/m}: the sub-rings of a zero count
+    m, radii = 512, np.array([0.5, 0.75, 1.0])
+    ns = np.arange(-300, 301)
+    rng = np.random.default_rng(4)
+    scale = np.where(ns >= 0, 0.97 ** ns, (0.97 * 0.5) ** -ns)
+    f = LaurentPolynomial(-300, 300, (rng.standard_normal(601) + 1j * rng.standard_normal(601))
+                          * scale)
+    B = rs.blaschke_factor(dom06, 0.99 * np.exp(0.3j))
+    cand = rs.candidate_divisor(dom06, -0.7, N=96, m=m)
+    pts = (radii[:, None] * np.exp(2j * np.pi * np.arange(m) / m) * np.exp(1j * turn)).ravel()
+    for g in (f, B, cand):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fast = g.on_rings(radii, m, turn)
+            slow = np.asarray(g(pts)).reshape(radii.size, m)
+        top = np.max(np.abs(slow), axis=1)
+        assert np.max(np.abs(fast - slow).max(axis=1) / top) <= 1e-13
 
 
 def test_ring_values_routes_by_evaluator(dom):

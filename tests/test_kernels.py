@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
@@ -8,7 +12,7 @@ from ringspace.kernels import (KernelForm, _newton_polish, build_kernel, count_z
 from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import bergman_tag, hardy_tag, smirnov_tag
 
-from oracles import deflated_weighted_kernel
+from oracles import deflated_weighted_kernel, horner_count
 
 
 def interior_pairs(dom, n, seed=0):
@@ -134,6 +138,70 @@ def test_refined_solve_reaches_the_stored_matrix():
     assert np.max(np.abs(refined - exact)) <= 1e-11 * scale
 
 
+def _gram_with_condition(kappa, seed=0):
+    """A 5 x 5 Hermitian matrix with unit diagonal and 2-norm condition ``kappa``."""
+    from scipy.stats import random_correlation
+    tiny = 2.0 / kappa
+    eigs = np.array([2.0, 1.5, 1.0, 0.5 - tiny, tiny])
+    rng = np.random.default_rng(seed)
+    a = random_correlation.rvs(eigs, random_state=rng)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
+    return phases[:, None] * a * phases.conj()[None, :]
+
+
+def _kappa(a):
+    sv = np.linalg.svd(a, compute_uv=False)
+    return sv[0] / sv[-1]
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(1) or cond(a))
+    return calls
+
+
+def _build_from(monkeypatch, gram):
+    from ringspace import kernels
+    monkeypatch.setattr(kernels, "weighted_gram", lambda *args: (gram, np.ones(len(gram))))
+    return build_kernel(rs.make_annulus(0.5, 0.7), bergman_tag(weight_fn=lambda z: z), N=2)
+
+
+@pytest.mark.parametrize("kappa, svd", [(1e13, 0), (5e13, 0), (9e13, 1)])
+def test_scaled_condition_just_below_the_rule_builds(monkeypatch, svd_calls, kappa, svd):
+    # the Frobenius screen settles well-conditioned Grams without an SVD
+    gram = _gram_with_condition(kappa)
+    assert _kappa(gram) <= 1e14   # the SVD rule accepts it
+    _build_from(monkeypatch, gram)
+    assert len(svd_calls) == svd
+
+
+@pytest.mark.parametrize("kappa", [1.1e14, 1e15])
+def test_scaled_condition_just_above_the_rule_raises(monkeypatch, kappa):
+    gram = _gram_with_condition(kappa)
+    assert _kappa(gram) > 1e14
+    with pytest.raises(SingularGramError, match="scaled condition"):
+        _build_from(monkeypatch, gram)
+
+
+def test_failed_factorization_names_the_condition(monkeypatch):
+    # numerically singular: the message still reports the scaled condition
+    with pytest.raises(SingularGramError, match="scaled condition"):
+        _build_from(monkeypatch, np.ones((5, 5), dtype=complex))
+    # well conditioned but indefinite
+    indefinite = np.eye(5, dtype=complex)
+    indefinite[0, 1] = indefinite[1, 0] = 2.0
+    with pytest.raises(SingularGramError, match="not positive definite"):
+        _build_from(monkeypatch, indefinite)
+
+
+def test_weighted_kernels_need_no_svd(dom, svd_calls):
+    build_kernel(dom, bergman_tag(weight_fn=rs.blaschke_factor(dom, 0.62)), N=96, m=512)
+    build_kernel(dom, hardy_tag(), N=96, m=512)
+    assert svd_calls == []
+
+
 def test_reproduce_constant(dom):
     for tag in (smirnov_tag(), bergman_tag(), hardy_tag()):
         K = build_kernel(dom, tag, N=24)
@@ -211,6 +279,67 @@ def test_winding_refines_in_bounded_blocks(monkeypatch, block):
     assert len(sizes) > 100 and max(sizes) <= block
 
 
+def _product(zeros, shift):
+    """``z^shift * prod (z - a)`` as a Laurent polynomial."""
+    f = LaurentPolynomial.monomial(shift)
+    for a in zeros:
+        f = f * LaurentPolynomial.from_dict({1: 1.0, 0: -a})
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(near=st.lists(st.tuples(st.booleans(), st.sampled_from([-1.0, 1.0]),
+                                st.floats(1e-3, 1e-1), st.floats(0.0, 2 * np.pi)),
+                      min_size=1, max_size=6),
+       shift=st.integers(-4, 4), block=st.sampled_from([8192, 100, 64]))
+def test_fft_count_matches_horner_oracle(near, shift, block):
+    # zeros just inside or outside either counting circle force node doublings;
+    # blocks of 100 and 64 nodes read the circle as many strided sub-rings,
+    # 100 dividing no node count the doublings reach
+    from ringspace import kernels
+    dom = rs.make_annulus(0.5, 0.7)
+    ring = full_ring(dom)
+    zeros = [ring[outer] * (1.0 + side * delta) * np.exp(1j * t)
+             for outer, side, delta, t in near]
+    f = _product(zeros, shift)
+
+    def outcome(count, *args):   # a count or the typed refusal (|f| < 1e-10 on a circle)
+        try:
+            return count(*args)
+        except rs.RingspaceError as exc:
+            return type(exc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_WINDING_BLOCK", block)
+        count = outcome(count_zeros, f, dom, ring)
+    assert count == outcome(horner_count, f, ring)
+    # a zero at relative distance delta from a circle turns the phase by up to
+    # 2 atan(pi / (512 delta)) between two of the first 512 nodes; while all of
+    # them together stay below pi a wrapped step is the true one, beyond that
+    # the phase can turn by nearly 2 pi unseen, which no phase count can catch
+    resolved = sum(2 * np.arctan(np.pi / (512 * delta)) for _, _, delta, _ in near) < 0.8 * np.pi
+    if resolved and isinstance(count, int):
+        assert count == sum(ring[0] < abs(a) < ring[1] for a in zeros)
+
+
+def test_count_forced_to_2_19_nodes_stays_flat():
+    # z^87381 (0b10101010101010101, so no coarse grid aliases it to a small step)
+    # times an 8193-term series positive on |z| = 1 needs 2^19 nodes there;
+    # each sub-ring is one FFT of at most _WINDING_BLOCK nodes
+    from ringspace import kernels
+    ns = np.arange(-4096, 4097)
+    g = LaurentPolynomial(-4096, 4096, 0.99 ** np.abs(ns) * np.exp(0.1j * ns))
+    f = LaurentPolynomial.monomial(87381) * g
+    f.on_rings([1.0], kernels._WINDING_BLOCK, 0.1)  # warm the FFT plan cache
+    tracemalloc.start()
+    try:
+        assert kernels._winding_on_circle(f, 1.0, 512) == 87381
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_count_rejects_zero_on_contour(dom):
     f = LaurentPolynomial.from_dict({1: 1.0, 0: -0.55})
     with pytest.raises(ZeroOnContourError):
@@ -233,7 +362,8 @@ def test_count_bad_ring(dom):
 def test_kernel_sections_have_one_ring_zero(dom, base):
     for tag in (smirnov_tag(), bergman_tag()):
         K = build_kernel(dom, tag, N=96)
-        assert count_zeros(K.section(base), dom, full_ring(dom)) == 1
+        section, ring = K.section(base), full_ring(dom)
+        assert count_zeros(section, dom, ring) == horner_count(section, ring) == 1
 
 
 def test_szego_zero_closed_form(dom):
