@@ -10,6 +10,13 @@ The candidate divisor removes the extraneous kernel zero from the extremal
 by dividing out a Blaschke factor at that zero, and the operator-norm ladder
 measures quasi-contractivity of division on the zero-based subspace as a
 generalized eigenvalue of a Gram pencil.
+
+The KKT stays a solve of its own.  The Schur complement
+``G^-1 E* (E G^-1 E*)^-1 b`` from the kernel factor would be the kernel
+route again (``G^-1 E*`` are the sections at the constrained points), agree
+with ``extremal_maximizer`` to rounding, and leave the CLI's equivalence
+check comparing one solve with itself; on ill-conditioned Hardy Grams the
+two routes differ by up to about 5e-9, which that check exists to see.
 """
 
 from __future__ import annotations
@@ -63,12 +70,11 @@ class DivisorReport:
 
 
 def _space_gram(p: ExtremalProblem, m: int):
-    tag = p.space
-    if not tag.weighted and tag.kind in (SpaceKind.SMIRNOV_ARCLENGTH, SpaceKind.BERGMAN_AREA):
-        norms = monomial_norms(p.domain, tag, p.truncation)
+    if p.space.orthogonal_monomials:
+        norms = monomial_norms(p.domain, p.space, p.truncation)
         d = np.sqrt(norms)
         return np.diag(norms).astype(complex) / d[:, None] / d[None, :], d
-    return weighted_gram(p.domain, tag, p.truncation, m)
+    return weighted_gram(p.domain, p.space, p.truncation, m)
 
 
 def _constraint_rows(p: ExtremalProblem) -> tuple[np.ndarray, np.ndarray]:

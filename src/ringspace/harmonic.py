@@ -16,7 +16,7 @@ Mode coefficients are stored in the scaled form ``Bhat_n = B_n r^{-n}`` so the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,72 +32,47 @@ def _as_points(s):
     return list(s)
 
 
+@dataclass(frozen=True, eq=False)
 class HarmonicRepresentation:
     """Harmonic function ``c0 + clog*log(rho) + sum_n Re[(A_n rho^n + B_n rho^-n) e^{in theta}]``.
 
-    Modes with negative ``n`` are folded into positive keys on construction
-    (a ``-n`` mode equals the ``+n`` mode with conjugated coefficients).  The
-    conjugate of the function is multi-valued with period ``2*pi*clog``
-    around the inner circle.
+    ``ns`` holds the positive mode indices in ascending order, ``A`` their
+    ``A_n`` and ``Bhat`` the scaled ``B_n rref^-n``.  The conjugate of the
+    function is multi-valued with period ``2*pi*clog`` around the inner circle.
     """
 
-    def __init__(self, c0: float, clog: float, modes: dict[int, tuple[complex, complex]],
-                 rref: float, _scaled: bool = False):
-        self.c0 = float(c0)
-        self.clog = float(clog)
-        self.rref = float(rref)
-        folded: dict[int, list[complex]] = {}
-        for n, (a, b) in modes.items():
-            if n == 0:
-                raise ArgumentError("mode index 0 belongs to (c0, clog), not to modes")
-            k = abs(n)
-            if n < 0:
-                a, b = np.conj(a), np.conj(b)
-            entry = folded.setdefault(k, [0.0 + 0.0j, 0.0 + 0.0j])
-            entry[0] += a
-            entry[1] += b
-        ns = np.array(sorted(folded), dtype=int)
-        self._ns = ns
-        self._A = np.array([folded[k][0] for k in ns], dtype=complex)
-        braw = np.array([folded[k][1] for k in ns], dtype=complex)
-        if _scaled:
-            self._Bhat = braw
-        else:
-            self._Bhat = braw * self.rref**(-ns.astype(float))
+    c0: float
+    clog: float
+    rref: float
+    ns: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    A: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
+    Bhat: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
 
     @property
     def modes(self) -> dict[int, tuple[complex, complex]]:
         """Raw ``(A_n, B_n)`` pairs keyed by positive mode index."""
         return {int(n): (complex(a), complex(bh * self.rref**float(n)))
-                for n, a, bh in zip(self._ns, self._A, self._Bhat)}
+                for n, a, bh in zip(self.ns, self.A, self.Bhat)}
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        rho = np.abs(z)
-        theta = np.angle(z)
-        out = self.c0 + self.clog * np.log(rho)
-        if self._ns.size:
-            ns = self._ns[:, None]
-            rp = rho.ravel()[None, :]
-            tp = theta.ravel()[None, :]
-            term = (self._A[:, None] * rp**ns
-                    + self._Bhat[:, None] * (self.rref / rp)**ns) * np.exp(1j * ns * tp)
-            out = out + np.real(term.sum(axis=0)).reshape(rho.shape)
-        return out if out.shape else float(out)
+        return self._mode_sum(z, radial=False)
 
     def radial_derivative(self, z):
         """d/d(rho) at the points ``z``."""
+        return self._mode_sum(z, radial=True)
+
+    def _mode_sum(self, z, radial: bool):
+        """The value (or d/d(rho)) at ``z``, every mode against every point."""
         z = np.asarray(z, dtype=complex)
         rho = np.abs(z)
-        theta = np.angle(z)
-        out = self.clog / rho
-        if self._ns.size:
-            ns = self._ns[:, None]
+        out = self.clog / rho if radial else self.c0 + self.clog * np.log(rho)
+        if self.ns.size:
+            ns = self.ns[:, None]
             rp = rho.ravel()[None, :]
-            tp = theta.ravel()[None, :]
-            term = (ns / rp) * (self._A[:, None] * rp**ns
-                                - self._Bhat[:, None] * (self.rref / rp)**ns) \
-                * np.exp(1j * ns * tp)
+            outer = self.A[:, None] * rp**ns
+            inner = self.Bhat[:, None] * (self.rref / rp)**ns
+            term = (ns / rp) * (outer - inner) if radial else outer + inner
+            term = term * np.exp(1j * ns * np.angle(z).ravel()[None, :])
             out = out + np.real(term.sum(axis=0)).reshape(rho.shape)
         return out if out.shape else float(out)
 
@@ -110,33 +85,28 @@ class HarmonicRepresentation:
         onto ``n mod m`` is exact for every ``m`` (``fold_sum``).
         """
         out = np.full(m, self.clog / rho)
-        if self._ns.size:
-            ns = self._ns
-            c = (ns / rho) * (self._A * rho**ns - self._Bhat * (self.rref / rho)**ns)
+        if self.ns.size:
+            ns = self.ns
+            c = (ns / rho) * (self.A * rho**ns - self.Bhat * (self.rref / rho)**ns)
             out += np.real(fold_sum(ns, c, m))
         return out
 
     def scale(self, factor: float) -> "HarmonicRepresentation":
-        out = HarmonicRepresentation(self.c0 * factor, self.clog * factor, {}, self.rref)
-        out._ns = self._ns.copy()
-        out._A = self._A * factor
-        out._Bhat = self._Bhat * factor
-        return out
+        return HarmonicRepresentation(self.c0 * factor, self.clog * factor, self.rref,
+                                      self.ns, self.A * factor, self.Bhat * factor)
 
     def __add__(self, other: "HarmonicRepresentation") -> "HarmonicRepresentation":
         if abs(self.rref - other.rref) > 1e-15:
             raise ArgumentError("cannot add representations scaled on different annuli")
-        keys = sorted(set(self._ns.tolist()) | set(other._ns.tolist()))
-        out = HarmonicRepresentation(self.c0 + other.c0, self.clog + other.clog,
-                                     {}, self.rref)
-        amap = dict(zip(self._ns.tolist(), self._A))
-        bmap = dict(zip(self._ns.tolist(), self._Bhat))
-        amap2 = dict(zip(other._ns.tolist(), other._A))
-        bmap2 = dict(zip(other._ns.tolist(), other._Bhat))
-        out._ns = np.array(keys, dtype=int)
-        out._A = np.array([amap.get(k, 0) + amap2.get(k, 0) for k in keys], dtype=complex)
-        out._Bhat = np.array([bmap.get(k, 0) + bmap2.get(k, 0) for k in keys], dtype=complex)
-        return out
+        ns = np.union1d(self.ns, other.ns)
+        A = np.zeros(ns.size, dtype=complex)
+        Bhat = np.zeros(ns.size, dtype=complex)
+        for rep in (self, other):
+            at = np.searchsorted(ns, rep.ns)
+            A[at] += rep.A
+            Bhat[at] += rep.Bhat
+        return HarmonicRepresentation(self.c0 + other.c0, self.clog + other.clog,
+                                      self.rref, ns, A, Bhat)
 
 
 @dataclass(frozen=True)
@@ -181,7 +151,6 @@ def solve_dirichlet(domain: AnnulusDomain, outer_data, inner_data, N: int) -> Ha
     f0_in = float(np.real(inner[N]))
     c0 = f0_out
     clog = (f0_in - f0_out) / math.log(r)
-    rep = HarmonicRepresentation(c0, clog, {}, r, _scaled=True)
     ns = np.arange(1, N + 1)
     rn = r**ns.astype(float)
     det = 1.0 - rn**2
@@ -193,10 +162,7 @@ def solve_dirichlet(domain: AnnulusDomain, outer_data, inner_data, N: int) -> Ha
     A = (dout - rn * din) / det
     Bhat = (din - rn * dout) / det
     keep = (A != 0) | (Bhat != 0)
-    rep._ns = ns[keep]
-    rep._A = A[keep]
-    rep._Bhat = Bhat[keep]
-    return rep
+    return HarmonicRepresentation(c0, clog, r, ns[keep], A[keep], Bhat[keep])
 
 
 def harmonic_measure(domain: AnnulusDomain, j: int) -> HarmonicRepresentation:
@@ -207,9 +173,9 @@ def harmonic_measure(domain: AnnulusDomain, j: int) -> HarmonicRepresentation:
     """
     r = domain.inner_radius
     if j == OUTER:
-        return HarmonicRepresentation(1.0, 1.0 / domain.log_gap, {}, r)
+        return HarmonicRepresentation(1.0, 1.0 / domain.log_gap, r)
     if j == INNER:
-        return HarmonicRepresentation(0.0, 1.0 / math.log(r), {}, r)
+        return HarmonicRepresentation(0.0, 1.0 / math.log(r), r)
     raise ArgumentError(f"boundary component must be 1 or 2, got {j}")
 
 
@@ -283,8 +249,8 @@ def normal_derivative(h, s):
     return float(vals[0]) if isinstance(s, BoundarySample) else vals
 
 
-def green_boundary_flux(domain: AnnulusDomain, m: int, N: int | None = None,
-                        green_fn: GreenFunction | None = None) -> np.ndarray:
+def green_boundary_flux(domain: AnnulusDomain, m: int,
+                        N: int | None = None) -> np.ndarray:
     """Outward ``dg/dn`` of Green's function with pole at the base point, at
     ``m`` equispaced nodes on the unit circle followed by ``m`` on the inner
     circle (the layout of ``spaces.boundary_quadrature``).
@@ -296,8 +262,7 @@ def green_boundary_flux(domain: AnnulusDomain, m: int, N: int | None = None,
     weights for base points near a circle (r=0.7, |a|=0.955; r=0.9, a=0.95).
     """
     a = domain.base_point
-    N = tail_truncation(domain, a, 1e-15, 128) if N is None else N
-    g = green_fn or green(domain, a, N)
+    g = green(domain, a, tail_truncation(domain, a, 1e-15, 128) if N is None else N)
     unit = np.exp(1j * boundary_angles(m))
     flux = []
     for rho, sign in ((1.0, 1.0), (domain.inner_radius, -1.0)):
@@ -387,7 +352,7 @@ def analytic_completion(h: HarmonicRepresentation) -> AnalyticCompletion:
     """
     coeffs: dict[int, complex] = {0: complex(h.c0)}
     r = h.rref
-    for n, a, bh in zip(h._ns, h._A, h._Bhat):
+    for n, a, bh in zip(h.ns, h.A, h.Bhat):
         n = int(n)
         coeffs[n] = coeffs.get(n, 0.0) + a
         coeffs[-n] = coeffs.get(-n, 0.0) + np.conj(bh) * r**float(n)

@@ -20,7 +20,7 @@ inner circle and ``e^lambda = 1/|a|`` on the outer one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -91,8 +91,12 @@ class InnerFunctionSpec:
     lam: float
     power: int
     series: LaurentPolynomial
-    boundary_moduli: tuple[float, float]
     period_residual: float = 0.0
+
+    @property
+    def boundary_moduli(self) -> tuple[float, float]:
+        """``|f|`` on the outer and on the inner circle (away from singular atoms)."""
+        return math.exp(self.lam), 1.0
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -137,17 +141,17 @@ def _reduce_lattice(domain: AnnulusDomain, lam: float, power: int,
     return lam, power, series
 
 
-def _normalize_phase(domain: AnnulusDomain, spec_value: complex,
-                     series: LaurentPolynomial) -> LaurentPolynomial:
-    """Rotate by a unimodular constant so the value is positive real.
+def _normalize_phase(spec: InnerFunctionSpec, value: complex) -> InnerFunctionSpec:
+    """Rotate ``spec`` by a unimodular constant so that ``value`` (its value at
+    the base point) becomes positive real.
 
     A unimodular factor is an invertible inner function, so this does not
     change any modulus; it pins the free additive constant of the conjugates
     and makes infinite products converge factorwise.
     """
-    if spec_value == 0.0 or not np.isfinite(spec_value):
-        return series
-    return series + LaurentPolynomial.constant(-1j * np.angle(spec_value))
+    if value == 0.0 or not np.isfinite(value):
+        return spec
+    return replace(spec, series=spec.series + LaurentPolynomial.constant(-1j * np.angle(value)))
 
 
 def blaschke_factor(domain: AnnulusDomain, a: complex, N: Optional[int] = None,
@@ -182,16 +186,11 @@ def blaschke_factor(domain: AnnulusDomain, a: complex, N: Optional[int] = None,
     spec = InnerFunctionSpec(domain=domain, zeros=(a,),
                              singular=AtomicSingularMeasure.empty(),
                              lam=lam, power=power, series=series,
-                             boundary_moduli=(math.exp(lam), 1.0),
                              period_residual=residual)
     z0 = domain.base_point
     value = complex(spec(z0)) if abs(z0 - a) > 1e-12 else \
         complex(z0**power * np.exp(series(z0)))
-    series = _normalize_phase(domain, value, series)
-    return InnerFunctionSpec(domain=domain, zeros=(a,), singular=spec.singular,
-                             lam=lam, power=power, series=series,
-                             boundary_moduli=spec.boundary_moduli,
-                             period_residual=residual)
+    return _normalize_phase(spec, value)
 
 
 def multiply(f: InnerFunctionSpec, g: InnerFunctionSpec) -> InnerFunctionSpec:
@@ -206,7 +205,6 @@ def multiply(f: InnerFunctionSpec, g: InnerFunctionSpec) -> InnerFunctionSpec:
     return InnerFunctionSpec(domain=domain, zeros=f.zeros + g.zeros,
                              singular=AtomicSingularMeasure(atoms),
                              lam=lam, power=power, series=series,
-                             boundary_moduli=(math.exp(lam), 1.0),
                              period_residual=max(f.period_residual, g.period_residual))
 
 
@@ -215,8 +213,7 @@ def unit_inner(domain: AnnulusDomain) -> InnerFunctionSpec:
     return InnerFunctionSpec(domain=domain, zeros=(),
                              singular=AtomicSingularMeasure.empty(),
                              lam=0.0, power=0,
-                             series=LaurentPolynomial.constant(0.0),
-                             boundary_moduli=(1.0, 1.0))
+                             series=LaurentPolynomial.constant(0.0))
 
 
 def blaschke_sum(domain: AnnulusDomain, zeros: ZeroSet, prefix: int = 200,
@@ -229,11 +226,6 @@ def blaschke_sum(domain: AnnulusDomain, zeros: ZeroSet, prefix: int = 200,
             break
         total += float(g0(a))
     return total
-
-
-def _test_grid(domain: AnnulusDomain, n: int = 16) -> np.ndarray:
-    """Polar grid strictly inside the ring (10% inset) for product truncation."""
-    return polar_grid(domain, n, inset=0.1)
 
 
 def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet, tol: float = 1e-8,
@@ -251,7 +243,7 @@ def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet, tol: float = 1e-8,
     points: Iterable[complex] = zeros.iter_points()
     g0 = green(domain, domain.base_point, 64) if lazy else None
     product = unit_inner(domain)
-    grid = _test_grid(domain)
+    grid = polar_grid(domain, 16, inset=0.1)  # strictly inside, for the truncation test
     values = np.ones(grid.size, dtype=complex)
     gsum = 0.0
     count = 0
@@ -320,14 +312,8 @@ def singular_inner(domain: AnnulusDomain, mu: AtomicSingularMeasure,
         if residual <= _PERIOD_TOL:
             spec = InnerFunctionSpec(domain=domain, zeros=(), singular=mu,
                                      lam=lam, power=power, series=series,
-                                     boundary_moduli=(math.exp(lam), 1.0),
                                      period_residual=residual)
-            value = complex(spec(domain.base_point))
-            series = _normalize_phase(domain, value, series)
-            return InnerFunctionSpec(domain=domain, zeros=(), singular=mu,
-                                     lam=lam, power=power, series=series,
-                                     boundary_moduli=spec.boundary_moduli,
-                                     period_residual=residual)
+            return _normalize_phase(spec, complex(spec(domain.base_point)))
     raise PeriodError(
         f"period cancellation residual {residual:.3e} above {_PERIOD_TOL} even "
         f"after doubling the truncation to {2 * N}")

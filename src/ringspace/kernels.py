@@ -15,12 +15,12 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
 from .geometry import AnnulusDomain, ring_nodes
 from .laurent import LaurentPolynomial
-from .spaces import (SpaceKind, SpaceTag, inner_product, monomial_norms, ring_values,
-                     weighted_gram)
+from .spaces import SpaceTag, inner_product, monomial_norms, ring_values, weighted_gram
 
 
 class KernelForm(enum.Enum):
@@ -92,8 +92,7 @@ def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
     """
     if N < 0:
         raise ArgumentError(f"window N must be non-negative, got {N}")
-    needs_gram = tag.weighted or tag.kind is SpaceKind.HARDY_HARMONIC_MEASURE
-    if not needs_gram:
+    if tag.orthogonal_monomials:
         return KernelEvaluator(domain, tag, N, KernelForm.DIAGONAL_SERIES,
                                norms=monomial_norms(domain, tag, N))
     m = m or max(512, 4 * N + 4)
@@ -231,6 +230,14 @@ def _newton_polish(f, z0: complex, tol: float = 1e-10, maxiter: int = 60):
     return None, min(fz if np.isfinite(fz) else np.inf, best[0])
 
 
+def _local_minima(vals: np.ndarray) -> np.ndarray:
+    """Cells of a (radius, angle) grid no larger than any of their 8 neighbours,
+    with no neighbour past the end radii and wrapping in angle."""
+    padded = np.pad(np.pad(vals, ((1, 1), (0, 0)), constant_values=np.inf),
+                    ((0, 0), (1, 1)), mode="wrap")
+    return vals <= sliding_window_view(padded, (3, 3)).min(axis=(2, 3))
+
+
 def locate_zeros(f, domain: AnnulusDomain, expected: int,
                  ring: tuple[float, float] | None = None,
                  grid: int = 64, tol: float = 1e-10) -> ZeroReport:
@@ -249,24 +256,10 @@ def locate_zeros(f, domain: AnnulusDomain, expected: int,
         return ZeroReport(contour_count=0, locations=(), residual=0.0)
     Z = ring_nodes(np.linspace(ring[0], ring[1], grid), grid)
     vals = np.abs(ring_values(f, Z.ravel(), grid)).reshape(Z.shape)
-    # Seed Newton from grid-local minima (wrapping in angle), so a shallow
-    # boundary dip cannot crowd out a genuine interior zero; fall back to the
-    # globally smallest cells afterwards.
-    interior = vals.copy()
-    is_min = np.ones_like(vals, dtype=bool)
-    for dr in (-1, 0, 1):
-        for dt in (-1, 0, 1):
-            if dr == 0 and dt == 0:
-                continue
-            shifted = np.roll(interior, dt, axis=1)
-            if dr == -1:
-                neighbor = np.vstack([shifted[1:], np.full((1, grid), np.inf)])
-            elif dr == 1:
-                neighbor = np.vstack([np.full((1, grid), np.inf), shifted[:-1]])
-            else:
-                neighbor = shifted
-            is_min &= vals <= neighbor
-    minima = np.flatnonzero(is_min.ravel())
+    # Seed Newton from grid-local minima, so a shallow boundary dip cannot
+    # crowd out a genuine interior zero; fall back to the globally smallest
+    # cells afterwards.
+    minima = np.flatnonzero(_local_minima(vals).ravel())
     minima = minima[np.argsort(vals.ravel()[minima])]
     rest = np.argsort(vals.ravel())
     seeds = np.concatenate([minima, rest])

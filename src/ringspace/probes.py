@@ -72,7 +72,7 @@ class HarmonicKernel:
         self._beta = (V / 2.0) * np.exp(-0.5 * (self._log_a + self._log_c))
         self._det = 1.0 - self._beta**2
 
-    def _radial_parts(self, rho, w: complex):
+    def radial_parts(self, rho, w: complex):
         """``H(z, w) = const + sum_n quad_n cos(n (arg z - arg w))`` at ``|z| = rho``:
         ``const`` (log and constant modes) and ``quad`` of shape ``(rho.size, N)``,
         from the scaled radial profiles ``x = rho^n/sqrt(a_n)``, ``y = rho^-n/sqrt(c_n)``."""
@@ -89,7 +89,7 @@ class HarmonicKernel:
         """H(z, w), vectorized over ``z`` for scalar ``w``."""
         z = np.asarray(z, dtype=complex)
         w = complex(w)
-        const, quad = self._radial_parts(np.abs(z), w)
+        const, quad = self.radial_parts(np.abs(z), w)
         ns = np.arange(1, self.N + 1, dtype=float)
         cosd = np.cos(ns[None, :] * (np.angle(z.ravel())[:, None] - np.angle(w)))
         out = (const + (cosd * quad).sum(axis=1)).reshape(z.shape)
@@ -109,7 +109,7 @@ class HarmonicKernelSection:
     def on_rings(self, radii, m: int) -> np.ndarray:
         """Values at ``radii[i] * e^{2 pi i k/m}``, shape ``(len(radii), m)``: the
         cosine series of every ring as one ``fold_sum``."""
-        const, quad = self.kernel._radial_parts(radii, self.base)
+        const, quad = self.kernel.radial_parts(radii, self.base)
         ns = np.arange(1, self.kernel.N + 1)
         return const[:, None] + fold_sum(ns, quad * np.exp(-1j * ns * np.angle(self.base)), m).real
 

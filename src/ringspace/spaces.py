@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError, SingularGramError
 from .geometry import AnnulusDomain, ring_nodes
-from .harmonic import GreenFunction, green_boundary_flux
+from .harmonic import green_boundary_flux
 from .laurent import LaurentPolynomial, to_laurent  # noqa: F401  (re-export)
 
 
@@ -40,6 +40,12 @@ class SpaceTag:
     @property
     def weighted(self) -> bool:
         return self.weight_fn is not None
+
+    @property
+    def orthogonal_monomials(self) -> bool:
+        """Unweighted arclength and area: the Gram is diagonal (``monomial_norms``).
+        A weight, or the base point of harmonic measure, breaks rotational symmetry."""
+        return not self.weighted and self.kind is not SpaceKind.HARDY_HARMONIC_MEASURE
 
     def weight_values(self, z: np.ndarray, m: int) -> np.ndarray:
         """``|weight_fn|^2`` at quadrature nodes ``z``, ``m`` per ring (``ring_values``)."""
@@ -103,24 +109,22 @@ def area_quadrature(domain: AnnulusDomain, m: int, n_radial: int = _GAUSS_RADIAL
     return pts, w
 
 
-def measure_quadrature(domain: AnnulusDomain, m: int, N_green: int | None = None,
-                       green_fn: GreenFunction | None = None):
+def measure_quadrature(domain: AnnulusDomain, m: int, N_green: int | None = None):
     """``boundary_quadrature``'s points with harmonic-measure weights: the
     density ``-(1/2 pi) dg/dn`` times the arclength weight.  ``N_green=None``
     picks the Green truncation from its tail bound (``green_boundary_flux``)."""
     pts, ds = boundary_quadrature(domain, m)
-    return pts, -green_boundary_flux(domain, m, N_green, green_fn) / (2.0 * np.pi) * ds
+    return pts, -green_boundary_flux(domain, m, N_green) / (2.0 * np.pi) * ds
 
 
-def quadrature_for(domain: AnnulusDomain, tag: SpaceTag, m: int,
-                   green_fn: GreenFunction | None = None):
+def quadrature_for(domain: AnnulusDomain, tag: SpaceTag, m: int):
     """Quadrature points and measure weights for a tag (weight function excluded)."""
     if tag.kind is SpaceKind.SMIRNOV_ARCLENGTH:
         return boundary_quadrature(domain, m)
     if tag.kind is SpaceKind.BERGMAN_AREA:
         return area_quadrature(domain, m)
     if tag.kind is SpaceKind.HARDY_HARMONIC_MEASURE:
-        return measure_quadrature(domain, m, green_fn=green_fn)
+        return measure_quadrature(domain, m)
     raise ArgumentError(f"unknown space tag {tag.kind}")
 
 
@@ -188,22 +192,20 @@ def ring_gram(pts: np.ndarray, weights: np.ndarray, m: int, N: int):
     return Gs, d
 
 
-def weighted_gram(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int,
-                  green_fn: GreenFunction | None = None):
+def weighted_gram(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int):
     """``ring_gram`` of a tag, weight included; ``m`` counts angular nodes per
     circle (boundary tags) or per radial ring (area tag)."""
-    pts, w = quadrature_for(domain, tag, m, green_fn=green_fn)
+    pts, w = quadrature_for(domain, tag, m)
     return ring_gram(pts, w * tag.weight_values(pts, m), m, N)
 
 
-def gram_matrix(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int,
-                green_fn: GreenFunction | None = None) -> np.ndarray:
+def gram_matrix(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int) -> np.ndarray:
     """Hermitian Gram ``G[j, k] = <z^j, z^k>`` on the window -N..N, weight included.
 
     Unscaled, so it overflows where ``r^(-2N)`` does; solvers use
     ``weighted_gram``.
     """
-    Gs, d = weighted_gram(domain, tag, N, m, green_fn=green_fn)
+    Gs, d = weighted_gram(domain, tag, N, m)
     return Gs * np.outer(d, d)
 
 

@@ -19,7 +19,9 @@ least a different algorithm) than the library path it checks:
 * the clamped biharmonic operator is one sparse matrix, assembled from a
   vectorized stencil table (``clamped_operator``) or entry by entry from a
   per-node five-point stencil (``loop_clamped_operator``), not applied
-  matrix-free and solved mode by mode after an FFT in angle.
+  matrix-free and solved mode by mode after an FFT in angle;
+* grid-local minima of the zero search come from eight shifted copies of the
+  grid, not from one sliding 3x3 window.
 """
 
 from __future__ import annotations
@@ -322,3 +324,23 @@ def horner_winding(f, rho: float, m: int, block: int = 8192) -> int:
 def horner_count(f, ring, m: int = 512) -> int:
     """Zeros of ``f`` in ``{ring[0] < |z| < ring[1]}`` by ``horner_winding``."""
     return horner_winding(f, ring[1], m) - horner_winding(f, ring[0], m)
+
+
+def loop_local_minima(vals):
+    """Cells no larger than any of their 8 neighbours, one shifted copy per
+    neighbour: rows are radii (``inf`` past the ends), columns wrap in angle."""
+    cols = vals.shape[1]
+    is_min = np.ones_like(vals, dtype=bool)
+    for dr in (-1, 0, 1):
+        for dt in (-1, 0, 1):
+            if dr == 0 and dt == 0:
+                continue
+            shifted = np.roll(vals, dt, axis=1)
+            if dr == -1:
+                neighbor = np.vstack([shifted[1:], np.full((1, cols), np.inf)])
+            elif dr == 1:
+                neighbor = np.vstack([np.full((1, cols), np.inf), shifted[:-1]])
+            else:
+                neighbor = shifted
+            is_min &= vals <= neighbor
+    return is_min

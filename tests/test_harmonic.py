@@ -288,15 +288,17 @@ def test_conjugate_periods_of_measures():
 
 
 def test_conjugate_period_of_pure_mode():
-    h = HarmonicRepresentation(0.0, 0.0, {3: (1.0 + 0.5j, 0.25)}, 0.5)
+    h = HarmonicRepresentation(0.0, 0.0, 0.5, np.array([3]), np.array([1.0 + 0.5j]),
+                               np.array([0.25 / 0.5**3]))
     assert rs.conjugate_period(h) == 0.0
 
 
 @settings(max_examples=20, deadline=None)
 @given(a=st.floats(-3, 3), b=st.floats(-3, 3), c1=st.floats(-2, 2), c2=st.floats(-2, 2))
 def test_conjugate_period_linearity(a, b, c1, c2):
-    h1 = HarmonicRepresentation(0.3, c1, {1: (1.0, 0.0)}, 0.5)
-    h2 = HarmonicRepresentation(-1.0, c2, {2: (0.0, 1.0j)}, 0.5)
+    h1 = HarmonicRepresentation(0.3, c1, 0.5, np.array([1]), np.array([1.0 + 0j]), np.array([0j]))
+    h2 = HarmonicRepresentation(-1.0, c2, 0.5, np.array([2]), np.array([0j]),
+                                np.array([1.0j / 0.5**2]))
     combo = h1.scale(a) + h2.scale(b)
     expected = a * rs.conjugate_period(h1) + b * rs.conjugate_period(h2)
     assert rs.conjugate_period(combo) == pytest.approx(expected, rel=1e-12, abs=1e-12)

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
-from ringspace.kernels import (KernelForm, _newton_polish, build_kernel, count_zeros, full_ring,
-                              locate_zeros, refined_solve, reproduce_check)
+from ringspace.kernels import (KernelForm, _local_minima, _newton_polish, build_kernel,
+                              count_zeros, full_ring, locate_zeros, refined_solve,
+                              reproduce_check)
 from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import bergman_tag, hardy_tag, smirnov_tag
 
-from oracles import deflated_weighted_kernel, horner_count
+from oracles import deflated_weighted_kernel, horner_count, loop_local_minima
 
 
 def interior_pairs(dom, n, seed=0):
@@ -390,6 +391,15 @@ def test_locate_linear_zero(dom):
     f = LaurentPolynomial.from_dict({1: 1.0, 0: -0.7})
     rep = locate_zeros(f, dom, expected=1, ring=(0.55, 0.95))
     assert rep.locations[0] == pytest.approx(0.7, abs=1e-10)
+
+
+def test_local_minima_match_the_shifted_copy_scan():
+    # four levels make ties common; NaN and inf cells probe the comparison edges
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        vals = rng.integers(0, 4, size=rng.integers(1, 10, size=2)).astype(float)
+        vals.flat[rng.integers(0, vals.size, size=2)] = rng.choice([np.nan, np.inf], size=2)
+        np.testing.assert_array_equal(_local_minima(vals), loop_local_minima(vals))
 
 
 def test_locate_mismatched_expectation(dom):

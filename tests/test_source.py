@@ -19,6 +19,18 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_touches_no_other_objects_private_attributes():
+    # ``x._name`` is private to x's own class: no module reads or writes it on
+    # another object (``self``/``cls`` exempt; dunders are public protocol)
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+             and not node.attr.endswith("__")
+             and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+    assert found == []
+
+
 def test_benchmark_tracer_installs_on_the_cli():
     # the benchmark's tracer wraps library entry points and scipy solvers by
     # name, so a renamed entry or a dropped import fails here, not at bench time
