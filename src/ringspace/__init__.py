@@ -12,12 +12,12 @@ from .errors import (ArgumentError, BlaschkeDivergenceError, ConvergenceError,
                      GeometryError, PeriodError, RingspaceError,
                      SingularConstraintsError, SingularGramError, SolverError,
                      ZeroOnContourError)
-from .geometry import (INNER, OUTER, AnnulusDomain, BoundarySample, Exhaustion,
-                       ExhaustionStage, boundary_nodes, exhaustion_of, make_annulus)
+from .geometry import (INNER, OUTER, AnnulusDomain, Exhaustion, ExhaustionStage,
+                       boundary_nodes, exhaustion_of, make_annulus)
 from .harmonic import (AnalyticCompletion, GreenFunction, HarmonicRepresentation,
                        analytic_completion, conjugate_period, green,
-                       harmonic_measure, measure_density, normal_derivative,
-                       point_mass_kernel, schottky, solve_dirichlet)
+                       harmonic_measure, measure_density, point_mass_kernel,
+                       schottky, solve_dirichlet)
 from .laurent import LaurentPolynomial, to_laurent
 from .spaces import (SpaceKind, SpaceTag, bergman_tag, gram_matrix, hardy_tag,
                      inner_product, monomial_norms, norm, smirnov_tag)

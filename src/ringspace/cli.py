@@ -30,7 +30,7 @@ from . import __version__
 from .errors import ArgumentError, GeometryError, RingspaceError
 from .geometry import (INNER, OUTER, AnnulusDomain, boundary_angles, boundary_nodes,
                        make_annulus, ring_nodes)
-from .harmonic import conjugate_period, green, harmonic_measure, normal_derivative
+from .harmonic import conjugate_period, green, harmonic_measure
 from .inner import (AtomicSingularMeasure, ZeroSet, blaschke_product,
                     division_bound_check, qc_divisor, schottky_fit, singular_inner,
                     verify_inner)
@@ -41,7 +41,7 @@ from .extremal import (ExtremalProblem, candidate_divisor,
                        quasicontract_estimate, repro_fact_check, solve_extremal)
 from .probes import (bergman_decomposition_residual, biharmonic_green,
                      defect_direction, log_radial_moment)
-from .spaces import bergman_tag, hardy_tag, norm as space_norm, smirnov_tag
+from .spaces import bergman_tag, hardy_tag, measure_quadrature, norm as space_norm, smirnov_tag
 
 SCHEMA_NAME = "ringspace-results"
 SCHEMA_VERSION = 1
@@ -286,11 +286,10 @@ def _cmd_green(config: RunConfig):
     pole = parse_complex(pole) if isinstance(pole, str) else complex(pole)
     domain = _domain(config, fallback_base=pole)
     g = green(domain, pole, N=config.N)
-    outer, inner = ring_nodes([1.0, domain.inner_radius], 256)
-    residual = max(float(np.max(np.abs(g(outer)))), float(np.max(np.abs(g(inner)))))
-    nodes = boundary_nodes(domain, OUTER, config.m) + boundary_nodes(domain, INNER, config.m)
-    ds = np.array([s.weight for s in nodes])
-    mass = float(np.sum(-np.asarray(normal_derivative(g, nodes)) / (2 * np.pi) * ds))
+    residual = float(np.max(np.abs(g(boundary_nodes(domain, 256)))))
+    # harmonic measure at the pole, not at --base
+    _, weights = measure_quadrature(make_annulus(domain.inner_radius, pole), config.m, config.N)
+    mass = float(np.sum(weights))
     grid_pts = polar_grid(domain, 50, inset=0.02)
     interior_min = float(np.min(g(grid_pts)))
     grids = _grid_out(config, "green_values",
@@ -430,7 +429,7 @@ def _cmd_qc_divisor(config: RunConfig):
     G, C = qc_divisor(domain, ZeroSet(points=config.zeros),
                       AtomicSingularMeasure(atoms=config.atoms),
                       N=config.N, tol=config.tol)
-    mods = np.abs(G(ring_nodes([1.0, domain.inner_radius], config.m)))
+    mods = np.abs(G(boundary_nodes(domain, config.m)))
     trials = int(config.extras.get("trials", 100))
     bound = division_bound_check(G, C, domain, trials=trials, seed=config.seed,
                                  m=config.m)

@@ -53,20 +53,6 @@ class AnnulusDomain:
 
 
 @dataclass(frozen=True)
-class BoundarySample:
-    """One quadrature node on the boundary.
-
-    ``weight`` is the trapezoid weight in arclength, so the weights on each
-    circle sum to its circumference.
-    """
-
-    component_index: int
-    angle: float
-    point: complex
-    weight: float
-
-
-@dataclass(frozen=True)
 class ExhaustionStage:
     """One stage ``{inner_radius < |z| < outer_radius}`` of a regular exhaustion."""
 
@@ -84,14 +70,6 @@ class Exhaustion:
 def make_annulus(r: float, base: complex) -> AnnulusDomain:
     """Validate and build the annulus ``{r < |z| < 1}`` with base point ``base``."""
     return AnnulusDomain(inner_radius=float(r), base_point=complex(base))
-
-
-def circle_radius(domain: AnnulusDomain, component: int) -> float:
-    if component == OUTER:
-        return 1.0
-    if component == INNER:
-        return domain.inner_radius
-    raise ArgumentError(f"component index must be 1 (outer) or 2 (inner), got {component}")
 
 
 def boundary_angles(m: int) -> np.ndarray:
@@ -115,22 +93,10 @@ def polar_grid(domain: AnnulusDomain, n: int, inset: float = 0.2) -> np.ndarray:
     return ring_nodes(np.linspace(r + inset * gap, 1.0 - inset * gap, n), n).ravel()
 
 
-def boundary_nodes(domain: AnnulusDomain, component: int, m: int) -> list[BoundarySample]:
-    """``m`` equispaced trapezoid nodes on one boundary circle.
-
-    Uniform weights ``2*pi*rho/m`` in arclength; spectrally accurate for the
-    smooth periodic integrands that occur on circles.
-    """
-    if m < 4:
-        raise ArgumentError(f"need at least 4 boundary nodes, got {m}")
-    rho = circle_radius(domain, component)
-    angles = boundary_angles(m)
-    w = 2.0 * np.pi * rho / m
-    return [
-        BoundarySample(component_index=component, angle=float(t),
-                       point=rho * complex(math.cos(t), math.sin(t)), weight=w)
-        for t in angles
-    ]
+def boundary_nodes(domain: AnnulusDomain, m: int) -> np.ndarray:
+    """The ``2m`` boundary quadrature nodes: ``m`` equispaced on the unit
+    circle, then ``m`` on the inner circle (``ring_nodes([1, r], m)``)."""
+    return ring_nodes([1.0, domain.inner_radius], m).ravel()
 
 
 def exhaustion_of(domain: AnnulusDomain, stages: int) -> Exhaustion:

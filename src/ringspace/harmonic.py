@@ -21,15 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ConvergenceError, GeometryError
-from .geometry import INNER, OUTER, AnnulusDomain, BoundarySample, boundary_angles
+from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes
 from .laurent import LaurentPolynomial, fold_sum
-
-
-def _as_points(s):
-    """Split a BoundarySample or a sequence of them into component arrays."""
-    if isinstance(s, BoundarySample):
-        return [s]
-    return list(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,23 +48,14 @@ class HarmonicRepresentation:
                 for n, a, bh in zip(self.ns, self.A, self.Bhat)}
 
     def __call__(self, z):
-        return self._mode_sum(z, radial=False)
-
-    def radial_derivative(self, z):
-        """d/d(rho) at the points ``z``."""
-        return self._mode_sum(z, radial=True)
-
-    def _mode_sum(self, z, radial: bool):
-        """The value (or d/d(rho)) at ``z``, every mode against every point."""
+        """The value at ``z``, every mode against every point."""
         z = np.asarray(z, dtype=complex)
         rho = np.abs(z)
-        out = self.clog / rho if radial else self.c0 + self.clog * np.log(rho)
+        out = self.c0 + self.clog * np.log(rho)
         if self.ns.size:
             ns = self.ns[:, None]
             rp = rho.ravel()[None, :]
-            outer = self.A[:, None] * rp**ns
-            inner = self.Bhat[:, None] * (self.rref / rp)**ns
-            term = (ns / rp) * (outer - inner) if radial else outer + inner
+            term = self.A[:, None] * rp**ns + self.Bhat[:, None] * (self.rref / rp)**ns
             term = term * np.exp(1j * ns * np.angle(z).ravel()[None, :])
             out = out + np.real(term.sum(axis=0)).reshape(rho.shape)
         return out if out.shape else float(out)
@@ -226,34 +210,11 @@ def green(domain: AnnulusDomain, pole: complex, N: int = 64) -> GreenFunction:
     return GreenFunction(domain=domain, pole=a, corrector=corrector, truncation=N)
 
 
-def _radial_derivative_total(h, z):
-    if isinstance(h, GreenFunction):
-        z = np.asarray(z, dtype=complex)
-        diff = z - h.pole
-        # d/d(rho) of -log|z - a| along the ray through z.
-        sing = -np.real((z / np.abs(z)) * np.conj(diff)) / np.abs(diff)**2
-        return sing + h.corrector.radial_derivative(z)
-    return h.radial_derivative(z)
-
-
-def normal_derivative(h, s):
-    """Outward-normal derivative of ``h`` at boundary sample(s) ``s``.
-
-    Outward means ``+d/d(rho)`` on the unit circle and ``-d/d(rho)`` on the
-    inner circle.
-    """
-    samples = _as_points(s)
-    pts = np.array([p.point for p in samples], dtype=complex)
-    sign = np.array([1.0 if p.component_index == OUTER else -1.0 for p in samples])
-    vals = sign * _radial_derivative_total(h, pts)
-    return float(vals[0]) if isinstance(s, BoundarySample) else vals
-
-
 def green_boundary_flux(domain: AnnulusDomain, m: int,
                         N: int | None = None) -> np.ndarray:
     """Outward ``dg/dn`` of Green's function with pole at the base point, at
-    ``m`` equispaced nodes on the unit circle followed by ``m`` on the inner
-    circle (the layout of ``spaces.boundary_quadrature``).
+    the ``boundary_nodes(domain, m)``: ``m`` equispaced on the unit circle,
+    then ``m`` on the inner one.
 
     The ``-log|z - a|`` term is taken node by node and the corrector by one
     FFT per circle, so a long truncation costs little.  ``N=None`` takes it
@@ -263,47 +224,36 @@ def green_boundary_flux(domain: AnnulusDomain, m: int,
     """
     a = domain.base_point
     g = green(domain, a, tail_truncation(domain, a, 1e-15, 128) if N is None else N)
-    unit = np.exp(1j * boundary_angles(m))
+    nodes = boundary_nodes(domain, m).reshape(2, m)
+    unit = nodes[0]
     flux = []
-    for rho, sign in ((1.0, 1.0), (domain.inner_radius, -1.0)):
-        diff = rho * unit - g.pole
+    for z, rho, sign in ((unit, 1.0, 1.0), (nodes[1], domain.inner_radius, -1.0)):
+        diff = z - g.pole
         sing = -np.real(unit * np.conj(diff)) / np.abs(diff)**2
         flux.append(sign * (sing + g.corrector.radial_derivative_on_circle(rho, m)))
     return np.concatenate(flux)
 
 
-def schottky_ratio(num, den) -> np.ndarray:
-    """``(d omega_1/dn) / (dg/dn)``, guarding the denominator."""
-    den = np.asarray(den)
+def measure_density(domain: AnnulusDomain, m: int, N: int | None = None) -> np.ndarray:
+    """Density of harmonic measure at ``domain.base_point`` w.r.t. arclength,
+    ``-(1/2 pi) dg/dn``, at the ``boundary_nodes(domain, m)``."""
+    return -green_boundary_flux(domain, m, N) / (2.0 * np.pi)
+
+
+def schottky(domain: AnnulusDomain, m: int, N: int | None = None) -> np.ndarray:
+    """Schottky function ``s_1 = (d omega_1/dn) / (dg/dn)`` at the
+    ``boundary_nodes(domain, m)``, the Green pole at the base point.
+
+    The annulus has this one independent Schottky function.
+    ``d omega_1/dn = +-1/(rho log(1/r))`` is constant on each circle.
+    """
+    L = domain.log_gap
+    num = np.repeat([1.0 / L, -1.0 / (domain.inner_radius * L)], m)
+    den = green_boundary_flux(domain, m, N)
     # dg/dn < 0 on an analytic boundary with an interior pole; guard anyway.
     if not np.min(np.abs(den)) > 1e-14:
         raise ConvergenceError("dg/dn vanished on the boundary")
-    return np.asarray(num) / den
-
-
-def measure_density(domain: AnnulusDomain, samples, N: int = 128,
-                    green_fn: GreenFunction | None = None) -> np.ndarray:
-    """Density of harmonic measure at ``domain.base_point`` w.r.t. arclength:
-    ``-(1/2 pi) dg/dn``."""
-    g = green_fn or green(domain, domain.base_point, N)
-    vals = normal_derivative(g, list(samples))
-    return -np.asarray(vals) / (2.0 * np.pi)
-
-
-def schottky(domain: AnnulusDomain, j: int, s, N: int = 128,
-             green_fn: GreenFunction | None = None):
-    """Schottky function ``s_1 = (d omega_1/dn) / (dg/dn)`` at boundary sample(s).
-
-    The annulus has a single independent Schottky function, so only ``j = 1``
-    is accepted; the Green pole sits at the domain's base point.
-    """
-    if j != 1:
-        raise ArgumentError(f"the annulus has one Schottky function; j must be 1, got {j}")
-    g = green_fn or green(domain, domain.base_point, N)
-    omega = harmonic_measure(domain, OUTER)
-    samples = _as_points(s)
-    vals = schottky_ratio(normal_derivative(omega, samples), normal_derivative(g, samples))
-    return float(vals[0]) if isinstance(s, BoundarySample) else vals
+    return num / den
 
 
 def conjugate_period(h: HarmonicRepresentation) -> float:

@@ -27,13 +27,13 @@ import numpy as np
 
 from .errors import (ArgumentError, BlaschkeDivergenceError, GeometryError,
                      PeriodError)
-from .geometry import INNER, OUTER, AnnulusDomain, polar_grid, ring_nodes
+from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, polar_grid, ring_nodes
 from .harmonic import (HarmonicRepresentation, _log_kernel_data,
-                       analytic_completion, green, green_boundary_flux,
-                       harmonic_measure, point_mass_kernel, schottky_ratio,
-                       solve_dirichlet, tail_truncation)
+                       analytic_completion, green, harmonic_measure,
+                       point_mass_kernel, schottky, solve_dirichlet, tail_truncation)
 from .laurent import LaurentPolynomial
-from .spaces import boundary_quadrature, hardy_tag, quadrature_for, ring_values
+from .spaces import (boundary_quadrature, hardy_tag, monomial_norms, quadrature_for,
+                     ring_values, smirnov_tag)
 
 _PERIOD_TOL = 1e-8
 
@@ -335,7 +335,7 @@ class InnerVerification:
 
 def verify_inner(f: Callable, domain: AnnulusDomain, m: int = 256) -> InnerVerification:
     """Check constancy of ``|f|`` on each boundary circle at ``m`` nodes."""
-    pts = ring_nodes([1.0, domain.inner_radius], m).ravel()
+    pts = boundary_nodes(domain, m)
     outer, inner_v = np.abs(ring_values(f, pts, m)).reshape(2, m)
     c1, c2 = float(outer.mean()), float(inner_v.mean())
     return InnerVerification(c1=c1, c2=c2,
@@ -349,7 +349,8 @@ def check_orthogonality(f: LaurentPolynomial, domain: AnnulusDomain, N: int) -> 
     In the monomial basis the pairing is diagonal:
     ``<z^n f, f> = sum_j f_j conj(f_{j+n}) ||z^{j+n}||^2``.
     """
-    r = domain.inner_radius
+    W = max(-f.lo, f.hi, 0)
+    norms = monomial_norms(domain, smirnov_tag(), W)
     worst = 0.0
     idx = np.arange(f.lo, f.hi + 1)
     coeffs = f.coeffs
@@ -361,8 +362,7 @@ def check_orthogonality(f: LaurentPolynomial, domain: AnnulusDomain, N: int) -> 
         if not inside.any():
             continue
         js = idx[inside]
-        norms_sq = 2.0 * np.pi * (1.0 + r**(2.0 * (js + n).astype(float) + 1.0))
-        val = np.sum(coeffs[js - f.lo] * np.conj(coeffs[js + n - f.lo]) * norms_sq)
+        val = np.sum(coeffs[js - f.lo] * np.conj(coeffs[js + n - f.lo]) * norms[js + n + W])
         worst = max(worst, abs(complex(val)))
     return worst
 
@@ -371,14 +371,10 @@ def schottky_fit(f: Callable, domain: AnnulusDomain, m: int = 512,
                  N_green: int | None = None) -> tuple[float, float]:
     """Least-squares fit of ``|f|^2 - 1`` against the Schottky function ``s_1``
     over all boundary nodes; residual in the boundary arclength norm.
-
-    ``d omega_1/dn = +-1/(rho log(1/r))`` is constant on each circle; ``dg/dn``
-    comes from ``green_boundary_flux`` (``N_green=None``: tail-bound truncation).
+    ``N_green=None`` takes the Green truncation from its tail bound.
     """
     pts, ds = boundary_quadrature(domain, m)
-    L = domain.log_gap
-    num = np.repeat([1.0 / L, -1.0 / (domain.inner_radius * L)], m)
-    s1 = schottky_ratio(num, green_boundary_flux(domain, m, N_green))
+    s1 = schottky(domain, m, N_green)
     y = np.abs(np.asarray(f(pts), dtype=complex))**2 - 1.0
     denom = float(np.sum(ds * s1 * s1))
     lam1 = float(np.sum(ds * s1 * y) / denom)

@@ -19,8 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ArgumentError, SingularGramError
-from .geometry import AnnulusDomain, ring_nodes
-from .harmonic import green_boundary_flux
+from .geometry import AnnulusDomain, boundary_nodes, ring_nodes
+from .harmonic import measure_density
 from .laurent import LaurentPolynomial, to_laurent  # noqa: F401  (re-export)
 
 
@@ -88,7 +88,7 @@ def _gauss_legendre(n: int):
 def boundary_quadrature(domain: AnnulusDomain, m: int):
     """Points and arclength weights for both circles, m nodes each."""
     r = domain.inner_radius
-    pts = ring_nodes([1.0, r], m).ravel()
+    pts = boundary_nodes(domain, m)
     w = np.concatenate([np.full(m, 2.0 * np.pi / m), np.full(m, 2.0 * np.pi * r / m)])
     return pts, w
 
@@ -114,7 +114,7 @@ def measure_quadrature(domain: AnnulusDomain, m: int, N_green: int | None = None
     density ``-(1/2 pi) dg/dn`` times the arclength weight.  ``N_green=None``
     picks the Green truncation from its tail bound (``green_boundary_flux``)."""
     pts, ds = boundary_quadrature(domain, m)
-    return pts, -green_boundary_flux(domain, m, N_green) / (2.0 * np.pi) * ds
+    return pts, measure_density(domain, m, N_green) * ds
 
 
 def quadrature_for(domain: AnnulusDomain, tag: SpaceTag, m: int):
@@ -138,7 +138,7 @@ def monomial_norms(domain: AnnulusDomain, tag: SpaceTag, N: int) -> np.ndarray:
     """
     if tag.weighted:
         raise ArgumentError("monomial norms are diagonal only without a weight; "
-                            "use gram_matrix for weighted inner products")
+                            "use weighted_gram for weighted inner products")
     r = domain.inner_radius
     ns = np.arange(-N, N + 1, dtype=float)
     if tag.kind is SpaceKind.SMIRNOV_ARCLENGTH:

@@ -12,8 +12,10 @@ least a different algorithm) than the library path it checks:
   search with pencil power-iteration polish, not by a packed eigensolver;
 * Gram matrices and the division pencil are dense Vandermonde products over
   every quadrature node, not ring-wise FFT sums.
-* harmonic-measure weights come from one ``BoundarySample`` per node and the
-  dense mode-by-node Green derivative table, not from one FFT per circle.
+* boundary fluxes (harmonic-measure weights, the Schottky function, radial
+  derivatives of harmonic representations) come from a node list built one
+  node at a time and a dense mode-by-node derivative table, not from one FFT
+  per circle;
 * winding numbers come from Horner point values on contiguous blocks of the
   circle and ``np.unwrap``, not from strided sub-rings by FFT;
 * the clamped biharmonic operator is one sparse matrix, assembled from a
@@ -25,6 +27,8 @@ least a different algorithm) than the library path it checks:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -50,14 +54,63 @@ def green_images(z, a, r: float, terms: int = 80):
             - np.log(abs(a)))
 
 
+def dense_radial_derivative(h, z):
+    """d/d(rho) of a ``HarmonicRepresentation`` at the points ``z``, every mode
+    against every point."""
+    z = np.asarray(z, dtype=complex)
+    rho = np.abs(z)
+    out = h.clog / rho
+    if h.ns.size:
+        ns = h.ns[:, None]
+        rp = rho.ravel()[None, :]
+        outer = h.A[:, None] * rp**ns
+        inner = h.Bhat[:, None] * (h.rref / rp)**ns
+        term = (ns / rp) * (outer - inner) * np.exp(1j * ns * np.angle(z).ravel()[None, :])
+        out = out + np.real(term.sum(axis=0)).reshape(rho.shape)
+    return out
+
+
+def boundary_node_list(domain, m: int):
+    """``(point, outward sign, arclength weight)`` per boundary node, built one
+    node at a time: ``m`` on the unit circle, then ``m`` on the inner circle."""
+    nodes = []
+    for rho, sign in ((1.0, 1.0), (domain.inner_radius, -1.0)):
+        for k in range(m):
+            t = 2.0 * math.pi * k / m
+            nodes.append((rho * complex(math.cos(t), math.sin(t)), sign, 2.0 * math.pi * rho / m))
+    return nodes
+
+
+def node_normal_derivative(h, nodes):
+    """Outward d/dn of a ``HarmonicRepresentation`` or ``GreenFunction`` at a
+    ``boundary_node_list``: ``+d/d(rho)`` outside, ``-d/d(rho)`` inside."""
+    pts = np.array([p for p, _, _ in nodes])
+    sign = np.array([s for _, s, _ in nodes])
+    rep = getattr(h, "corrector", h)
+    vals = dense_radial_derivative(rep, pts)
+    if rep is not h:  # d/d(rho) of the Green function's -log|z - a| along the ray
+        diff = pts - h.pole
+        vals = -np.real((pts / np.abs(pts)) * np.conj(diff)) / np.abs(diff)**2 + vals
+    return sign * vals
+
+
 def node_measure_quadrature(domain, m: int, N_green: int = 128):
-    """Points and harmonic-measure weights over a ``boundary_nodes`` list."""
-    from ringspace.geometry import INNER, OUTER, boundary_nodes
-    from ringspace.harmonic import measure_density
-    nodes = boundary_nodes(domain, OUTER, m) + boundary_nodes(domain, INNER, m)
-    pts = np.array([s.point for s in nodes])
-    ds = np.array([s.weight for s in nodes])
-    return pts, measure_density(domain, nodes, N=N_green) * ds
+    """Points and harmonic-measure weights ``-(1/2 pi) dg/dn ds`` node by node."""
+    import ringspace as rs
+    nodes = boundary_node_list(domain, m)
+    g = rs.green(domain, domain.base_point, N_green)
+    pts = np.array([p for p, _, _ in nodes])
+    ds = np.array([w for _, _, w in nodes])
+    return pts, -node_normal_derivative(g, nodes) / (2.0 * np.pi) * ds
+
+
+def node_schottky(domain, m: int, N: int = 128):
+    """``(d omega_1/dn) / (dg/dn)`` node by node, Green pole at the base point."""
+    import ringspace as rs
+    nodes = boundary_node_list(domain, m)
+    g = rs.green(domain, domain.base_point, N)
+    return (node_normal_derivative(rs.harmonic_measure(domain, 1), nodes)
+            / node_normal_derivative(g, nodes))
 
 
 def bergman_monomial_norm(r: float, n: int) -> float:

@@ -21,8 +21,9 @@ from ringspace.extremal import polar_grid
 from ringspace.kernels import build_kernel, count_zeros, full_ring, locate_zeros
 from ringspace.laurent import LaurentPolynomial, to_laurent
 from ringspace.probes import biharmonic_green
-from ringspace.spaces import (bergman_tag, gram_matrix, hardy_tag, monomial_norms,
-                              norm as space_norm, quadrature_for, smirnov_tag)
+from ringspace.spaces import (bergman_tag, gram_matrix, hardy_tag, measure_quadrature,
+                              monomial_norms, norm as space_norm, quadrature_for,
+                              smirnov_tag)
 
 from oracles import bergman_monomial_norm, smirnov_monomial_norm
 
@@ -44,9 +45,7 @@ def test_criterion_1_harmonic_backbone(dom):
         za, zb = (rng.uniform(0.58, 0.92, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2)))
         sym = max(sym, abs(rs.green(dom, za, N=64)(zb) - rs.green(dom, zb, N=64)(za)))
 
-    nodes = rs.boundary_nodes(dom, 1, 512) + rs.boundary_nodes(dom, 2, 512)
-    ds = np.array([s.weight for s in nodes])
-    mass = float(np.sum(rs.measure_density(dom, nodes, green_fn=g) * ds))
+    mass = float(np.sum(measure_quadrature(dom, 512, N_green=64)[1]))
 
     w1, w2 = rs.harmonic_measure(dom, 1), rs.harmonic_measure(dom, 2)
     pts = rng.uniform(0.51, 0.99, 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))

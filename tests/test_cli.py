@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ringspace as rs
 from ringspace import cli
 from ringspace.errors import ConvergenceError
+
+from oracles import node_measure_quadrature
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "results.schema.json").read_text())
 
@@ -75,6 +78,13 @@ def test_green_document():
     assert doc["results"]["boundary_residual_max"] <= 1e-10
     assert doc["results"]["measure_mass"] == pytest.approx(1.0, abs=1e-10)
     assert doc["results"]["interior_min"] > 0
+
+
+def test_green_mass_is_the_poles_measure():
+    # the mass is harmonic measure at the pole, whatever --base says
+    doc = run_json(["green", "--r", "0.5", "--pole", "0.55-0.2j", "--base", "0.8"])
+    _, w = node_measure_quadrature(rs.make_annulus(0.5, 0.55 - 0.2j), 512, N_green=64)
+    assert abs(doc["results"]["measure_mass"] - np.sum(w)) <= 1e-13
 
 
 def test_biharmonic_disk_document(tmp_path):

@@ -9,8 +9,10 @@ import ringspace as rs
 from ringspace.errors import ArgumentError, ConvergenceError, GeometryError
 from ringspace.harmonic import (HarmonicRepresentation, log_cut, point_mass_kernel,
                                 solve_dirichlet)
+from ringspace.spaces import boundary_quadrature, measure_quadrature
 
-from oracles import green_images
+from oracles import (boundary_node_list, dense_radial_derivative, green_images,
+                     node_normal_derivative, node_schottky)
 
 
 # ---------------------------------------------------------------- Dirichlet
@@ -181,7 +183,7 @@ def test_radial_derivative_on_circle_matches_dense(seed, m):
     h = _random_representation(rng, r, N)
     theta = 2 * np.pi * np.arange(m) / m
     for rho in (1.0, r, math.sqrt(r)):
-        dense = h.radial_derivative(rho * np.exp(1j * theta))
+        dense = dense_radial_derivative(h, rho * np.exp(1j * theta))
         fft = h.radial_derivative_on_circle(rho, m)
         assert np.max(np.abs(fft - dense)) <= 1e-13 * np.max(np.abs(dense))
 
@@ -191,7 +193,7 @@ def test_radial_derivative_on_circle_of_green_corrector():
     g = rs.green(d, d.base_point, N=751)
     theta = 2 * np.pi * np.arange(512) / 512
     for rho in (1.0, 0.7):
-        dense = g.corrector.radial_derivative(rho * np.exp(1j * theta))
+        dense = dense_radial_derivative(g.corrector, rho * np.exp(1j * theta))
         fft = g.corrector.radial_derivative_on_circle(rho, 512)
         assert np.max(np.abs(fft - dense)) <= 1e-13 * np.max(np.abs(dense))
 
@@ -199,28 +201,23 @@ def test_radial_derivative_on_circle_of_green_corrector():
 # ------------------------------------------------- normal derivative & mass
 
 def test_normal_derivative_of_measure_closed_form(dom):
+    # the node oracle's outward derivative of omega_1 is +-1/(rho log(1/r))
     L = math.log(2.0)
     w1 = rs.harmonic_measure(dom, 1)
-    outer = rs.boundary_nodes(dom, 1, 16)
-    inner = rs.boundary_nodes(dom, 2, 16)
-    dn_out = rs.normal_derivative(w1, outer)
-    dn_in = rs.normal_derivative(w1, inner)
-    assert np.max(np.abs(dn_out - 1.0 / L)) < 1e-14
-    assert np.max(np.abs(dn_in + 1.0 / (0.5 * L))) < 1e-14
+    dn = node_normal_derivative(w1, boundary_node_list(dom, 16))
+    assert np.max(np.abs(dn[:16] - 1.0 / L)) < 1e-14
+    assert np.max(np.abs(dn[16:] + 1.0 / (0.5 * L))) < 1e-14
 
 
 def test_measure_mass_is_one(dom):
     for pole in (0.7, 0.55 - 0.2j, 0.9j):
-        g = rs.green(dom, pole, N=64)
-        nodes = rs.boundary_nodes(dom, 1, 512) + rs.boundary_nodes(dom, 2, 512)
-        ds = np.array([s.weight for s in nodes])
-        mass = np.sum(-np.asarray(rs.normal_derivative(g, nodes)) / (2 * np.pi) * ds)
-        assert mass == pytest.approx(1.0, abs=1e-10)
+        _, w = measure_quadrature(rs.make_annulus(0.5, pole), 512, N_green=64)
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_measure_density_positive(dom):
-    nodes = rs.boundary_nodes(dom, 1, 64) + rs.boundary_nodes(dom, 2, 64)
-    dens = rs.measure_density(dom, nodes)
+    dens = rs.measure_density(dom, 64)
+    assert dens.shape == (128,)
     assert np.min(dens) > 0
 
 
@@ -229,29 +226,29 @@ def test_measure_density_positive(dom):
 def test_schottky_reflection_symmetry():
     d = rs.make_annulus(0.5, math.sqrt(0.5) * np.exp(1j * np.pi / 4))
     m = 16
-    nodes = rs.boundary_nodes(d, 1, m)
-    vals = rs.schottky(d, 1, nodes)
+    vals = rs.schottky(d, m)[:m]
     # reflection through the axis arg z = pi/4: theta -> pi/2 - theta
     for k in range(m):
-        theta_ref = (np.pi / 2 - nodes[k].angle) % (2 * np.pi)
+        theta_ref = (np.pi / 2 - 2 * np.pi * k / m) % (2 * np.pi)
         j = int(round(theta_ref / (2 * np.pi / m))) % m
         assert vals[k] == pytest.approx(vals[j], rel=1e-10, abs=1e-10)
 
 
 def test_schottky_measure_pairing_vanishes(dom):
     # integral of s_1 d omega = -(1/2pi) integral of d omega_1/dn ds = flux = 0
-    nodes = rs.boundary_nodes(dom, 1, 256) + rs.boundary_nodes(dom, 2, 256)
-    ds = np.array([s.weight for s in nodes])
-    dens = rs.measure_density(dom, nodes)
-    s1 = rs.schottky(dom, 1, nodes)
+    _, ds = boundary_quadrature(dom, 256)
+    dens = rs.measure_density(dom, 256)
+    s1 = rs.schottky(dom, 256)
     assert np.sum(s1 * dens * ds) == pytest.approx(0.0, abs=1e-10)
     # oracle: direct quadrature of the measure-density numerator
+    nodes = boundary_node_list(dom, 256)
     w1 = rs.harmonic_measure(dom, 1)
-    flux = np.sum(np.asarray(rs.normal_derivative(w1, nodes)) * ds)
+    flux = np.sum(node_normal_derivative(w1, nodes) * np.array([w for _, _, w in nodes]))
     assert flux == pytest.approx(0.0, abs=1e-10)
 
 
-# Frozen from an N=128 run of this solver (regression fixture).
+# Frozen from an N=128 run of the node-by-node Schottky function (regression
+# fixture for the dense oracle).
 SCHOTTKY_OUTER_8 = [-0.3332271429309069, -5.6197432621467005, -196.89292889586457,
                     -6915.264730748424, -121643.94154092442, -6915.264730755784,
                     -196.89292889585562, -5.61974326214671]
@@ -261,22 +258,50 @@ SCHOTTKY_INNER_8 = [0.304060415819724, 5.590576535066371, 196.86376220694848,
 
 
 def test_schottky_eight_node_fixture(dom):
-    outer = rs.schottky(dom, 1, rs.boundary_nodes(dom, 1, 8), N=128)
-    inner = rs.schottky(dom, 1, rs.boundary_nodes(dom, 2, 8), N=128)
-    assert outer == pytest.approx(SCHOTTKY_OUTER_8, rel=1e-12)
-    assert inner == pytest.approx(SCHOTTKY_INNER_8, rel=1e-12)
+    vals = node_schottky(dom, 8, N=128)
+    assert vals[:8] == pytest.approx(SCHOTTKY_OUTER_8, rel=1e-12)
+    assert vals[8:] == pytest.approx(SCHOTTKY_INNER_8, rel=1e-12)
+
+
+def _flux_term_sum(domain, m, N):
+    """``sum |terms|`` of the outward ``dg/dn`` at each boundary node: the
+    ``-log|z - a|`` term, the log mode and every corrector mode."""
+    g = rs.green(domain, domain.base_point, N)
+    c = g.corrector
+    out = []
+    for rho in (1.0, domain.inner_radius):
+        z = rho * np.exp(2j * np.pi * np.arange(m) / m)
+        sing = np.abs(np.real((z / rho) * np.conj(z - g.pole))) / np.abs(z - g.pole)**2
+        modes = np.sum((c.ns / rho) * (np.abs(c.A) * rho**c.ns
+                                       + np.abs(c.Bhat) * (c.rref / rho)**c.ns))
+        out.append(sing + abs(c.clog) / rho + modes)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("r, base, m", [(0.5, 0.7, 8), (0.5, 0.7, 512),
+                                        (0.3, 0.4 - 0.3j, 512),
+                                        (0.7, 0.955 * np.exp(0.3j), 512), (0.9, 0.95, 512)])
+def test_schottky_matches_node_oracle_to_flux_rounding(r, base, m):
+    # s_1 = (d omega_1/dn) / (dg/dn), and dg/dn is a sum of O(1) terms that
+    # cancel where it is small (1e-5 at the fixture's node 4), so neither
+    # route is good to eps there.  Summing N + 3 terms one after another (the
+    # dense oracle) errs by at most (N + 3) eps sum|terms|, the FFT by about
+    # log2(m) eps sum|terms|, and the division adds eps relative.
+    d = rs.make_annulus(r, base)
+    N = 128
+    fft = rs.schottky(d, m, N=N)
+    dense = node_schottky(d, m, N=N)
+    dgdn = node_normal_derivative(rs.green(d, d.base_point, N), boundary_node_list(d, m))
+    ulps = N + 4 + math.log2(m)
+    bound = ulps * np.finfo(float).eps * _flux_term_sum(d, m, N) / np.abs(dgdn)
+    assert np.all(np.abs(fft / dense - 1.0) <= bound)
 
 
 def test_schottky_vanishing_flux_is_typed(dom, monkeypatch):
-    monkeypatch.setattr(rs.harmonic, "normal_derivative",
-                        lambda h, s: np.zeros(len(s)))
+    monkeypatch.setattr(rs.harmonic, "green_boundary_flux",
+                        lambda domain, m, N=None: np.zeros(2 * m))
     with pytest.raises(ConvergenceError, match="vanished"):
-        rs.schottky(dom, 1, rs.boundary_nodes(dom, 1, 8))
-
-
-def test_schottky_component_restriction(dom):
-    with pytest.raises(ArgumentError):
-        rs.schottky(dom, 2, rs.boundary_nodes(dom, 1, 8))
+        rs.schottky(dom, 8)
 
 
 # -------------------------------------------------------- conjugate periods

@@ -13,7 +13,7 @@ from ringspace.laurent import LaurentPolynomial, to_laurent
 from ringspace.spaces import (area_quadrature, bergman_tag, boundary_quadrature, hardy_tag,
                               norm as space_norm)
 
-from oracles import division_ratios_per_trial, horner_count
+from oracles import boundary_node_list, division_ratios_per_trial, horner_count, node_schottky
 
 
 # ------------------------------------------------------------ single factor
@@ -264,7 +264,7 @@ def test_schottky_fit_of_identity_function(dom):
 
 
 def test_schottky_fit_vanishing_flux_is_typed(dom, monkeypatch):
-    monkeypatch.setattr(rs.inner, "green_boundary_flux",
+    monkeypatch.setattr(rs.harmonic, "green_boundary_flux",
                         lambda domain, m, N=None: np.zeros(2 * m))
     with pytest.raises(ConvergenceError, match="vanished"):
         rs.schottky_fit(lambda z: np.ones(np.shape(z)), dom, m=64)
@@ -276,11 +276,11 @@ def test_schottky_fit_rejects_too_few_nodes(dom):
 
 
 def test_schottky_fit_matches_dense_schottky(dom):
-    # the per-circle flux ratio equals the node-list Schottky function
-    nodes = rs.boundary_nodes(dom, 1, 128) + rs.boundary_nodes(dom, 2, 128)
-    pts = np.array([s.point for s in nodes])
-    ds = np.array([s.weight for s in nodes])
-    s1 = np.asarray(rs.schottky(dom, 1, nodes, N=128))
+    # the per-circle flux ratio equals the node-by-node Schottky function
+    nodes = boundary_node_list(dom, 128)
+    pts = np.array([p for p, _, _ in nodes])
+    ds = np.array([w for _, _, w in nodes])
+    s1 = node_schottky(dom, 128, N=128)
     f = lambda z: 1.0 + 0.3 * np.asarray(z)
     y = np.abs(f(pts))**2 - 1.0
     lam_dense = float(np.sum(ds * s1 * y) / np.sum(ds * s1 * s1))

@@ -45,3 +45,26 @@ def test_benchmark_tracer_installs_on_the_cli():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_tracer_sees_the_boundary_layers():
+    # schottky-fit reaches the boundary nodes, the measure density and the
+    # Schottky function through the names the benchmark's tracer wraps
+    from click.testing import CliRunner
+    from ringspace import cli
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from tracer import Tracer
+    finally:
+        sys.path.pop(0)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        result = CliRunner().invoke(cli.main, ["schottky-fit", "--r", "0.5", "--base", "0.7",
+                                               "--zeros", "0.6i", "--N", "96"])
+    finally:
+        tracer.uninstall()
+    assert result.exit_code == 0, result.output
+    metrics = tracer.layer_metrics()
+    for name in ("geometry.boundary_nodes", "harmonic.measure_density", "harmonic.schottky"):
+        assert metrics[f"{name}.calls"] > 0, name
