@@ -37,7 +37,8 @@ class ZeroOnContourError(RingspaceError):
 
 
 class ConvergenceError(RingspaceError):
-    """An iterative refinement (Newton polish of a zero) stalled.
+    """An iterative refinement (Newton polish of a zero) stalled, or a series
+    truncation would pass its cap.
 
     Carries ``best_residual`` when available so callers can report the
     partial result.

@@ -25,12 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ArgumentError, GeometryError, RingspaceError, SingularConstraintsError,
                      SingularGramError)
 from .geometry import AnnulusDomain, polar_grid
-from .inner import InnerFunctionSpec, blaschke_factor
+from .inner import InnerFunctionSpec, blaschke_factor, capped_blaschke_factor
 from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, refined_solve
 from .laurent import LaurentPolynomial
 from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag, monomial_norms,
@@ -213,7 +212,9 @@ def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96,
     section and divides it out by a Blaschke factor, leaving exactly one ring
     zero at ``z1`` (verified by the argument principle).  Windows below about
     96 leave truncation zeros of the Gram-inverse kernel hugging the boundary
-    circles, which the argument-principle check would count.
+    circles, which the argument-principle check would count.  The kernel zero
+    may lie nearer a circle than ``tail_truncation`` allows (5.7e-3 from the
+    unit circle at r = 0.416), so its factor is a ``capped_blaschke_factor``.
     """
     z0 = complex(base) if base is not None else domain.base_point
     B = blaschke_factor(domain, z1)
@@ -221,7 +222,7 @@ def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96,
     w_star = locate_zeros(section, domain, expected=1).locations[0]
     cand = CandidateDivisor(domain=domain, zero=complex(z1), base=z0,
                             kernel_zero=w_star, blaschke=B, kernel_section=section,
-                            kernel_zero_factor=blaschke_factor(domain, w_star))
+                            kernel_zero_factor=capped_blaschke_factor(domain, w_star))
     ring_zeros = count_zeros(cand, domain, full_ring(domain))
     if ring_zeros != 1:
         raise ArgumentError(
@@ -264,6 +265,7 @@ def quasicontract_estimate(G, z1: complex, domain: AnnulusDomain,
     A_s, d = ring_gram(pts, plain, m, top)
     B_s, d_div = ring_gram(pts, plain * g_norm_sq / np.abs(g_vals)**2, m, top)
     B_s = B_s * np.outer(d_div / d, d_div / d)  # into the plain Gram's scaling
+    import scipy.linalg
     estimates = []
     for N in ladder:
         rung = slice(top - N, top + N + 1)

@@ -180,16 +180,27 @@ def _log_kernel_data(domain: AnnulusDomain, pole: complex, N: int):
     return outer, inner
 
 
+TRUNCATION_CAP = 4096
+
+
 def tail_truncation(domain: AnnulusDomain, pole: complex, tol: float, floor: int) -> int:
-    """Smallest ``N`` with ``max(|pole|, r/|pole|)^N <= tol``, clipped to ``[floor, 4096]``.
+    """Smallest ``N >= floor`` with ``max(|pole|, r/|pole|)^N <= tol``.
 
     The Fourier data of ``log|zeta - pole|`` decays like ``|pole|^n`` on the
     outer circle and ``(r/|pole|)^n`` on the inner one, so this bounds the
-    boundary residual of a Green corrector truncated at ``N``.
+    boundary residual of a Green corrector truncated at ``N``.  An ``N`` past
+    ``TRUNCATION_CAP`` (at ``tol = 1e-15``, a pole within about 0.0084 of the
+    unit circle or 0.0085 r of the inner one) raises ``ConvergenceError``.
     """
-    q = max(abs(pole), domain.inner_radius / abs(pole))
-    n = int(math.ceil(math.log(tol) / math.log(q))) if q < 1.0 else 4096
-    return int(np.clip(n, floor, 4096))
+    r, rho = domain.inner_radius, abs(pole)
+    q = max(rho, r / rho)
+    n = math.ceil(math.log(tol) / math.log(q)) if q < 1.0 else math.inf
+    if n > TRUNCATION_CAP:
+        side, gap = ("unit", 1.0 - rho) if rho >= r / rho else ("inner", rho - r)
+        raise ConvergenceError(
+            f"series tail {q:.6g}^N reaches {tol:.0e} only past the cap "
+            f"N = {TRUNCATION_CAP}: pole {pole} is {gap:.3e} from the {side} circle")
+    return max(n, floor)
 
 
 def green(domain: AnnulusDomain, pole: complex, N: int = 64) -> GreenFunction:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
@@ -53,6 +52,7 @@ class KernelEvaluator:
         if self.form is KernelForm.DIAGONAL_SERIES:
             coeffs = qw / self.norms
         else:
+            import scipy.linalg
             coeffs = refined_solve(self.gram, lambda b: scipy.linalg.cho_solve(self.factor, b),
                                    qw / self.scale) / self.scale
         return LaurentPolynomial(-self.N, self.N, coeffs)
@@ -95,6 +95,8 @@ def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
     if tag.orthogonal_monomials:
         return KernelEvaluator(domain, tag, N, KernelForm.DIAGONAL_SERIES,
                                norms=monomial_norms(domain, tag, N))
+    import scipy.linalg
+    import scipy.sparse.linalg  # noqa: F401  (unused; perfbench/tracer.py looks it up in sys.modules)
     m = m or max(512, 4 * N + 4)
     Gs, d = weighted_gram(domain, tag, N, m)
     try:

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg  # noqa: F401  (unused; perfbench/tracer.py looks it up in sys.modules)
 
 from .errors import ArgumentError, GeometryError, SolverError
 from .geometry import AnnulusDomain, boundary_angles
@@ -244,6 +242,8 @@ def _banded_solve(b, rho, h: float, lo: int):
     bands[:, 3, :-1] = a[1:] * (d[:, 1:] + d[:, :-1])
     bands[:, 4, :-2] = a[2:] * a[1:-1]
     bh = np.fft.rfft(b, axis=1).T.ravel()
+    import scipy.linalg
+    import scipy.sparse.linalg  # noqa: F401  (unused; perfbench/tracer.py looks it up in sys.modules)
     try:
         x = scipy.linalg.solve_banded((2, 2), bands.transpose(1, 0, 2).reshape(5, -1),
                                       np.column_stack([bh.real, bh.imag]))

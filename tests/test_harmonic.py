@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, ConvergenceError, GeometryError
-from ringspace.harmonic import (HarmonicRepresentation, log_cut, point_mass_kernel,
-                                solve_dirichlet)
+from ringspace.harmonic import (TRUNCATION_CAP, HarmonicRepresentation, log_cut,
+                                point_mass_kernel, solve_dirichlet, tail_truncation)
 from ringspace.spaces import boundary_quadrature, measure_quadrature
 
 from oracles import (boundary_node_list, dense_radial_derivative, green_images,
@@ -153,6 +153,27 @@ def test_green_rejects_boundary_pole(dom):
         rs.green(dom, 0.5 + 5e-10)
     with pytest.raises(GeometryError):
         rs.green(dom, 1.2)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15])   # the Blaschke and Green tolerances
+@pytest.mark.parametrize("side", ["unit", "inner"])
+def test_tail_truncation_cap_edge(dom, tol, side):
+    # q = max(|a|, r/|a|): 0.99 needs at most 3438 terms, 0.995 at least 5513
+    r = dom.inner_radius
+
+    def pole(q):
+        return (q if side == "unit" else r / q) * np.exp(0.3j)
+
+    a = pole(0.99)
+    q = max(abs(a), r / abs(a))
+    N = tail_truncation(dom, a, tol, 64)
+    assert N <= TRUNCATION_CAP
+    assert q**N <= tol < q**(N - 1)
+    a = pole(0.995)
+    gap = 1.0 - abs(a) if side == "unit" else abs(a) - r
+    with pytest.raises(ConvergenceError,
+                       match=f"cap N = 4096: .* {gap:.3e} from the {side} circle"):
+        tail_truncation(dom, a, tol, 64)
 
 
 def test_dirichlet_rejects_nonpositive_determinant():

@@ -7,7 +7,8 @@ import pytest
 import ringspace as rs
 from ringspace.errors import (ArgumentError, BlaschkeDivergenceError, ConvergenceError,
                              GeometryError, PeriodError)
-from ringspace.inner import _loop_period_residual
+from ringspace.geometry import polar_grid
+from ringspace.inner import _loop_period_residual, capped_blaschke_factor
 from ringspace.kernels import count_zeros, full_ring
 from ringspace.laurent import LaurentPolynomial, to_laurent
 from ringspace.spaces import (area_quadrature, bergman_tag, boundary_quadrature, hardy_tag,
@@ -104,6 +105,20 @@ def test_blaschke_product_infinite_sequence_converges(dom06):
     assert len(B.zeros) <= 40
     # the three zeros with moduli inside the test ring are reproduced
     assert count_zeros(B, dom06, (0.55, 0.95)) == horner_count(B, (0.55, 0.95)) == 3
+
+
+def test_blaschke_zero_past_the_truncation_cap_is_typed(dom06):
+    # 0.997^4096 = 4.5e-6 > 1e-12: the factor is not inner to 1e-12 on the
+    # unit circle, so only computed zeros and lazy sequences build it at the cap
+    with pytest.raises(ConvergenceError, match="3.000e-03 from the unit circle"):
+        rs.blaschke_factor(dom06, 0.997)
+    with pytest.raises(ConvergenceError, match="cap N = 4096"):
+        rs.blaschke_product(dom06, rs.ZeroSet(points=(0.7, 0.997j)))
+    capped = capped_blaschke_factor(dom06, 0.997)
+    assert capped.series.hi == 4096
+    grid = polar_grid(dom06, 16, inset=0.1)
+    longer = rs.blaschke_factor(dom06, 0.997, N=16384)
+    assert np.max(np.abs(capped(grid) - longer(grid))) <= 1e-14
 
 
 def test_blaschke_product_divergent_sequence_rejected(dom06):

@@ -1,6 +1,8 @@
 """Rules on the library's source text."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +21,19 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_imports_scipy_only_inside_functions():
+    # a module-level scipy import costs every process its load time, though
+    # most subcommands never use it
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.parse(path.read_text(), filename=str(path)).body
+             if (isinstance(node, ast.Import)
+                 and any(alias.name.split(".")[0] == "scipy" for alias in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.level == 0
+                 and node.module.split(".")[0] == "scipy")]
+    assert found == []
+
+
 def test_library_touches_no_other_objects_private_attributes():
     # ``x._name`` is private to x's own class: no module reads or writes it on
     # another object (``self``/``cls`` exempt; dunders are public protocol)
@@ -31,10 +46,47 @@ def test_library_touches_no_other_objects_private_attributes():
     assert found == []
 
 
+def _run_scipy_users():
+    # the library imports scipy on first use; the benchmark runs one job and
+    # its untraced loop before installing the tracer, which reads
+    # scipy.linalg and scipy.sparse.linalg from sys.modules
+    from click.testing import CliRunner
+    from ringspace import cli
+    for args in (["biharmonic", "--r", "0.5", "--pole", "0.7"],
+                 ["qc-estimate", "--r", "0.5", "--base", "0.6", "--zeros", "0.8",
+                  "--m", "256"]):
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code == 0, result.output
+
+
+def test_cold_hmeasure_imports_no_scipy():
+    code = ("import sys\n"
+            "from ringspace.cli import main\n"
+            "sys.argv[1:] = ['hmeasure', '--r', '0.5']\n"
+            "try:\n"
+            "    main()\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "[]"
+
+
+def test_scipy_users_load_what_the_tracer_wraps():
+    _run_scipy_users()
+    assert "scipy.linalg" in sys.modules
+    assert "scipy.sparse.linalg" in sys.modules
+
+
 def test_benchmark_tracer_installs_on_the_cli():
     # the benchmark's tracer wraps library entry points and scipy solvers by
     # name, so a renamed entry or a dropped import fails here, not at bench time
     import ringspace.cli  # noqa: F401
+    _run_scipy_users()
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         from tracer import Tracer
@@ -52,6 +104,7 @@ def test_benchmark_tracer_sees_the_boundary_layers():
     # Schottky function through the names the benchmark's tracer wraps
     from click.testing import CliRunner
     from ringspace import cli
+    _run_scipy_users()
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         from tracer import Tracer
