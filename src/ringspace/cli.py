@@ -27,7 +27,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import ArgumentError, GeometryError, RingspaceError
+from .errors import ArgumentError, ConvergenceError, GeometryError, RingspaceError
 from .geometry import (INNER, OUTER, AnnulusDomain, boundary_angles, boundary_nodes,
                        make_annulus, ring_nodes)
 from .harmonic import conjugate_period, green, harmonic_measure
@@ -209,7 +209,7 @@ def _emit(doc: dict, config: RunConfig) -> None:
             lines.append(f"{key},{value}")
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if config.out:
         Path(config.out).write_text(text)
     else:
@@ -263,7 +263,13 @@ def run(config: RunConfig) -> int:
     except KeyError:
         raise click.UsageError(f"unknown command {config.command!r}")
     try:
+        bad = _non_finite(config.parameters(), "parameters")
+        if bad:  # _emit cannot write them
+            raise ArgumentError(f"non-finite values at {', '.join(bad)}")
         results, ladder, tolerances, grids = handler(config)
+        bad = _non_finite(results, "results") + _non_finite(ladder or [], "ladder")
+        if bad:
+            raise ConvergenceError(f"non-finite values at {', '.join(bad)}")
     except (GeometryError, ArgumentError) as exc:
         click.echo(f"rejected: {exc}", err=True)
         return 3
@@ -277,6 +283,14 @@ def run(config: RunConfig) -> int:
                     grids=grids, started=started)
     _emit(doc, config)
     return 0
+
+
+def _non_finite(value, path: str) -> list[str]:
+    """Key paths (``results.x.re``, ``ladder.1.1``) of NaN or infinite numbers."""
+    if isinstance(value, (dict, list, tuple)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [bad for k, v in items for bad in _non_finite(v, f"{path}.{k}")]
+    return [path] if isinstance(value, float) and not math.isfinite(value) else []
 
 
 def _cmd_green(config: RunConfig):
@@ -403,7 +417,7 @@ def _cmd_extremal(config: RunConfig):
         "formulation_equivalence": equivalence,
     }
     if len(config.zeros) == 1:
-        results["kernel_product_deviation"] = extremal_identity_check(problem, m=config.m)
+        results["kernel_product_deviation"] = extremal_identity_check(G, problem, m=config.m)
     return results, None, {"equivalence": 1e-9}, None
 
 

@@ -32,7 +32,7 @@ from .geometry import AnnulusDomain, polar_grid
 from .inner import InnerFunctionSpec, blaschke_factor, capped_blaschke_factor
 from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, refined_solve
 from .laurent import LaurentPolynomial
-from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag, monomial_norms,
+from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag, log_monomial_norms,
                      quadrature_for, ring_gram, ring_values, weighted_gram)
 
 
@@ -68,23 +68,6 @@ class DivisorReport:
     notes: str
 
 
-def _space_gram(p: ExtremalProblem, m: int):
-    if p.space.orthogonal_monomials:
-        norms = monomial_norms(p.domain, p.space, p.truncation)
-        d = np.sqrt(norms)
-        return np.diag(norms).astype(complex) / d[:, None] / d[None, :], d
-    return weighted_gram(p.domain, p.space, p.truncation, m)
-
-
-def _constraint_rows(p: ExtremalProblem) -> tuple[np.ndarray, np.ndarray]:
-    ns = np.arange(-p.truncation, p.truncation + 1, dtype=float)
-    points = [p.base, *p.zeros]
-    E = np.array([complex(pt)**ns for pt in points])
-    b = np.zeros(len(points), dtype=complex)
-    b[0] = 1.0
-    return E, b
-
-
 def solve_extremal(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     """Minimize the space norm subject to the evaluation constraints.
 
@@ -93,10 +76,14 @@ def solve_extremal(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     once (``refined_solve``); the form is positive definite so the solution is
     unique for independent constraints.
     """
-    Gs, d = _space_gram(p, m)
-    E, b = _constraint_rows(p)
-    Es = E / d[None, :]
-    k = Es.shape[0]
+    if p.space.orthogonal_monomials:
+        d = np.exp(0.5 * log_monomial_norms(p.domain, p.space, p.truncation))
+        Gs = np.eye(d.size, dtype=complex)
+    else:
+        Gs, d = weighted_gram(p.domain, p.space, p.truncation, m)
+    points = np.array([p.base, *p.zeros])  # rows E: z^n at the constrained points
+    Es = points[:, None]**np.arange(-p.truncation, p.truncation + 1, dtype=float) / d
+    k = points.size
     if np.linalg.matrix_rank(Es, tol=1e-12) < k:
         raise SingularConstraintsError(
             "evaluation constraints are linearly dependent on this window")
@@ -105,7 +92,8 @@ def solve_extremal(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     kkt[:n, :n] = Gs.conj()
     kkt[:n, n:] = Es.conj().T
     kkt[n:, :n] = Es
-    rhs = np.concatenate([np.zeros(n, dtype=complex), b])
+    rhs = np.zeros(n + k, dtype=complex)
+    rhs[n] = 1.0  # value 1 at the base, 0 at the zeros
     try:
         sol = refined_solve(kkt.astype(np.clongdouble), lambda v: np.linalg.solve(kkt, v), rhs)
     except np.linalg.LinAlgError as exc:
@@ -123,23 +111,25 @@ def extremal_maximizer(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     by the base value.
     """
     K = build_kernel(p.domain, p.space, p.truncation, m)
-    section = K.section(p.base)
+    section, *at_zeros = [K.section(w) for w in (p.base, *p.zeros)]
     if p.zeros:
-        kz = np.array([[complex(K(zi, zj)) for zj in p.zeros] for zi in p.zeros])
-        rhs = np.array([complex(K(zi, p.base)) for zi in p.zeros])
+        kz = np.array([[complex(kj(zi)) for kj in at_zeros] for zi in p.zeros])
+        rhs = np.array([complex(section(zi)) for zi in p.zeros])
         try:
             c = np.linalg.solve(kz, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularConstraintsError(
                 f"kernel matrix at the zeros is singular ({exc})") from exc
-        for cj, zj in zip(c, p.zeros):
-            section = section + K.section(zj) * (-cj)
+        for cj, kj in zip(c, at_zeros):
+            section = section + kj * (-cj)
     value = complex(section(p.base))  # equals ||section||^2, positive real
     return section * (1.0 / math.sqrt(value.real))
 
 
-def extremal_identity_check(p: ExtremalProblem, m: int = 512, grid: int = 32) -> float:
-    """Deviation between the KKT extremal and ``B_z1 * weighted-kernel``.
+def extremal_identity_check(G: LaurentPolynomial, p: ExtremalProblem, m: int = 512,
+                            grid: int = 32) -> float:
+    """Deviation between the extremal ``G`` (``solve_extremal(p)``) and
+    ``B_z1 * weighted-kernel``.
 
     Builds the single-zero Blaschke factor, the ``|B|^2``-weighted kernel
     section at the base point, matches the value-1-at-base normalization, and
@@ -147,14 +137,12 @@ def extremal_identity_check(p: ExtremalProblem, m: int = 512, grid: int = 32) ->
     """
     if len(p.zeros) != 1:
         raise ArgumentError("the kernel-product identity check needs exactly one zero")
-    z1 = p.zeros[0]
-    G = solve_extremal(p, m)
-    B = blaschke_factor(p.domain, z1)
+    B = blaschke_factor(p.domain, p.zeros[0])
     weighted = SpaceTag(p.space.kind, weight_fn=B)
-    Kw = build_kernel(p.domain, weighted, p.truncation, m)
+    section = build_kernel(p.domain, weighted, p.truncation, m).section(p.base)
     pts = polar_grid(p.domain, grid)
-    formula = np.asarray(B(pts)) * np.asarray(Kw(pts, p.base))
-    base_val = complex(B(p.base)) * complex(Kw(p.base, p.base))
+    formula = np.asarray(B(pts)) * np.asarray(section(pts))
+    base_val = complex(B(p.base)) * complex(section(p.base))
     return float(np.max(np.abs(G(pts) - formula / base_val)))
 
 

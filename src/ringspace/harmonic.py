@@ -109,6 +109,8 @@ class GreenFunction:
 
 
 def _validate_conjugate_symmetry(data: np.ndarray, N: int, what: str):
+    if not np.all(np.isfinite(data)):
+        raise ArgumentError(f"{what} Fourier data is not finite")
     scale = max(1.0, float(np.max(np.abs(data))))
     flipped = np.conj(data[::-1])
     if np.max(np.abs(data - flipped)) > 1e-12 * scale:

@@ -32,7 +32,7 @@ from .harmonic import (TRUNCATION_CAP, HarmonicRepresentation, _log_kernel_data,
                        analytic_completion, green, harmonic_measure,
                        point_mass_kernel, schottky, solve_dirichlet, tail_truncation)
 from .laurent import LaurentPolynomial
-from .spaces import (boundary_quadrature, hardy_tag, monomial_norms, quadrature_for,
+from .spaces import (boundary_quadrature, hardy_tag, log_monomial_norms, quadrature_for,
                      ring_values, smirnov_tag)
 
 _PERIOD_TOL = 1e-8
@@ -363,23 +363,20 @@ def check_orthogonality(f: LaurentPolynomial, domain: AnnulusDomain, N: int) -> 
     """``max_{0 < |n| <= N} |<z^n f, f>|`` in the arclength space.
 
     In the monomial basis the pairing is diagonal:
-    ``<z^n f, f> = sum_j f_j conj(f_{j+n}) ||z^{j+n}||^2``.
+    ``<z^n f, f> = sum_j f_j conj(f_{j+n}) ||z^{j+n}||^2``.  Each term's
+    modulus is formed in log space, so a zero coefficient gives 0 where
+    ``||z^{j+n}||^2`` is past the double range.
     """
     W = max(-f.lo, f.hi, 0)
-    norms = monomial_norms(domain, smirnov_tag(), W)
-    worst = 0.0
-    idx = np.arange(f.lo, f.hi + 1)
-    coeffs = f.coeffs
-    for n in range(-N, N + 1):
-        if n == 0:
-            continue
-        shifted = idx + n
-        inside = (shifted >= f.lo) & (shifted <= f.hi)
-        if not inside.any():
-            continue
-        js = idx[inside]
-        val = np.sum(coeffs[js - f.lo] * np.conj(coeffs[js + n - f.lo]) * norms[js + n + W])
-        worst = max(worst, abs(complex(val)))
+    log_norms = log_monomial_norms(domain, smirnov_tag(), W)[f.lo + W:f.hi + W + 1]
+    with np.errstate(divide="ignore"):
+        log_mod = np.log(np.abs(f.coeffs))
+    phase = np.exp(1j * np.angle(f.coeffs))
+    worst, size = 0.0, f.coeffs.size
+    for n in (*range(-N, 0), *range(1, N + 1)):
+        j = np.arange(max(0, -n), min(size, size - n))  # j and j + n in the window
+        terms = np.exp(log_mod[j] + log_mod[j + n] + log_norms[j + n])
+        worst = max(worst, abs(complex(np.sum(terms * phase[j] * np.conj(phase[j + n])))))
     return worst
 
 

@@ -1,10 +1,10 @@
 """Reproducing kernels on the ring and argument-principle zero counting.
 
 Unweighted arclength and area kernels are diagonal series over the monomial
-norms.  Weighted kernels (and the harmonic-measure kernel, whose monomials
-are not orthogonal because the base point breaks rotational symmetry) solve
-through a Cholesky factor of the equilibrated Gram on the truncated window,
-refined once with an extended-precision residual.
+norms of ``log_monomial_norms``.  Weighted kernels (and the harmonic-measure
+kernel, whose monomials are not orthogonal because the base point breaks
+rotational symmetry) solve through a Cholesky factor of the equilibrated Gram
+on the truncated window, refined once with an extended-precision residual.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
 from .geometry import AnnulusDomain, ring_nodes
 from .laurent import LaurentPolynomial
-from .spaces import SpaceTag, inner_product, monomial_norms, ring_values, weighted_gram
+from .spaces import SpaceTag, inner_product, log_monomial_norms, ring_values, weighted_gram
 
 
 class KernelForm(enum.Enum):
@@ -38,24 +38,20 @@ class KernelEvaluator:
     tag: SpaceTag
     N: int
     form: KernelForm
-    norms: Optional[np.ndarray] = None        # diagonal form
+    scale: np.ndarray                         # sqrt of diag(G): G = scale Gs scale
     factor: Optional[tuple] = None            # gram form: cho_factor of conj(Gs)
     gram: Optional[np.ndarray] = None         # gram form: conj(Gs) in extended precision
-    scale: Optional[np.ndarray] = None        # gram form: equilibration, G = d Gs d
 
     def __call__(self, z, w):
         return self.section(w)(z)
 
     def section(self, w):
-        """The Laurent polynomial ``K(., w)``, coefficients ``conj(G)^-1 conj(w^n)``."""
-        qw = np.conj(complex(w)**np.arange(-self.N, self.N + 1, dtype=float))
-        if self.form is KernelForm.DIAGONAL_SERIES:
-            coeffs = qw / self.norms
-        else:
+        """``K(., w)``, coefficients ``conj(G)^-1 conj(w^n)`` (diagonal form: ``Gs = I``)."""
+        x = np.conj(complex(w)**np.arange(-self.N, self.N + 1, dtype=float)) / self.scale
+        if self.form is KernelForm.GRAM_FACTOR:
             import scipy.linalg
-            coeffs = refined_solve(self.gram, lambda b: scipy.linalg.cho_solve(self.factor, b),
-                                   qw / self.scale) / self.scale
-        return LaurentPolynomial(-self.N, self.N, coeffs)
+            x = refined_solve(self.gram, lambda b: scipy.linalg.cho_solve(self.factor, b), x)
+        return LaurentPolynomial(-self.N, self.N, x / self.scale)
 
 
 def refined_solve(a_ext: np.ndarray, solve, b: np.ndarray) -> np.ndarray:
@@ -94,7 +90,7 @@ def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
         raise ArgumentError(f"window N must be non-negative, got {N}")
     if tag.orthogonal_monomials:
         return KernelEvaluator(domain, tag, N, KernelForm.DIAGONAL_SERIES,
-                               norms=monomial_norms(domain, tag, N))
+                               scale=np.exp(0.5 * log_monomial_norms(domain, tag, N)))
     import scipy.linalg
     import scipy.sparse.linalg  # noqa: F401  (unused; perfbench/tracer.py looks it up in sys.modules)
     m = m or max(512, 4 * N + 4)
@@ -110,8 +106,8 @@ def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
     bound = np.linalg.norm(Gs) * np.linalg.norm(inv + np.triu(inv, 1).conj().T)
     if not bound * (1.0 + 2.0 * Gs.shape[0] * np.finfo(float).eps * bound) <= 1e14:
         _check_scaled_condition(np.linalg.cond(Gs))
-    return KernelEvaluator(domain, tag, N, KernelForm.GRAM_FACTOR, factor=factor,
-                           gram=Gs.conj().astype(np.clongdouble), scale=d)
+    return KernelEvaluator(domain, tag, N, KernelForm.GRAM_FACTOR, scale=d, factor=factor,
+                           gram=Gs.conj().astype(np.clongdouble))
 
 
 @dataclass(frozen=True)
@@ -153,6 +149,9 @@ def _winding_on_circle(f, rho: float, m: int) -> int:
                 angle = 2.0 * np.pi * s / m
                 vals = (f.on_rings([rho], m // P, angle)[0] if hasattr(f, "on_rings")
                         else np.asarray(f(ring_nodes([rho], m // P, angle)[0]), dtype=complex))
+                if not np.all(np.isfinite(vals)):
+                    raise ConvergenceError(
+                        f"f is not finite on the circle |z| = {rho}; cannot count")
                 if np.min(np.abs(vals)) < 1e-10:
                     raise ZeroOnContourError(
                         f"|f| dips below 1e-10 on the circle |z| = {rho}; cannot count")

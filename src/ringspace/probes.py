@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ArgumentError, GeometryError, SolverError
 from .geometry import AnnulusDomain, boundary_angles
 from .laurent import fold_sum
-from .spaces import area_quadrature, ring_values
+from .spaces import area_quadrature, bergman_tag, log_monomial_norms, ring_values
 
 
 def log_radial_moment(r: float) -> float:
@@ -39,17 +39,6 @@ def _log_square_moment(r: float) -> float:
     return 2.0 * (antiderivative(1.0) - antiderivative(r))
 
 
-def _log_bergman_norm_sq(r: float, n: int) -> float:
-    """log of ``||z^n||^2`` in normalized area, stable for any window."""
-    if n == -1:
-        return math.log(2.0 * math.log(1.0 / r))
-    if n >= 0:
-        return math.log1p(-r**(2 * n + 2)) - math.log(n + 1)
-    k = -n  # n <= -2: (r^-(2k-2) - 1)/(k - 1)
-    return (-(2 * k - 2) * math.log(r) + math.log1p(-r**(2 * k - 2))
-            - math.log(k - 1))
-
-
 @dataclass
 class HarmonicKernel:
     """Reproducing kernel of real harmonic functions in ``L^2(dA)`` on the ring."""
@@ -63,9 +52,9 @@ class HarmonicKernel:
         c01 = log_radial_moment(r) / math.pi  # <1, log rho> under dA
         q = _log_square_moment(r)
         self._M0_inv = np.linalg.inv(np.array([[V, c01], [c01, q]]))
-        ns = np.arange(1, self.N + 1)
-        self._log_a = np.array([_log_bergman_norm_sq(r, n) - math.log(2.0) for n in ns])
-        self._log_c = np.array([_log_bergman_norm_sq(r, -n) - math.log(2.0) for n in ns])
+        log_norms = log_monomial_norms(self.domain, bergman_tag(), self.N) - math.log(2.0)
+        self._log_a = log_norms[self.N + 1:]     # n = 1..N
+        self._log_c = log_norms[:self.N][::-1]   # n = -1..-N
         # beta_n = cross moment / sqrt(a_n c_n); cross moment is V/2 for every mode.
         self._beta = (V / 2.0) * np.exp(-0.5 * (self._log_a + self._log_c))
         self._det = 1.0 - self._beta**2

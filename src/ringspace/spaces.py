@@ -43,9 +43,10 @@ class SpaceTag:
 
     @property
     def orthogonal_monomials(self) -> bool:
-        """Unweighted arclength and area: the Gram is diagonal (``monomial_norms``).
+        """Unweighted arclength and area: the Gram is diagonal (``log_monomial_norms``).
         A weight, or the base point of harmonic measure, breaks rotational symmetry."""
-        return not self.weighted and self.kind is not SpaceKind.HARDY_HARMONIC_MEASURE
+        return not self.weighted and self.kind in (SpaceKind.SMIRNOV_ARCLENGTH,
+                                                   SpaceKind.BERGMAN_AREA)
 
     def weight_values(self, z: np.ndarray, m: int) -> np.ndarray:
         """``|weight_fn|^2`` at quadrature nodes ``z``, ``m`` per ring (``ring_values``)."""
@@ -128,35 +129,39 @@ def quadrature_for(domain: AnnulusDomain, tag: SpaceTag, m: int):
     raise ArgumentError(f"unknown space tag {tag.kind}")
 
 
-def monomial_norms(domain: AnnulusDomain, tag: SpaceTag, N: int) -> np.ndarray:
-    """Diagonal Gram entries ``||z^n||^2`` for n = -N..N.
+def log_monomial_norms(domain: AnnulusDomain, tag: SpaceTag, N: int) -> np.ndarray:
+    """``log ||z^n||^2``, n = -N..N, for unweighted arclength and area: the one
+    closed form of the diagonal Grams, finite where ``r^{-2N}`` overflows.
 
-    Arclength: ``2 pi (1 + r^{2n+1})``.  Normalized area:
-    ``(1 - r^{2n+2})/(n+1)`` with the logarithmic value ``2 log(1/r)`` at
-    ``n = -1``.  Harmonic measure: quadrature against the Green density
-    (the closed form ``omega_1(z0) + r^{2n} omega_2(z0)`` is left to tests).
+    Arclength ``2 pi (1 + r^{2n+1})``; normalized area ``(1 - r^{2k})/k`` with
+    ``k = n + 1``, and ``2 log(1/r)`` at ``k = 0``.
     """
-    if tag.weighted:
-        raise ArgumentError("monomial norms are diagonal only without a weight; "
-                            "use weighted_gram for weighted inner products")
+    if not tag.orthogonal_monomials:
+        raise ArgumentError("monomial norms have a closed form only for unweighted "
+                            "arclength and area; use weighted_gram for the others")
     r = domain.inner_radius
     ns = np.arange(-N, N + 1, dtype=float)
     if tag.kind is SpaceKind.SMIRNOV_ARCLENGTH:
-        return 2.0 * np.pi * (1.0 + r**(2.0 * ns + 1.0))
-    if tag.kind is SpaceKind.BERGMAN_AREA:
-        out = np.empty(ns.size)
-        for i, n in enumerate(ns):
-            if n == -1.0:
-                out[i] = 2.0 * math.log(1.0 / r)
-            else:
-                out[i] = (1.0 - r**(2.0 * n + 2.0)) / (n + 1.0)
-        return out
+        return math.log(2.0 * math.pi) + np.logaddexp(0.0, (2.0 * ns + 1.0) * math.log(r))
+    k = ns + 1.0
+    a = np.maximum(np.abs(k), 1.0)  # k = 0 is set below
+    out = 2.0 * np.minimum(k, 0.0) * math.log(r) + np.log1p(-r**(2.0 * a)) - np.log(a)
+    out[k == 0.0] = math.log(2.0 * math.log(1.0 / r))
+    return out
+
+
+def monomial_norms(domain: AnnulusDomain, tag: SpaceTag, N: int) -> np.ndarray:
+    """Diagonal Gram entries ``||z^n||^2``, n = -N..N, unweighted: arclength and
+    area ``exp(log_monomial_norms)``, inf past the double range (r = 0.3: from
+    about |n| = 300); harmonic measure the diagonal of ``weighted_gram`` (its
+    closed form ``omega_1(z0) + r^{2n} omega_2(z0)`` is left to tests)."""
+    if tag.weighted:
+        raise ArgumentError("monomial norms are diagonal only without a weight; "
+                            "use weighted_gram for weighted inner products")
     if tag.kind is SpaceKind.HARDY_HARMONIC_MEASURE:
-        m = max(512, 4 * N + 4)
-        pts, w = measure_quadrature(domain, m)
-        rho = np.abs(pts)
-        return np.array([float(np.sum(w * rho**(2.0 * n))) for n in ns])
-    raise ArgumentError(f"unknown space tag {tag.kind}")
+        return weighted_gram(domain, tag, N, max(512, 4 * N + 4))[1]**2
+    with np.errstate(over="ignore"):
+        return np.exp(log_monomial_norms(domain, tag, N))
 
 
 def ring_gram(pts: np.ndarray, weights: np.ndarray, m: int, N: int):

@@ -161,7 +161,7 @@ def test_criterion_6_extremal_identity(dom):
     for label, tag in (("arclength", smirnov_tag()), ("area", bergman_tag())):
         p = rs.ExtremalProblem(domain=dom, space=tag, base=0.7, zeros=(0.6j,),
                                truncation=32)
-        devs[label] = rs.extremal_identity_check(p, m=512)
+        devs[label] = rs.extremal_identity_check(rs.solve_extremal(p, m=512), p, m=512)
 
     ph = rs.ExtremalProblem(domain=dom, space=hardy_tag(), base=0.7, zeros=(0.6j,),
                             truncation=96)

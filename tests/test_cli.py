@@ -151,6 +151,38 @@ def test_convergence_failure_exit_code(monkeypatch, tmp_path):
     assert doc["status"] == "unverified"
 
 
+def test_non_finite_results_exit_unverified(monkeypatch, tmp_path):
+    def not_a_number(config):
+        results = {"value": float("nan"), "point": {"re": 0.0, "im": float("inf")}}
+        return results, [(8, 1.0), (16, float("nan"))], {"tol": 1.0}, None
+    monkeypatch.setitem(cli._HANDLERS, "hmeasure", not_a_number)
+    out = tmp_path / "doc.json"
+    result = run_cli(["hmeasure", "--r", "0.5", "--out", str(out)])
+    assert result.exit_code == 4
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["status"] == "unverified"
+    for key in ("results.value", "results.point.im", "ladder.1.1"):
+        assert key in doc["results"]["error"]
+
+
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "inf"],
+                                   ["--atoms", "1:nan"]])
+def test_non_finite_parameters_are_rejected(flags):
+    result = run_cli(["singular", "--r", "0.5", *flags])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("rejected: non-finite values at parameters.")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extremal_past_the_double_range_of_the_norms():
+    # ||z^-300||^2 at r = 0.3 is past 1.8e308; the solvers read its logarithm
+    doc = run_json(["extremal", "--r", "0.3", "--base", "0.65", "--zeros", "0.5i",
+                    "--space", "smirnov", "--N", "300", "--m", "1204"])
+    assert doc["results"]["formulation_equivalence"] <= 1e-9
+    assert abs(doc["results"]["value_at_base"]["re"] - 1.0) <= 1e-12
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"r": 0.5, "base": "0.7", "j": 2, "m": 128}))

@@ -152,13 +152,28 @@ def test_maximizer_repeated_zero_is_typed():
 @pytest.mark.parametrize("make_tag", [smirnov_tag, bergman_tag])
 def test_extremal_equals_blaschke_times_weighted_kernel(dom, make_tag):
     p = problem(dom, make_tag(), (0.6j,), 32)
-    assert rs.extremal_identity_check(p, m=512) <= 1e-6
+    assert rs.extremal_identity_check(rs.solve_extremal(p, m=512), p, m=512) <= 1e-6
 
 
 def test_identity_check_needs_single_zero(dom):
     p = problem(dom, bergman_tag(), (0.6j, -0.6), 16)
     with pytest.raises(ArgumentError):
-        rs.extremal_identity_check(p)
+        rs.extremal_identity_check(rs.solve_extremal(p), p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("N", [300, 384])
+@pytest.mark.parametrize("make_tag", [smirnov_tag, bergman_tag])
+def test_diagonal_extremals_past_the_double_range_of_the_norms(N, make_tag):
+    # at r = 0.3, ||z^-N||^2 overflows a double for these windows
+    d = rs.make_annulus(0.3, 0.65)
+    p = rs.ExtremalProblem(domain=d, space=make_tag(), base=0.65, zeros=(0.5j,),
+                           truncation=N)
+    G = rs.solve_extremal(p, m=4 * N + 4)
+    F = rs.extremal_maximizer(p, m=4 * N + 4)
+    assert np.all(np.isfinite(G.coeffs)) and np.all(np.isfinite(F.coeffs))
+    pts = polar_grid(d, 24)
+    assert np.max(np.abs(G(pts) - F(pts) / complex(F(p.base)))) <= 1e-9
 
 
 # ------------------------------------------------------ reproducing identity

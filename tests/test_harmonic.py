@@ -82,6 +82,14 @@ def test_dirichlet_rejects_nonreal_data(dom):
         solve_dirichlet(dom, outer, np.zeros(2 * N + 1), N)
 
 
+def test_dirichlet_rejects_non_finite_data(dom):
+    N = 4
+    outer = np.zeros(2 * N + 1, dtype=complex)
+    outer[N] = np.nan
+    with pytest.raises(ArgumentError, match="not finite"):
+        solve_dirichlet(dom, outer, np.zeros(2 * N + 1), N)
+
+
 # --------------------------------------------------------- harmonic measure
 
 def test_harmonic_measure_geometric_mean_value():

@@ -231,6 +231,24 @@ def test_orthogonality_of_truncated_blaschke_factor(dom):
     assert rs.check_orthogonality(f, dom, N=16) <= 1e-6
 
 
+def test_orthogonality_past_the_double_range_of_the_norms():
+    # at r = 0.3, ||z^n||^2 overflows a double from n = -295 on; the pairing
+    # of a +-400 window is still the finite sum of its formula
+    mpmath = pytest.importorskip("mpmath")
+    d = rs.make_annulus(0.3, math.sqrt(0.3))
+    f = to_laurent(rs.blaschke_factor(d, 0.95), d, -400, 400)
+    got = rs.check_orthogonality(f, d, 16)
+    with mpmath.workdps(40):
+        r = mpmath.mpf(0.3)
+        c = {j: mpmath.mpc(complex(x)) for j, x in zip(range(f.lo, f.hi + 1), f.coeffs)}
+        want = max(abs(mpmath.fsum(c[j] * mpmath.conj(c[j + n]) * 2 * mpmath.pi
+                                   * (1 + r**(2 * (j + n) + 1))
+                                   for j in c if j + n in c))
+                   for n in range(-16, 17) if n != 0)
+        assert np.isfinite(got) and got > 0.0
+        assert abs(got - want) <= 1e-10 * want
+
+
 def test_constant_modulus_iff_orthogonal(dom):
     # equivalence probed on the truncated class: the inner function passes
     # both gates, the control fails both

@@ -260,6 +260,16 @@ def test_count_monomial_windings(dom):
         assert count_zeros(f, dom, (0.55, 0.95)) == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_count_rejects_non_finite_values_on_a_circle(dom, bad):
+    # z itself, except past |z| = 0.9, where the counting circle at 0.95 lies
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        return np.where(np.abs(z) > 0.9, bad, z)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        count_zeros(f, dom, (0.55, 0.95))
+
+
 @pytest.mark.parametrize("block", [8192, 1000])
 def test_winding_refines_in_bounded_blocks(monkeypatch, block):
     # z^5461 (5461 = 0b1010101010101, so no coarse grid aliases it to a small

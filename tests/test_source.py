@@ -46,6 +46,18 @@ def test_library_touches_no_other_objects_private_attributes():
     assert found == []
 
 
+def test_only_spaces_calls_monomial_norms():
+    # ||z^n||^2 has one owner: solvers read log_monomial_norms or ring_gram's
+    # scale, which stay finite where the linear norms overflow
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "spaces.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)
+             and "monomial_norms" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))]
+    assert found == []
+
+
 def _run_scipy_users():
     # the library imports scipy on first use; the benchmark runs one job and
     # its untraced loop before installing the tracer, which reads

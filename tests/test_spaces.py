@@ -7,8 +7,8 @@ import ringspace as rs
 from ringspace.errors import ArgumentError
 from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import (SpaceKind, _gauss_legendre, area_quadrature, bergman_tag,
-                              gram_matrix, hardy_tag, inner_product, measure_quadrature,
-                              monomial_norms, smirnov_tag, weighted_gram)
+                              gram_matrix, hardy_tag, inner_product, log_monomial_norms,
+                              measure_quadrature, monomial_norms, smirnov_tag, weighted_gram)
 
 from oracles import (bergman_monomial_norm, dense_gram, equilibrated, green_images,
                      hardy_monomial_norm, node_measure_quadrature,
@@ -103,6 +103,52 @@ def test_weighted_tag_rejected_by_monomial_norms():
     d = rs.make_annulus(0.5, 0.7)
     with pytest.raises(ArgumentError):
         monomial_norms(d, smirnov_tag(weight_fn=lambda z: z), 4)
+
+
+def _linear_norms(r, tag, N):
+    # the closed forms in linear space: the reference for the log form
+    ns = np.arange(-N, N + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        if tag.kind is SpaceKind.SMIRNOV_ARCLENGTH:
+            return 2.0 * np.pi * (1.0 + r**(2.0 * ns + 1.0))
+        return np.array([2.0 * math.log(1.0 / r) if n == -1.0
+                         else (1.0 - r**(2.0 * n + 2.0)) / (n + 1.0) for n in ns])
+
+
+@pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.7, 0.95])
+@pytest.mark.parametrize("N", [0, 1, 16, 64])
+@pytest.mark.parametrize("make_tag", [smirnov_tag, bergman_tag])
+def test_log_monomial_norms_match_linear_closed_forms(r, N, make_tag):
+    d = rs.make_annulus(r, (1 + r) / 2)
+    old = _linear_norms(r, make_tag(), N)
+    new = np.exp(log_monomial_norms(d, make_tag(), N))
+    assert new.shape == (2 * N + 1,)
+    finite = np.isfinite(old)
+    assert np.max(np.abs(new[finite] - old[finite]) / old[finite]) <= 1e-13
+
+
+@pytest.mark.parametrize("tag", [hardy_tag(), smirnov_tag(weight_fn=lambda z: z),
+                                 bergman_tag(weight_fn=lambda z: z)])
+def test_log_monomial_norms_reject_non_diagonal_tags(tag):
+    d = rs.make_annulus(0.5, 0.7)
+    with pytest.raises(ArgumentError):
+        log_monomial_norms(d, tag, 4)
+
+
+def test_monomial_norms_overflow_where_the_log_form_does_not():
+    d = rs.make_annulus(0.3, 0.65)
+    logs = log_monomial_norms(d, smirnov_tag(), 400)
+    assert np.all(np.isfinite(logs))
+    assert np.isinf(monomial_norms(d, smirnov_tag(), 400)[0])
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+def test_area_rule_scale_matches_the_closed_form(r):
+    # inside the envelope of the 64-node radial rule: N = 96
+    d = rs.make_annulus(r, (1 + r) / 2)
+    _, scale = weighted_gram(d, bergman_tag(), 96, 388)
+    exact = np.exp(log_monomial_norms(d, bergman_tag(), 96))
+    assert np.max(np.abs(scale**2 - exact) / exact) <= 1e-12
 
 
 # ------------------------------------------------------------------- Gram
