@@ -36,7 +36,6 @@ from .extremal import (CandidateDivisor, DivisorReport, ExtremalProblem,
                        repro_fact_check, solve_extremal)
 from .probes import (BiharmonicSolution, HarmonicKernel, PolarGrid,
                      bergman_decomposition_residual, biharmonic_green,
-                     defect_direction, harmonic_l2_kernel, harmonic_test_family,
-                     log_radial_moment)
+                     defect_direction, harmonic_l2_kernel, log_radial_moment)
 
 __version__ = "0.1.0"

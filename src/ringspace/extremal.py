@@ -33,7 +33,9 @@ from .inner import InnerFunctionSpec, blaschke_factor, capped_blaschke_factor
 from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, refined_solve
 from .laurent import LaurentPolynomial
 from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag, log_monomial_norms,
-                     quadrature_for, ring_gram, ring_values, weighted_gram)
+                     measure_quadrature, ring_gram, ring_values, weighted_gram)
+
+_IDENTITY_GRID = 32  # polar grid of extremal_identity_check
 
 
 @dataclass(frozen=True)
@@ -76,17 +78,25 @@ def solve_extremal(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     once (``refined_solve``); the form is positive definite so the solution is
     unique for independent constraints.
     """
-    if p.space.orthogonal_monomials:
-        d = np.exp(0.5 * log_monomial_norms(p.domain, p.space, p.truncation))
-        Gs = np.eye(d.size, dtype=complex)
-    else:
-        Gs, d = weighted_gram(p.domain, p.space, p.truncation, m)
     points = np.array([p.base, *p.zeros])  # rows E: z^n at the constrained points
-    Es = points[:, None]**np.arange(-p.truncation, p.truncation + 1, dtype=float) / d
+    with np.errstate(over="ignore", invalid="ignore"):  # rows are checked below
+        if p.space.orthogonal_monomials:
+            d = np.exp(0.5 * log_monomial_norms(p.domain, p.space, p.truncation))
+            Gs = np.eye(d.size, dtype=complex)
+        else:
+            Gs, d = weighted_gram(p.domain, p.space, p.truncation, m)
+        Es = points[:, None]**np.arange(-p.truncation, p.truncation + 1, dtype=float) / d
+    finite = np.all(np.isfinite(Es), axis=1)
+    if not finite.all():
+        raise SingularConstraintsError(f"z^n / ||z^n|| at {points[~finite][0]} leaves the double "
+                                       f"range on the window -{p.truncation}..{p.truncation}")
     k = points.size
-    if np.linalg.matrix_rank(Es, tol=1e-12) < k:
-        raise SingularConstraintsError(
-            "evaluation constraints are linearly dependent on this window")
+    try:
+        if np.linalg.matrix_rank(Es, tol=1e-12) < k:
+            raise SingularConstraintsError("evaluation constraints are linearly dependent "
+                                           "on this window")
+    except np.linalg.LinAlgError as exc:
+        raise SingularConstraintsError(f"evaluation constraints have no rank ({exc})") from exc
     n = Gs.shape[0]
     kkt = np.zeros((n + k, n + k), dtype=complex)
     kkt[:n, :n] = Gs.conj()
@@ -112,6 +122,10 @@ def extremal_maximizer(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     """
     K = build_kernel(p.domain, p.space, p.truncation, m)
     section, *at_zeros = [K.section(w) for w in (p.base, *p.zeros)]
+    for w, s in zip((p.base, *p.zeros), (section, *at_zeros)):
+        if not np.all(np.isfinite(s.coeffs)):
+            raise SingularConstraintsError(f"the kernel section at {w} leaves the double "
+                                           f"range on the window -{K.N}..{K.N}")
     if p.zeros:
         kz = np.array([[complex(kj(zi)) for kj in at_zeros] for zi in p.zeros])
         rhs = np.array([complex(section(zi)) for zi in p.zeros])
@@ -126,8 +140,7 @@ def extremal_maximizer(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     return section * (1.0 / math.sqrt(value.real))
 
 
-def extremal_identity_check(G: LaurentPolynomial, p: ExtremalProblem, m: int = 512,
-                            grid: int = 32) -> float:
+def extremal_identity_check(G: LaurentPolynomial, p: ExtremalProblem, m: int = 512) -> float:
     """Deviation between the extremal ``G`` (``solve_extremal(p)``) and
     ``B_z1 * weighted-kernel``.
 
@@ -140,7 +153,7 @@ def extremal_identity_check(G: LaurentPolynomial, p: ExtremalProblem, m: int = 5
     B = blaschke_factor(p.domain, p.zeros[0])
     weighted = SpaceTag(p.space.kind, weight_fn=B)
     section = build_kernel(p.domain, weighted, p.truncation, m).section(p.base)
-    pts = polar_grid(p.domain, grid)
+    pts = polar_grid(p.domain, _IDENTITY_GRID)
     formula = np.asarray(B(pts)) * np.asarray(section(pts))
     base_val = complex(B(p.base)) * complex(section(p.base))
     return float(np.max(np.abs(G(pts) - formula / base_val)))
@@ -156,7 +169,7 @@ def repro_fact_check(G: LaurentPolynomial, p: ExtremalProblem, m: int = 512) -> 
     """
     if p.space.kind is not SpaceKind.HARDY_HARMONIC_MEASURE:
         raise ArgumentError("the reproducing identity lives in the harmonic-measure space")
-    pts, w = quadrature_for(p.domain, p.space, m)
+    pts, w = measure_quadrature(p.domain, m)
     gsq = np.abs(np.asarray(G(pts), dtype=complex))**2
     worst = 0.0
     half = p.truncation // 2

@@ -36,6 +36,8 @@ from .spaces import (boundary_quadrature, hardy_tag, log_monomial_norms, quadrat
                      ring_values, smirnov_tag)
 
 _PERIOD_TOL = 1e-8
+_PERIOD_NODES = 512    # nodes of the conjugate-period quadrature
+_DIVISION_WINDOW = 8   # random Laurent h of division_bound_check: z^-8..z^8
 
 
 @dataclass(frozen=True)
@@ -116,12 +118,13 @@ class InnerFunctionSpec:
         return out
 
 
-def _loop_period_residual(rep: HarmonicRepresentation, rho: float, m: int = 512) -> float:
+def _loop_period_residual(rep: HarmonicRepresentation, rho: float) -> float:
     """Deviation of the numerically integrated conjugate period of ``rep``
     around ``|z| = rho`` from the nearest multiple of 2*pi.
 
     Uses the polar Cauchy-Riemann relation d(conj)/d(theta) = rho * d(rep)/d(rho).
     """
+    m = _PERIOD_NODES
     period = float(np.sum(rho * rep.radial_derivative_on_circle(rho, m)) * 2.0 * np.pi / m)
     return abs(period - 2.0 * np.pi * round(period / (2.0 * np.pi)))
 
@@ -420,7 +423,7 @@ class DivisionBoundReport:
 
 
 def division_bound_check(G: InnerFunctionSpec, C: float, domain: AnnulusDomain,
-                         trials: int = 100, seed: int = 0, window: int = 8,
+                         trials: int = 100, seed: int = 0,
                          m: int = 512) -> DivisionBoundReport:
     """Empirical two-sided division bounds for the normalized divisor.
 
@@ -434,9 +437,9 @@ def division_bound_check(G: InnerFunctionSpec, C: float, domain: AnnulusDomain,
         raise ArgumentError(f"need at least one trial, got {trials}")
     pts, w = quadrature_for(domain, hardy_tag(), m)
     g_sq = np.abs(ring_values(G, pts, m))**2
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, 2 * window + 1))
+    draws = np.random.default_rng(seed).standard_normal((trials, 2, 2 * _DIVISION_WINDOW + 1))
     c = draws[:, 0] + 1j * draws[:, 1]
-    powers = pts[:, None] ** np.arange(-window, window + 1)[None, :]
+    powers = pts[:, None] ** np.arange(-_DIVISION_WINDOW, _DIVISION_WINDOW + 1)[None, :]
 
     def sq_norms(weights):
         return np.einsum("tj,jk,tk->t", c, (powers.T * weights) @ powers.conj(), c.conj()).real

@@ -23,6 +23,9 @@ from .geometry import AnnulusDomain, boundary_angles
 from .laurent import fold_sum
 from .spaces import area_quadrature, bergman_tag, log_monomial_norms, ring_values
 
+_DEGREE = 8     # decomposition tests: Re and Im of z^k for 0 < |k| <= _DEGREE
+_N_KERNEL = 64  # angular degree of the harmonic kernel H(., z0) in the decomposition
+
 
 def log_radial_moment(r: float) -> float:
     """``2 pi * integral_r^1 rho log(rho) d rho`` (closed form)."""
@@ -112,22 +115,6 @@ def harmonic_l2_kernel(domain: AnnulusDomain, z0: complex, N: int = 64) -> Harmo
     return HarmonicKernelSection(kernel=HarmonicKernel(domain, N), base=complex(z0))
 
 
-def harmonic_test_family(domain: AnnulusDomain, degree: int = 8):
-    """Real harmonic test functions: 1, Re/Im z^(+-n) up to ``degree``, log|z|.
-
-    Returned as (label, evaluator) pairs where the evaluator acts on complex
-    arrays.
-    """
-    family = [("1", lambda z: np.ones(np.shape(z)))]
-    for n in range(1, degree + 1):
-        for sign in (n, -n):
-            for name, part in (("Re", np.real), ("Im", np.imag)):
-                family.append((f"{name} z^{sign}",
-                               lambda z, k=sign, p=part: p(np.asarray(z, dtype=complex)**k)))
-    family.append(("log|z|", lambda z: np.log(np.abs(np.asarray(z, dtype=complex)))))
-    return family
-
-
 def defect_direction(domain: AnnulusDomain, m: int = 512):
     """The one-dimensional defect ``nu_1 = log|z| - c0`` orthogonal to real
     parts of ring-analytic functions, with ``c0`` fixed numerically so the
@@ -139,22 +126,29 @@ def defect_direction(domain: AnnulusDomain, m: int = 512):
     return nu, c0
 
 
-def bergman_decomposition_residual(G, domain: AnnulusDomain, z0: complex,
-                                   m: int = 512, degree: int = 8,
-                                   N_kernel: int = 64) -> tuple[float, float]:
-    """Fit ``<|G|^2 - H(., z0), u> ~ lambda_1 <nu_1, u>`` over harmonic tests.
-
-    ``G`` is expected in the unit-norm gauge of the reproducing identity.
-    Only the log-mode test pairs with ``nu_1``; the returned residual is the
-    largest unexplained pairing, which vanishes (up to truncation) because
-    the rest of ``|G|^2 - H`` annihilates harmonics.
-    """
+def _decomposition_pairings(G, domain: AnnulusDomain, z0: complex, m: int):
+    """``(p, q)``: ``|G|^2 - H(., z0)`` and ``nu_1`` paired under ``dA`` with 1, ``Re z^k``,
+    ``Im z^k`` (k = 1, -1, ..., 8, -8) and ``log|z|``.  On a ring of radius rho,
+    ``sum w f z^k = rho^k W[k mod m]``, ``W = m * ifft(w f)`` there: exact for every ``m``."""
     pts, w = area_quadrature(domain, m)
-    H = harmonic_l2_kernel(domain, z0, N_kernel)
-    D = np.abs(np.asarray(G(pts), dtype=complex))**2 - ring_values(H, pts, m).real
-    nu, _ = defect_direction(domain, m)
-    weights = np.stack([w * D, w * nu(pts)], axis=1)
-    ps, qs = np.array([u(pts) @ weights for _, u in harmonic_test_family(domain, degree)]).T
+    H = harmonic_l2_kernel(domain, z0, _N_KERNEL)
+    D = np.abs(ring_values(G, pts, m))**2 - ring_values(H, pts, m).real
+    rho = np.abs(pts[::m])
+    ks = np.outer(np.arange(1, _DEGREE + 1), [1, -1]).ravel()
+    def pairings(f):  # moments.view(float): Re and Im of each z^k, interleaved
+        W = np.fft.ifft(np.reshape(w * f, (-1, m)), axis=1, norm="forward")  # m * ifft
+        moments = np.sum(rho[:, None]**ks * W[:, ks % m], axis=0)
+        return [W[:, 0].real.sum(), *moments.view(float), W[:, 0].real @ np.log(rho)]
+    return np.array([pairings(D), pairings(defect_direction(domain, m)[0](pts))])
+
+
+def bergman_decomposition_residual(G, domain: AnnulusDomain, z0: complex,
+                                   m: int = 512) -> tuple[float, float]:
+    """Fit ``<|G|^2 - H(., z0), u> ~ lambda_1 <nu_1, u>`` over the tests of
+    ``_decomposition_pairings``, ``G`` in the unit-norm gauge.  Only ``log|z|`` pairs
+    with ``nu_1``; the residual is the largest unexplained pairing, which vanishes up
+    to truncation because the rest of ``|G|^2 - H`` annihilates harmonics."""
+    ps, qs = _decomposition_pairings(G, domain, z0, m)
     lam1 = float(ps @ qs / (qs @ qs))
     return lam1, float(np.max(np.abs(ps - lam1 * qs)))
 

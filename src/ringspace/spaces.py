@@ -48,12 +48,6 @@ class SpaceTag:
         return not self.weighted and self.kind in (SpaceKind.SMIRNOV_ARCLENGTH,
                                                    SpaceKind.BERGMAN_AREA)
 
-    def weight_values(self, z: np.ndarray, m: int) -> np.ndarray:
-        """``|weight_fn|^2`` at quadrature nodes ``z``, ``m`` per ring (``ring_values``)."""
-        if self.weight_fn is None:
-            return np.ones(np.shape(z))
-        return np.abs(ring_values(self.weight_fn, z, m))**2
-
 
 def smirnov_tag(weight_fn=None) -> SpaceTag:
     return SpaceTag(SpaceKind.SMIRNOV_ARCLENGTH, weight_fn)
@@ -119,14 +113,14 @@ def measure_quadrature(domain: AnnulusDomain, m: int, N_green: int | None = None
 
 
 def quadrature_for(domain: AnnulusDomain, tag: SpaceTag, m: int):
-    """Quadrature points and measure weights for a tag (weight function excluded)."""
-    if tag.kind is SpaceKind.SMIRNOV_ARCLENGTH:
-        return boundary_quadrature(domain, m)
-    if tag.kind is SpaceKind.BERGMAN_AREA:
-        return area_quadrature(domain, m)
-    if tag.kind is SpaceKind.HARDY_HARMONIC_MEASURE:
-        return measure_quadrature(domain, m)
-    raise ArgumentError(f"unknown space tag {tag.kind}")
+    """Points and the tag's whole measure: the quadrature weights times ``|weight_fn|^2``."""
+    measure = {SpaceKind.SMIRNOV_ARCLENGTH: boundary_quadrature,
+               SpaceKind.BERGMAN_AREA: area_quadrature,
+               SpaceKind.HARDY_HARMONIC_MEASURE: measure_quadrature}.get(tag.kind)
+    if measure is None:
+        raise ArgumentError(f"unknown space tag {tag.kind}")
+    pts, w = measure(domain, m)
+    return pts, (w * np.abs(ring_values(tag.weight_fn, pts, m))**2 if tag.weighted else w)
 
 
 def log_monomial_norms(domain: AnnulusDomain, tag: SpaceTag, N: int) -> np.ndarray:
@@ -200,8 +194,7 @@ def ring_gram(pts: np.ndarray, weights: np.ndarray, m: int, N: int):
 def weighted_gram(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int):
     """``ring_gram`` of a tag, weight included; ``m`` counts angular nodes per
     circle (boundary tags) or per radial ring (area tag)."""
-    pts, w = quadrature_for(domain, tag, m)
-    return ring_gram(pts, w * tag.weight_values(pts, m), m, N)
+    return ring_gram(*quadrature_for(domain, tag, m), m, N)
 
 
 def gram_matrix(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int) -> np.ndarray:
@@ -218,14 +211,11 @@ def inner_product(f: LaurentPolynomial, g: LaurentPolynomial,
                   domain: AnnulusDomain, tag: SpaceTag, m: int = 512) -> complex:
     """Sesquilinear ``<f, g>`` in the tagged space, by quadrature."""
     pts, w = quadrature_for(domain, tag, m)
-    wv = w * tag.weight_values(pts, m)
-    return complex(np.sum(wv * f(pts) * np.conj(g(pts))))
+    return complex(np.sum(w * f(pts) * np.conj(g(pts))))
 
 
 def norm(f, domain: AnnulusDomain, tag: SpaceTag, m: int = 512) -> float:
     """Space norm of an arbitrary evaluator by quadrature."""
     pts, w = quadrature_for(domain, tag, m)
-    wv = w * tag.weight_values(pts, m)
-    vals = ring_values(f, pts, m)
-    return float(np.sqrt(np.sum(wv * np.abs(vals)**2).real))
+    return float(np.sqrt(np.sum(w * np.abs(ring_values(f, pts, m))**2).real))
 

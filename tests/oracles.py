@@ -10,8 +10,9 @@ least a different algorithm) than the library path it checks:
 * monomial norms come from adaptive quadrature, not closed forms;
 * the operator-norm oracle maximizes Rayleigh quotients by seeded random
   search with pencil power-iteration polish, not by a packed eigensolver;
-* Gram matrices and the division pencil are dense Vandermonde products over
-  every quadrature node, not ring-wise FFT sums.
+* Gram matrices, the division pencil and the decomposition's harmonic
+  pairings are dense Vandermonde products over every quadrature node, not
+  ring-wise FFT sums.
 * boundary fluxes (harmonic-measure weights, the Schottky function, radial
   derivatives of harmonic representations) come from a node list built one
   node at a time and a dense mode-by-node derivative table, not from one FFT
@@ -173,8 +174,8 @@ def _powers(pts, N: int):
 
 def dense_gram(domain, tag, N: int, m: int):
     """A tag's Gram ``<z^j, z^k>`` on the window -N..N, weight included."""
-    from ringspace.spaces import quadrature_for
-    pts, w = quadrature_for(domain, tag, m)
+    from ringspace.spaces import SpaceTag, quadrature_for
+    pts, w = quadrature_for(domain, SpaceTag(tag.kind), m)
     if tag.weighted:  # pointwise, not through the library's ring FFT
         w = w * np.abs(np.asarray(tag.weight_fn(pts), dtype=complex))**2
     return basis_gram(_powers(pts, N), w)
@@ -187,6 +188,31 @@ def division_grams(G, z1: complex, domain, N: int, m: int):
     phi = (pts - z1)[:, None] * _powers(pts, N)
     psi = phi / np.asarray(G(pts), dtype=complex)[:, None]
     return basis_gram(phi, w), basis_gram(psi, w)
+
+
+def harmonic_test_family(degree: int = 8):
+    """Real harmonic tests 1, ``Re z^k`` and ``Im z^k`` (k = 1, -1, ..., degree,
+    -degree) and ``log|z|``, each a closure taking its own powers of every point."""
+    family = [lambda z: np.ones(np.shape(z))]
+    for n in range(1, degree + 1):
+        for k in (n, -n):
+            for part in (np.real, np.imag):
+                family.append(lambda z, k=k, part=part: part(np.asarray(z, dtype=complex)**k))
+    family.append(lambda z: np.log(np.abs(np.asarray(z, dtype=complex))))
+    return family
+
+
+def dense_decomposition_pairings(G, domain, z0: complex, m: int):
+    """The decomposition's pairings ``(p, q)`` node by node: ``G`` and the harmonic
+    kernel by their point calls, each test of ``harmonic_test_family`` by dense
+    powers of every area node."""
+    from ringspace.probes import defect_direction, harmonic_l2_kernel
+    from ringspace.spaces import area_quadrature
+    pts, w = area_quadrature(domain, m)
+    D = np.abs(np.asarray(G(pts), dtype=complex))**2 - harmonic_l2_kernel(domain, z0, 64)(pts)
+    nu, _ = defect_direction(domain, m)
+    weights = np.stack([w * D, w * nu(pts)], axis=1)
+    return np.array([u(pts) @ weights for u in harmonic_test_family()]).T
 
 
 def rayleigh_maximize(A, B, trials: int = 10000, polish: int = 200, seed: int = 0):

@@ -151,6 +151,18 @@ def test_convergence_failure_exit_code(monkeypatch, tmp_path):
     assert doc["status"] == "unverified"
 
 
+def test_extremal_past_the_double_range_exits_unverified(tmp_path):
+    out = tmp_path / "doc.json"
+    result = run_cli(["extremal", "--r", "0.05", "--base", "0.06", "--zeros", "0.5",
+                      "--space", "smirnov", "--N", "300", "--m", "1204", "--out", str(out)])
+    assert result.exit_code == 4
+    assert result.stderr.startswith("unverified: z^n / ||z^n|| at (0.06+0j)")
+    assert "Traceback" not in result.output
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["status"] == "unverified"
+
+
 def test_non_finite_results_exit_unverified(monkeypatch, tmp_path):
     def not_a_number(config):
         results = {"value": float("nan"), "point": {"re": 0.0, "im": float("inf")}}

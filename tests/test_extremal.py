@@ -176,6 +176,18 @@ def test_diagonal_extremals_past_the_double_range_of_the_norms(N, make_tag):
     assert np.max(np.abs(G(pts) - F(pts) / complex(F(p.base)))) <= 1e-9
 
 
+def test_powers_past_the_double_range_are_typed():
+    # at r = 0.05, base 0.06 and N = 300 both 0.06^-300 and ||z^-300|| overflow:
+    # the scaled constraint row and the kernel section would be inf / inf
+    d = rs.make_annulus(0.05, 0.06)
+    p = rs.ExtremalProblem(domain=d, space=smirnov_tag(), base=0.06, zeros=(0.5,),
+                           truncation=300)
+    for route in (rs.solve_extremal, rs.extremal_maximizer):
+        with np.errstate(all="ignore"), pytest.raises(SingularConstraintsError,
+                                                      match=r"0\.06.*-300\.\.300"):
+            route(p, m=1204)
+
+
 # ------------------------------------------------------ reproducing identity
 
 def test_reproducing_identity_for_normalized_extremal(dom):

@@ -9,12 +9,13 @@ import scipy.sparse.linalg
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, GeometryError, SolverError
-from ringspace.probes import (_banded_solve, _clamped_apply, bergman_decomposition_residual,
-                              biharmonic_green, defect_direction, harmonic_l2_kernel,
-                              log_radial_moment)
+from ringspace.probes import (_banded_solve, _clamped_apply, _decomposition_pairings,
+                              bergman_decomposition_residual, biharmonic_green,
+                              defect_direction, harmonic_l2_kernel, log_radial_moment)
 from ringspace.spaces import area_quadrature, bergman_tag, norm as space_norm, ring_values
 
-from oracles import clamped_factors, clamped_operator, loop_clamped_operator
+from oracles import (clamped_factors, clamped_operator, dense_decomposition_pairings,
+                     loop_clamped_operator)
 
 
 # --------------------------------------------------------- harmonic kernel
@@ -104,6 +105,22 @@ def test_decomposition_of_one_zero_extremal(dom):
     Gn = G * (1.0 / space_norm(G, dom, bergman_tag()))
     lam1, residual = bergman_decomposition_residual(Gn, dom, 0.7, m=512)
     assert residual <= 1e-5
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("m", [64, 512])
+@pytest.mark.parametrize("evaluator", ["on_rings", "plain"])
+def test_decomposition_pairings_match_the_dense_family(r, m, evaluator):
+    # element by element: the residual alone cannot see the sign of the Im z^k
+    # rows, so a base off the real axis keeps them non-zero
+    base = (r + 0.05) * np.exp(0.7j)  # 0.05 from the inner circle
+    dom = rs.make_annulus(r, base)
+    section = rs.build_kernel(dom, bergman_tag(), 32).section(base)
+    G = section if evaluator == "on_rings" else (lambda z: section(z))
+    got = _decomposition_pairings(G, dom, base, m)
+    want = dense_decomposition_pairings(G, dom, base, m)
+    assert got.shape == want.shape == (2, 34)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ------------------------------------------------------------- biharmonic

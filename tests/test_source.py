@@ -58,6 +58,15 @@ def test_only_spaces_calls_monomial_norms():
     assert found == []
 
 
+def test_only_spaces_reads_a_weight_fn():
+    # quadrature_for is the one place a tag's weight enters a measure
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "spaces.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "weight_fn"]
+    assert found == []
+
+
 def _run_scipy_users():
     # the library imports scipy on first use; the benchmark runs one job and
     # its untraced loop before installing the tracer, which reads

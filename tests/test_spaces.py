@@ -6,9 +6,10 @@ import pytest
 import ringspace as rs
 from ringspace.errors import ArgumentError
 from ringspace.laurent import LaurentPolynomial
-from ringspace.spaces import (SpaceKind, _gauss_legendre, area_quadrature, bergman_tag,
-                              gram_matrix, hardy_tag, inner_product, log_monomial_norms,
-                              measure_quadrature, monomial_norms, smirnov_tag, weighted_gram)
+from ringspace.spaces import (SpaceKind, SpaceTag, _gauss_legendre, area_quadrature,
+                              bergman_tag, boundary_quadrature, gram_matrix, hardy_tag,
+                              inner_product, log_monomial_norms, measure_quadrature,
+                              monomial_norms, quadrature_for, smirnov_tag, weighted_gram)
 
 from oracles import (bergman_monomial_norm, dense_gram, equilibrated, green_images,
                      hardy_monomial_norm, node_measure_quadrature,
@@ -278,3 +279,26 @@ def test_hardy_measure_reproduces_identity_function():
 def test_norm_of_constant_in_hardy_space():
     d = rs.make_annulus(0.5, 0.7)
     assert rs.norm(lambda z: np.ones(np.shape(z)), d, hardy_tag()) == pytest.approx(1.0, abs=1e-10)
+
+
+# --------------------------------------------------------- weighted measures
+
+@pytest.mark.parametrize("kind", list(SpaceKind))
+@pytest.mark.parametrize("weight", ["blaschke", "lambda"])
+def test_quadrature_for_folds_in_the_weight(kind, weight):
+    d = rs.make_annulus(0.5, 0.7)
+    u = (rs.blaschke_factor(d, 0.55 - 0.3j) if weight == "blaschke"
+         else lambda z: np.asarray(z, dtype=complex) + 0.2)
+    pts, w = quadrature_for(d, SpaceTag(kind, u), 128)
+    plain_pts, plain_w = quadrature_for(d, SpaceTag(kind), 128)
+    np.testing.assert_array_equal(pts, plain_pts)
+    expected = plain_w * np.abs(np.asarray(u(pts), dtype=complex))**2  # point by point
+    assert np.max(np.abs(w - expected) / expected) <= 1e-13
+
+
+def test_unweighted_quadrature_for_is_the_plain_measure():
+    d = rs.make_annulus(0.5, 0.7)
+    for tag, plain in ((smirnov_tag(), boundary_quadrature), (bergman_tag(), area_quadrature),
+                       (hardy_tag(), measure_quadrature)):
+        for got, want in zip(quadrature_for(d, tag, 128), plain(d, 128)):
+            np.testing.assert_array_equal(got, want)
