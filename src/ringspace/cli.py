@@ -389,7 +389,7 @@ def _cmd_kernel_zeros(config: RunConfig):
     domain = _domain(config)
     tag = _space_tag(config)
     N = max(config.N, 96)  # below ~96 truncation zeros hug the circles
-    K = build_kernel(domain, tag, N=N, m=max(config.m, 4 * N + 4))
+    K = build_kernel(domain, tag, N=N, m=config.m)
     section = K.section(domain.base_point)
     count = count_zeros(section, domain, full_ring(domain), m=config.m)
     report = locate_zeros(section, domain, expected=count)
@@ -426,7 +426,7 @@ def _cmd_candidate_divisor(config: RunConfig):
         raise click.UsageError("candidate-divisor needs exactly one zero in --zeros")
     domain = _domain(config)
     N = max(config.N, 96)
-    cand = candidate_divisor(domain, config.zeros[0], N=N, m=max(config.m, 4 * N + 4))
+    cand = candidate_divisor(domain, config.zeros[0], N=N, m=config.m)
     report = locate_zeros(cand, domain, expected=1)
     results = {
         "kernel_zero": _cnum(cand.kernel_zero),
@@ -466,7 +466,7 @@ def _cmd_qc_estimate(config: RunConfig):
     z1 = config.zeros[0]
     undivided = bool(config.extras.get("undivided", False))
     N = max(config.N, 96)
-    cand = candidate_divisor(domain, z1, N=N, m=max(config.m, 4 * N + 4))
+    cand = candidate_divisor(domain, z1, N=N, m=config.m)
     if undivided:
         def target(z):
             z = np.asarray(z, dtype=complex)

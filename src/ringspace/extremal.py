@@ -32,8 +32,8 @@ from .geometry import AnnulusDomain, polar_grid
 from .inner import InnerFunctionSpec, blaschke_factor, capped_blaschke_factor
 from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, refined_solve
 from .laurent import LaurentPolynomial
-from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag, log_monomial_norms,
-                     measure_quadrature, ring_gram, ring_values, weighted_gram)
+from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag, measure_quadrature,
+                     ring_gram, ring_values, scaled_gram, scaled_rows)
 
 _IDENTITY_GRID = 32  # polar grid of extremal_identity_check
 
@@ -74,32 +74,22 @@ def solve_extremal(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     """Minimize the space norm subject to the evaluation constraints.
 
     Bordered system [[conj(G), E*], [E, 0]] [a; mu] = [0; b] (the norm is
-    ``a^H conj(G) a``) solved in the diagonally equilibrated basis and refined
-    once (``refined_solve``); the form is positive definite so the solution is
-    unique for independent constraints.
+    ``a^H conj(G) a``) solved in the basis ``scaled_gram`` equilibrates and
+    refined once (``refined_solve``); the form is positive definite so the
+    solution is unique for independent constraints.
     """
-    points = np.array([p.base, *p.zeros])  # rows E: z^n at the constrained points
-    with np.errstate(over="ignore", invalid="ignore"):  # rows are checked below
-        if p.space.orthogonal_monomials:
-            d = np.exp(0.5 * log_monomial_norms(p.domain, p.space, p.truncation))
-            Gs = np.eye(d.size, dtype=complex)
-        else:
-            Gs, d = weighted_gram(p.domain, p.space, p.truncation, m)
-        Es = points[:, None]**np.arange(-p.truncation, p.truncation + 1, dtype=float) / d
-    finite = np.all(np.isfinite(Es), axis=1)
-    if not finite.all():
-        raise SingularConstraintsError(f"z^n / ||z^n|| at {points[~finite][0]} leaves the double "
-                                       f"range on the window -{p.truncation}..{p.truncation}")
-    k = points.size
+    Gs, d = scaled_gram(p.domain, p.space, p.truncation, m)
+    Es = scaled_rows([p.base, *p.zeros], p.truncation, d)  # rows E: z^n at the points
+    k = Es.shape[0]
     try:
         if np.linalg.matrix_rank(Es, tol=1e-12) < k:
             raise SingularConstraintsError("evaluation constraints are linearly dependent "
                                            "on this window")
     except np.linalg.LinAlgError as exc:
         raise SingularConstraintsError(f"evaluation constraints have no rank ({exc})") from exc
-    n = Gs.shape[0]
+    n = d.size
     kkt = np.zeros((n + k, n + k), dtype=complex)
-    kkt[:n, :n] = Gs.conj()
+    kkt[:n, :n] = np.eye(n) if Gs is None else Gs.conj()
     kkt[:n, n:] = Es.conj().T
     kkt[n:, :n] = Es
     rhs = np.zeros(n + k, dtype=complex)
@@ -122,10 +112,6 @@ def extremal_maximizer(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     """
     K = build_kernel(p.domain, p.space, p.truncation, m)
     section, *at_zeros = [K.section(w) for w in (p.base, *p.zeros)]
-    for w, s in zip((p.base, *p.zeros), (section, *at_zeros)):
-        if not np.all(np.isfinite(s.coeffs)):
-            raise SingularConstraintsError(f"the kernel section at {w} leaves the double "
-                                           f"range on the window -{K.N}..{K.N}")
     if p.zeros:
         kz = np.array([[complex(kj(zi)) for kj in at_zeros] for zi in p.zeros])
         rhs = np.array([complex(section(zi)) for zi in p.zeros])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .spaces import (boundary_quadrature, hardy_tag, log_monomial_norms, quadrat
 _PERIOD_TOL = 1e-8
 _PERIOD_NODES = 512    # nodes of the conjugate-period quadrature
 _DIVISION_WINDOW = 8   # random Laurent h of division_bound_check: z^-8..z^8
+_LAZY_FACTORS = 500    # a lazy blaschke_product that has not settled by then diverges
+_DIVERGENCE_BOUND = 20.0  # partial sum of g(z_j, z0) past which a lazy product diverges
 
 
 @dataclass(frozen=True)
@@ -196,8 +198,7 @@ def blaschke_factor(domain: AnnulusDomain, a: complex, N: Optional[int] = None,
     return _normalize_phase(spec, value)
 
 
-def capped_blaschke_factor(domain: AnnulusDomain, a: complex,
-                           N: Optional[int] = None) -> InnerFunctionSpec:
+def capped_blaschke_factor(domain: AnnulusDomain, a: complex) -> InnerFunctionSpec:
     """``blaschke_factor`` for a zero that may lie past ``tail_truncation``'s
     cap: one the library computed, or one of a sequence that approaches the
     circles.  Past the cap the factor is built at ``N = TRUNCATION_CAP``.  Its
@@ -206,7 +207,7 @@ def capped_blaschke_factor(domain: AnnulusDomain, a: complex,
     factors agree with a 4x longer series bit for bit).
     """
     try:
-        return blaschke_factor(domain, a, N)
+        return blaschke_factor(domain, a)
     except ConvergenceError:
         return blaschke_factor(domain, a, TRUNCATION_CAP)
 
@@ -246,46 +247,41 @@ def blaschke_sum(domain: AnnulusDomain, zeros: ZeroSet, prefix: int = 200,
     return total
 
 
-def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet, tol: float = 1e-8,
-                     N: Optional[int] = None, max_factors: int = 500,
-                     divergence_bound: float = 20.0) -> InnerFunctionSpec:
+def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet,
+                     tol: float = 1e-8) -> InnerFunctionSpec:
     """Product of single-zero factors over a prescribed zero set.
 
     Finite sets use every zero.  Lazy sets append factors until the latest
-    one moves the product by less than ``tol`` on an interior test grid;
-    they are rejected with ``BlaschkeDivergenceError`` once the partial sums
-    of ``g(z_j, z0)`` pass ``divergence_bound`` without that happening, which
-    is how non-summable sequences (no tail decay) surface.  Lazy zeros
-    approach the circles, so their factors are ``capped_blaschke_factor``.
+    one moves the product by less than ``tol`` on an interior test grid, or
+    the sequence ends; ``BlaschkeDivergenceError`` rejects them if the partial
+    sums of ``g(z_j, z0)`` or the factor count pass their caps first, which is
+    how non-summable sequences (no tail decay) surface.  Lazy zeros approach
+    the circles, so their factors are ``capped_blaschke_factor``.
     """
-    lazy = zeros.is_lazy
-    points: Iterable[complex] = zeros.iter_points()
-    g0 = green(domain, domain.base_point, 64) if lazy else None
     product = unit_inner(domain)
+    if not zeros.is_lazy:
+        for a in zeros.iter_points():
+            product = multiply(product, blaschke_factor(domain, a))
+        return product
+    g0 = green(domain, domain.base_point, 64)
     grid = polar_grid(domain, 16, inset=0.1)  # strictly inside, for the truncation test
-    values = np.ones(grid.size, dtype=complex)
-    gsum = 0.0
-    count = 0
-    for a in points:
-        factor = (capped_blaschke_factor if lazy else blaschke_factor)(domain, a, N)
-        if lazy:
-            gsum += float(g0(a))
-            if gsum > divergence_bound:
-                raise BlaschkeDivergenceError(
-                    f"partial sums of g(z_j, z0) reached {gsum:.3f} without the "
-                    f"product settling; the sequence violates the summability condition")
+    values, gsum = np.ones(grid.size, dtype=complex), 0.0
+    for count, a in enumerate(zeros.iter_points(), 1):
+        factor = capped_blaschke_factor(domain, a)
+        gsum += float(g0(a))
+        if gsum > _DIVERGENCE_BOUND:
+            raise BlaschkeDivergenceError(
+                f"partial sums of g(z_j, z0) reached {gsum:.3f} without the "
+                f"product settling; the sequence violates the summability condition")
         product = multiply(product, factor)
         new_values = values * factor(grid)
         change = float(np.max(np.abs(new_values - values)))
         values = new_values
-        count += 1
-        if lazy and change < tol:
+        if change < tol:
             break
-        if count >= max_factors:
-            if lazy:
-                raise BlaschkeDivergenceError(
-                    f"product did not settle within {max_factors} factors")
-            break
+        if count >= _LAZY_FACTORS:
+            raise BlaschkeDivergenceError(
+                f"product did not settle within {_LAZY_FACTORS} factors")
     return product
 
 

@@ -9,7 +9,6 @@ on the truncated window, refined once with an extended-precision residual.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,12 +18,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
 from .geometry import AnnulusDomain, ring_nodes
 from .laurent import LaurentPolynomial
-from .spaces import SpaceTag, inner_product, log_monomial_norms, ring_values, weighted_gram
+from .spaces import SpaceTag, inner_product, ring_values, scaled_gram, scaled_rows
 
-
-class KernelForm(enum.Enum):
-    DIAGONAL_SERIES = "diagonal"
-    GRAM_FACTOR = "gram"
+_CONTOUR_MARGIN = 1e-4  # full_ring's inset from each circle, relative to the gap
+_LOCATE_GRID = 64       # locate_zeros' polar scan: grid x grid cells
+_NEWTON_TOL, _NEWTON_MAXITER = 1e-10, 60  # Newton accepts a zero at |f| <= _NEWTON_TOL
+_DIFF_STEP = 1e-6       # central-difference step of the Newton derivative
 
 
 @dataclass
@@ -37,18 +36,17 @@ class KernelEvaluator:
     domain: AnnulusDomain
     tag: SpaceTag
     N: int
-    form: KernelForm
     scale: np.ndarray                         # sqrt of diag(G): G = scale Gs scale
-    factor: Optional[tuple] = None            # gram form: cho_factor of conj(Gs)
-    gram: Optional[np.ndarray] = None         # gram form: conj(Gs) in extended precision
+    factor: Optional[tuple] = None            # cho_factor of conj(Gs); None: Gs = I, diagonal
+    gram: Optional[np.ndarray] = None         # conj(Gs) in extended precision
 
     def __call__(self, z, w):
         return self.section(w)(z)
 
     def section(self, w):
-        """``K(., w)``, coefficients ``conj(G)^-1 conj(w^n)`` (diagonal form: ``Gs = I``)."""
-        x = np.conj(complex(w)**np.arange(-self.N, self.N + 1, dtype=float)) / self.scale
-        if self.form is KernelForm.GRAM_FACTOR:
+        """``K(., w)``, coefficients ``conj(G)^-1 conj(w^n)``."""
+        x = np.conj(scaled_rows([w], self.N, self.scale)[0])
+        if self.factor is not None:
             import scipy.linalg
             x = refined_solve(self.gram, lambda b: scipy.linalg.cho_solve(self.factor, b), x)
         return LaurentPolynomial(-self.N, self.N, x / self.scale)
@@ -77,8 +75,8 @@ def _check_scaled_condition(cond: float) -> None:
 
 
 def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
-                 m: int | None = None) -> KernelEvaluator:
-    """Build the reproducing kernel for a tagged space.
+                 m: int = 512) -> KernelEvaluator:
+    """Build the reproducing kernel for a tagged space from ``scaled_gram``.
 
     Unweighted arclength/area kernels use the diagonal monomial series.
     Weighted kernels factor the equilibrated quadrature Gram; so does the
@@ -86,15 +84,11 @@ def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
     condition number above 1e14 or a failed factorization raises
     ``SingularGramError``.
     """
-    if N < 0:
-        raise ArgumentError(f"window N must be non-negative, got {N}")
-    if tag.orthogonal_monomials:
-        return KernelEvaluator(domain, tag, N, KernelForm.DIAGONAL_SERIES,
-                               scale=np.exp(0.5 * log_monomial_norms(domain, tag, N)))
+    Gs, d = scaled_gram(domain, tag, N, m)
+    if Gs is None:
+        return KernelEvaluator(domain, tag, N, scale=d)
     import scipy.linalg
     import scipy.sparse.linalg  # noqa: F401  (unused; perfbench/tracer.py looks it up in sys.modules)
-    m = m or max(512, 4 * N + 4)
-    Gs, d = weighted_gram(domain, tag, N, m)
     try:
         factor = scipy.linalg.cho_factor(Gs.conj(), check_finite=False)  # NaN: cond raises
     except np.linalg.LinAlgError as exc:
@@ -106,7 +100,7 @@ def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
     bound = np.linalg.norm(Gs) * np.linalg.norm(inv + np.triu(inv, 1).conj().T)
     if not bound * (1.0 + 2.0 * Gs.shape[0] * np.finfo(float).eps * bound) <= 1e14:
         _check_scaled_condition(np.linalg.cond(Gs))
-    return KernelEvaluator(domain, tag, N, KernelForm.GRAM_FACTOR, scale=d, factor=factor,
+    return KernelEvaluator(domain, tag, N, scale=d, factor=factor,
                            gram=Gs.conj().astype(np.clongdouble))
 
 
@@ -188,10 +182,10 @@ def count_zeros(f, domain: AnnulusDomain, ring: tuple[float, float],
     return _winding_on_circle(f, rho_hi, m) - _winding_on_circle(f, rho_lo, m)
 
 
-def full_ring(domain: AnnulusDomain, margin: float = 1e-4) -> tuple[float, float]:
+def full_ring(domain: AnnulusDomain) -> tuple[float, float]:
     """The counting ring covering the annulus up to a small contour margin."""
     gap = 1.0 - domain.inner_radius
-    return (domain.inner_radius + margin * gap, 1.0 - margin * gap)
+    return (domain.inner_radius + _CONTOUR_MARGIN * gap, 1.0 - _CONTOUR_MARGIN * gap)
 
 
 @dataclass(frozen=True)
@@ -201,22 +195,22 @@ class ZeroReport:
     residual: float
 
 
-def _derivative(f, z, h: float = 1e-6):
-    return (np.asarray(f(z + h)) - np.asarray(f(z - h))) / (2.0 * h)
+def _derivative(f, z):
+    return (np.asarray(f(z + _DIFF_STEP)) - np.asarray(f(z - _DIFF_STEP))) / (2.0 * _DIFF_STEP)
 
 
-def _newton_polish(f, z0: complex, tol: float = 1e-10, maxiter: int = 60):
+def _newton_polish(f, z0: complex):
     z = complex(z0)
     with np.errstate(all="ignore"):   # np.abs: a modulus past 1.8e308 is inf, not OverflowError
         best = (np.abs(complex(f(z))), z)
-        for _ in range(maxiter):
+        for _ in range(_NEWTON_MAXITER):
             fz = complex(f(z))
             if not np.isfinite(fz):
                 break
             modulus = np.abs(fz)
             if modulus < best[0]:
                 best = (modulus, z)
-            if modulus <= tol:
+            if modulus <= _NEWTON_TOL:
                 return z, modulus
             dz = complex(_derivative(f, z))
             if dz == 0.0:
@@ -226,7 +220,7 @@ def _newton_polish(f, z0: complex, tol: float = 1e-10, maxiter: int = 60):
                 break
             z = z - step
         fz = np.abs(complex(f(z)))
-    if np.isfinite(fz) and fz <= tol:
+    if np.isfinite(fz) and fz <= _NEWTON_TOL:
         return z, fz
     return None, min(fz if np.isfinite(fz) else np.inf, best[0])
 
@@ -240,13 +234,12 @@ def _local_minima(vals: np.ndarray) -> np.ndarray:
 
 
 def locate_zeros(f, domain: AnnulusDomain, expected: int,
-                 ring: tuple[float, float] | None = None,
-                 grid: int = 64, tol: float = 1e-10) -> ZeroReport:
+                 ring: tuple[float, float] | None = None) -> ZeroReport:
     """Locate the zeros found by the argument principle.
 
     Scans a polar grid for local minima of ``|f|`` and polishes the best
     candidate cells with Newton iterations until ``expected`` distinct roots
-    reach ``|f| <= tol``.
+    reach ``|f| <= 1e-10``.
     """
     ring = ring or full_ring(domain)
     count = count_zeros(f, domain, ring, m=512)
@@ -255,8 +248,8 @@ def locate_zeros(f, domain: AnnulusDomain, expected: int,
             f"argument principle found {count} zeros where {expected} were expected")
     if expected == 0:
         return ZeroReport(contour_count=0, locations=(), residual=0.0)
-    Z = ring_nodes(np.linspace(ring[0], ring[1], grid), grid)
-    vals = np.abs(ring_values(f, Z.ravel(), grid)).reshape(Z.shape)
+    Z = ring_nodes(np.linspace(ring[0], ring[1], _LOCATE_GRID), _LOCATE_GRID)
+    vals = np.abs(ring_values(f, Z.ravel(), _LOCATE_GRID)).reshape(Z.shape)
     # Seed Newton from grid-local minima, so a shallow boundary dip cannot
     # crowd out a genuine interior zero; fall back to the globally smallest
     # cells afterwards.
@@ -269,7 +262,7 @@ def locate_zeros(f, domain: AnnulusDomain, expected: int,
     residuals: list[float] = []
     for flat in seeds[: minima.size + 8 * expected + 16]:
         z0 = Z.ravel()[flat]
-        root, res = _newton_polish(f, z0, tol=tol)
+        root, res = _newton_polish(f, z0)
         best_residual = min(best_residual, res)
         if root is None:
             continue

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, SingularGramError
+from .errors import ArgumentError, SingularConstraintsError, SingularGramError
 from .geometry import AnnulusDomain, boundary_nodes, ring_nodes
 from .harmonic import measure_density
 from .laurent import LaurentPolynomial, to_laurent  # noqa: F401  (re-export)
@@ -147,13 +147,13 @@ def log_monomial_norms(domain: AnnulusDomain, tag: SpaceTag, N: int) -> np.ndarr
 def monomial_norms(domain: AnnulusDomain, tag: SpaceTag, N: int) -> np.ndarray:
     """Diagonal Gram entries ``||z^n||^2``, n = -N..N, unweighted: arclength and
     area ``exp(log_monomial_norms)``, inf past the double range (r = 0.3: from
-    about |n| = 300); harmonic measure the diagonal of ``weighted_gram`` (its
+    about |n| = 300); harmonic measure the diagonal of ``scaled_gram`` (its
     closed form ``omega_1(z0) + r^{2n} omega_2(z0)`` is left to tests)."""
     if tag.weighted:
         raise ArgumentError("monomial norms are diagonal only without a weight; "
                             "use weighted_gram for weighted inner products")
     if tag.kind is SpaceKind.HARDY_HARMONIC_MEASURE:
-        return weighted_gram(domain, tag, N, max(512, 4 * N + 4))[1]**2
+        return scaled_gram(domain, tag, N)[1]**2
     with np.errstate(over="ignore"):
         return np.exp(log_monomial_norms(domain, tag, N))
 
@@ -197,11 +197,36 @@ def weighted_gram(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int):
     return ring_gram(*quadrature_for(domain, tag, m), m, N)
 
 
+def scaled_gram(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int = 512):
+    """The window's equilibrated Gram ``(Gs, d)``, ``G = d Gs d``, for every solver:
+    orthogonal tags give ``Gs = None`` (the identity) and ``d`` from ``log_monomial_norms``
+    (inf past the double range), others ``weighted_gram`` on ``max(m, 4N+4)`` nodes."""
+    if N < 0:
+        raise ArgumentError(f"window N must be non-negative, got {N}")
+    if tag.orthogonal_monomials:
+        with np.errstate(over="ignore"):
+            return None, np.exp(0.5 * log_monomial_norms(domain, tag, N))
+    return weighted_gram(domain, tag, N, max(m, 4 * N + 4))
+
+
+def scaled_rows(points, N: int, d: np.ndarray) -> np.ndarray:
+    """Evaluation rows ``z^n / d_n``, n = -N..N, per point in ``scaled_gram``'s basis; a
+    row past the double range raises ``SingularConstraintsError``."""
+    points = np.asarray(points, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows are checked below
+        rows = points[:, None]**np.arange(-N, N + 1, dtype=float) / d
+    finite = np.all(np.isfinite(rows), axis=1)
+    if not finite.all():
+        raise SingularConstraintsError(f"z^n / ||z^n|| at {points[~finite][0]} leaves the double "
+                                       f"range on the window -{N}..{N}")
+    return rows
+
+
 def gram_matrix(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int) -> np.ndarray:
     """Hermitian Gram ``G[j, k] = <z^j, z^k>`` on the window -N..N, weight included.
 
     Unscaled, so it overflows where ``r^(-2N)`` does; solvers use
-    ``weighted_gram``.
+    ``scaled_gram``.
     """
     Gs, d = weighted_gram(domain, tag, N, m)
     return Gs * np.outer(d, d)

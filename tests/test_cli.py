@@ -195,6 +195,14 @@ def test_extremal_past_the_double_range_of_the_norms():
     assert abs(doc["results"]["value_at_base"]["re"] - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("argv", [["extremal", "--zeros", "0.6i"],
+                                  ["schottky-fit", "--zeros", "0.6i"],
+                                  ["kernel", "--space", "hardy"]])
+def test_windows_past_the_default_nodes_take_the_node_floor(argv):
+    # --N 160 needs 4N+4 = 644 nodes, above the default --m 512
+    run_json([*argv, "--r", "0.5", "--base", "0.7", "--N", "160"])
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"r": 0.5, "base": "0.7", "j": 2, "m": 128}))

@@ -183,9 +183,21 @@ def test_powers_past_the_double_range_are_typed():
     p = rs.ExtremalProblem(domain=d, space=smirnov_tag(), base=0.06, zeros=(0.5,),
                            truncation=300)
     for route in (rs.solve_extremal, rs.extremal_maximizer):
-        with np.errstate(all="ignore"), pytest.raises(SingularConstraintsError,
-                                                      match=r"0\.06.*-300\.\.300"):
+        with pytest.raises(SingularConstraintsError, match=r"0\.06.*-300\.\.300"):
             route(p, m=1204)
+
+
+def _section_at_base(p, m):
+    return build_kernel(p.domain, p.space, p.truncation, m).section(p.base)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["hardy", "blaschke-weighted-bergman"])
+def test_nodes_below_the_window_floor_are_raised_to_it(dom, weighted):
+    # 4N+4 = 644 at N = 160: m = 512 solves on exactly the 644-node Gram
+    tag = bergman_tag(weight_fn=rs.blaschke_factor(dom, 0.6j)) if weighted else hardy_tag()
+    p = problem(dom, tag, (-0.6,), 160)
+    for route in (rs.solve_extremal, rs.extremal_maximizer, _section_at_base):
+        assert np.array_equal(route(p, m=512).coeffs, route(p, m=644).coeffs)
 
 
 # ------------------------------------------------------ reproducing identity

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, ConvergenceError, SingularGramError, ZeroOnContourError
-from ringspace.kernels import (KernelForm, _local_minima, _newton_polish, build_kernel,
+from ringspace.kernels import (_local_minima, _newton_polish, build_kernel,
                               count_zeros, full_ring, locate_zeros, refined_solve,
                               reproduce_check)
 from ringspace.laurent import LaurentPolynomial
@@ -29,7 +29,7 @@ def interior_pairs(dom, n, seed=0):
 
 def test_smirnov_kernel_is_the_diagonal_series(dom):
     K = build_kernel(dom, smirnov_tag(), N=16)
-    assert K.form is KernelForm.DIAGONAL_SERIES
+    assert K.factor is None
     z, w = 0.8, 0.6 + 0.1j
     ns = np.arange(-16, 17, dtype=float)
     expected = np.sum(z**ns * np.conj(w)**ns / (2 * np.pi * (1 + 0.5**(2 * ns + 1))))
@@ -165,7 +165,7 @@ def svd_calls(monkeypatch):
 
 def _build_from(monkeypatch, gram):
     from ringspace import kernels
-    monkeypatch.setattr(kernels, "weighted_gram", lambda *args: (gram, np.ones(len(gram))))
+    monkeypatch.setattr(kernels, "scaled_gram", lambda *args: (gram, np.ones(len(gram))))
     return build_kernel(rs.make_annulus(0.5, 0.7), bergman_tag(weight_fn=lambda z: z), N=2)
 
 
