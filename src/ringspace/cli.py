@@ -39,8 +39,7 @@ from .laurent import LaurentPolynomial
 from .extremal import (ExtremalProblem, candidate_divisor,
                        extremal_identity_check, extremal_maximizer, polar_grid,
                        quasicontract_estimate, repro_fact_check, solve_extremal)
-from .probes import (bergman_decomposition_residual, biharmonic_green,
-                     defect_direction, log_radial_moment)
+from .probes import bergman_decomposition_residual, biharmonic_green, log_radial_moment
 from .spaces import bergman_tag, hardy_tag, measure_quadrature, norm as space_norm, smirnov_tag
 
 SCHEMA_NAME = "ringspace-results"
@@ -520,10 +519,8 @@ def _cmd_decomposition(config: RunConfig):
     else:
         K = build_kernel(domain, bergman_tag(), N=N)
         G = K.section(domain.base_point)
-    Gn = G * (1.0 / space_norm(G, domain, bergman_tag(), m=config.m))
-    lam1, residual = bergman_decomposition_residual(Gn, domain, domain.base_point,
-                                                    m=config.m)
-    _, c0 = defect_direction(domain, m=config.m)
+    lam1, residual, c0 = bergman_decomposition_residual(G, domain, domain.base_point,
+                                                        m=config.m)
     results = {
         "lambda_1": lam1,
         "residual": residual,

@@ -115,42 +115,51 @@ def harmonic_l2_kernel(domain: AnnulusDomain, z0: complex, N: int = 64) -> Harmo
     return HarmonicKernelSection(kernel=HarmonicKernel(domain, N), base=complex(z0))
 
 
+def _defect_values(pts, w):
+    """``nu_1 = log|z| - c0`` at the nodes of an area rule, and ``c0``: the rule's
+    mean of ``log|z|``, so that ``nu_1`` pairs to zero with constants."""
+    log_abs = np.log(np.abs(pts))
+    c0 = float(np.sum(w * log_abs) / np.sum(w))
+    return log_abs - c0, c0
+
+
 def defect_direction(domain: AnnulusDomain, m: int = 512):
     """The one-dimensional defect ``nu_1 = log|z| - c0`` orthogonal to real
     parts of ring-analytic functions, with ``c0`` fixed numerically so the
     constant pairing vanishes."""
-    pts, w = area_quadrature(domain, m)
-    c0 = float(np.sum(w * np.log(np.abs(pts))) / np.sum(w))
+    _, c0 = _defect_values(*area_quadrature(domain, m))
     def nu(z):
         return np.log(np.abs(np.asarray(z, dtype=complex))) - c0
     return nu, c0
 
 
-def _decomposition_pairings(G, domain: AnnulusDomain, z0: complex, m: int):
-    """``(p, q)``: ``|G|^2 - H(., z0)`` and ``nu_1`` paired under ``dA`` with 1, ``Re z^k``,
-    ``Im z^k`` (k = 1, -1, ..., 8, -8) and ``log|z|``.  On a ring of radius rho,
-    ``sum w f z^k = rho^k W[k mod m]``, ``W = m * ifft(w f)`` there: exact for every ``m``."""
-    pts, w = area_quadrature(domain, m)
-    H = harmonic_l2_kernel(domain, z0, _N_KERNEL)
-    D = np.abs(ring_values(G, pts, m))**2 - ring_values(H, pts, m).real
+def _harmonic_pairings(f, pts, w, m: int) -> np.ndarray:
+    """``f`` (values at the nodes of the area rule ``(pts, w)``) paired under ``dA``
+    with 1, ``Re z^k``, ``Im z^k`` (k = 1, -1, ..., 8, -8) and ``log|z|``.  On a ring
+    of radius rho, ``sum w f z^k = rho^k W[k mod m]``, ``W = m * ifft(w f)`` there:
+    exact for every ``m``."""
+    W = np.fft.ifft(np.reshape(w * f, (-1, m)), axis=1, norm="forward")  # m * ifft
     rho = np.abs(pts[::m])
     ks = np.outer(np.arange(1, _DEGREE + 1), [1, -1]).ravel()
-    def pairings(f):  # moments.view(float): Re and Im of each z^k, interleaved
-        W = np.fft.ifft(np.reshape(w * f, (-1, m)), axis=1, norm="forward")  # m * ifft
-        moments = np.sum(rho[:, None]**ks * W[:, ks % m], axis=0)
-        return [W[:, 0].real.sum(), *moments.view(float), W[:, 0].real @ np.log(rho)]
-    return np.array([pairings(D), pairings(defect_direction(domain, m)[0](pts))])
+    moments = np.sum(rho[:, None]**ks * W[:, ks % m], axis=0)  # .view: Re, Im interleaved
+    return np.array([W[:, 0].real.sum(), *moments.view(float), W[:, 0].real @ np.log(rho)])
 
 
 def bergman_decomposition_residual(G, domain: AnnulusDomain, z0: complex,
-                                   m: int = 512) -> tuple[float, float]:
-    """Fit ``<|G|^2 - H(., z0), u> ~ lambda_1 <nu_1, u>`` over the tests of
-    ``_decomposition_pairings``, ``G`` in the unit-norm gauge.  Only ``log|z|`` pairs
-    with ``nu_1``; the residual is the largest unexplained pairing, which vanishes up
-    to truncation because the rest of ``|G|^2 - H`` annihilates harmonics."""
-    ps, qs = _decomposition_pairings(G, domain, z0, m)
+                                   m: int = 512) -> tuple[float, float, float]:
+    """``(lambda_1, residual, c0)``: fit ``<|G|^2 - H(., z0), u> ~ lambda_1 <nu_1, u>`` over
+    the tests of ``_harmonic_pairings``, all on one area rule, ``G`` taken there to the
+    unit-norm gauge ``|G|^2 / sum(w |G|^2)``.  Only ``log|z|`` pairs with ``nu_1``; the
+    residual is the largest unexplained pairing, which vanishes up to truncation
+    because the rest of ``|G|^2 - H`` annihilates harmonics.  ``c0`` is
+    ``defect_direction``'s constant."""
+    pts, w = area_quadrature(domain, m)
+    g2 = np.abs(ring_values(G, pts, m))**2
+    H = ring_values(harmonic_l2_kernel(domain, z0, _N_KERNEL), pts, m).real
+    nu, c0 = _defect_values(pts, w)
+    ps, qs = (_harmonic_pairings(f, pts, w, m) for f in (g2 / np.sum(w * g2) - H, nu))
     lam1 = float(ps @ qs / (qs @ qs))
-    return lam1, float(np.max(np.abs(ps - lam1 * qs)))
+    return lam1, float(np.max(np.abs(ps - lam1 * qs))), c0
 
 
 @dataclass(frozen=True)
@@ -203,36 +212,39 @@ def _clamped_apply(u, rho, h: float, lo: int):
     return lap(np.concatenate([below(v, 2.0 * c_rr * u[:1]), v, 2.0 * c_rr * u[-1:]]))
 
 
-def _banded_solve(b, rho, h: float, lo: int):
-    """Solve the clamped system for interior loads ``b`` by a real FFT in angle:
-    mode ``k`` is the pentadiagonal radial system ``B_k = A2_k A1_k``.  With
-    ``a_i = c_rr - c_r(i)``, ``e_i = c_rr + c_r(i)`` and ``d_ik = -2 c_rr - 4 c_tt(i)
-    sin^2(pi k/T)``, row ``i`` of ``B_k`` is ``a_i a_{i-1}, a_i (d_{i-1} + d_i),
-    d_i^2 + a_i e_{i-1} + e_i a_{i+1}, e_i (d_i + d_{i+1}), e_i e_{i+1}``, with the
-    ghost value ``2/h^2`` for ``a_{i+1}`` on the last row and ``e_{i-1}`` on the
-    ring's first.  On the disk ``a_0 = 1/h^2 - 1/(2 h rho_0)`` is exactly 0, so the
-    centre flip never enters.  Each mode's bands vanish outside its block, so the
-    modes side by side form one banded system.
+def _banded_solver(rho, h: float, lo: int, T: int):
+    """Factor the clamped system once and return its solve for interior loads ``b``,
+    by a real FFT in angle: mode ``k`` is the pentadiagonal radial system
+    ``B_k = A2_k A1_k``.  With ``a_i = c_rr - c_r(i)``, ``e_i = c_rr + c_r(i)`` and
+    ``d_ik = -2 c_rr - 4 c_tt(i) sin^2(pi k/T)``, row ``i`` of ``B_k`` is ``a_i a_{i-1},
+    a_i (d_{i-1} + d_i), d_i^2 + a_i e_{i-1} + e_i a_{i+1}, e_i (d_i + d_{i+1}),
+    e_i e_{i+1}``, with the ghost value ``2/h^2`` for ``a_{i+1}`` on the last row and
+    ``e_{i-1}`` on the ring's first.  On the disk ``a_0 = 1/h^2 - 1/(2 h rho_0)`` is
+    exactly 0, so the centre flip never enters.  Each mode's bands vanish outside its
+    block, so the modes side by side form one banded system: one ``gbtrf``, then one
+    ``gbtrs`` per solve (together what ``gbsv`` does, so bit for bit the same).
     """
-    n, T = b.shape
+    n = rho.size - 1 - lo
     c_rr, c_r, c_tt = _polar_laplacian(rho, h, lo, T)
     a, e, g = c_rr - c_r, c_rr + c_r, 2.0 * c_rr
     d = -2.0 * c_rr - 4.0 * c_tt * np.sin(np.pi * np.arange(T // 2 + 1)[:, None] / T)**2
-    bands = np.zeros((T // 2 + 1, 5, n))
-    bands[:, 0, 2:] = e[:-2] * e[1:-1]
-    bands[:, 1, 1:] = e[:-1] * (d[:, :-1] + d[:, 1:])
-    bands[:, 2] = d * d + a * np.append(0.0 if lo == 0 else g, e[:-1]) + e * np.append(a[1:], g)
-    bands[:, 3, :-1] = a[1:] * (d[:, 1:] + d[:, :-1])
-    bands[:, 4, :-2] = a[2:] * a[1:-1]
-    bh = np.fft.rfft(b, axis=1).T.ravel()
-    import scipy.linalg
+    bands = np.zeros((7, T // 2 + 1, n))  # rows 0-1: room for gbtrf's fill-in
+    bands[2, :, 2:] = e[:-2] * e[1:-1]
+    bands[3, :, 1:] = e[:-1] * (d[:, :-1] + d[:, 1:])
+    bands[4] = d * d + a * np.append(0.0 if lo == 0 else g, e[:-1]) + e * np.append(a[1:], g)
+    bands[5, :, :-1] = a[1:] * (d[:, 1:] + d[:, :-1])
+    bands[6, :, :-2] = a[2:] * a[1:-1]
+    import scipy.linalg.lapack
     import scipy.sparse.linalg  # noqa: F401  (unused; perfbench/tracer.py looks it up in sys.modules)
-    try:
-        x = scipy.linalg.solve_banded((2, 2), bands.transpose(1, 0, 2).reshape(5, -1),
-                                      np.column_stack([bh.real, bh.imag]))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"biharmonic radial system is singular ({exc})") from exc
-    return np.fft.irfft((x @ [1.0, 1j]).reshape(-1, n).T, n=T, axis=1)
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(bands.reshape(7, -1), 2, 2)
+    if info != 0:
+        raise SolverError(f"biharmonic radial system is singular (gbtrf info {info})")
+
+    def solve(b):
+        bh = np.fft.rfft(b, axis=1).T.ravel()
+        x, _ = scipy.linalg.lapack.dgbtrs(lu, 2, 2, np.column_stack([bh.real, bh.imag]), piv)
+        return np.fft.irfft((x @ [1.0, 1j]).reshape(-1, n).T, n=T, axis=1)
+    return solve
 
 
 def biharmonic_green(domain: AnnulusDomain | None, pole: complex,
@@ -246,7 +258,8 @@ def biharmonic_green(domain: AnnulusDomain | None, pole: complex,
     boundary rows, and there the intermediate field takes the mirrored ghost
     value ``2 u_adjacent / h^2`` of the zero normal derivative.  The point
     load, scaled by the inverse polar cell area, is solved mode by mode
-    (``_banded_solve``) and refined once against the operator in ``longdouble``.
+    (``_banded_solver``, factored once) and refined once against the operator in
+    ``longdouble``.
     """
     if n_rho < 32 or n_theta < 32:
         raise ArgumentError("grid resolutions must be at least 32")
@@ -272,9 +285,10 @@ def biharmonic_green(domain: AnnulusDomain | None, pole: complex,
     j_star = int(round(tp / htheta)) % T
     b = np.zeros((R - 1 - lo, T))
     b[i_star - lo, j_star] = 1.0 / (rho[i_star] * h * htheta)
-    u = _banded_solve(b, rho, h, lo)
+    solve = _banded_solver(rho, h, lo, T)
+    u = solve(b)
     refine = b - _clamped_apply(u.astype(np.longdouble), rho, h, lo)  # residual in longdouble
-    u = u + _banded_solve(refine.astype(float), rho, h, lo)
+    u = u + solve(refine.astype(float))
     if not np.all(np.isfinite(u)):
         raise SolverError("biharmonic system is numerically singular")
     residual = float(np.max(np.abs(_clamped_apply(u, rho, h, lo) - b)) / np.max(np.abs(b)))
@@ -284,7 +298,7 @@ def biharmonic_green(domain: AnnulusDomain | None, pole: complex,
     vmax = float(values.max())
     vmin = float(values.min())
     floor = -1e-6 * max(vmax, 0.0)
-    cells = tuple((int(i), int(j)) for i, j in zip(*np.where(values < floor)))
+    cells = tuple(map(tuple, np.argwhere(values < floor).tolist()))
     warning = None
     if check_refinement:
         fine = biharmonic_green(domain, pole, 2 * n_rho, 2 * n_theta,

@@ -12,7 +12,10 @@ least a different algorithm) than the library path it checks:
   search with pencil power-iteration polish, not by a packed eigensolver;
 * Gram matrices, the division pencil and the decomposition's harmonic
   pairings are dense Vandermonde products over every quadrature node, not
-  ring-wise FFT sums.
+  ring-wise FFT sums; the whole decomposition is also kept as it was first
+  written, on three area rules (the norm's, the pairings' and
+  ``defect_direction``'s), with ``G`` scaled to unit norm beforehand
+  (``three_rule_decomposition``);
 * boundary fluxes (harmonic-measure weights, the Schottky function, radial
   derivatives of harmonic representations) come from a node list built one
   node at a time and a dense mode-by-node derivative table, not from one FFT
@@ -22,7 +25,10 @@ least a different algorithm) than the library path it checks:
 * the clamped biharmonic operator is one sparse matrix, assembled from a
   vectorized stencil table (``clamped_operator``) or entry by entry from a
   per-node five-point stencil (``loop_clamped_operator``), not applied
-  matrix-free and solved mode by mode after an FFT in angle;
+  matrix-free and solved mode by mode after an FFT in angle; the mode-by-mode
+  banded solve itself is kept as one ``scipy.linalg.solve_banded`` (``gbsv``)
+  call per right-hand side (``gbsv_clamped_solve``), against the library's one
+  ``gbtrf`` and a ``gbtrs`` per solve;
 * grid-local minima of the zero search come from eight shifted copies of the
   grid, not from one sliding 3x3 window.
 """
@@ -203,16 +209,38 @@ def harmonic_test_family(degree: int = 8):
 
 
 def dense_decomposition_pairings(G, domain, z0: complex, m: int):
-    """The decomposition's pairings ``(p, q)`` node by node: ``G`` and the harmonic
-    kernel by their point calls, each test of ``harmonic_test_family`` by dense
-    powers of every area node."""
+    """The decomposition's pairings of ``|G|^2``, ``H`` and ``nu_1`` node by node: ``G``
+    and the harmonic kernel by their point calls, each test of
+    ``harmonic_test_family`` by dense powers of every area node."""
     from ringspace.probes import defect_direction, harmonic_l2_kernel
     from ringspace.spaces import area_quadrature
     pts, w = area_quadrature(domain, m)
-    D = np.abs(np.asarray(G(pts), dtype=complex))**2 - harmonic_l2_kernel(domain, z0, 64)(pts)
-    nu, _ = defect_direction(domain, m)
-    weights = np.stack([w * D, w * nu(pts)], axis=1)
+    values = [np.abs(np.asarray(G(pts), dtype=complex))**2,
+              harmonic_l2_kernel(domain, z0, 64)(pts), defect_direction(domain, m)[0](pts)]
+    weights = np.stack([w * f for f in values], axis=1)
     return np.array([u(pts) @ weights for u in harmonic_test_family()]).T
+
+
+def three_rule_decomposition(G, domain, z0: complex, m: int):
+    """``(lambda_1, residual, c0)`` as the decomposition was first computed: ``G``
+    scaled by its ``spaces.norm``, the ring-spectrum pairings on a second area
+    rule, ``nu_1`` and ``c0`` from ``defect_direction`` on a third and a fourth."""
+    from ringspace.probes import defect_direction, harmonic_l2_kernel
+    from ringspace.spaces import area_quadrature, bergman_tag, norm, ring_values
+    Gn = G * (1.0 / norm(G, domain, bergman_tag(), m=m))
+    pts, w = area_quadrature(domain, m)
+    H = harmonic_l2_kernel(domain, z0, 64)
+    D = np.abs(ring_values(Gn, pts, m))**2 - ring_values(H, pts, m).real
+    rho = np.abs(pts[::m])
+    ks = np.outer(np.arange(1, 9), [1, -1]).ravel()
+
+    def pairings(f):
+        W = np.fft.ifft(np.reshape(w * f, (-1, m)), axis=1, norm="forward")
+        moments = np.sum(rho[:, None]**ks * W[:, ks % m], axis=0)
+        return [W[:, 0].real.sum(), *moments.view(float), W[:, 0].real @ np.log(rho)]
+    ps, qs = np.array([pairings(D), pairings(defect_direction(domain, m)[0](pts))])
+    lam1 = float(ps @ qs / (qs @ qs))
+    return lam1, float(np.max(np.abs(ps - lam1 * qs))), defect_direction(domain, m)[1]
 
 
 def rayleigh_maximize(A, B, trials: int = 10000, polish: int = 200, seed: int = 0):
@@ -372,6 +400,38 @@ def clamped_factors(rho, h: float, T: int, disk: bool):
     A2 = scipy.sparse.coo_matrix((coef.ravel(), ((row - lo * T).ravel(), (ni * T + nj).ravel())),
                                  shape=(n_int, R * T)).tocsr()
     return A2, A1
+
+
+def gbsv_clamped_solve(b, rho, h: float, lo: int):
+    """The clamped system for interior loads ``b`` by a real FFT in angle, each
+    call assembling the pentadiagonal radial bands of every mode and solving them
+    side by side with one ``scipy.linalg.solve_banded`` (``gbsv``)."""
+    import scipy.linalg
+    n, T = b.shape
+    r_i, htheta = rho[lo:-1], 2.0 * np.pi / T
+    c_rr, c_r, c_tt = 1.0 / (h * h), 1.0 / (2.0 * h * r_i), 1.0 / (r_i * r_i * htheta * htheta)
+    a, e, g = c_rr - c_r, c_rr + c_r, 2.0 * c_rr
+    d = -2.0 * c_rr - 4.0 * c_tt * np.sin(np.pi * np.arange(T // 2 + 1)[:, None] / T)**2
+    bands = np.zeros((T // 2 + 1, 5, n))
+    bands[:, 0, 2:] = e[:-2] * e[1:-1]
+    bands[:, 1, 1:] = e[:-1] * (d[:, :-1] + d[:, 1:])
+    bands[:, 2] = d * d + a * np.append(0.0 if lo == 0 else g, e[:-1]) + e * np.append(a[1:], g)
+    bands[:, 3, :-1] = a[1:] * (d[:, 1:] + d[:, :-1])
+    bands[:, 4, :-2] = a[2:] * a[1:-1]
+    bh = np.fft.rfft(b, axis=1).T.ravel()
+    x = scipy.linalg.solve_banded((2, 2), bands.transpose(1, 0, 2).reshape(5, -1),
+                                  np.column_stack([bh.real, bh.imag]))
+    return np.fft.irfft((x @ [1.0, 1j]).reshape(-1, n).T, n=T, axis=1)
+
+
+def two_gbsv_biharmonic(b, rho, h: float, lo: int):
+    """``biharmonic_green``'s interior values for the load ``b``: a ``gbsv_clamped_solve``,
+    its residual against the matrix-free operator in ``longdouble``, and a second
+    ``gbsv_clamped_solve`` for the correction."""
+    from ringspace.probes import _clamped_apply
+    u = gbsv_clamped_solve(b, rho, h, lo)
+    refine = b - _clamped_apply(u.astype(np.longdouble), rho, h, lo)
+    return u + gbsv_clamped_solve(refine.astype(float), rho, h, lo)
 
 
 def horner_winding(f, rho: float, m: int, block: int = 8192) -> int:

@@ -291,6 +291,23 @@ def test_remaining_command_surfaces():
     assert doc["results"]["log_radial_moment"] == pytest.approx(-0.6337007225202719)
 
 
+@pytest.mark.parametrize("zeros", [[], ["--zeros", "-0.6"]])
+def test_decomposition_builds_one_area_rule(monkeypatch, zeros):
+    # the gauge, the kernel values, nu_1 and c0 all come from one rule per call
+    from ringspace import probes, spaces
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return spaces_rule(*args, **kwargs)
+    spaces_rule = spaces.area_quadrature
+    monkeypatch.setattr(spaces, "area_quadrature", counted)
+    monkeypatch.setattr(probes, "area_quadrature", counted)
+    doc = run_json(["decomposition", "--r", "0.5", "--base", "0.7", *zeros])
+    assert doc["results"]["residual"] <= 1e-5
+    assert len(calls) == 1
+
+
 # ------------------------------------------------------------ flag surface
 
 def _option(opt, name, type_name, is_flag=False):

@@ -9,13 +9,13 @@ import scipy.sparse.linalg
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, GeometryError, SolverError
-from ringspace.probes import (_banded_solve, _clamped_apply, _decomposition_pairings,
+from ringspace.probes import (_banded_solver, _clamped_apply, _harmonic_pairings,
                               bergman_decomposition_residual, biharmonic_green,
                               defect_direction, harmonic_l2_kernel, log_radial_moment)
 from ringspace.spaces import area_quadrature, bergman_tag, norm as space_norm, ring_values
 
 from oracles import (clamped_factors, clamped_operator, dense_decomposition_pairings,
-                     loop_clamped_operator)
+                     loop_clamped_operator, three_rule_decomposition, two_gbsv_biharmonic)
 
 
 # --------------------------------------------------------- harmonic kernel
@@ -93,7 +93,7 @@ def test_decomposition_of_kernel_direction(dom):
     K = rs.build_kernel(dom, bergman_tag(), 48)
     scale = math.sqrt(complex(K(0.7, 0.7)).real)
     G0 = lambda z: np.asarray(K(z, 0.7)) / scale
-    lam1, residual = bergman_decomposition_residual(G0, dom, 0.7, m=512)
+    lam1, residual, _ = bergman_decomposition_residual(G0, dom, 0.7, m=512)
     assert abs(lam1) <= 1e-6
     assert residual <= 1e-6
 
@@ -103,7 +103,7 @@ def test_decomposition_of_one_zero_extremal(dom):
                            zeros=(-0.6,), truncation=48)
     G = rs.solve_extremal(p, m=512)
     Gn = G * (1.0 / space_norm(G, dom, bergman_tag()))
-    lam1, residual = bergman_decomposition_residual(Gn, dom, 0.7, m=512)
+    lam1, residual, _ = bergman_decomposition_residual(Gn, dom, 0.7, m=512)
     assert residual <= 1e-5
 
 
@@ -117,10 +117,33 @@ def test_decomposition_pairings_match_the_dense_family(r, m, evaluator):
     dom = rs.make_annulus(r, base)
     section = rs.build_kernel(dom, bergman_tag(), 32).section(base)
     G = section if evaluator == "on_rings" else (lambda z: section(z))
-    got = _decomposition_pairings(G, dom, base, m)
+    pts, w = area_quadrature(dom, m)
+    H = harmonic_l2_kernel(dom, base, 64)
+    nu, _ = defect_direction(dom, m)
+    values = [np.abs(ring_values(G, pts, m))**2, ring_values(H, pts, m).real, nu(pts)]
+    got = np.array([_harmonic_pairings(f, pts, w, m) for f in values])
     want = dense_decomposition_pairings(G, dom, base, m)
-    assert got.shape == want.shape == (2, 34)
+    assert got.shape == want.shape == (3, 34)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("r, base", [(0.5, 0.7), (0.3, 0.5 + 0.4j), (0.685, -0.733 - 0.031j)])
+@pytest.mark.parametrize("with_zero", [False, True])
+def test_one_rule_decomposition_matches_the_three_rule_oracle(r, base, with_zero):
+    # the gauge taken on the pairings' own rule moves lambda_1 and the residual
+    # by rounding only; c0 is the same sum on the same rule
+    dom = rs.make_annulus(r, base)
+    if with_zero:
+        zero = -0.5j * (1.0 + r)  # midway across the ring
+        G = rs.solve_extremal(rs.ExtremalProblem(domain=dom, space=bergman_tag(), base=base,
+                                                 zeros=(zero,), truncation=48), m=512)
+    else:
+        G = rs.build_kernel(dom, bergman_tag(), 64).section(base)
+    lam1, residual, c0 = bergman_decomposition_residual(G, dom, base, m=512)
+    want = three_rule_decomposition(G, dom, base, 512)
+    assert abs(lam1 - want[0]) <= 1e-13
+    assert abs(residual - want[1]) <= 1e-13
+    assert c0 == want[2]
 
 
 # ------------------------------------------------------------- biharmonic
@@ -153,6 +176,10 @@ def test_annulus_sign_change(dom):
     floor = -1e-6 * sol.max_value
     vals = [sol.grid.values[i, j] for i, j in sol.sign_change_cells]
     assert max(vals) < floor
+    # row-major (i, j) pairs of Python ints, every cell below the floor
+    rows, cols = np.nonzero(sol.grid.values < floor)
+    assert sol.sign_change_cells == tuple(zip(rows.tolist(), cols.tolist()))
+    assert all(type(k) is int for cell in sol.sign_change_cells for k in cell)
 
 
 def test_annulus_rotation_symmetry():
@@ -189,6 +216,16 @@ def _grid(disk, n_rho):
     return 0.5 + np.arange(n_rho) * h, h, 1
 
 
+def _load(rho, h, lo, n_theta, pole):
+    """``biharmonic_green``'s point load at ``pole`` on the interior rows."""
+    htheta = 2.0 * np.pi / n_theta
+    i_star = lo + int(np.argmin(np.abs(rho[lo:-1] - abs(pole))))
+    j_star = int(round(float(np.angle(pole)) % (2 * np.pi) / htheta)) % n_theta
+    b = np.zeros((rho.size - 1 - lo, n_theta))
+    b[i_star - lo, j_star] = 1.0 / (rho[i_star] * h * htheta)
+    return b
+
+
 @pytest.mark.parametrize("disk, n_rho, n_theta", OPERATOR_GRIDS)
 def test_clamped_operator_matches_loop_assembly(disk, n_rho, n_theta):
     rho, h, _ = _grid(disk, n_rho)
@@ -214,20 +251,17 @@ def test_biharmonic_solve_is_at_least_as_accurate_as_sparse_lu(disk, n_rho, n_th
     rho, h, lo = _grid(disk, n_rho)
     pole = 0.3 + 0.2j if disk else 0.75 + 0.1j
     sol = biharmonic_green(None if disk else rs.make_annulus(0.5, 0.75), pole, n_rho, n_theta)
-    htheta = 2.0 * np.pi / n_theta
-    i_star = lo + int(np.argmin(np.abs(rho[lo:-1] - abs(pole))))
-    j_star = int(round(float(np.angle(pole)) % (2 * np.pi) / htheta)) % n_theta
-    b = np.zeros((n_rho - 1 - lo, n_theta))
-    b[i_star - lo, j_star] = 1.0 / (rho[i_star] * h * htheta)
+    b = _load(rho, h, lo, n_theta, pole)
     u_sparse = scipy.sparse.linalg.spsolve(clamped_operator(rho, h, n_theta, disk), b.ravel())
     # Reference: refine to convergence against the oracle's two factors applied in
     # longdouble.  The correction solver only sets the rate; the fixed point is the
     # oracle operator's solution.
     A2, A1 = (A.astype(np.longdouble) for A in clamped_factors(rho, h, n_theta, disk))
     ref = u_sparse.copy()
+    solve = _banded_solver(rho, h, lo, n_theta)
     for _ in range(10):
         res = (b.ravel() - A2 @ (A1 @ ref.astype(np.longdouble))).astype(float)
-        step = _banded_solve(res.reshape(b.shape), rho, h, lo).ravel()
+        step = solve(res.reshape(b.shape)).ravel()
         ref = ref + step
         if np.max(np.abs(step)) <= 1e-15 * np.max(np.abs(ref)):
             break
@@ -241,8 +275,21 @@ def test_biharmonic_solve_is_at_least_as_accurate_as_sparse_lu(disk, n_rho, n_th
 
 
 def test_radial_solve_failure_is_typed(monkeypatch):
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
-    monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+    def singular(ab, kl, ku, **kwargs):  # gbtrf's report of an exactly zero pivot
+        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", singular)
     with pytest.raises(SolverError):
         biharmonic_green(None, 0.3, 32, 32)
+
+
+@pytest.mark.parametrize("disk, n_rho, n_theta, pole",
+                         [(True, 64, 64, 0.3), (True, 33, 34, 0.05 + 0.02j),
+                          (False, 64, 64, 0.75), (False, 96, 96, -0.6 + 0.2j),
+                          (False, 40, 32, 0.8j)])
+def test_factored_solve_matches_two_gbsv_solves(disk, n_rho, n_theta, pole):
+    # one gbtrf and two gbtrs do what two gbsv calls do, bit for bit, on the
+    # disk (lo = 0) and on the ring (lo = 1)
+    rho, h, lo = _grid(disk, n_rho)
+    sol = biharmonic_green(None if disk else rs.make_annulus(0.5, pole), pole, n_rho, n_theta)
+    got = sol.grid.values[lo:-1]
+    assert np.array_equal(got, two_gbsv_biharmonic(_load(rho, h, lo, n_theta, pole), rho, h, lo))

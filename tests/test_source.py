@@ -132,9 +132,8 @@ def test_benchmark_tracer_installs_on_the_cli():
         tracer.uninstall()
 
 
-def test_benchmark_tracer_sees_the_boundary_layers():
-    # schottky-fit reaches the boundary nodes, the measure density and the
-    # Schottky function through the names the benchmark's tracer wraps
+def _traced_metrics(*commands):
+    """The benchmark tracer's layer metrics over CLI runs that must all exit 0."""
     from click.testing import CliRunner
     from ringspace import cli
     _run_scipy_users()
@@ -146,11 +145,28 @@ def test_benchmark_tracer_sees_the_boundary_layers():
     tracer = Tracer()
     tracer.install()
     try:
-        result = CliRunner().invoke(cli.main, ["schottky-fit", "--r", "0.5", "--base", "0.7",
-                                               "--zeros", "0.6i", "--N", "96"])
+        results = [CliRunner().invoke(cli.main, args) for args in commands]
     finally:
         tracer.uninstall()
-    assert result.exit_code == 0, result.output
-    metrics = tracer.layer_metrics()
+    for result in results:
+        assert result.exit_code == 0, result.output
+    return tracer.layer_metrics()
+
+
+def test_benchmark_tracer_sees_the_boundary_layers():
+    # schottky-fit reaches the boundary nodes, the measure density and the
+    # Schottky function through the names the benchmark's tracer wraps
+    metrics = _traced_metrics(["schottky-fit", "--r", "0.5", "--base", "0.7",
+                               "--zeros", "0.6i", "--N", "96"])
     for name in ("geometry.boundary_nodes", "harmonic.measure_density", "harmonic.schottky"):
+        assert metrics[f"{name}.calls"] > 0, name
+
+
+def test_benchmark_tracer_sees_the_probes():
+    # the probes workload is biharmonic and decomposition; the tracer counts
+    # them through the module-level names it wraps in probes
+    metrics = _traced_metrics(["biharmonic", "--r", "0.5", "--pole", "0.7"],
+                              ["biharmonic", "--r", "0.5", "--disk", "--pole", "0.3"],
+                              ["decomposition", "--r", "0.5", "--base", "0.7"])
+    for name in ("probes.biharmonic_green", "probes.bergman_decomposition_residual"):
         assert metrics[f"{name}.calls"] > 0, name
