@@ -224,7 +224,7 @@ def dense_decomposition_pairings(G, domain, z0: complex, m: int):
 def three_rule_decomposition(G, domain, z0: complex, m: int):
     """``(lambda_1, residual, c0)`` as the decomposition was first computed: ``G``
     scaled by its ``spaces.norm``, the ring-spectrum pairings on a second area
-    rule, ``nu_1`` and ``c0`` from ``defect_direction`` on a third and a fourth."""
+    rule, ``nu_1`` and ``c0`` from ``defect_direction`` on a third."""
     from ringspace.probes import defect_direction, harmonic_l2_kernel
     from ringspace.spaces import area_quadrature, bergman_tag, norm, ring_values
     Gn = G * (1.0 / norm(G, domain, bergman_tag(), m=m))
@@ -238,9 +238,10 @@ def three_rule_decomposition(G, domain, z0: complex, m: int):
         W = np.fft.ifft(np.reshape(w * f, (-1, m)), axis=1, norm="forward")
         moments = np.sum(rho[:, None]**ks * W[:, ks % m], axis=0)
         return [W[:, 0].real.sum(), *moments.view(float), W[:, 0].real @ np.log(rho)]
-    ps, qs = np.array([pairings(D), pairings(defect_direction(domain, m)[0](pts))])
+    nu, c0 = defect_direction(domain, m)
+    ps, qs = np.array([pairings(D), pairings(nu(pts))])
     lam1 = float(ps @ qs / (qs @ qs))
-    return lam1, float(np.max(np.abs(ps - lam1 * qs))), defect_direction(domain, m)[1]
+    return lam1, float(np.max(np.abs(ps - lam1 * qs))), c0
 
 
 def rayleigh_maximize(A, B, trials: int = 10000, polish: int = 200, seed: int = 0):
