@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from .geometry import (INNER, OUTER, AnnulusDomain, boundary_angles, boundary_no
 from .harmonic import conjugate_period, green, harmonic_measure
 from .inner import (AtomicSingularMeasure, ZeroSet, blaschke_product,
                     division_bound_check, qc_divisor, schottky_fit, singular_inner,
-                    verify_inner)
+                    unit_inner, verify_inner)
 from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, reproduce_check
 from .laurent import LaurentPolynomial
 from .extremal import (ExtremalProblem, candidate_divisor,
@@ -301,7 +301,7 @@ def _cmd_green(config: RunConfig):
     g = green(domain, pole, N=config.N)
     residual = float(np.max(np.abs(g(boundary_nodes(domain, 256)))))
     # harmonic measure at the pole, not at --base
-    _, weights = measure_quadrature(make_annulus(domain.inner_radius, pole), config.m, config.N)
+    _, weights = measure_quadrature(make_annulus(domain.inner_radius, pole), config.m)
     mass = float(np.sum(weights))
     grid_pts = polar_grid(domain, 50, inset=0.02)
     interior_min = float(np.min(g(grid_pts)))
@@ -466,12 +466,7 @@ def _cmd_qc_estimate(config: RunConfig):
     undivided = bool(config.extras.get("undivided", False))
     N = max(config.N, 96)
     cand = candidate_divisor(domain, z1, N=N, m=config.m)
-    if undivided:
-        def target(z):
-            z = np.asarray(z, dtype=complex)
-            return np.asarray(cand.blaschke(z)) * np.asarray(cand.kernel_section(z))
-    else:
-        target = cand
+    target = replace(cand, kernel_zero_factor=unit_inner(domain)) if undivided else cand
     report = quasicontract_estimate(target, z1, domain, m=config.m)
     changes = [abs(b[1] - a[1]) / b[1]
                for a, b in zip(report.per_truncation, report.per_truncation[1:])]

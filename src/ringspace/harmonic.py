@@ -205,38 +205,39 @@ def tail_truncation(domain: AnnulusDomain, pole: complex, tol: float, floor: int
     return max(n, floor)
 
 
-def green(domain: AnnulusDomain, pole: complex, N: int = 64) -> GreenFunction:
+def green(domain: AnnulusDomain, pole: complex, N: int | None = None) -> GreenFunction:
     """Green's function of the annulus with the given interior pole.
 
     The corrector solves the Dirichlet problem with data ``log|zeta - pole|``,
     so the boundary values vanish up to the series truncation error, which
     decays like ``|pole|^N`` (outer data) and ``(r/|pole|)^N`` (inner data).
+    ``N=None`` takes the truncation from ``tail_truncation`` at ``1e-15`` with
+    a floor of 128: a fixed 128 left boundary residuals of order ``1e-4`` and
+    negative harmonic-measure weights for poles near a circle (r=0.7,
+    |a|=0.955; r=0.9, a=0.95).
     """
-    if N < 8:
+    if N is not None and N < 8:
         raise ArgumentError(f"Green truncation must be at least 8, got {N}")
     r = domain.inner_radius
     a = complex(pole)
     if abs(a) <= r + 1e-9 or abs(a) >= 1.0 - 1e-9:
         raise GeometryError(f"pole {pole} is on or within 1e-9 of the boundary")
+    if N is None:
+        N = tail_truncation(domain, a, 1e-15, 128)
     outer, inner = _log_kernel_data(domain, a, N)
     corrector = solve_dirichlet(domain, outer, inner, N)
     return GreenFunction(domain=domain, pole=a, corrector=corrector, truncation=N)
 
 
-def green_boundary_flux(domain: AnnulusDomain, m: int,
-                        N: int | None = None) -> np.ndarray:
+def green_boundary_flux(domain: AnnulusDomain, m: int) -> np.ndarray:
     """Outward ``dg/dn`` of Green's function with pole at the base point, at
     the ``boundary_nodes(domain, m)``: ``m`` equispaced on the unit circle,
     then ``m`` on the inner one.
 
     The ``-log|z - a|`` term is taken node by node and the corrector by one
-    FFT per circle, so a long truncation costs little.  ``N=None`` takes it
-    from ``tail_truncation`` at ``1e-15`` with a floor of 128: a fixed 128
-    left boundary residuals of order ``1e-4`` and negative harmonic-measure
-    weights for base points near a circle (r=0.7, |a|=0.955; r=0.9, a=0.95).
+    FFT per circle, so a long truncation costs little.
     """
-    a = domain.base_point
-    g = green(domain, a, tail_truncation(domain, a, 1e-15, 128) if N is None else N)
+    g = green(domain, domain.base_point)
     nodes = boundary_nodes(domain, m).reshape(2, m)
     unit = nodes[0]
     flux = []
@@ -247,13 +248,13 @@ def green_boundary_flux(domain: AnnulusDomain, m: int,
     return np.concatenate(flux)
 
 
-def measure_density(domain: AnnulusDomain, m: int, N: int | None = None) -> np.ndarray:
+def measure_density(domain: AnnulusDomain, m: int) -> np.ndarray:
     """Density of harmonic measure at ``domain.base_point`` w.r.t. arclength,
     ``-(1/2 pi) dg/dn``, at the ``boundary_nodes(domain, m)``."""
-    return -green_boundary_flux(domain, m, N) / (2.0 * np.pi)
+    return -green_boundary_flux(domain, m) / (2.0 * np.pi)
 
 
-def schottky(domain: AnnulusDomain, m: int, N: int | None = None) -> np.ndarray:
+def schottky(domain: AnnulusDomain, m: int) -> np.ndarray:
     """Schottky function ``s_1 = (d omega_1/dn) / (dg/dn)`` at the
     ``boundary_nodes(domain, m)``, the Green pole at the base point.
 
@@ -262,7 +263,7 @@ def schottky(domain: AnnulusDomain, m: int, N: int | None = None) -> np.ndarray:
     """
     L = domain.log_gap
     num = np.repeat([1.0 / L, -1.0 / (domain.inner_radius * L)], m)
-    den = green_boundary_flux(domain, m, N)
+    den = green_boundary_flux(domain, m)
     # dg/dn < 0 on an analytic boundary with an interior pole; guard anyway.
     if not np.min(np.abs(den)) > 1e-14:
         raise ConvergenceError("dg/dn vanished on the boundary")

@@ -183,9 +183,9 @@ def blaschke_factor(domain: AnnulusDomain, a: complex, N: Optional[int] = None,
     power = lattice_shift
     completion = analytic_completion(corrector)
     series = (completion.series * (-1.0)) + LaurentPolynomial.constant(lam)
-    # Residual of the period cancellation, measured on the exponent.
-    exponent_rep = corrector.scale(-1.0) + harmonic_measure(domain, OUTER).scale(lam)
-    residual = abs(2.0 * np.pi * (exponent_rep.clog - power))
+    # Residual of the period cancellation, measured on the exponent's log term.
+    residual = abs(2.0 * np.pi * (corrector.clog * -1.0
+                                  + harmonic_measure(domain, OUTER).clog * lam - power))
     if not residual <= _PERIOD_TOL:
         raise PeriodError(f"Blaschke period bookkeeping failed: residual {residual:.3e}")
     spec = InnerFunctionSpec(domain=domain, zeros=(a,),
@@ -235,10 +235,9 @@ def unit_inner(domain: AnnulusDomain) -> InnerFunctionSpec:
                              series=LaurentPolynomial.constant(0.0))
 
 
-def blaschke_sum(domain: AnnulusDomain, zeros: ZeroSet, prefix: int = 200,
-                 N: int = 64) -> float:
+def blaschke_sum(domain: AnnulusDomain, zeros: ZeroSet, prefix: int = 200) -> float:
     """Partial sum of ``g(z_j, z0)`` over (a prefix of) the zero sequence."""
-    g0 = green(domain, domain.base_point, N)
+    g0 = green(domain, domain.base_point)
     total = 0.0
     for j, a in enumerate(zeros.iter_points()):
         if j >= prefix:
@@ -263,7 +262,7 @@ def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet,
         for a in zeros.iter_points():
             product = multiply(product, blaschke_factor(domain, a))
         return product
-    g0 = green(domain, domain.base_point, 64)
+    g0 = green(domain, domain.base_point)
     grid = polar_grid(domain, 16, inset=0.1)  # strictly inside, for the truncation test
     values, gsum = np.ones(grid.size, dtype=complex), 0.0
     for count, a in enumerate(zeros.iter_points(), 1):
@@ -379,14 +378,12 @@ def check_orthogonality(f: LaurentPolynomial, domain: AnnulusDomain, N: int) -> 
     return worst
 
 
-def schottky_fit(f: Callable, domain: AnnulusDomain, m: int = 512,
-                 N_green: int | None = None) -> tuple[float, float]:
+def schottky_fit(f: Callable, domain: AnnulusDomain, m: int = 512) -> tuple[float, float]:
     """Least-squares fit of ``|f|^2 - 1`` against the Schottky function ``s_1``
     over all boundary nodes; residual in the boundary arclength norm.
-    ``N_green=None`` takes the Green truncation from its tail bound.
     """
     pts, ds = boundary_quadrature(domain, m)
-    s1 = schottky(domain, m, N_green)
+    s1 = schottky(domain, m)
     y = np.abs(np.asarray(f(pts), dtype=complex))**2 - 1.0
     denom = float(np.sum(ds * s1 * s1))
     lam1 = float(np.sum(ds * s1 * y) / denom)

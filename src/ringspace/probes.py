@@ -44,12 +44,17 @@ def _log_square_moment(r: float) -> float:
 
 @dataclass
 class HarmonicKernel:
-    """Reproducing kernel of real harmonic functions in ``L^2(dA)`` on the ring."""
+    """Reproducing kernel ``H(z, w)`` of real harmonic functions in ``L^2(dA)`` on
+    the ring, to angular degree ``N``; called, it is the section ``z -> H(z, base)``."""
 
     domain: AnnulusDomain
+    base: complex
     N: int
 
     def __post_init__(self):
+        if not self.domain.contains(self.base):
+            raise GeometryError(f"kernel base {self.base} must be interior")
+        self.base = complex(self.base)
         r = self.domain.inner_radius
         V = 1.0 - r * r
         c01 = log_radial_moment(r) / math.pi  # <1, log rho> under dA
@@ -85,34 +90,24 @@ class HarmonicKernel:
         out = (const + (cosd * quad).sum(axis=1)).reshape(z.shape)
         return out if z.shape else float(out)
 
-
-@dataclass
-class HarmonicKernelSection:
-    """Evaluator ``z -> H(z, base)``."""
-
-    kernel: HarmonicKernel
-    base: complex
-
     def __call__(self, z):
-        return self.kernel.pair(z, self.base)
+        return self.pair(z, self.base)
 
     def on_rings(self, radii, m: int) -> np.ndarray:
-        """Values at ``radii[i] * e^{2 pi i k/m}``, shape ``(len(radii), m)``: the
-        cosine series of every ring as one ``fold_sum``."""
-        const, quad = self.kernel.radial_parts(radii, self.base)
-        ns = np.arange(1, self.kernel.N + 1)
+        """Values of the section at ``radii[i] * e^{2 pi i k/m}``, shape
+        ``(len(radii), m)``: the cosine series of every ring as one ``fold_sum``."""
+        const, quad = self.radial_parts(radii, self.base)
+        ns = np.arange(1, self.N + 1)
         return const[:, None] + fold_sum(ns, quad * np.exp(-1j * ns * np.angle(self.base)), m).real
 
 
-def harmonic_l2_kernel(domain: AnnulusDomain, z0: complex, N: int = 64) -> HarmonicKernelSection:
-    """Section of the harmonic reproducing kernel at ``z0``.
+def harmonic_l2_kernel(domain: AnnulusDomain, z0: complex, N: int = 64) -> HarmonicKernel:
+    """The harmonic reproducing kernel with its section at ``z0``.
 
     ``integral H(., z0) u dA = u(z0)`` for harmonic ``u`` of angular degree up
     to ``N``, including ``log|z|``.
     """
-    if not domain.contains(z0):
-        raise GeometryError(f"kernel base {z0} must be interior")
-    return HarmonicKernelSection(kernel=HarmonicKernel(domain, N), base=complex(z0))
+    return HarmonicKernel(domain, z0, N)
 
 
 def _defect_values(pts, w):

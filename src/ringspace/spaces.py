@@ -88,14 +88,14 @@ def boundary_quadrature(domain: AnnulusDomain, m: int):
     return pts, w
 
 
-def area_quadrature(domain: AnnulusDomain, m: int, n_radial: int = _GAUSS_RADIAL):
+def area_quadrature(domain: AnnulusDomain, m: int):
     """Points and weights for normalized area measure dA = dx dy / pi.
 
     Tensor product of Gauss-Legendre in radius and trapezoid in angle;
     weights include the polar metric factor rho.
     """
     r = domain.inner_radius
-    x, wx = _gauss_legendre(n_radial)
+    x, wx = _gauss_legendre(_GAUSS_RADIAL)
     rho = 0.5 * (1.0 - r) * x + 0.5 * (1.0 + r)
     wr = 0.5 * (1.0 - r) * wx
     pts = ring_nodes(rho, m).ravel()
@@ -104,12 +104,11 @@ def area_quadrature(domain: AnnulusDomain, m: int, n_radial: int = _GAUSS_RADIAL
     return pts, w
 
 
-def measure_quadrature(domain: AnnulusDomain, m: int, N_green: int | None = None):
+def measure_quadrature(domain: AnnulusDomain, m: int):
     """``boundary_quadrature``'s points with harmonic-measure weights: the
-    density ``-(1/2 pi) dg/dn`` times the arclength weight.  ``N_green=None``
-    picks the Green truncation from its tail bound (``green_boundary_flux``)."""
+    density ``-(1/2 pi) dg/dn`` times the arclength weight."""
     pts, ds = boundary_quadrature(domain, m)
-    return pts, measure_density(domain, m, N_green) * ds
+    return pts, measure_density(domain, m) * ds
 
 
 def quadrature_for(domain: AnnulusDomain, tag: SpaceTag, m: int):

@@ -45,7 +45,7 @@ def test_criterion_1_harmonic_backbone(dom):
         za, zb = (rng.uniform(0.58, 0.92, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2)))
         sym = max(sym, abs(rs.green(dom, za, N=64)(zb) - rs.green(dom, zb, N=64)(za)))
 
-    mass = float(np.sum(measure_quadrature(dom, 512, N_green=64)[1]))
+    mass = float(np.sum(measure_quadrature(dom, 512)[1]))
 
     w1, w2 = rs.harmonic_measure(dom, 1), rs.harmonic_measure(dom, 2)
     pts = rng.uniform(0.51, 0.99, 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))

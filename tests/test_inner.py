@@ -8,6 +8,7 @@ import ringspace as rs
 from ringspace.errors import (ArgumentError, BlaschkeDivergenceError, ConvergenceError,
                              GeometryError, PeriodError)
 from ringspace.geometry import polar_grid
+from ringspace.harmonic import tail_truncation
 from ringspace.inner import _loop_period_residual, capped_blaschke_factor
 from ringspace.kernels import count_zeros, full_ring
 from ringspace.laurent import LaurentPolynomial, to_laurent
@@ -133,9 +134,18 @@ def test_blaschke_product_divergent_sequence_rejected(dom06):
 
 def test_blaschke_sum_finite_prefix(dom06):
     s = rs.blaschke_sum(dom06, rs.ZeroSet(points=(0.7, 0.8, 0.55j)))
-    g = rs.green(dom06, 0.6, N=64)
+    g = rs.green(dom06, 0.6)
     expected = g(0.7) + g(0.8) + g(0.55j)
     assert s == pytest.approx(expected, rel=1e-12)
+
+
+def test_blaschke_sums_past_the_green_cap_are_typed():
+    # base 0.995: the Green series reaches 1e-15 only past TRUNCATION_CAP terms
+    d = rs.make_annulus(0.5, 0.995)
+    with pytest.raises(ConvergenceError, match="cap"):
+        rs.blaschke_sum(d, rs.ZeroSet(points=(0.7,)))
+    with pytest.raises(ConvergenceError, match="cap"):
+        rs.blaschke_product(d, rs.ZeroSet(points=iter([0.7])))
 
 
 # ------------------------------------------------------------ singular inner
@@ -298,7 +308,7 @@ def test_schottky_fit_of_identity_function(dom):
 
 def test_schottky_fit_vanishing_flux_is_typed(dom, monkeypatch):
     monkeypatch.setattr(rs.harmonic, "green_boundary_flux",
-                        lambda domain, m, N=None: np.zeros(2 * m))
+                        lambda domain, m: np.zeros(2 * m))
     with pytest.raises(ConvergenceError, match="vanished"):
         rs.schottky_fit(lambda z: np.ones(np.shape(z)), dom, m=64)
 
@@ -313,11 +323,11 @@ def test_schottky_fit_matches_dense_schottky(dom):
     nodes = boundary_node_list(dom, 128)
     pts = np.array([p for p, _, _ in nodes])
     ds = np.array([w for _, _, w in nodes])
-    s1 = node_schottky(dom, 128, N=128)
+    s1 = node_schottky(dom, 128, N=tail_truncation(dom, dom.base_point, 1e-15, 128))
     f = lambda z: 1.0 + 0.3 * np.asarray(z)
     y = np.abs(f(pts))**2 - 1.0
     lam_dense = float(np.sum(ds * s1 * y) / np.sum(ds * s1 * s1))
-    lam1, _ = rs.schottky_fit(f, dom, m=128, N_green=128)
+    lam1, _ = rs.schottky_fit(f, dom, m=128)
     assert lam1 == pytest.approx(lam_dense, rel=1e-12)
 
 

@@ -79,6 +79,18 @@ def test_only_spaces_reads_a_weight_fn():
     assert found == []
 
 
+def test_only_cli_passes_a_green_truncation():
+    # green picks the truncation from its tail bound; only the green
+    # subcommand's --N sets one
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)
+             and "green" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+             and (len(node.args) > 2 or any(k.arg == "N" for k in node.keywords))]
+    assert found == []
+
+
 def _run_scipy_users():
     # the library imports scipy on first use; the benchmark runs one job and
     # its untraced loop before installing the tracer, which reads

@@ -56,15 +56,16 @@ def test_hardy_norms_match_per_circle_masses():
 @pytest.mark.parametrize("m", [64, 512])
 def test_measure_quadrature_matches_node_oracle(r, base, m):
     d = rs.make_annulus(r, base)
-    pts, w = measure_quadrature(d, m, N_green=128)
-    opts, ow = node_measure_quadrature(d, m, N_green=128)
+    pts, w = measure_quadrature(d, m)
+    N = rs.harmonic.tail_truncation(d, base, 1e-15, 128)
+    opts, ow = node_measure_quadrature(d, m, N_green=N)
     assert np.max(np.abs(pts - opts)) <= 1e-15
     assert np.max(np.abs(w - ow)) <= 1e-13 * np.max(np.abs(ow))
 
 
 @pytest.mark.parametrize("r, base", [(0.7, 0.955 * np.exp(0.3j)), (0.9, 0.95)])
 def test_measure_quadrature_envelope_near_a_circle(r, base):
-    # At N_green = 128 both geometries leave Green boundary residuals near
+    # Truncated at 128, both geometries leave Green boundary residuals near
     # 1e-4 and weights down to -4e-6; the tail-bound truncation must not.
     d = rs.make_annulus(r, base)
     m = 1024
