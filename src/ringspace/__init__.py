@@ -14,10 +14,9 @@ from .errors import (ArgumentError, BlaschkeDivergenceError, ConvergenceError,
                      ZeroOnContourError)
 from .geometry import (INNER, OUTER, AnnulusDomain, Exhaustion, ExhaustionStage,
                        boundary_nodes, exhaustion_of, make_annulus)
-from .harmonic import (AnalyticCompletion, GreenFunction, HarmonicRepresentation,
-                       analytic_completion, conjugate_period, green,
-                       harmonic_measure, measure_density, point_mass_kernel,
-                       schottky, solve_dirichlet)
+from .harmonic import (GreenFunction, HarmonicRepresentation, analytic_completion,
+                       conjugate_period, green, harmonic_measure, measure_density,
+                       point_mass_kernel, schottky, solve_dirichlet)
 from .laurent import LaurentPolynomial, to_laurent
 from .spaces import (SpaceKind, SpaceTag, bergman_tag, gram_matrix, hardy_tag,
                      inner_product, log_monomial_norms, monomial_norms, norm,
@@ -35,6 +34,6 @@ from .extremal import (CandidateDivisor, DivisorReport, ExtremalProblem,
                        repro_fact_check, solve_extremal)
 from .probes import (BiharmonicSolution, HarmonicKernel, PolarGrid,
                      bergman_decomposition_residual, biharmonic_green,
-                     defect_direction, harmonic_l2_kernel, log_radial_moment)
+                     defect_direction, log_radial_moment)
 
 __version__ = "0.1.0"

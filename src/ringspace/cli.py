@@ -298,7 +298,7 @@ def _cmd_green(config: RunConfig):
         raise click.UsageError("green needs --pole")
     pole = parse_complex(pole) if isinstance(pole, str) else complex(pole)
     domain = _domain(config, fallback_base=pole)
-    g = green(domain, pole, N=config.N)
+    g = green(domain, pole)
     residual = float(np.max(np.abs(g(boundary_nodes(domain, 256)))))
     # harmonic measure at the pole, not at --base
     _, weights = measure_quadrature(make_annulus(domain.inner_radius, pole), config.m)

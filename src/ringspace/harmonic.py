@@ -5,8 +5,8 @@ A harmonic function on the ring splits into angular modes; each nonzero mode
 zero mode is ``c0 + clog * log(rho)``.  Matching Fourier data on the two
 circles gives one uniform Dirichlet solver that realizes everything built
 here: harmonic measures, Green's functions, Poisson-type point-mass kernels,
-Schottky functions, and multi-valued analytic completions with explicit
-period bookkeeping.
+Schottky functions, and analytic completions whose one multi-valued term,
+``clog * log z``, carries the whole conjugate period.
 
 Mode coefficients are stored in the scaled form ``Bhat_n = B_n r^{-n}`` so the
 2x2 matching systems stay perfectly conditioned and evaluation never forms
@@ -74,23 +74,6 @@ class HarmonicRepresentation:
             c = (ns / rho) * (self.A * rho**ns - self.Bhat * (self.rref / rho)**ns)
             out += np.real(fold_sum(ns, c, m))
         return out
-
-    def scale(self, factor: float) -> "HarmonicRepresentation":
-        return HarmonicRepresentation(self.c0 * factor, self.clog * factor, self.rref,
-                                      self.ns, self.A * factor, self.Bhat * factor)
-
-    def __add__(self, other: "HarmonicRepresentation") -> "HarmonicRepresentation":
-        if abs(self.rref - other.rref) > 1e-15:
-            raise ArgumentError("cannot add representations scaled on different annuli")
-        ns = np.union1d(self.ns, other.ns)
-        A = np.zeros(ns.size, dtype=complex)
-        Bhat = np.zeros(ns.size, dtype=complex)
-        for rep in (self, other):
-            at = np.searchsorted(ns, rep.ns)
-            A[at] += rep.A
-            Bhat[at] += rep.Bhat
-        return HarmonicRepresentation(self.c0 + other.c0, self.clog + other.clog,
-                                      self.rref, ns, A, Bhat)
 
 
 @dataclass(frozen=True)
@@ -275,44 +258,15 @@ def conjugate_period(h: HarmonicRepresentation) -> float:
     return 2.0 * np.pi * h.clog
 
 
-def log_cut(z):
-    """log with branch cut along the positive real axis (argument in [0, 2 pi))."""
-    z = np.asarray(z, dtype=complex)
-    theta = np.angle(z)
-    theta = np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
-    out = np.log(np.abs(z)) + 1j * theta
-    return out if out.shape else complex(out)
-
-
-@dataclass(frozen=True)
-class AnalyticCompletion:
-    """Evaluator for ``h + i*conj(h)`` on the ring cut along the positive real axis.
-
-    ``series`` is the single-valued Laurent part; the multi-valued part is
-    ``log_coeff * log(z)``, so the period around the inner circle is
-    ``2 pi i * log_coeff`` and ``exp`` of the completion is single-valued
-    exactly when ``log_coeff`` is an integer.
-    """
-
-    series: LaurentPolynomial
-    log_coeff: float
-
-    @property
-    def period(self) -> complex:
-        return 2.0j * np.pi * self.log_coeff
-
-    def __call__(self, z):
-        out = self.series(z)
-        if self.log_coeff != 0.0:
-            out = out + self.log_coeff * log_cut(z)
-        return out
-
-
-def analytic_completion(h: HarmonicRepresentation) -> AnalyticCompletion:
-    """Multi-valued analytic completion ``F`` with ``Re F = h``.
+def analytic_completion(h: HarmonicRepresentation) -> LaurentPolynomial:
+    """Single-valued part ``F`` of the analytic completion of ``h``:
+    ``Re F + clog * log|z| = h``.
 
     The mode ``Re[(A_n rho^n + B_n rho^-n) e^{in theta}]`` completes to
-    ``A_n z^n + conj(B_n) z^-n``; the log mode completes to ``clog * log z``.
+    ``A_n z^n + conj(B_n) z^-n``.  The log mode completes to the multi-valued
+    ``clog * log z``, which is left to the caller: its period around the inner
+    circle is ``conjugate_period(h)``, and ``exp`` of the completion is
+    single-valued exactly when ``h.clog`` is an integer.
     """
     coeffs: dict[int, complex] = {0: complex(h.c0)}
     r = h.rref
@@ -320,8 +274,7 @@ def analytic_completion(h: HarmonicRepresentation) -> AnalyticCompletion:
         n = int(n)
         coeffs[n] = coeffs.get(n, 0.0) + a
         coeffs[-n] = coeffs.get(-n, 0.0) + np.conj(bh) * r**float(n)
-    return AnalyticCompletion(series=LaurentPolynomial.from_dict(coeffs),
-                              log_coeff=h.clog)
+    return LaurentPolynomial.from_dict(coeffs)
 
 
 def point_mass_kernel(domain: AnnulusDomain, component: int, angle: float,

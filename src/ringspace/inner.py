@@ -9,8 +9,9 @@ where ``series`` is a truncated Laurent series collecting the analytic
 completions of the Green correctors, point-mass kernels, and the period
 remover.  Choosing the removal exponent ``lambda`` on the lattice
 ``log(1/r) * Z`` makes the log-term coefficient an exact integer, which is
-the ``z^power`` factor; single-valuedness is then structural and the
-numerical period check guards the bookkeeping.
+the ``z^power`` factor; single-valuedness is then structural.  One helper,
+``_close_period``, picks ``lambda`` and ``power`` for every constructed
+function and checks the closed-form period residual against ``power``.
 
 A factor with zero ``a`` uses ``lambda = log(1/r) * omega_2(a)``, the minimal
 representative in ``(0, log(1/r)]``; its boundary modulus is ``1`` on the
@@ -28,15 +29,14 @@ import numpy as np
 from .errors import (ArgumentError, BlaschkeDivergenceError, ConvergenceError,
                      GeometryError, PeriodError)
 from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, polar_grid, ring_nodes
-from .harmonic import (TRUNCATION_CAP, HarmonicRepresentation, _log_kernel_data,
-                       analytic_completion, green, harmonic_measure,
-                       point_mass_kernel, schottky, solve_dirichlet, tail_truncation)
+from .harmonic import (TRUNCATION_CAP, _log_kernel_data, analytic_completion, green,
+                       harmonic_measure, point_mass_kernel, schottky, solve_dirichlet,
+                       tail_truncation)
 from .laurent import LaurentPolynomial
 from .spaces import (boundary_quadrature, hardy_tag, log_monomial_norms, quadrature_for,
                      ring_values, smirnov_tag)
 
 _PERIOD_TOL = 1e-8
-_PERIOD_NODES = 512    # nodes of the conjugate-period quadrature
 _DIVISION_WINDOW = 8   # random Laurent h of division_bound_check: z^-8..z^8
 _LAZY_FACTORS = 500    # a lazy blaschke_product that has not settled by then diverges
 _DIVERGENCE_BOUND = 20.0  # partial sum of g(z_j, z0) past which a lazy product diverges
@@ -120,15 +120,25 @@ class InnerFunctionSpec:
         return out
 
 
-def _loop_period_residual(rep: HarmonicRepresentation, rho: float) -> float:
-    """Deviation of the numerically integrated conjugate period of ``rep``
-    around ``|z| = rho`` from the nearest multiple of 2*pi.
+def _close_period(domain: AnnulusDomain, log_coeff: float) -> tuple[float, int, float]:
+    """``(lam, power, residual)`` that make ``exp`` of an exponent single-valued.
 
-    Uses the polar Cauchy-Riemann relation d(conj)/d(theta) = rho * d(rep)/d(rho).
+    The exponent's conjugate has period ``2 pi log_coeff`` around the inner
+    circle, and ``lam (omega_1 + i conj)`` adds ``2 pi lam / log(1/r)``.  The
+    minimal ``lam`` in ``(0, log(1/r)]`` brings the total to the integer
+    ``power``; ``residual`` is ``2 pi`` times what is left over, and above
+    ``_PERIOD_TOL`` raises ``PeriodError``.
     """
-    m = _PERIOD_NODES
-    period = float(np.sum(rho * rep.radial_derivative_on_circle(rho, m)) * 2.0 * np.pi / m)
-    return abs(period - 2.0 * np.pi * round(period / (2.0 * np.pi)))
+    L = domain.log_gap
+    power = math.floor(log_coeff) + 1
+    lam = L * (power - log_coeff)
+    if not (0.0 < lam <= L + 1e-12):
+        lam, power = lam - L, power - 1  # roundoff at the lattice edge
+    omega1_clog = harmonic_measure(domain, OUTER).clog  # 1 / log(1/r)
+    residual = abs(2.0 * np.pi * (log_coeff + omega1_clog * lam - power))
+    if not residual <= _PERIOD_TOL:
+        raise PeriodError(f"period bookkeeping failed: residual {residual:.3e}")
+    return lam, power, residual
 
 
 def _reduce_lattice(domain: AnnulusDomain, lam: float, power: int,
@@ -159,8 +169,8 @@ def _normalize_phase(spec: InnerFunctionSpec, value: complex) -> InnerFunctionSp
     return replace(spec, series=spec.series + LaurentPolynomial.constant(-1j * np.angle(value)))
 
 
-def blaschke_factor(domain: AnnulusDomain, a: complex, N: Optional[int] = None,
-                    lattice_shift: int = 0) -> InnerFunctionSpec:
+def blaschke_factor(domain: AnnulusDomain, a: complex,
+                    N: Optional[int] = None) -> InnerFunctionSpec:
     """Single-zero inner factor ``exp(-p(., a) + lambda (omega_1 + i conj))``.
 
     The conjugate of ``-g(., a)`` has period ``-2 pi omega_2(a)`` around the
@@ -173,21 +183,13 @@ def blaschke_factor(domain: AnnulusDomain, a: complex, N: Optional[int] = None,
     if not domain.contains(a):
         raise GeometryError(f"Blaschke zero {a} must be strictly interior")
     N = tail_truncation(domain, a, 1e-12, 64) if N is None else N
-    L = domain.log_gap
     # Same corrector as the Green's function, without its pole-margin guard:
     # zeros of convergent products legitimately approach the boundary.
     outer_data, inner_data = _log_kernel_data(domain, a, N)
     corrector = solve_dirichlet(domain, outer_data, inner_data, N)
-    omega2_a = corrector.clog  # equals omega_2(a) = log|a| / log(r)
-    lam = L * omega2_a + lattice_shift * L
-    power = lattice_shift
-    completion = analytic_completion(corrector)
-    series = (completion.series * (-1.0)) + LaurentPolynomial.constant(lam)
-    # Residual of the period cancellation, measured on the exponent's log term.
-    residual = abs(2.0 * np.pi * (corrector.clog * -1.0
-                                  + harmonic_measure(domain, OUTER).clog * lam - power))
-    if not residual <= _PERIOD_TOL:
-        raise PeriodError(f"Blaschke period bookkeeping failed: residual {residual:.3e}")
+    # corrector.clog is omega_2(a) = log|a| / log(r), so power is 0
+    lam, power, residual = _close_period(domain, corrector.clog * -1.0)
+    series = (analytic_completion(corrector) * (-1.0)) + LaurentPolynomial.constant(lam)
     spec = InnerFunctionSpec(domain=domain, zeros=(a,),
                              singular=AtomicSingularMeasure.empty(),
                              lam=lam, power=power, series=series,
@@ -293,44 +295,27 @@ def singular_inner(domain: AnnulusDomain, mu: AtomicSingularMeasure,
     of the atom (the truncated point-mass solve), so non-positive masses pull
     the modulus down toward the atoms and ``|S|`` is locally constant on each
     circle away from them.  ``lambda`` in ``(0, log(1/r)]`` cancels the
-    numerically measured period; with no atoms this forces ``lambda = log(1/r)``
-    and the result is the invertible inner function ``z / r``.
+    atoms' summed period (``_close_period``); with no atoms this forces
+    ``lambda = log(1/r)`` and the result is the invertible inner function ``z / r``.
 
     Atoms must stay off the quadrature nodes used later for evaluation; shift
     the nodes otherwise.
     """
-    L = domain.log_gap
     r = domain.inner_radius
-    for attempt_N in (N, 2 * N):
-        series = LaurentPolynomial.constant(0.0)
-        clog_total = 0.0
-        exponent_rep = None
-        for point, mass in mu.atoms:
-            component = _atom_component(domain, point)
-            scale = mass / (2.0 * np.pi) * (1.0 if component == OUTER else 1.0 / r)
-            kernel = point_mass_kernel(domain, component, float(np.angle(point)) % (2 * np.pi),
-                                       attempt_N)
-            comp = analytic_completion(kernel)
-            series = series + comp.series * scale
-            clog_total += kernel.clog * scale
-            contrib = kernel.scale(scale)
-            exponent_rep = contrib if exponent_rep is None else exponent_rep + contrib
-        power = math.floor(clog_total) + 1
-        lam = L * (power - clog_total)
-        if not (0.0 < lam <= L + 1e-12):
-            lam, power = lam - L, power - 1  # roundoff at the lattice edge
-        series = series + LaurentPolynomial.constant(lam)
-        omega1_part = harmonic_measure(domain, OUTER).scale(lam)
-        exponent_rep = omega1_part if exponent_rep is None else exponent_rep + omega1_part
-        residual = _loop_period_residual(exponent_rep, math.sqrt(r))
-        if residual <= _PERIOD_TOL:
-            spec = InnerFunctionSpec(domain=domain, zeros=(), singular=mu,
-                                     lam=lam, power=power, series=series,
-                                     period_residual=residual)
-            return _normalize_phase(spec, complex(spec(domain.base_point)))
-    raise PeriodError(
-        f"period cancellation residual {residual:.3e} above {_PERIOD_TOL} even "
-        f"after doubling the truncation to {2 * N}")
+    series = LaurentPolynomial.constant(0.0)
+    clog_total = 0.0
+    for point, mass in mu.atoms:
+        component = _atom_component(domain, point)
+        scale = mass / (2.0 * np.pi) * (1.0 if component == OUTER else 1.0 / r)
+        kernel = point_mass_kernel(domain, component, float(np.angle(point)) % (2 * np.pi), N)
+        series = series + analytic_completion(kernel) * scale
+        clog_total += kernel.clog * scale
+    lam, power, residual = _close_period(domain, clog_total)
+    series = series + LaurentPolynomial.constant(lam)
+    spec = InnerFunctionSpec(domain=domain, zeros=(), singular=mu,
+                             lam=lam, power=power, series=series,
+                             period_residual=residual)
+    return _normalize_phase(spec, complex(spec(domain.base_point)))
 
 
 @dataclass(frozen=True)

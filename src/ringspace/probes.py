@@ -45,7 +45,9 @@ def _log_square_moment(r: float) -> float:
 @dataclass
 class HarmonicKernel:
     """Reproducing kernel ``H(z, w)`` of real harmonic functions in ``L^2(dA)`` on
-    the ring, to angular degree ``N``; called, it is the section ``z -> H(z, base)``."""
+    the ring, to angular degree ``N``; called, it is the section ``z -> H(z, base)``:
+    ``integral H(., base) u dA = u(base)`` for harmonic ``u`` of angular degree up
+    to ``N``, including ``log|z|``."""
 
     domain: AnnulusDomain
     base: complex
@@ -101,15 +103,6 @@ class HarmonicKernel:
         return const[:, None] + fold_sum(ns, quad * np.exp(-1j * ns * np.angle(self.base)), m).real
 
 
-def harmonic_l2_kernel(domain: AnnulusDomain, z0: complex, N: int = 64) -> HarmonicKernel:
-    """The harmonic reproducing kernel with its section at ``z0``.
-
-    ``integral H(., z0) u dA = u(z0)`` for harmonic ``u`` of angular degree up
-    to ``N``, including ``log|z|``.
-    """
-    return HarmonicKernel(domain, z0, N)
-
-
 def _defect_values(pts, w):
     """``nu_1 = log|z| - c0`` at the nodes of an area rule, and ``c0``: the rule's
     mean of ``log|z|``, so that ``nu_1`` pairs to zero with constants."""
@@ -150,7 +143,7 @@ def bergman_decomposition_residual(G, domain: AnnulusDomain, z0: complex,
     ``defect_direction``'s constant."""
     pts, w = area_quadrature(domain, m)
     g2 = np.abs(ring_values(G, pts, m))**2
-    H = ring_values(harmonic_l2_kernel(domain, z0, _N_KERNEL), pts, m).real
+    H = ring_values(HarmonicKernel(domain, z0, _N_KERNEL), pts, m).real
     nu, c0 = _defect_values(pts, w)
     ps, qs = (_harmonic_pairings(f, pts, w, m) for f in (g2 / np.sum(w * g2) - H, nu))
     lam1 = float(ps @ qs / (qs @ qs))

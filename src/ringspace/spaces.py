@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ArgumentError, SingularConstraintsError, SingularGramError
 from .geometry import AnnulusDomain, boundary_nodes, ring_nodes
 from .harmonic import measure_density
-from .laurent import LaurentPolynomial, to_laurent  # noqa: F401  (re-export)
+from .laurent import LaurentPolynomial
 
 
 class SpaceKind(enum.Enum):

@@ -212,11 +212,11 @@ def dense_decomposition_pairings(G, domain, z0: complex, m: int):
     """The decomposition's pairings of ``|G|^2``, ``H`` and ``nu_1`` node by node: ``G``
     and the harmonic kernel by their point calls, each test of
     ``harmonic_test_family`` by dense powers of every area node."""
-    from ringspace.probes import defect_direction, harmonic_l2_kernel
+    from ringspace.probes import HarmonicKernel, defect_direction
     from ringspace.spaces import area_quadrature
     pts, w = area_quadrature(domain, m)
     values = [np.abs(np.asarray(G(pts), dtype=complex))**2,
-              harmonic_l2_kernel(domain, z0, 64)(pts), defect_direction(domain, m)[0](pts)]
+              HarmonicKernel(domain, z0, 64)(pts), defect_direction(domain, m)[0](pts)]
     weights = np.stack([w * f for f in values], axis=1)
     return np.array([u(pts) @ weights for u in harmonic_test_family()]).T
 
@@ -225,11 +225,11 @@ def three_rule_decomposition(G, domain, z0: complex, m: int):
     """``(lambda_1, residual, c0)`` as the decomposition was first computed: ``G``
     scaled by its ``spaces.norm``, the ring-spectrum pairings on a second area
     rule, ``nu_1`` and ``c0`` from ``defect_direction`` on a third."""
-    from ringspace.probes import defect_direction, harmonic_l2_kernel
+    from ringspace.probes import HarmonicKernel, defect_direction
     from ringspace.spaces import area_quadrature, bergman_tag, norm, ring_values
     Gn = G * (1.0 / norm(G, domain, bergman_tag(), m=m))
     pts, w = area_quadrature(domain, m)
-    H = harmonic_l2_kernel(domain, z0, 64)
+    H = HarmonicKernel(domain, z0, 64)
     D = np.abs(ring_values(Gn, pts, m))**2 - ring_values(H, pts, m).real
     rho = np.abs(pts[::m])
     ks = np.outer(np.arange(1, 9), [1, -1]).ravel()

@@ -87,6 +87,17 @@ def test_green_mass_is_the_poles_measure():
     assert abs(doc["results"]["measure_mass"] - np.sum(w)) <= 1e-13
 
 
+def test_green_meets_its_stated_tolerance():
+    # the truncation comes from the pole's tail bound (220 terms here, where
+    # r/|pole| = 0.855), so the residual meets the document's own tolerance
+    # and --N does not move it
+    args = ["green", "--r", "0.5", "--pole", "0.55-0.2j", "--base", "0.8"]
+    doc = run_json(args)
+    assert doc["status"] == "ok"
+    assert doc["results"]["boundary_residual_max"] <= doc["tolerances"]["boundary_residual"]
+    assert run_json([*args, "--N", "16"])["results"] == doc["results"]
+
+
 def test_biharmonic_disk_document(tmp_path):
     grid = tmp_path / "grid.csv"
     doc = run_json(["biharmonic", "--r", "0.5", "--disk", "--pole", "0.3",

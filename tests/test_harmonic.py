@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, ConvergenceError, GeometryError
-from ringspace.harmonic import (TRUNCATION_CAP, HarmonicRepresentation, log_cut,
-                                point_mass_kernel, solve_dirichlet, tail_truncation)
+from ringspace.harmonic import (TRUNCATION_CAP, HarmonicRepresentation, point_mass_kernel,
+                                solve_dirichlet, tail_truncation)
 from ringspace.spaces import boundary_quadrature, measure_quadrature
 
 from oracles import (boundary_node_list, dense_radial_derivative, green_images,
@@ -359,39 +357,28 @@ def test_conjugate_period_of_pure_mode():
     assert rs.conjugate_period(h) == 0.0
 
 
-@settings(max_examples=20, deadline=None)
-@given(a=st.floats(-3, 3), b=st.floats(-3, 3), c1=st.floats(-2, 2), c2=st.floats(-2, 2))
-def test_conjugate_period_linearity(a, b, c1, c2):
-    h1 = HarmonicRepresentation(0.3, c1, 0.5, np.array([1]), np.array([1.0 + 0j]), np.array([0j]))
-    h2 = HarmonicRepresentation(-1.0, c2, 0.5, np.array([2]), np.array([0j]),
-                                np.array([1.0j / 0.5**2]))
-    combo = h1.scale(a) + h2.scale(b)
-    expected = a * rs.conjugate_period(h1) + b * rs.conjugate_period(h2)
-    assert rs.conjugate_period(combo) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
 # ------------------------------------------------------ analytic completion
 
 def test_completion_of_outer_measure_exponentiates_cleanly():
     d = rs.make_annulus(math.exp(-1.0), 0.6)
     w1 = rs.harmonic_measure(d, 1)
-    comp = rs.analytic_completion(w1)
-    assert comp.period == pytest.approx(2j * np.pi)
-    # exp(completion) is single-valued across the positive-axis cut
-    above = complex(np.exp(comp(0.6 + 1e-12j)))
-    below = complex(np.exp(comp(0.6 - 1e-12j)))
-    assert above == pytest.approx(below, rel=1e-9)
-    # completion = 1 + log z on this annulus
+    F = rs.analytic_completion(w1)
+    # omega_1 = 1 + log|z| here: the completion 1 + log z has the integer log
+    # coefficient 1, so its exp z * e^F is single-valued
+    assert w1.clog == 1.0
+    assert rs.conjugate_period(w1) == pytest.approx(2 * np.pi)
     z = 0.5 * np.exp(1.3j)
-    assert comp(z) == pytest.approx(1.0 + log_cut(z), abs=1e-14)
+    assert complex(F(z)) == 1.0
+    assert abs(z * np.exp(F(z))) == pytest.approx(np.exp(w1(z)), rel=1e-14)
 
 
 def test_completion_real_part_is_the_function(dom):
     g = rs.green(dom, 0.66 + 0.12j, N=48)
-    comp = rs.analytic_completion(g.corrector)
+    h = g.corrector
+    F = rs.analytic_completion(h)
     rng = np.random.default_rng(5)
     z = rng.uniform(0.55, 0.95, 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
-    assert np.max(np.abs(np.real(comp(z)) - g.corrector(z))) < 1e-12
+    assert np.max(np.abs(np.real(F(z)) + h.clog * np.log(np.abs(z)) - h(z))) < 1e-12
 
 
 def test_completion_single_valued_when_no_log(dom):
@@ -400,9 +387,11 @@ def test_completion_single_valued_when_no_log(dom):
     outer[N + 2] = 0.5 - 0.25j
     outer[N - 2] = np.conj(outer[N + 2])
     h = solve_dirichlet(dom, outer, np.zeros(2 * N + 1), N)
-    comp = rs.analytic_completion(h)
-    assert comp.period == 0.0
-    assert complex(comp(0.7 + 1e-14j)) == pytest.approx(complex(comp(0.7 - 1e-14j)), abs=1e-12)
+    assert h.clog == 0.0 and rs.conjugate_period(h) == 0.0
+    F = rs.analytic_completion(h)
+    z = np.array([0.7 + 1e-14j, 0.7 - 1e-14j, 0.6 * np.exp(2.0j)])
+    assert np.max(np.abs(np.real(F(z)) - h(z))) < 1e-14
+    assert complex(F(z[0])) == pytest.approx(complex(F(z[1])), abs=1e-12)
 
 
 # ------------------------------------------------------ point-mass kernels

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -9,7 +10,7 @@ from ringspace.errors import (ArgumentError, BlaschkeDivergenceError, Convergenc
                              GeometryError, PeriodError)
 from ringspace.geometry import polar_grid
 from ringspace.harmonic import tail_truncation
-from ringspace.inner import _loop_period_residual, capped_blaschke_factor
+from ringspace.inner import capped_blaschke_factor
 from ringspace.kernels import count_zeros, full_ring
 from ringspace.laurent import LaurentPolynomial, to_laurent
 from ringspace.spaces import (area_quadrature, bergman_tag, boundary_quadrature, hardy_tag,
@@ -71,9 +72,16 @@ def test_blaschke_factor_boundary_zero_rejected(dom):
         rs.blaschke_factor(dom, 1.0 + 0j)
 
 
+def _lattice_shift(B, k):
+    # one lattice step k log(1/r) of the period remover: a factor (e^L z)^k
+    L = B.domain.log_gap
+    return dataclasses.replace(B, lam=B.lam + k * L, power=B.power + k,
+                               series=B.series + k * L)
+
+
 def test_lattice_shift_scales_outer_modulus(dom):
     B0 = rs.blaschke_factor(dom, 0.7)
-    B1 = rs.blaschke_factor(dom, 0.7, lattice_shift=1)
+    B1 = _lattice_shift(B0, 1)
     assert B1.lam == pytest.approx(B0.lam + math.log(2.0))
     assert B1.boundary_moduli[0] == pytest.approx(B0.boundary_moduli[0] / 0.5)
     assert B1.boundary_moduli[1] == pytest.approx(B0.boundary_moduli[1])
@@ -190,6 +198,24 @@ def test_singular_inner_modulus_dips_toward_atom(dom):
     assert near < far
 
 
+def test_singular_period_bookkeeping_failure_is_typed(dom, monkeypatch):
+    # a period remover without its log term leaves the atoms' period uncancelled
+    monkeypatch.setattr(rs.inner, "harmonic_measure",
+                        lambda domain, j: rs.HarmonicRepresentation(0.0, 0.0, 0.5))
+    mu = rs.AtomicSingularMeasure(atoms=((1.0 + 0j, -0.5),))
+    with pytest.raises(PeriodError, match="bookkeeping"):
+        rs.singular_inner(dom, mu)
+
+
+def test_singular_lattice_step_is_independent_of_truncation(dom):
+    # each atom's log term is +-1/log r at every truncation, so lam and power
+    # are the same bits at N and 2N
+    mu = rs.AtomicSingularMeasure(atoms=((1.0 + 0j, -0.8), (0.5j, -0.3)))
+    S, S2 = (rs.singular_inner(dom, mu, N=n) for n in (64, 128))
+    assert (S.lam, S.power) == (S2.lam, S2.power)
+    assert S.period_residual <= 1e-8 and S2.period_residual <= 1e-8
+
+
 def test_atomic_measure_validation(dom):
     with pytest.raises(ArgumentError):
         rs.AtomicSingularMeasure(atoms=((1.0 + 0j, 0.5),))
@@ -277,7 +303,7 @@ def test_constant_modulus_iff_orthogonal(dom):
 def test_constructed_inner_functions_have_integer_periods(dom):
     specs = [
         rs.blaschke_factor(dom, 0.7),
-        rs.blaschke_factor(dom, 0.8j, lattice_shift=-1),
+        _lattice_shift(rs.blaschke_factor(dom, 0.8j), -1),
         rs.singular_inner(dom, rs.AtomicSingularMeasure(atoms=((1.0 + 0j, -0.5),))),
         rs.qc_divisor(dom, rs.ZeroSet(points=(0.7, 0.6j)))[0],
     ]

@@ -9,9 +9,9 @@ import scipy.sparse.linalg
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, GeometryError, SolverError
-from ringspace.probes import (_banded_solver, _clamped_apply, _harmonic_pairings,
-                              bergman_decomposition_residual, biharmonic_green,
-                              defect_direction, harmonic_l2_kernel, log_radial_moment)
+from ringspace.probes import (HarmonicKernel, _banded_solver, _clamped_apply,
+                              _harmonic_pairings, bergman_decomposition_residual,
+                              biharmonic_green, defect_direction, log_radial_moment)
 from ringspace.spaces import area_quadrature, bergman_tag, norm as space_norm, ring_values
 
 from oracles import (clamped_factors, clamped_operator, dense_decomposition_pairings,
@@ -21,13 +21,13 @@ from oracles import (clamped_factors, clamped_operator, dense_decomposition_pair
 # --------------------------------------------------------- harmonic kernel
 
 def test_kernel_reproduces_constants(dom):
-    H = harmonic_l2_kernel(dom, 0.7, N=64)
+    H = HarmonicKernel(dom, 0.7, 64)
     pts, w = area_quadrature(dom, 512)
     assert np.sum(w * H(pts)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_kernel_reproduces_analytic_real_parts(dom):
-    H = harmonic_l2_kernel(dom, 0.7, N=64)
+    H = HarmonicKernel(dom, 0.7, 64)
     pts, w = area_quadrature(dom, 512)
     hv = H(pts)
     assert np.sum(w * hv * np.real(pts)) == pytest.approx(0.7, abs=1e-7)
@@ -38,14 +38,14 @@ def test_kernel_reproduces_analytic_real_parts(dom):
 def test_kernel_reproduces_log_modulus(dom):
     # the log mode is harmonic but not the real part of a single-valued
     # analytic function; the kernel must reproduce it too
-    H = harmonic_l2_kernel(dom, 0.7, N=64)
+    H = HarmonicKernel(dom, 0.7, 64)
     pts, w = area_quadrature(dom, 512)
     val = np.sum(w * H(pts) * np.log(np.abs(pts)))
     assert val == pytest.approx(math.log(0.7), abs=1e-7)
 
 
 def test_kernel_symmetry(dom):
-    H = harmonic_l2_kernel(dom, 0.7, N=48)
+    H = HarmonicKernel(dom, 0.7, 48)
     rng = np.random.default_rng(2)
     for _ in range(10):
         z, w_pt = (rng.uniform(0.55, 0.95, 2)
@@ -57,7 +57,7 @@ def test_kernel_symmetry(dom):
 @pytest.mark.parametrize("m", [64, 512])
 def test_kernel_on_rings_matches_pair(r, base, m):
     dom = rs.make_annulus(r, base)
-    H = harmonic_l2_kernel(dom, base, N=64)
+    H = HarmonicKernel(dom, base, 64)
     pts, _ = area_quadrature(dom, m)
     direct = H(pts)
     assert np.max(np.abs(ring_values(H, pts, m).real - direct)) <= 1e-13 * np.max(np.abs(direct))
@@ -65,7 +65,7 @@ def test_kernel_on_rings_matches_pair(r, base, m):
 
 def test_kernel_base_must_be_interior(dom):
     with pytest.raises(GeometryError):
-        harmonic_l2_kernel(dom, 1.1)
+        HarmonicKernel(dom, 1.1, 64)
 
 
 # ------------------------------------------------------------ decomposition
@@ -118,7 +118,7 @@ def test_decomposition_pairings_match_the_dense_family(r, m, evaluator):
     section = rs.build_kernel(dom, bergman_tag(), 32).section(base)
     G = section if evaluator == "on_rings" else (lambda z: section(z))
     pts, w = area_quadrature(dom, m)
-    H = harmonic_l2_kernel(dom, base, 64)
+    H = HarmonicKernel(dom, base, 64)
     nu, _ = defect_direction(dom, m)
     values = [np.abs(ring_values(G, pts, m))**2, ring_values(H, pts, m).real, nu(pts)]
     got = np.array([_harmonic_pairings(f, pts, w, m) for f in values])

@@ -80,15 +80,40 @@ def test_only_spaces_reads_a_weight_fn():
 
 
 def test_only_cli_passes_a_green_truncation():
-    # green picks the truncation from its tail bound; only the green
-    # subcommand's --N sets one
+    # green picks the truncation from its tail bound; no caller in the
+    # library, the green subcommand included, passes one
     found = [f"{path.name}:{node.lineno}"
-             for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+             for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Call)
              and "green" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
              and (len(node.args) > 2 or any(k.arg == "N" for k in node.keywords))]
     assert found == []
+
+
+def _period_error_raises(tree) -> set[int]:
+    def name(exc):
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return getattr(exc, "id", getattr(exc, "attr", None))
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and name(node.exc) == "PeriodError"}
+
+
+def test_only_close_period_raises_period_error():
+    # inner._close_period picks every inner function's lattice step and checks
+    # its period residual; no other code decides that a period failed to close
+    owner, found = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "inner.py":
+            allowed = owner = {line for node in tree.body
+                               if isinstance(node, ast.FunctionDef)
+                               and node.name == "_close_period"
+                               for line in _period_error_raises(node)}
+        found += [f"{path.name}:{line}" for line in sorted(_period_error_raises(tree) - allowed)]
+    assert owner and found == []
 
 
 def _run_scipy_users():
