@@ -3,9 +3,10 @@
 Every computation in the library is reachable as a subcommand that writes a
 machine-readable result document: JSON for scalars and metadata (validating
 against ``results.schema.json``), CSV for polar grids (``rho,theta,re,im``).
-Flags may also be supplied through a JSON config file (``--config``); flags
-given on the command line win.  Runs are deterministic: random trials are
-seeded (``--seed``, default 0) and re-running a command with the same config
+Each subcommand takes only the flags its handler reads; they may also be
+supplied through a JSON config file (``--config``), and flags given on the
+command line win.  Runs are deterministic: random trials are seeded
+(``--seed``, default 0) and re-running a command with the same config
 reproduces the primary scalars byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 rejected geometry/arguments,
@@ -19,9 +20,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -44,24 +46,6 @@ from .spaces import bergman_tag, hardy_tag, measure_quadrature, norm as space_no
 
 SCHEMA_NAME = "ringspace-results"
 SCHEMA_VERSION = 1
-
-_DEFAULTS = {"N": 64, "m": 512, "tol": 1e-8, "seed": 0, "format": "json"}
-
-# Flags every subcommand takes; a config file key with the same name is a default for it.
-_COMMON_OPTIONS = [
-    click.Option(["--r"], type=float, help="inner radius in (0,1)"),
-    click.Option(["--base"], type=str, help="base point (a+bi or rho∠theta)"),
-    click.Option(["--zeros"], type=str, help="comma-separated zero list"),
-    click.Option(["--atoms"], type=str, help="comma-separated point:mass atoms"),
-    click.Option(["--N", "N"], type=int, help="series/window truncation"),
-    click.Option(["--m"], type=int, help="quadrature nodes per circle/ring"),
-    click.Option(["--tol"], type=float, help="stopping tolerance"),
-    click.Option(["--seed"], type=int, help="seed for random trials"),
-    click.Option(["--out"], type=str, help="write the result document here"),
-    click.Option(["--format"], type=click.Choice(["json", "csv"]), help="primary output format"),
-]
-_CONFIG_OPTION = click.Option(["--config", "config_path"], type=str,
-                              help="JSON config file mirroring the flags (flags win)")
 
 _SPACES = {"smirnov": smirnov_tag, "arclength": smirnov_tag,
            "hardy": hardy_tag, "bergman": bergman_tag}
@@ -100,83 +84,110 @@ def parse_atoms(text: str) -> tuple[tuple[complex, float], ...]:
     return tuple(out)
 
 
+class _Parsed(click.ParamType):
+    """A flag whose text one of the parsers above reads; a config file value
+    is read as its text."""
+
+    def __init__(self, name: str, parse):
+        self.name, self.parse = name, parse
+
+    def convert(self, value, param, ctx):
+        try:
+            return self.parse(str(value))
+        except (click.UsageError, ValueError) as exc:
+            self.fail(str(exc), param, ctx)
+
+
+_COMPLEX = _Parsed("complex", parse_complex)
+# Every flag once: option, click type, default, help.  A flag whose default is
+# None or () is unset unless given, and the document echoes it only then.
+_FLAGS = {
+    "r": ("--r", float, None, "inner radius in (0,1)"),
+    "base": ("--base", _COMPLEX, None, "base point (a+bi or rho∠theta)"),
+    "zeros": ("--zeros", _Parsed("zeros", parse_complex_list), (), "comma-separated zero list"),
+    "atoms": ("--atoms", _Parsed("atoms", parse_atoms), (), "comma-separated point:mass atoms"),
+    "N": ("--N", int, 64, "series/window truncation"),
+    "m": ("--m", int, 512, "quadrature nodes per circle/ring"),
+    "seed": ("--seed", int, 0, "seed for random trials"),
+    "trials": ("--trials", int, 100, "random division trials"),
+    "j": ("--j", int, 1, "boundary component (1 outer, 2 inner)"),
+    "space": ("--space", click.Choice(sorted(_SPACES), case_sensitive=False), "bergman",
+              "function space"),
+    "undivided": ("--undivided", bool, False,
+                  "probe the raw extremal with its extraneous kernel zero"),
+    "pole": ("--pole", _COMPLEX, None, "pole of the Green's function, or load of the plate"),
+    "disk": ("--disk", bool, False, "solve on the unit disk"),
+    "n_rho": ("--n-rho", int, 64, "radial resolution"),
+    "n_theta": ("--n-theta", int, 64, "angular resolution"),
+    "check_refinement": ("--check-refinement", bool, False,
+                         "re-solve at doubled resolution and compare minima"),
+    "grid_out": ("--grid-out", str, None, "CSV path for the sampled grid"),
+    "out": ("--out", str, None, "write the result document here"),
+    "format": ("--format", click.Choice(["json", "csv"]), "json", "primary output format"),
+    "config_path": ("--config", click.Path(exists=True, dir_okay=False), None,
+                    "JSON config file of flag values (flags win)"),
+}
+_OPTIONS = {name: click.Option([opt, name], type=kind, help=text,
+                               **({"is_flag": True} if kind is bool else {}))
+            for name, (opt, kind, _, text) in _FLAGS.items()}
+# Flags every subcommand takes; its ``_COMMANDS`` row names the rest.
+_COMMON = ("r", "out", "format", "config_path")
+
+
 def _cnum(z: complex) -> dict:
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
-@dataclass
-class RunConfig:
-    """Resolved options of one CLI invocation."""
-
-    command: str
-    r: float
-    base: complex | None = None
-    zeros: tuple[complex, ...] = ()
-    atoms: tuple[tuple[complex, float], ...] = ()
-    N: int = 64
-    m: int = 512
-    tol: float = 1e-8
-    seed: int = 0
-    out: str | None = None
-    format: str = "json"
-    extras: dict = field(default_factory=dict)
+class RunConfig(SimpleNamespace):
+    """Resolved flags of one CLI invocation: ``command`` and one attribute per
+    flag the subcommand takes."""
 
     def parameters(self) -> dict:
-        p = {"r": self.r, "N": self.N, "m": self.m, "tol": self.tol,
-             "seed": self.seed, "format": self.format}
-        if self.base is not None:
-            p["base"] = _cnum(self.base)
-        if self.zeros:
-            p["zeros"] = [_cnum(z) for z in self.zeros]
-        if self.atoms:
-            p["atoms"] = [{"point": _cnum(pt), "mass": mass} for pt, mass in self.atoms]
-        for k, v in self.extras.items():
-            if isinstance(v, complex):
-                v = _cnum(v)
-            p[k] = v
+        """The flags for the document: set ones only, ``out`` and ``config_path`` never."""
+        p = {}
+        for name, value in vars(self).items():
+            if name in ("command", "out", "config_path") or value is None or value == ():
+                continue
+            if name == "atoms":
+                value = [{"point": _cnum(pt), "mass": mass} for pt, mass in value]
+            elif isinstance(value, tuple):
+                value = [_cnum(z) for z in value]
+            elif isinstance(value, complex):
+                value = _cnum(value)
+            p[name] = value
         return p
 
 
-def parse_config(command: str, cli_values: dict, config_path: str | None) -> RunConfig:
-    """Merge defaults, the optional JSON config file, and explicit flags.
+def parse_config(command: str, flags: dict) -> RunConfig:
+    """Resolve a subcommand's flags: the table's defaults, then the JSON config
+    file, then the flags given.
 
     A flag counts as given unless its value is ``None`` (or ``False`` for an
     on/off flag), so ``--seed 0`` still overrides the file.
     """
-    merged: dict = dict(_DEFAULTS)
-    if config_path:
-        with open(config_path) as fh:
-            try:
-                merged.update(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise click.UsageError(f"config file {config_path} is not valid JSON: {exc}")
-    merged.update({k: v for k, v in cli_values.items() if v is not None and v is not False})
-    if "r" not in merged or merged["r"] is None:
+    values = {name: _FLAGS[name][2] for name in flags}
+    if flags["config_path"]:
+        values.update(_config_values(flags["config_path"], values))
+    values.update({k: v for k, v in flags.items() if v is not None and v is not False})
+    if values["r"] is None:
         raise click.UsageError("missing required flag --r (inner radius)")
-    known = {option.name for option in _COMMON_OPTIONS}
-    base = merged.get("base")
-    zeros = merged.get("zeros", ())
-    atoms = merged.get("atoms", ())
-    if isinstance(base, str):
-        base = parse_complex(base)
-    if isinstance(zeros, str):
-        zeros = parse_complex_list(zeros)
-    elif zeros:
-        zeros = tuple(parse_complex(z) if isinstance(z, str) else complex(z) for z in zeros)
-    if isinstance(atoms, str):
-        atoms = parse_atoms(atoms)
-    elif atoms:
-        atoms = tuple((parse_complex(p) if isinstance(p, str) else complex(p), float(mm))
-                      for p, mm in (tuple(a) for a in atoms))
-    fmt = str(merged.get("format", "json"))
-    if fmt not in ("json", "csv"):
-        raise click.UsageError(f"--format must be json or csv, got {fmt}")
-    return RunConfig(command=command, r=float(merged["r"]), base=base,
-                     zeros=tuple(zeros), atoms=tuple(atoms),
-                     N=int(merged["N"]), m=int(merged["m"]),
-                     tol=float(merged["tol"]), seed=int(merged.get("seed", 0)),
-                     out=merged.get("out"), format=fmt,
-                     extras={k: v for k, v in merged.items() if k not in known})
+    return RunConfig(command=command, **values)
+
+
+def _config_values(path: str, names) -> dict:
+    """The config file's values of the flags in ``names``, each converted as its
+    flag converts text; other keys are ignored, so one file can serve several
+    subcommands."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # undecodable bytes too
+        raise click.UsageError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise click.UsageError(f"config file {path} is not a JSON object of flag values")
+    try:
+        return {k: _OPTIONS[k].type_cast_value(None, v) for k, v in data.items() if k in names}
+    except click.BadParameter as exc:
+        raise click.UsageError(f"config file {path}: {exc.format_message()}")
 
 
 def _document(config: RunConfig, results: dict, status: str = "ok",
@@ -188,7 +199,7 @@ def _document(config: RunConfig, results: dict, status: str = "ok",
         "command": config.command,
         "parameters": config.parameters(),
         "results": results,
-        "tolerances": tolerances or {"tol": config.tol},
+        "tolerances": tolerances or {},
         "status": status,
         "wall_time_s": (time.monotonic() - started) if started else 0.0,
     }
@@ -218,7 +229,7 @@ def _emit(doc: dict, config: RunConfig) -> None:
 def _grid_out(config: RunConfig, name: str, radii, m: int, f) -> list | None:
     """Write ``f`` on ``ring_nodes(radii, m)`` to the ``--grid-out`` CSV as
     ``rho,theta,re,im`` rows, if one was asked for; returns the ``grids`` entry."""
-    path = config.extras.get("grid_out")
+    path = config.grid_out
     if not path:
         return None
     values = np.asarray(f(ring_nodes(radii, m)))
@@ -231,11 +242,9 @@ def _grid_out(config: RunConfig, name: str, radii, m: int, f) -> list | None:
     return [{"name": name, "path": str(path)}]
 
 
-def _domain(config: RunConfig, fallback_base: complex | None = None) -> AnnulusDomain:
-    base = config.base if config.base is not None else fallback_base
-    if base is None:
-        base = math.sqrt(config.r)  # geometric-mean radius: canonical interior point
-    return make_annulus(config.r, base)
+def _domain(config: RunConfig) -> AnnulusDomain:
+    # the base point defaults to the geometric-mean radius, a canonical interior point
+    return make_annulus(config.r, math.sqrt(config.r) if config.base is None else config.base)
 
 
 def _inner_spec_results(spec, domain, m) -> dict:
@@ -293,15 +302,13 @@ def _non_finite(value, path: str) -> list[str]:
 
 
 def _cmd_green(config: RunConfig):
-    pole = config.extras.get("pole")
+    pole = config.pole
     if pole is None:
         raise click.UsageError("green needs --pole")
-    pole = parse_complex(pole) if isinstance(pole, str) else complex(pole)
-    domain = _domain(config, fallback_base=pole)
+    domain = make_annulus(config.r, pole)
     g = green(domain, pole)
     residual = float(np.max(np.abs(g(boundary_nodes(domain, 256)))))
-    # harmonic measure at the pole, not at --base
-    _, weights = measure_quadrature(make_annulus(domain.inner_radius, pole), config.m)
+    _, weights = measure_quadrature(domain, config.m)  # harmonic measure at the pole
     mass = float(np.sum(weights))
     grid_pts = polar_grid(domain, 50, inset=0.02)
     interior_min = float(np.min(g(grid_pts)))
@@ -313,14 +320,13 @@ def _cmd_green(config: RunConfig):
 
 
 def _cmd_hmeasure(config: RunConfig):
-    j = int(config.extras.get("j", 1))
     domain = _domain(config)
-    w = harmonic_measure(domain, j)
+    w = harmonic_measure(domain, config.j)
     pts = polar_grid(domain, 20, inset=0.05)
     w1 = harmonic_measure(domain, OUTER)
     w2 = harmonic_measure(domain, INNER)
     results = {
-        "component": j,
+        "component": config.j,
         "c0": w.c0,
         "clog": w.clog,
         "conjugate_period": conjugate_period(w),
@@ -333,8 +339,8 @@ def _cmd_hmeasure(config: RunConfig):
 def _cmd_blaschke(config: RunConfig):
     if not config.zeros:
         raise click.UsageError("blaschke needs --zeros")
-    domain = _domain(config, fallback_base=None)
-    B = blaschke_product(domain, ZeroSet(points=config.zeros), tol=config.tol)
+    domain = _domain(config)
+    B = blaschke_product(domain, ZeroSet(points=config.zeros))
     results = _inner_spec_results(B, domain, config.m)
     results["factors_used"] = len(B.zeros)
     results["ring_zero_count"] = count_zeros(B, domain, full_ring(domain))
@@ -355,15 +361,12 @@ def _cmd_inner_verify(config: RunConfig):
     domain = _domain(config)
     spec, _ = qc_divisor(domain, ZeroSet(points=config.zeros),
                          AtomicSingularMeasure(atoms=config.atoms),
-                         N=config.N, tol=config.tol)
+                         N=config.N)
     return _inner_spec_results(spec, domain, config.m), None, {"modulus": 1e-6}, None
 
 
 def _space_tag(config: RunConfig):
-    label = str(config.extras.get("space", "bergman")).lower()
-    if label not in _SPACES:
-        raise click.UsageError(f"--space must be one of {sorted(set(_SPACES))}, got {label}")
-    return _SPACES[label]()
+    return _SPACES[config.space]()
 
 
 def _cmd_kernel(config: RunConfig):
@@ -375,7 +378,7 @@ def _cmd_kernel(config: RunConfig):
     rep = reproduce_check(K, probe, 0.5 * (domain.inner_radius + 1.0), m=config.m)
     z_probe = 0.5 * (domain.inner_radius + 1.0) * np.exp(0.7j)
     herm = abs(complex(K(z_probe, w)) - np.conj(complex(K(w, z_probe))))
-    results = {"space": config.extras.get("space", "bergman"),
+    results = {"space": config.space,
                "value_at_base": float(np.real(K(w, w))),
                "reproduce_residual": rep.residual,
                "hermitian_residual": herm}
@@ -392,7 +395,7 @@ def _cmd_kernel_zeros(config: RunConfig):
     section = K.section(domain.base_point)
     count = count_zeros(section, domain, full_ring(domain), m=config.m)
     report = locate_zeros(section, domain, expected=count)
-    results = {"space": config.extras.get("space", "bergman"),
+    results = {"space": config.space,
                "count": count,
                "locations": [_cnum(z) for z in report.locations],
                "residual": report.residual}
@@ -409,7 +412,7 @@ def _cmd_extremal(config: RunConfig):
     pts = polar_grid(domain, 24)
     equivalence = float(np.max(np.abs(G(pts) - F(pts) / complex(F(problem.base)))))
     results = {
-        "space": config.extras.get("space", "bergman"),
+        "space": config.space,
         "norm": space_norm(G, domain, tag, m=config.m),
         "value_at_base": _cnum(complex(G(problem.base))),
         "max_value_at_zeros": max((abs(complex(G(z))) for z in config.zeros), default=0.0),
@@ -438,13 +441,11 @@ def _cmd_candidate_divisor(config: RunConfig):
 
 
 def _cmd_qc_divisor(config: RunConfig):
-    domain = _domain(config, fallback_base=None)
+    domain = _domain(config)
     G, C = qc_divisor(domain, ZeroSet(points=config.zeros),
-                      AtomicSingularMeasure(atoms=config.atoms),
-                      N=config.N, tol=config.tol)
+                      AtomicSingularMeasure(atoms=config.atoms), N=config.N)
     mods = np.abs(G(boundary_nodes(domain, config.m)))
-    trials = int(config.extras.get("trials", 100))
-    bound = division_bound_check(G, C, domain, trials=trials, seed=config.seed,
+    bound = division_bound_check(G, C, domain, trials=config.trials, seed=config.seed,
                                  m=config.m)
     results = {
         "C": C,
@@ -463,7 +464,7 @@ def _cmd_qc_estimate(config: RunConfig):
         raise click.UsageError("qc-estimate needs exactly one zero in --zeros")
     domain = _domain(config)
     z1 = config.zeros[0]
-    undivided = bool(config.extras.get("undivided", False))
+    undivided = config.undivided
     N = max(config.N, 96)
     cand = candidate_divisor(domain, z1, N=N, m=config.m)
     target = replace(cand, kernel_zero_factor=unit_inner(domain)) if undivided else cand
@@ -526,16 +527,12 @@ def _cmd_decomposition(config: RunConfig):
 
 
 def _cmd_biharmonic(config: RunConfig):
-    disk = bool(config.extras.get("disk", False))
-    pole = config.extras.get("pole")
+    disk, pole = config.disk, config.pole
     if pole is None:
         raise click.UsageError("biharmonic needs --pole")
-    pole = parse_complex(pole) if isinstance(pole, str) else complex(pole)
-    n_rho = int(config.extras.get("n_rho", 64))
-    n_theta = int(config.extras.get("n_theta", 64))
     domain = None if disk else make_annulus(config.r, pole)
-    sol = biharmonic_green(domain, pole, n_rho, n_theta,
-                           check_refinement=bool(config.extras.get("check_refinement", False)))
+    sol = biharmonic_green(domain, pole, config.n_rho, config.n_theta,
+                           check_refinement=config.check_refinement)
     grids = _grid_out(config, "biharmonic_solution", sol.grid.radii, sol.grid.angles.size,
                       lambda Z: sol.grid.values)
     results = {
@@ -550,52 +547,44 @@ def _cmd_biharmonic(config: RunConfig):
     return results, None, {"positivity_floor": 1e-6}, grids
 
 
-def _grid_option(what: str) -> click.Option:
-    return click.Option(["--grid-out"], type=str, help=f"CSV path for {what}")
-
-
-_SPACE_OPTION = click.Option(["--space"], type=str, help="smirnov | hardy | bergman")
-
-# One row per subcommand: handler, help text, and the flags it takes beyond the
-# common ones (each lands in ``RunConfig.extras`` under its parameter name).
+# One row per subcommand: handler, help text, and the flags it takes beyond
+# ``_COMMON``, which are exactly the ones the handler reads.
 _COMMANDS = {
-    "green": (_cmd_green, "Green's function: boundary residual, measure mass, positivity.", [
-        click.Option(["--pole"], type=str, help="interior pole of the Green's function"),
-        _grid_option("sampled values")]),
-    "hmeasure": (_cmd_hmeasure, "Harmonic measure of one boundary circle.", [
-        click.Option(["--j"], type=int, help="boundary component (1 outer, 2 inner)")]),
-    "blaschke": (_cmd_blaschke, "Generalized Blaschke product over the given zeros.", []),
-    "singular": (_cmd_singular, "Singular inner function driven by boundary atoms.", []),
+    "green": (_cmd_green, "Green's function: boundary residual, measure mass, positivity.",
+              ("m", "pole", "grid_out")),
+    "hmeasure": (_cmd_hmeasure, "Harmonic measure of one boundary circle.", ("base", "j")),
+    "blaschke": (_cmd_blaschke, "Generalized Blaschke product over the given zeros.",
+                 ("base", "zeros", "m")),
+    "singular": (_cmd_singular, "Singular inner function driven by boundary atoms.",
+                 ("base", "atoms", "N", "m")),
     "inner-verify": (_cmd_inner_verify,
-                     "Constant-modulus verification of the inner function built from flags.", []),
+                     "Constant-modulus verification of the inner function built from flags.",
+                     ("base", "zeros", "atoms", "N", "m")),
     "kernel": (_cmd_kernel, "Reproducing kernel diagnostics at the base point.",
-               [_SPACE_OPTION, _grid_option("the kernel section")]),
+               ("base", "N", "m", "space", "grid_out")),
     "kernel-zeros": (_cmd_kernel_zeros,
                      "Count and locate the zeros of the kernel section at the base point.",
-                     [_SPACE_OPTION]),
-    "extremal": (_cmd_extremal, "Constrained least-norm extremal function.", [_SPACE_OPTION]),
+                     ("base", "N", "m", "space")),
+    "extremal": (_cmd_extremal, "Constrained least-norm extremal function.",
+                 ("base", "zeros", "N", "m", "space")),
     "candidate-divisor": (_cmd_candidate_divisor,
-                          "One-zero Bergman divisor candidate (kernel zero divided out).", []),
+                          "One-zero Bergman divisor candidate (kernel zero divided out).",
+                          ("base", "zeros", "N", "m")),
     "qc-divisor": (_cmd_qc_divisor,
-                   "Quasi-contractive divisor with boundary bounds and division ratios.", [
-        click.Option(["--trials"], type=int, help="random division trials")]),
+                   "Quasi-contractive divisor with boundary bounds and division ratios.",
+                   ("base", "zeros", "atoms", "N", "m", "seed", "trials")),
     "qc-estimate": (_cmd_qc_estimate,
-                    "Operator-norm ladder for division by the candidate divisor.", [
-        click.Option(["--undivided"], is_flag=True,
-                     help="probe the raw extremal with its extraneous kernel zero")]),
+                    "Operator-norm ladder for division by the candidate divisor.",
+                    ("base", "zeros", "N", "m", "undivided")),
     "schottky-fit": (_cmd_schottky_fit,
-                     "Fit |G|^2 - 1 of the Hardy extremal against the Schottky function.", []),
+                     "Fit |G|^2 - 1 of the Hardy extremal against the Schottky function.",
+                     ("base", "zeros", "N", "m")),
     "decomposition": (
         _cmd_decomposition,
-        "Pairings of |G|^2 - H(., z0) against harmonic tests and the log defect.", []),
-    "biharmonic": (_cmd_biharmonic, "Clamped biharmonic Green's function probe.", [
-        click.Option(["--disk"], is_flag=True, help="solve on the unit disk"),
-        click.Option(["--pole"], type=str, help="load location"),
-        click.Option(["--n-rho"], type=int, help="radial resolution"),
-        click.Option(["--n-theta"], type=int, help="angular resolution"),
-        click.Option(["--check-refinement"], is_flag=True,
-                     help="re-solve at doubled resolution and compare minima"),
-        _grid_option("the solution grid")]),
+        "Pairings of |G|^2 - H(., z0) against harmonic tests and the log defect.",
+        ("base", "zeros", "N", "m")),
+    "biharmonic": (_cmd_biharmonic, "Clamped biharmonic Green's function probe.",
+                   ("pole", "disk", "n_rho", "n_theta", "check_refinement", "grid_out")),
 }
 _HANDLERS = {name: handler for name, (handler, _, _) in _COMMANDS.items()}
 
@@ -606,13 +595,13 @@ def main():
     """Numerics for function spaces on the annulus {r < |z| < 1}."""
 
 
-def _invoke(command: str, config_path: str | None, **flags):
-    sys.exit(run(parse_config(command, flags, config_path)))
+def _invoke(command: str, **flags):
+    sys.exit(run(parse_config(command, flags)))
 
 
-for _name, (_, _help, _extras) in _COMMANDS.items():
+for _name, (_, _help, _flags) in _COMMANDS.items():
     main.add_command(click.Command(_name, callback=partial(_invoke, _name), help=_help,
-                                   params=[*_COMMON_OPTIONS, _CONFIG_OPTION, *_extras]))
+                                   params=[_OPTIONS[flag] for flag in (*_COMMON, *_flags)]))
 
 
 if __name__ == "__main__":

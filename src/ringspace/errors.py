@@ -55,8 +55,8 @@ class BlaschkeDivergenceError(RingspaceError):
 
 
 class PeriodError(RingspaceError):
-    """Numerical period cancellation for an inner-function exponent did not
-    reach tolerance even after one truncation retry."""
+    """The closed-form period check of ``inner._close_period`` left a residual
+    above tolerance for an inner-function exponent."""
 
 
 class SolverError(RingspaceError):

@@ -66,6 +66,8 @@ def test_kernel_zeros_document(dom):
 
 def test_qc_divisor_document():
     doc = run_json(["qc-divisor", "--r", "0.5", "--zeros", "0.7,0.6i"])
+    # the benchmark gate exempts atom divisors by this key
+    assert "atoms" not in doc["parameters"]
     res = doc["results"]
     assert res["C"] == 2.0
     assert res["boundary_modulus_min"] >= 1 - 1e-7
@@ -81,21 +83,21 @@ def test_green_document():
 
 
 def test_green_mass_is_the_poles_measure():
-    # the mass is harmonic measure at the pole, whatever --base says
-    doc = run_json(["green", "--r", "0.5", "--pole", "0.55-0.2j", "--base", "0.8"])
+    # the mass is harmonic measure at the pole, which is green's base point
+    doc = run_json(["green", "--r", "0.5", "--pole", "0.55-0.2j"])
     _, w = node_measure_quadrature(rs.make_annulus(0.5, 0.55 - 0.2j), 512, N_green=64)
     assert abs(doc["results"]["measure_mass"] - np.sum(w)) <= 1e-13
 
 
 def test_green_meets_its_stated_tolerance():
     # the truncation comes from the pole's tail bound (220 terms here, where
-    # r/|pole| = 0.855), so the residual meets the document's own tolerance
-    # and --N does not move it
-    args = ["green", "--r", "0.5", "--pole", "0.55-0.2j", "--base", "0.8"]
+    # r/|pole| = 0.855), so the residual meets the document's own tolerance;
+    # green takes no --N
+    args = ["green", "--r", "0.5", "--pole", "0.55-0.2j"]
     doc = run_json(args)
     assert doc["status"] == "ok"
     assert doc["results"]["boundary_residual_max"] <= doc["tolerances"]["boundary_residual"]
-    assert run_json([*args, "--N", "16"])["results"] == doc["results"]
+    assert run_cli([*args, "--N", "16"]).exit_code == 2
 
 
 def test_biharmonic_disk_document(tmp_path):
@@ -189,7 +191,8 @@ def test_non_finite_results_exit_unverified(monkeypatch, tmp_path):
         assert key in doc["results"]["error"]
 
 
-@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "inf"],
+# 1e999 parses to an infinite real part
+@pytest.mark.parametrize("flags", [["--base", "nan"], ["--base", "1e999"],
                                    ["--atoms", "1:nan"]])
 def test_non_finite_parameters_are_rejected(flags):
     result = run_cli(["singular", "--r", "0.5", *flags])
@@ -219,7 +222,9 @@ def test_config_file_merge_and_flag_override(tmp_path):
     cfg.write_text(json.dumps({"r": 0.5, "base": "0.7", "j": 2, "m": 128}))
     doc = run_json(["hmeasure", "--config", str(cfg)])
     assert doc["results"]["component"] == 2
-    assert doc["parameters"]["m"] == 128
+    assert doc["parameters"]["j"] == 2
+    # hmeasure takes no --m: the key is ignored and not echoed
+    assert "m" not in doc["parameters"]
     # explicit flag wins over the file
     doc2 = run_json(["hmeasure", "--config", str(cfg), "--base", "0.8"])
     assert doc2["parameters"]["base"]["re"] == pytest.approx(0.8)
@@ -321,57 +326,97 @@ def test_decomposition_builds_one_area_rule(monkeypatch, zeros):
 
 # ------------------------------------------------------------ flag surface
 
-def _option(opt, name, type_name, is_flag=False):
-    return {"opt": opt, "name": name, "type": type_name,
-            "default": False if is_flag else None, "is_flag": is_flag}
-
-
-COMMON_OPTIONS = [
-    _option("--r", "r", "float"), _option("--base", "base", "text"),
-    _option("--zeros", "zeros", "text"), _option("--atoms", "atoms", "text"),
-    _option("--N", "N", "integer"), _option("--m", "m", "integer"),
-    _option("--tol", "tol", "float"), _option("--seed", "seed", "integer"),
-    _option("--out", "out", "text"), _option("--format", "format", "choice"),
-    _option("--config", "config_path", "text"),
-]
-SPACE = _option("--space", "space", "text")
-GRID_OUT = _option("--grid-out", "grid_out", "text")
-EXTRA_OPTIONS = {
-    "green": [_option("--pole", "pole", "text"), GRID_OUT],
-    "hmeasure": [_option("--j", "j", "integer")],
-    "blaschke": [],
-    "singular": [],
-    "inner-verify": [],
-    "kernel": [SPACE, GRID_OUT],
-    "kernel-zeros": [SPACE],
-    "extremal": [SPACE],
-    "candidate-divisor": [],
-    "qc-divisor": [_option("--trials", "trials", "integer")],
-    "qc-estimate": [_option("--undivided", "undivided", "boolean", is_flag=True)],
-    "schottky-fit": [],
-    "decomposition": [],
-    "biharmonic": [_option("--disk", "disk", "boolean", is_flag=True),
-                   _option("--pole", "pole", "text"),
-                   _option("--n-rho", "n_rho", "integer"),
-                   _option("--n-theta", "n_theta", "integer"),
-                   _option("--check-refinement", "check_refinement", "boolean", is_flag=True),
-                   GRID_OUT],
+# Every flag: its option, click type name and whether it is an on/off flag.
+OPTIONS = {
+    "r": ("--r", "float"), "base": ("--base", "complex"), "zeros": ("--zeros", "zeros"),
+    "atoms": ("--atoms", "atoms"), "N": ("--N", "integer"), "m": ("--m", "integer"),
+    "seed": ("--seed", "integer"), "trials": ("--trials", "integer"),
+    "j": ("--j", "integer"), "space": ("--space", "choice"),
+    "undivided": ("--undivided", "boolean", True), "pole": ("--pole", "complex"),
+    "disk": ("--disk", "boolean", True), "n_rho": ("--n-rho", "integer"),
+    "n_theta": ("--n-theta", "integer"),
+    "check_refinement": ("--check-refinement", "boolean", True),
+    "grid_out": ("--grid-out", "text"), "out": ("--out", "text"),
+    "format": ("--format", "choice"), "config_path": ("--config", "file"),
+}
+COMMON = ["r", "out", "format", "config_path"]
+# The flags each subcommand takes beyond COMMON: exactly the ones it reads.
+FLAGS = {
+    "green": ["m", "pole", "grid_out"],
+    "hmeasure": ["base", "j"],
+    "blaschke": ["base", "zeros", "m"],
+    "singular": ["base", "atoms", "N", "m"],
+    "inner-verify": ["base", "zeros", "atoms", "N", "m"],
+    "kernel": ["base", "N", "m", "space", "grid_out"],
+    "kernel-zeros": ["base", "N", "m", "space"],
+    "extremal": ["base", "zeros", "N", "m", "space"],
+    "candidate-divisor": ["base", "zeros", "N", "m"],
+    "qc-divisor": ["base", "zeros", "atoms", "N", "m", "seed", "trials"],
+    "qc-estimate": ["base", "zeros", "N", "m", "undivided"],
+    "schottky-fit": ["base", "zeros", "N", "m"],
+    "decomposition": ["base", "zeros", "N", "m"],
+    "biharmonic": ["pole", "disk", "n_rho", "n_theta", "check_refinement", "grid_out"],
 }
 
 
 def test_flag_surface():
-    assert sorted(cli.main.commands) == sorted(EXTRA_OPTIONS)
-    assert sorted(cli._HANDLERS) == sorted(EXTRA_OPTIONS)
-    for name, extras in EXTRA_OPTIONS.items():
-        surface = []
-        for param in cli.main.commands[name].params:
-            info = param.to_info_dict()
-            surface.append({"opt": info["opts"][0], "name": info["name"],
-                            "type": info["type"]["name"], "default": info["default"],
-                            "is_flag": info["is_flag"]})
-        assert surface == COMMON_OPTIONS + extras, name
-        fmt = next(p for p in cli.main.commands[name].params if p.name == "format")
-        assert list(fmt.type.choices) == ["json", "csv"]
+    assert sorted(cli.main.commands) == sorted(FLAGS)
+    assert sorted(cli._HANDLERS) == sorted(FLAGS)
+    for name in FLAGS:
+        expected = []
+        for flag in COMMON + FLAGS[name]:
+            opt, type_name, *is_flag = OPTIONS[flag]
+            expected.append((flag, opt, type_name, False if is_flag else None, bool(is_flag)))
+        surface = [(i["name"], i["opts"][0], i["type"]["name"], i["default"], i["is_flag"])
+                   for i in (p.to_info_dict() for p in cli.main.commands[name].params)]
+        assert surface == expected, name
+    params = {p.name: p for p in cli.main.commands["kernel"].params}
+    assert sorted(params["space"].type.choices) == ["arclength", "bergman", "hardy", "smirnov"]
+    assert list(params["format"].type.choices) == ["json", "csv"]
+    assert sum(len(cli.main.commands[name].params) for name in FLAGS) == 117
+
+
+# Flags with no default: a document echoes them only when they are given.
+UNSET_UNLESS_GIVEN = {"base", "zeros", "atoms", "pole", "grid_out"}
+MINIMAL_ARGV = {
+    "green": ["--pole", "0.7"],
+    "hmeasure": [],
+    "blaschke": ["--zeros", "0.7"],
+    "singular": [],
+    "inner-verify": [],
+    "kernel": [],
+    "kernel-zeros": [],
+    "extremal": [],
+    "candidate-divisor": ["--base", "0.6", "--zeros", "0.8"],
+    "qc-divisor": ["--zeros", "0.7", "--atoms", "1:-0.5"],
+    "qc-estimate": ["--base", "0.6", "--zeros", "0.8", "--m", "256"],
+    "schottky-fit": ["--base", "0.7", "--zeros", "0.6i"],
+    "decomposition": [],
+    "biharmonic": ["--disk", "--pole", "0.3", "--n-rho", "32", "--n-theta", "32"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL_ARGV))
+def test_documents_echo_the_flags_taken(name):
+    argv = MINIMAL_ARGV[name]
+    doc = run_json([name, "--r", "0.5", *argv])
+    taken = {p.name: p.opts[0] for p in cli.main.commands[name].params}
+    expected = {flag for flag, opt in taken.items() if flag not in ("out", "config_path")
+                and (flag not in UNSET_UNLESS_GIVEN or opt in argv)}
+    assert set(doc["parameters"]) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--r", "0.5", "--pole", "0.7", "--N", "16"],
+    ["green", "--r", "0.5", "--pole", "0.7", "--base", "0.8"],
+    ["hmeasure", "--r", "0.5", "--m", "128"],
+    ["biharmonic", "--r", "0.5", "--pole", "0.7", "--base", "0.7"],
+    ["singular", "--r", "0.5", "--tol", "1e-2"],
+], ids=["green-N", "green-base", "hmeasure-m", "biharmonic-base", "singular-tol"])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
+    result = run_cli(argv)
+    assert result.exit_code == 2
+    assert "No such option" in result.output
 
 
 # ------------------------------------------------ config file vs explicit flags
@@ -387,6 +432,32 @@ def test_config_file_supplies_subcommand_flags(tmp_path):
     assert doc["results"]["disk"] is True
     assert doc["parameters"]["n_theta"] == 64
     assert doc["parameters"]["n_rho"] == 32
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param("[0.5, 0.7]", id="json-list"),
+    pytest.param(None, id="missing-file"),
+    pytest.param('{"r": "abc"}', id="bad-float"),
+    pytest.param('{"r": 0.5, "zeros": [[1, 2]]}', id="list-zeros"),
+])
+def test_config_file_errors_are_usage_errors(tmp_path, content):
+    cfg = tmp_path / "run.json"
+    if content is not None:
+        cfg.write_text(content)
+    result = CliRunner().invoke(cli.main, ["blaschke", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("argv", [["singular", "--r", "0.5", "--atoms", "1:abc"],
+                                  ["hmeasure", "--r", "0.5", "--base", "abc@1"]],
+                         ids=["atom-mass", "polar-modulus"])
+def test_unreadable_flag_values_are_usage_errors(argv):
+    # the parsers' float errors surface as the flag's usage error, not a traceback
+    result = run_cli(argv)
+    assert result.exit_code == 2
+    assert "Invalid value for" in result.output
 
 
 def test_explicit_zero_flag_beats_config_file(tmp_path):

@@ -91,6 +91,46 @@ def test_only_cli_passes_a_green_truncation():
     assert found == []
 
 
+def _config_reads(tree) -> dict[str, set[str]]:
+    """Per module-level function: the ``config.<flag>`` attributes it reads,
+    itself or through the module's functions it calls (``_domain``,
+    ``_grid_out``, ``_space_tag``)."""
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        seen.add(name)
+        found = set()
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "config"):
+                found.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in funcs and node.func.id not in seen):
+                found |= reads(node.func.id, seen)
+        return found
+    return {name: reads(name, set()) for name in funcs}
+
+
+def test_every_subcommand_flag_is_read_by_its_handler():
+    # a _COMMANDS row names the flags its subcommand takes beyond the common
+    # ones; each must change what the handler computes, so none is dead, and
+    # the handler reads no flag its subcommand does not take
+    from ringspace.cli import _COMMON
+    tree = ast.parse((SRC / "cli.py").read_text())
+    reads = _config_reads(tree)
+    rows = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "_COMMANDS")
+    dead, undeclared = [], []
+    for key, row in zip(rows.keys, rows.values):
+        handler, _, flags = row.elts
+        named = {flag.value for flag in flags.elts}
+        dead += [f"{key.value} --{flag}" for flag in sorted(named - reads[handler.id])]
+        undeclared += [f"{key.value} {flag}"
+                       for flag in sorted(reads[handler.id] - named - set(_COMMON))]
+    assert len(rows.keys) == 14
+    assert dead == [] and undeclared == []
+
+
 def _period_error_raises(tree) -> set[int]:
     def name(exc):
         exc = exc.func if isinstance(exc, ast.Call) else exc
