@@ -12,8 +12,7 @@ from .errors import (ArgumentError, BlaschkeDivergenceError, ConvergenceError,
                      GeometryError, PeriodError, RingspaceError,
                      SingularConstraintsError, SingularGramError, SolverError,
                      ZeroOnContourError)
-from .geometry import (INNER, OUTER, AnnulusDomain, Exhaustion, ExhaustionStage,
-                       boundary_nodes, exhaustion_of, make_annulus)
+from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, make_annulus
 from .harmonic import (GreenFunction, HarmonicRepresentation, analytic_completion,
                        conjugate_period, green, harmonic_measure, measure_density,
                        point_mass_kernel, schottky, solve_dirichlet)
@@ -25,15 +24,13 @@ from .kernels import (KernelEvaluator, ReproduceReport, ZeroReport, build_kernel
                       count_zeros, full_ring, locate_zeros, reproduce_check)
 from .inner import (AtomicSingularMeasure, DivisionBoundReport, InnerFunctionSpec,
                     InnerVerification, ZeroSet, blaschke_factor, blaschke_product,
-                    blaschke_sum, check_orthogonality, division_bound_check,
-                    multiply, qc_divisor, schottky_fit, singular_inner, unit_inner,
-                    verify_inner)
+                    check_orthogonality, division_bound_check, multiply, qc_divisor,
+                    schottky_fit, singular_inner, unit_inner, verify_inner)
 from .extremal import (CandidateDivisor, DivisorReport, ExtremalProblem,
                        candidate_divisor, extremal_identity_check,
                        extremal_maximizer, polar_grid, quasicontract_estimate,
                        repro_fact_check, solve_extremal)
 from .probes import (BiharmonicSolution, HarmonicKernel, PolarGrid,
-                     bergman_decomposition_residual, biharmonic_green,
-                     defect_direction, log_radial_moment)
+                     bergman_decomposition_residual, biharmonic_green, log_radial_moment)
 
 __version__ = "0.1.0"

@@ -6,8 +6,8 @@ against ``results.schema.json``), CSV for polar grids (``rho,theta,re,im``).
 Each subcommand takes only the flags its handler reads; they may also be
 supplied through a JSON config file (``--config``), and flags given on the
 command line win.  Runs are deterministic: random trials are seeded
-(``--seed``, default 0) and re-running a command with the same config
-reproduces the primary scalars byte for byte.
+(``--seed``, default 0) and re-running a command with the same config at the
+same BLAS thread count reproduces the primary scalars byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 rejected geometry/arguments,
 4 convergence-class failures (partial output flagged ``unverified``).
@@ -169,7 +169,7 @@ def parse_config(command: str, flags: dict) -> RunConfig:
     if flags["config_path"]:
         values.update(_config_values(flags["config_path"], values))
     values.update({k: v for k, v in flags.items() if v is not None and v is not False})
-    if values["r"] is None:
+    if values["r"] is None and not values.get("disk"):  # the disk has no inner radius
         raise click.UsageError("missing required flag --r (inner radius)")
     return RunConfig(command=command, **values)
 

@@ -12,8 +12,7 @@ class RingspaceError(Exception):
 
 class GeometryError(RingspaceError):
     """Domain data is invalid: radius outside (0, 1), point off the open
-    annulus, pole too close to the boundary, or an exhaustion stage that
-    excludes the base point."""
+    annulus, or pole too close to the boundary."""
 
 
 class ArgumentError(RingspaceError):

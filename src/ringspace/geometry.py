@@ -1,4 +1,4 @@
-"""Annulus geometry: domain values, boundary quadrature nodes, exhaustions.
+"""Annulus geometry: domain values and quadrature nodes.
 
 The library works on the normal-form annulus ``{z : r < |z| < 1}``; any other
 annulus is a rescaling of this one and callers rescale externally.  Component
@@ -52,21 +52,6 @@ class AnnulusDomain:
         return math.log(1.0 / self.inner_radius)
 
 
-@dataclass(frozen=True)
-class ExhaustionStage:
-    """One stage ``{inner_radius < |z| < outer_radius}`` of a regular exhaustion."""
-
-    inner_radius: float
-    outer_radius: float
-
-
-@dataclass(frozen=True)
-class Exhaustion:
-    """Nested sub-annuli increasing to the target annulus."""
-
-    stages: tuple[ExhaustionStage, ...]
-
-
 def make_annulus(r: float, base: complex) -> AnnulusDomain:
     """Validate and build the annulus ``{r < |z| < 1}`` with base point ``base``."""
     return AnnulusDomain(inner_radius=float(r), base_point=complex(base))
@@ -97,25 +82,3 @@ def boundary_nodes(domain: AnnulusDomain, m: int) -> np.ndarray:
     """The ``2m`` boundary quadrature nodes: ``m`` equispaced on the unit
     circle, then ``m`` on the inner circle (``ring_nodes([1, r], m)``)."""
     return ring_nodes([1.0, domain.inner_radius], m).ravel()
-
-
-def exhaustion_of(domain: AnnulusDomain, stages: int) -> Exhaustion:
-    """Regular exhaustion with shrink schedule ``delta_k = (1-r)/(4*(k+1))``.
-
-    Stage ``k`` (1-based) is ``{r + delta_k < |z| < 1 - delta_k}``.  The
-    schedule is an artifact choice; only nesting and exhaustion matter.
-    """
-    if stages < 1:
-        raise ArgumentError(f"need at least one stage, got {stages}")
-    r = domain.inner_radius
-    out = []
-    for k in range(1, stages + 1):
-        delta = (1.0 - r) / (4.0 * (k + 1))
-        out.append(ExhaustionStage(inner_radius=r + delta, outer_radius=1.0 - delta))
-    first = out[0]
-    if not (first.inner_radius < abs(domain.base_point) < first.outer_radius):
-        raise GeometryError(
-            f"base point {domain.base_point} is excluded from the first exhaustion "
-            f"stage ({first.inner_radius}, {first.outer_radius})"
-        )
-    return Exhaustion(stages=tuple(out))

@@ -41,12 +41,6 @@ class HarmonicRepresentation:
     A: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
     Bhat: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
 
-    @property
-    def modes(self) -> dict[int, tuple[complex, complex]]:
-        """Raw ``(A_n, B_n)`` pairs keyed by positive mode index."""
-        return {int(n): (complex(a), complex(bh * self.rref**float(n)))
-                for n, a, bh in zip(self.ns, self.A, self.Bhat)}
-
     def __call__(self, z):
         """The value at ``z``, every mode against every point."""
         z = np.asarray(z, dtype=complex)

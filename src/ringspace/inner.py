@@ -237,17 +237,6 @@ def unit_inner(domain: AnnulusDomain) -> InnerFunctionSpec:
                              series=LaurentPolynomial.constant(0.0))
 
 
-def blaschke_sum(domain: AnnulusDomain, zeros: ZeroSet, prefix: int = 200) -> float:
-    """Partial sum of ``g(z_j, z0)`` over (a prefix of) the zero sequence."""
-    g0 = green(domain, domain.base_point)
-    total = 0.0
-    for j, a in enumerate(zeros.iter_points()):
-        if j >= prefix:
-            break
-        total += float(g0(a))
-    return total
-
-
 def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet,
                      tol: float = 1e-8) -> InnerFunctionSpec:
     """Product of single-zero factors over a prescribed zero set.

@@ -63,15 +63,6 @@ class LaurentPolynomial:
     def constant(cls, value: complex) -> "LaurentPolynomial":
         return cls(0, 0, np.array([value], dtype=complex))
 
-    @classmethod
-    def monomial(cls, n: int, value: complex = 1.0) -> "LaurentPolynomial":
-        return cls(n, n, np.array([value], dtype=complex))
-
-    def coefficient(self, n: int) -> complex:
-        if self.lo <= n <= self.hi:
-            return complex(self.coeffs[n - self.lo])
-        return 0.0 + 0.0j
-
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         nonneg_lo = max(self.lo, 0)
@@ -139,9 +130,6 @@ class LaurentPolynomial:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
     def __mul__(self, other):
         if np.isscalar(other) or isinstance(other, complex):
             return LaurentPolynomial(self.lo, self.hi, self.coeffs * other)
@@ -149,19 +137,6 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.lo + other.lo, self.hi + other.hi, c)
 
     __rmul__ = __mul__
-
-    def window(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
-
-    def trim(self, tol: float = 0.0) -> "LaurentPolynomial":
-        """Drop zero (or below-tol) coefficients at the window edges."""
-        mask = np.abs(self.coeffs) > tol
-        if not mask.any():
-            return LaurentPolynomial(0, 0, np.zeros(1, dtype=complex))
-        first = int(np.argmax(mask))
-        last = int(len(mask) - 1 - np.argmax(mask[::-1]))
-        return LaurentPolynomial(self.lo + first, self.lo + last,
-                                 self.coeffs[first:last + 1].copy())
 
 
 def to_laurent(f, domain, lo: int, hi: int, samples: int | None = None,

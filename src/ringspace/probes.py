@@ -111,16 +111,6 @@ def _defect_values(pts, w):
     return log_abs - c0, c0
 
 
-def defect_direction(domain: AnnulusDomain, m: int = 512):
-    """The one-dimensional defect ``nu_1 = log|z| - c0`` orthogonal to real
-    parts of ring-analytic functions, with ``c0`` fixed numerically so the
-    constant pairing vanishes."""
-    _, c0 = _defect_values(*area_quadrature(domain, m))
-    def nu(z):
-        return np.log(np.abs(np.asarray(z, dtype=complex))) - c0
-    return nu, c0
-
-
 def _harmonic_pairings(f, pts, w, m: int) -> np.ndarray:
     """``f`` (values at the nodes of the area rule ``(pts, w)``) paired under ``dA``
     with 1, ``Re z^k``, ``Im z^k`` (k = 1, -1, ..., 8, -8) and ``log|z|``.  On a ring
@@ -139,8 +129,8 @@ def bergman_decomposition_residual(G, domain: AnnulusDomain, z0: complex,
     the tests of ``_harmonic_pairings``, all on one area rule, ``G`` taken there to the
     unit-norm gauge ``|G|^2 / sum(w |G|^2)``.  Only ``log|z|`` pairs with ``nu_1``; the
     residual is the largest unexplained pairing, which vanishes up to truncation
-    because the rest of ``|G|^2 - H`` annihilates harmonics.  ``c0`` is
-    ``defect_direction``'s constant."""
+    because the rest of ``|G|^2 - H`` annihilates harmonics.  ``c0`` is the rule's
+    mean of ``log|z|`` (``_defect_values``)."""
     pts, w = area_quadrature(domain, m)
     g2 = np.abs(ring_values(G, pts, m))**2
     H = ring_values(HarmonicKernel(domain, z0, _N_KERNEL), pts, m).real

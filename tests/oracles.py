@@ -13,8 +13,9 @@ least a different algorithm) than the library path it checks:
 * Gram matrices, the division pencil and the decomposition's harmonic
   pairings are dense Vandermonde products over every quadrature node, not
   ring-wise FFT sums; the whole decomposition is also kept as it was first
-  written, on three area rules (the norm's, the pairings' and
-  ``defect_direction``'s), with ``G`` scaled to unit norm beforehand
+  written, on three area rules (the norm's, the pairings' and the one
+  ``nu_1 = log|z| - c0`` is computed on, ``c0`` that rule's mean of
+  ``log|z|``), with ``G`` scaled to unit norm beforehand
   (``three_rule_decomposition``);
 * boundary fluxes (harmonic-measure weights, the Schottky function, radial
   derivatives of harmonic representations) come from a node list built one
@@ -208,15 +209,24 @@ def harmonic_test_family(degree: int = 8):
     return family
 
 
+def _log_defect(domain, m: int):
+    """``(nu_1, c0)`` on an area rule of its own: ``c0`` is the rule's ``w``-mean
+    of ``log|z|`` and ``nu_1 = log|z| - c0``, as a function of ``z``."""
+    from ringspace.spaces import area_quadrature
+    pts, w = area_quadrature(domain, m)
+    c0 = float(np.sum(w * np.log(np.abs(pts))) / np.sum(w))
+    return (lambda z: np.log(np.abs(np.asarray(z, dtype=complex))) - c0), c0
+
+
 def dense_decomposition_pairings(G, domain, z0: complex, m: int):
     """The decomposition's pairings of ``|G|^2``, ``H`` and ``nu_1`` node by node: ``G``
     and the harmonic kernel by their point calls, each test of
     ``harmonic_test_family`` by dense powers of every area node."""
-    from ringspace.probes import HarmonicKernel, defect_direction
+    from ringspace.probes import HarmonicKernel
     from ringspace.spaces import area_quadrature
     pts, w = area_quadrature(domain, m)
     values = [np.abs(np.asarray(G(pts), dtype=complex))**2,
-              HarmonicKernel(domain, z0, 64)(pts), defect_direction(domain, m)[0](pts)]
+              HarmonicKernel(domain, z0, 64)(pts), _log_defect(domain, m)[0](pts)]
     weights = np.stack([w * f for f in values], axis=1)
     return np.array([u(pts) @ weights for u in harmonic_test_family()]).T
 
@@ -224,8 +234,8 @@ def dense_decomposition_pairings(G, domain, z0: complex, m: int):
 def three_rule_decomposition(G, domain, z0: complex, m: int):
     """``(lambda_1, residual, c0)`` as the decomposition was first computed: ``G``
     scaled by its ``spaces.norm``, the ring-spectrum pairings on a second area
-    rule, ``nu_1`` and ``c0`` from ``defect_direction`` on a third."""
-    from ringspace.probes import HarmonicKernel, defect_direction
+    rule, ``nu_1`` and ``c0`` from ``_log_defect`` on a third."""
+    from ringspace.probes import HarmonicKernel
     from ringspace.spaces import area_quadrature, bergman_tag, norm, ring_values
     Gn = G * (1.0 / norm(G, domain, bergman_tag(), m=m))
     pts, w = area_quadrature(domain, m)
@@ -238,7 +248,7 @@ def three_rule_decomposition(G, domain, z0: complex, m: int):
         W = np.fft.ifft(np.reshape(w * f, (-1, m)), axis=1, norm="forward")
         moments = np.sum(rho[:, None]**ks * W[:, ks % m], axis=0)
         return [W[:, 0].real.sum(), *moments.view(float), W[:, 0].real @ np.log(rho)]
-    nu, c0 = defect_direction(domain, m)
+    nu, c0 = _log_defect(domain, m)
     ps, qs = np.array([pairings(D), pairings(nu(pts))])
     lam1 = float(ps @ qs / (qs @ qs))
     return lam1, float(np.max(np.abs(ps - lam1 * qs))), c0

@@ -235,6 +235,22 @@ def test_missing_radius_is_usage_error():
     assert result.exit_code == 2
 
 
+def test_biharmonic_needs_a_radius_only_off_the_disk():
+    # the disk solve reads no inner radius, so --r is optional there and the
+    # schema excuses only a biharmonic document on the disk from parameters.r
+    grid = ["--n-rho", "32", "--n-theta", "32"]
+    disk = run_json(["biharmonic", "--disk", "--pole", "0.3", *grid])
+    assert "r" not in disk["parameters"] and disk["results"]["disk"] is True
+    assert disk["results"] == run_json(["biharmonic", "--r", "0.5", "--disk", "--pole", "0.3",
+                                        *grid])["results"]
+    assert run_cli(["biharmonic", "--pole", "0.7", *grid]).exit_code == 2
+    ring = run_json(["biharmonic", "--r", "0.5", "--pole", "0.7", *grid])
+    for doc in (ring, run_json(["hmeasure", "--r", "0.5"])):
+        del doc["parameters"]["r"]
+        with pytest.raises(jsonschema.ValidationError, match="'r' is a required property"):
+            jsonschema.validate(doc, SCHEMA)
+
+
 def test_csv_format(tmp_path):
     out = tmp_path / "res.csv"
     result = run_cli(["hmeasure", "--r", "0.5", "--base", "0.7", "--j", "1",

@@ -68,36 +68,3 @@ def test_quadrature_of_one_over_boundary():
     _, w = boundary_quadrature(d, 37)
     assert np.sum(w) == pytest.approx(2 * np.pi * 1.5, rel=1e-12)
 
-
-def test_exhaustion_radii_follow_schedule():
-    d = rs.make_annulus(0.5, 0.7)
-    ex = rs.exhaustion_of(d, 2)
-    # delta_k = (1 - r) / (4 (k + 1))
-    assert ex.stages[0].inner_radius == pytest.approx(0.5625)
-    assert ex.stages[0].outer_radius == pytest.approx(0.9375)
-    assert ex.stages[1].inner_radius == pytest.approx(0.5 + 0.5 / 12)
-    assert ex.stages[1].outer_radius == pytest.approx(1 - 0.5 / 12)
-
-
-def test_exhaustion_nesting_and_monotonicity():
-    d = rs.make_annulus(0.3, 0.6)
-    ex = rs.exhaustion_of(d, 5)
-    inner = [s.inner_radius for s in ex.stages]
-    outer = [s.outer_radius for s in ex.stages]
-    assert all(a > b for a, b in zip(inner, inner[1:]))
-    assert all(a < b for a, b in zip(outer, outer[1:]))
-    for a, b in zip(ex.stages, ex.stages[1:]):
-        assert b.inner_radius < a.inner_radius and a.outer_radius < b.outer_radius
-    assert all(s.inner_radius > 0.3 and s.outer_radius < 1 for s in ex.stages)
-
-
-def test_exhaustion_excluding_base_rejected():
-    d = rs.make_annulus(0.5, 0.55)
-    with pytest.raises(GeometryError):
-        rs.exhaustion_of(d, 1)  # first stage starts at 0.5625 > 0.55
-
-
-def test_exhaustion_needs_a_stage():
-    d = rs.make_annulus(0.5, 0.7)
-    with pytest.raises(ArgumentError):
-        rs.exhaustion_of(d, 0)

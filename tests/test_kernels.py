@@ -255,7 +255,7 @@ def test_count_monomial_windings(dom):
     # so the two circle windings, each equal to k, cancel
     from ringspace.kernels import _winding_on_circle
     for k in (-3, -1, 2, 5):
-        f = LaurentPolynomial.monomial(k)
+        f = LaurentPolynomial.from_dict({k: 1.0})
         assert _winding_on_circle(f, 0.75, 512) == k
         assert count_zeros(f, dom, (0.55, 0.95)) == 0
 
@@ -284,7 +284,8 @@ def test_winding_refines_in_bounded_blocks(monkeypatch, block):
             sizes.append(np.size(z))
             return f(z)
         return g
-    assert kernels._winding_on_circle(probe(LaurentPolynomial.monomial(5461)), 1.0, 512) == 5461
+    far = LaurentPolynomial.from_dict({5461: 1.0})
+    assert kernels._winding_on_circle(probe(far), 1.0, 512) == 5461
     near = LaurentPolynomial.from_dict({1: 1.0, 0: -0.99999 * np.exp(1j)})
     assert kernels._winding_on_circle(probe(near), 1.0, 512) == 1
     assert len(sizes) > 100 and max(sizes) <= block
@@ -292,7 +293,7 @@ def test_winding_refines_in_bounded_blocks(monkeypatch, block):
 
 def _product(zeros, shift):
     """``z^shift * prod (z - a)`` as a Laurent polynomial."""
-    f = LaurentPolynomial.monomial(shift)
+    f = LaurentPolynomial.from_dict({shift: 1.0})
     for a in zeros:
         f = f * LaurentPolynomial.from_dict({1: 1.0, 0: -a})
     return f
@@ -340,7 +341,7 @@ def test_count_forced_to_2_19_nodes_stays_flat():
     from ringspace import kernels
     ns = np.arange(-4096, 4097)
     g = LaurentPolynomial(-4096, 4096, 0.99 ** np.abs(ns) * np.exp(0.1j * ns))
-    f = LaurentPolynomial.monomial(87381) * g
+    f = LaurentPolynomial.from_dict({87381: 1.0}) * g
     f.on_rings([1.0], kernels._WINDING_BLOCK, 0.1)  # warm the FFT plan cache
     tracemalloc.start()
     try:
@@ -364,7 +365,7 @@ def test_count_stable_under_contour_perturbation(dom):
 
 
 def test_count_bad_ring(dom):
-    f = LaurentPolynomial.monomial(1)
+    f = LaurentPolynomial.from_dict({1: 1.0})
     with pytest.raises(ArgumentError):
         count_zeros(f, dom, (0.4, 0.95))
 

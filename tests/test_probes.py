@@ -10,8 +10,9 @@ import scipy.sparse.linalg
 import ringspace as rs
 from ringspace.errors import ArgumentError, GeometryError, SolverError
 from ringspace.probes import (HarmonicKernel, _banded_solver, _clamped_apply,
-                              _harmonic_pairings, bergman_decomposition_residual,
-                              biharmonic_green, defect_direction, log_radial_moment)
+                              _defect_values, _harmonic_pairings,
+                              bergman_decomposition_residual, biharmonic_green,
+                              log_radial_moment)
 from ringspace.spaces import area_quadrature, bergman_tag, norm as space_norm, ring_values
 
 from oracles import (clamped_factors, clamped_operator, dense_decomposition_pairings,
@@ -79,9 +80,8 @@ def test_log_radial_moment_against_adaptive_quadrature():
 
 
 def test_defect_direction_is_orthogonal_to_analytic_parts(dom):
-    nu, c0 = defect_direction(dom)
     pts, w = area_quadrature(dom, 512)
-    nv = nu(pts)
+    nv, c0 = _defect_values(pts, w)
     assert np.sum(w * nv) == pytest.approx(0.0, abs=1e-12)
     for n in (1, 2, -3):
         assert np.sum(w * nv * np.real(pts ** float(n))) == pytest.approx(0.0, abs=1e-12)
@@ -119,8 +119,8 @@ def test_decomposition_pairings_match_the_dense_family(r, m, evaluator):
     G = section if evaluator == "on_rings" else (lambda z: section(z))
     pts, w = area_quadrature(dom, m)
     H = HarmonicKernel(dom, base, 64)
-    nu, _ = defect_direction(dom, m)
-    values = [np.abs(ring_values(G, pts, m))**2, ring_values(H, pts, m).real, nu(pts)]
+    nu, _ = _defect_values(pts, w)
+    values = [np.abs(ring_values(G, pts, m))**2, ring_values(H, pts, m).real, nu]
     got = np.array([_harmonic_pairings(f, pts, w, m) for f in values])
     want = dense_decomposition_pairings(G, dom, base, m)
     assert got.shape == want.shape == (3, 34)

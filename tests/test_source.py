@@ -156,6 +156,66 @@ def test_only_close_period_raises_period_error():
     assert owner and found == []
 
 
+def _read_names(tree) -> set[str]:
+    """Every name a tree reads, bare (``green``) or as an attribute (``rs.green``)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _reached_from_cli() -> set[str]:
+    """Names of the library's definitions that a static walk from ``cli.py``
+    reaches: each reached function, method or module-level value adds the names
+    it reads.  A reached class brings its class body and dunder methods (called
+    by syntax, not by name); other methods are reached by name like functions."""
+    defs: dict[str, list] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Assign):
+                named = [(name.id, node) for target in node.targets
+                         for name in ast.walk(target) if isinstance(name, ast.Name)]
+            elif isinstance(node, ast.FunctionDef):
+                named = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                named = [(node.name, node)] + [
+                    (item.name, item) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+            else:
+                continue
+            for name, definition in named:
+                defs.setdefault(name, []).append(definition)
+    reached, todo = set(), _read_names(ast.parse((SRC / "cli.py").read_text()))
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        for node in defs[name]:
+            parts = [node]
+            if isinstance(node, ast.ClassDef):
+                parts = [*node.bases, *node.decorator_list,
+                         *(item for item in node.body if not isinstance(item, ast.FunctionDef)
+                           or item.name.startswith("__"))]
+            for part in parts:
+                todo |= _read_names(part)
+    return reached
+
+
+def test_every_export_is_reached():
+    # ringspace's exports are what a subcommand computes with, what an
+    # acceptance criterion checks, or what the README's library tour shows;
+    # a name none of them reads is dead surface
+    exports = {alias.asname or alias.name
+               for node in ast.parse((SRC / "__init__.py").read_text()).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    used = (_reached_from_cli()
+            | _read_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+            | _read_names(ast.parse(tour)))
+    assert len(exports) > 50
+    assert sorted(exports - used) == []
+
+
 def _run_scipy_users():
     # the library imports scipy on first use; the benchmark runs one job and
     # its untraced loop before installing the tracer, which reads

@@ -229,8 +229,8 @@ def test_gram_hermitian():
 
 def test_inner_product_examples():
     d = rs.make_annulus(0.5, 0.7)
-    z = LaurentPolynomial.monomial(1)
-    one = LaurentPolynomial.monomial(0)
+    z = LaurentPolynomial.from_dict({1: 1.0})
+    one = LaurentPolynomial.from_dict({0: 1.0})
     assert inner_product(z, z, d, smirnov_tag()) == pytest.approx(2 * np.pi * 1.125)
     # monomials are orthogonal under arclength and area; NOT under harmonic
     # measure, where <z, 1> reproduces the base point instead
@@ -271,8 +271,8 @@ def test_inner_product_agrees_with_gram():
 def test_hardy_measure_reproduces_identity_function():
     # the pairing <z, 1> in the harmonic-measure space is the base point itself
     d = rs.make_annulus(0.5, 0.7)
-    z = LaurentPolynomial.monomial(1)
-    one = LaurentPolynomial.monomial(0)
+    z = LaurentPolynomial.from_dict({1: 1.0})
+    one = LaurentPolynomial.from_dict({0: 1.0})
     assert inner_product(z, one, d, hardy_tag()) == pytest.approx(0.7, abs=1e-12)
     assert inner_product(one, one, d, hardy_tag()) == pytest.approx(1.0, abs=1e-10)
 
