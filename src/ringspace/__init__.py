@@ -30,7 +30,7 @@ from .extremal import (CandidateDivisor, DivisorReport, ExtremalProblem,
                        candidate_divisor, extremal_identity_check,
                        extremal_maximizer, polar_grid, quasicontract_estimate,
                        repro_fact_check, solve_extremal)
-from .probes import (BiharmonicSolution, HarmonicKernel, PolarGrid,
-                     bergman_decomposition_residual, biharmonic_green, log_radial_moment)
+from .probes import (BiharmonicSolution, PolarGrid, bergman_decomposition_residual,
+                     biharmonic_green, log_radial_moment)
 
 __version__ = "0.1.0"

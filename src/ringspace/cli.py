@@ -210,14 +210,24 @@ def _document(config: RunConfig, results: dict, status: str = "ok",
     return doc
 
 
+def _csv_field(value):
+    """One ``results`` value as a CSV field: a complex number as ``a+bi`` or ``a-bi``
+    (what ``parse_complex`` reads back), a list or other dict as JSON text."""
+    if isinstance(value, dict) and set(value) == {"re", "im"}:
+        return f"{value['re']}{value['im']:+}i"
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, sort_keys=True, allow_nan=False)
+    return value
+
+
 def _emit(doc: dict, config: RunConfig) -> None:
     if config.format == "csv":
-        lines = ["key,value"]
-        for key, value in sorted(doc["results"].items()):
-            if isinstance(value, dict) and set(value) == {"re", "im"}:
-                value = f"{value['re']}+{value['im']}i"
-            lines.append(f"{key},{value}")
-        text = "\n".join(lines) + "\n"
+        import csv
+        import io
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(
+            [["key", "value"], *([k, _csv_field(v)] for k, v in sorted(doc["results"].items()))])
+        text = buffer.getvalue()
     else:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if config.out:

@@ -39,6 +39,7 @@ from .spaces import (boundary_quadrature, hardy_tag, log_monomial_norms, quadrat
 _PERIOD_TOL = 1e-8
 _DIVISION_WINDOW = 8   # random Laurent h of division_bound_check: z^-8..z^8
 _LAZY_FACTORS = 500    # a lazy blaschke_product that has not settled by then diverges
+_LAZY_TOL = 1e-8       # a lazy product has settled once a factor moves it less than this
 _DIVERGENCE_BOUND = 20.0  # partial sum of g(z_j, z0) past which a lazy product diverges
 
 
@@ -237,12 +238,11 @@ def unit_inner(domain: AnnulusDomain) -> InnerFunctionSpec:
                              series=LaurentPolynomial.constant(0.0))
 
 
-def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet,
-                     tol: float = 1e-8) -> InnerFunctionSpec:
+def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet) -> InnerFunctionSpec:
     """Product of single-zero factors over a prescribed zero set.
 
     Finite sets use every zero.  Lazy sets append factors until the latest
-    one moves the product by less than ``tol`` on an interior test grid, or
+    one moves the product by less than ``_LAZY_TOL`` on an interior test grid, or
     the sequence ends; ``BlaschkeDivergenceError`` rejects them if the partial
     sums of ``g(z_j, z0)`` or the factor count pass their caps first, which is
     how non-summable sequences (no tail decay) surface.  Lazy zeros approach
@@ -267,7 +267,7 @@ def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet,
         new_values = values * factor(grid)
         change = float(np.max(np.abs(new_values - values)))
         values = new_values
-        if change < tol:
+        if change < _LAZY_TOL:
             break
         if count >= _LAZY_FACTORS:
             raise BlaschkeDivergenceError(
@@ -366,8 +366,8 @@ def schottky_fit(f: Callable, domain: AnnulusDomain, m: int = 512) -> tuple[floa
 
 
 def qc_divisor(domain: AnnulusDomain, zeros: ZeroSet | None = None,
-               mu: AtomicSingularMeasure | None = None, N: int = 64,
-               tol: float = 1e-8) -> tuple[InnerFunctionSpec, float]:
+               mu: AtomicSingularMeasure | None = None,
+               N: int = 64) -> tuple[InnerFunctionSpec, float]:
     """Quasi-contractive divisor ``G = B_Z * S_mu`` and its domain constant.
 
     With the combined removal exponent reduced into one period cell
@@ -376,7 +376,7 @@ def qc_divisor(domain: AnnulusDomain, zeros: ZeroSet | None = None,
     """
     zeros = zeros if zeros is not None else ZeroSet(points=())
     mu = mu if mu is not None else AtomicSingularMeasure.empty()
-    B = blaschke_product(domain, zeros, tol=tol)
+    B = blaschke_product(domain, zeros)
     S = singular_inner(domain, mu, N=N)
     G = multiply(B, S)
     return G, 1.0 / domain.inner_radius

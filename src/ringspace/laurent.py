@@ -139,17 +139,15 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
 
-def to_laurent(f, domain, lo: int, hi: int, samples: int | None = None,
-               radius: float | None = None) -> LaurentPolynomial:
+def to_laurent(f, domain, lo: int, hi: int) -> LaurentPolynomial:
     """Laurent coefficients of an analytic function by FFT on one circle.
 
     Any radius inside the ring gives the same coefficients exactly (Cauchy);
     the geometric mean ``sqrt(r)`` balances aliasing from the two ends of the
-    window.  ``samples`` defaults to eight times the window width.
+    window.  The circle takes eight samples per coefficient, at least 256.
     """
-    width = hi - lo + 1
-    m = samples or max(256, 8 * width)
-    rho = radius if radius is not None else np.sqrt(domain.inner_radius)
+    m = max(256, 8 * (hi - lo + 1))
+    rho = np.sqrt(domain.inner_radius)
     theta = 2.0 * np.pi * np.arange(m) / m
     vals = np.asarray(f(rho * np.exp(1j * theta)), dtype=complex)
     hat = np.fft.fft(vals) / m  # hat[k] = sum_n c_n rho^n delta(n = k mod m)

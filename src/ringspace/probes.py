@@ -1,14 +1,13 @@
-"""Numerical probes: the harmonic reproducing kernel, the decomposition of
-``|G|^2`` against it, and the clamped biharmonic Green's function.
+"""Numerical probes: the decomposition of ``|G|^2`` against the harmonic
+reproducing kernel, and the clamped biharmonic Green's function.
 
-The harmonic kernel is assembled mode by mode.  Angular modes decouple in
-``L^2(dA)`` on the ring, but within mode ``n`` the growing and decaying
-radial profiles ``rho^n`` and ``rho^-n`` are *not* orthogonal (their cross
-moment is half the ring area), so each mode needs a genuine 2x2 Gram
-inversion; the zero mode couples ``1`` and ``log rho`` the same way.  The
-resulting kernel reproduces every square-integrable harmonic function,
-including the log mode that is not the real part of a single-valued analytic
-function.
+The harmonic reproducing kernel ``H(., z0)`` of ``L^2(dA)`` on the ring
+reproduces every square-integrable harmonic function ``u``, the log mode
+``log|z|`` included (it is not the real part of a single-valued analytic
+function): ``<H(., z0), u> = u(z0)``.  The decomposition pairs ``H`` with
+harmonic tests only, so it takes those pairings in closed form, the tests'
+values at ``z0``, and never evaluates ``H``.  A mode-by-mode ``H`` is kept in
+``tests/oracles.py`` as the independent check of that identity.
 """
 
 from __future__ import annotations
@@ -20,11 +19,9 @@ import numpy as np
 
 from .errors import ArgumentError, GeometryError, SolverError
 from .geometry import AnnulusDomain, boundary_angles
-from .laurent import fold_sum
-from .spaces import area_quadrature, bergman_tag, log_monomial_norms, ring_values
+from .spaces import area_quadrature, ring_values
 
-_DEGREE = 8     # decomposition tests: Re and Im of z^k for 0 < |k| <= _DEGREE
-_N_KERNEL = 64  # angular degree of the harmonic kernel H(., z0) in the decomposition
+_EXPONENTS = np.outer(np.arange(1, 9), [1, -1]).ravel()  # tests Re, Im z^k: k = 1, -1, ..., 8, -8
 
 
 def log_radial_moment(r: float) -> float:
@@ -32,75 +29,6 @@ def log_radial_moment(r: float) -> float:
     def antiderivative(x):
         return 0.5 * x * x * math.log(x) - 0.25 * x * x
     return 2.0 * math.pi * (antiderivative(1.0) - antiderivative(r))
-
-
-def _log_square_moment(r: float) -> float:
-    """``2 * integral_r^1 rho log^2(rho) d rho`` (normalized-area pairing of log with log)."""
-    def antiderivative(x):
-        lx = math.log(x)
-        return 0.5 * x * x * lx * lx - 0.5 * x * x * lx + 0.25 * x * x
-    return 2.0 * (antiderivative(1.0) - antiderivative(r))
-
-
-@dataclass
-class HarmonicKernel:
-    """Reproducing kernel ``H(z, w)`` of real harmonic functions in ``L^2(dA)`` on
-    the ring, to angular degree ``N``; called, it is the section ``z -> H(z, base)``:
-    ``integral H(., base) u dA = u(base)`` for harmonic ``u`` of angular degree up
-    to ``N``, including ``log|z|``."""
-
-    domain: AnnulusDomain
-    base: complex
-    N: int
-
-    def __post_init__(self):
-        if not self.domain.contains(self.base):
-            raise GeometryError(f"kernel base {self.base} must be interior")
-        self.base = complex(self.base)
-        r = self.domain.inner_radius
-        V = 1.0 - r * r
-        c01 = log_radial_moment(r) / math.pi  # <1, log rho> under dA
-        q = _log_square_moment(r)
-        self._M0_inv = np.linalg.inv(np.array([[V, c01], [c01, q]]))
-        log_norms = log_monomial_norms(self.domain, bergman_tag(), self.N) - math.log(2.0)
-        self._log_a = log_norms[self.N + 1:]     # n = 1..N
-        self._log_c = log_norms[:self.N][::-1]   # n = -1..-N
-        # beta_n = cross moment / sqrt(a_n c_n); cross moment is V/2 for every mode.
-        self._beta = (V / 2.0) * np.exp(-0.5 * (self._log_a + self._log_c))
-        self._det = 1.0 - self._beta**2
-
-    def radial_parts(self, rho, w: complex):
-        """``H(z, w) = const + sum_n quad_n cos(n (arg z - arg w))`` at ``|z| = rho``:
-        ``const`` (log and constant modes) and ``quad`` of shape ``(rho.size, N)``,
-        from the scaled radial profiles ``x = rho^n/sqrt(a_n)``, ``y = rho^-n/sqrt(c_n)``."""
-        ns = np.arange(1, self.N + 1, dtype=float)
-        lr = np.log(np.append(np.ravel(rho), abs(w)))[:, None]  # last row: the base
-        x = np.exp(ns[None, :] * lr - 0.5 * self._log_a[None, :])
-        y = np.exp(-ns[None, :] * lr - 0.5 * self._log_c[None, :])
-        c = self._M0_inv @ np.array([1.0, lr[-1, 0]])
-        xz, yz, xw, yw = x[:-1], y[:-1], x[-1], y[-1]
-        return (c[0] + c[1] * lr[:-1, 0],
-                (xz * xw - self._beta * (xz * yw + yz * xw) + yz * yw) / self._det)
-
-    def pair(self, z, w):
-        """H(z, w), vectorized over ``z`` for scalar ``w``."""
-        z = np.asarray(z, dtype=complex)
-        w = complex(w)
-        const, quad = self.radial_parts(np.abs(z), w)
-        ns = np.arange(1, self.N + 1, dtype=float)
-        cosd = np.cos(ns[None, :] * (np.angle(z.ravel())[:, None] - np.angle(w)))
-        out = (const + (cosd * quad).sum(axis=1)).reshape(z.shape)
-        return out if z.shape else float(out)
-
-    def __call__(self, z):
-        return self.pair(z, self.base)
-
-    def on_rings(self, radii, m: int) -> np.ndarray:
-        """Values of the section at ``radii[i] * e^{2 pi i k/m}``, shape
-        ``(len(radii), m)``: the cosine series of every ring as one ``fold_sum``."""
-        const, quad = self.radial_parts(radii, self.base)
-        ns = np.arange(1, self.N + 1)
-        return const[:, None] + fold_sum(ns, quad * np.exp(-1j * ns * np.angle(self.base)), m).real
 
 
 def _defect_values(pts, w):
@@ -118,24 +46,32 @@ def _harmonic_pairings(f, pts, w, m: int) -> np.ndarray:
     exact for every ``m``."""
     W = np.fft.ifft(np.reshape(w * f, (-1, m)), axis=1, norm="forward")  # m * ifft
     rho = np.abs(pts[::m])
-    ks = np.outer(np.arange(1, _DEGREE + 1), [1, -1]).ravel()
-    moments = np.sum(rho[:, None]**ks * W[:, ks % m], axis=0)  # .view: Re, Im interleaved
+    moments = np.sum(rho[:, None]**_EXPONENTS * W[:, _EXPONENTS % m], axis=0)  # Re, Im by .view
     return np.array([W[:, 0].real.sum(), *moments.view(float), W[:, 0].real @ np.log(rho)])
+
+
+def _reproduced_values(z0: complex) -> np.ndarray:
+    """The tests of ``_harmonic_pairings`` at ``z0``, in its order: what each pairs
+    to with ``H(., z0)``."""
+    return np.array([1.0, *(complex(z0)**_EXPONENTS).view(float), math.log(abs(z0))])
 
 
 def bergman_decomposition_residual(G, domain: AnnulusDomain, z0: complex,
                                    m: int = 512) -> tuple[float, float, float]:
     """``(lambda_1, residual, c0)``: fit ``<|G|^2 - H(., z0), u> ~ lambda_1 <nu_1, u>`` over
-    the tests of ``_harmonic_pairings``, all on one area rule, ``G`` taken there to the
-    unit-norm gauge ``|G|^2 / sum(w |G|^2)``.  Only ``log|z|`` pairs with ``nu_1``; the
-    residual is the largest unexplained pairing, which vanishes up to truncation
-    because the rest of ``|G|^2 - H`` annihilates harmonics.  ``c0`` is the rule's
-    mean of ``log|z|`` (``_defect_values``)."""
+    the tests ``u`` of ``_harmonic_pairings``, all on one area rule, ``G`` taken there to
+    the unit-norm gauge ``|G|^2 / sum(w |G|^2)``; ``<H(., z0), u> = u(z0)`` in closed
+    form (``_reproduced_values``).  Only ``log|z|`` pairs with ``nu_1``; the residual
+    is the largest unexplained pairing, which vanishes up to truncation because the
+    rest of ``|G|^2 - H`` annihilates harmonics.  ``c0`` is the rule's mean of
+    ``log|z|`` (``_defect_values``)."""
+    if not domain.contains(z0):
+        raise GeometryError(f"decomposition base {z0} must be interior")
     pts, w = area_quadrature(domain, m)
     g2 = np.abs(ring_values(G, pts, m))**2
-    H = ring_values(HarmonicKernel(domain, z0, _N_KERNEL), pts, m).real
     nu, c0 = _defect_values(pts, w)
-    ps, qs = (_harmonic_pairings(f, pts, w, m) for f in (g2 / np.sum(w * g2) - H, nu))
+    ps, qs = (_harmonic_pairings(f, pts, w, m) for f in (g2 / np.sum(w * g2), nu))
+    ps -= _reproduced_values(z0)
     lam1 = float(ps @ qs / (qs @ qs))
     return lam1, float(np.max(np.abs(ps - lam1 * qs))), c0
 

@@ -17,6 +17,10 @@ least a different algorithm) than the library path it checks:
   ``nu_1 = log|z| - c0`` is computed on, ``c0`` that rule's mean of
   ``log|z|``), with ``G`` scaled to unit norm beforehand
   (``three_rule_decomposition``);
+* the harmonic reproducing kernel is assembled mode by mode from radial
+  moments by adaptive quadrature and paired node by node
+  (``HarmonicKernel``, ``dense_decomposition_pairings``), not taken from the
+  identity ``<H(., z0), u> = u(z0)`` in closed form;
 * boundary fluxes (harmonic-measure weights, the Schottky function, radial
   derivatives of harmonic representations) come from a node list built one
   node at a time and a dense mode-by-node derivative table, not from one FFT
@@ -218,11 +222,56 @@ def _log_defect(domain, m: int):
     return (lambda z: np.log(np.abs(np.asarray(z, dtype=complex))) - c0), c0
 
 
+class HarmonicKernel:
+    """Reproducing kernel ``H(z, w)`` of real harmonic functions in ``L^2(dA)`` on the
+    ring (``dA = dx dy / pi``), to angular degree ``N``, assembled mode by mode;
+    called, it is the section ``z -> H(z, base)``: ``<H(., base), u> = u(base)`` for
+    harmonic ``u`` of angular degree up to ``N``, ``log|z|`` included.
+
+    Angular modes decouple, but within mode ``n`` the profiles ``rho^n`` and
+    ``rho^-n`` are not orthogonal (their cross moment is half the ring area), so
+    each mode inverts a 2x2 Gram; the zero mode couples ``1`` and ``log rho`` the
+    same way.  Every radial moment comes from adaptive quadrature."""
+
+    def __init__(self, domain, base: complex, N: int):
+        r = domain.inner_radius
+        self.base, self.ns = complex(base), np.arange(1, N + 1)
+
+        def moment(f):  # 2 * integral_r^1 rho f(rho) d rho
+            return 2.0 * quad(lambda rho: rho * f(rho), r, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+        area = 1.0 - r * r
+        c01 = moment(math.log)
+        self.zero_mode = np.linalg.inv([[area, c01], [c01, moment(lambda x: math.log(x)**2)]])
+        # cos(n theta) rho^{+-n} has half the norm of z^{+-n}
+        self.a = np.array([bergman_monomial_norm(r, n) for n in self.ns]) / 2.0
+        self.c = np.array([bergman_monomial_norm(r, -n) for n in self.ns]) / 2.0
+        self.beta = (area / 2.0) / np.sqrt(self.a * self.c)
+
+    def profiles(self, log_rho):
+        """The unit-norm radial profiles ``rho^n / sqrt(a_n)`` and ``rho^-n / sqrt(c_n)``."""
+        return (np.exp(self.ns * log_rho) / np.sqrt(self.a),
+                np.exp(-self.ns * log_rho) / np.sqrt(self.c))
+
+    def pair(self, z, w):
+        """H(z, w), vectorized over ``z`` for scalar ``w``."""
+        z = np.asarray(z, dtype=complex)
+        w = complex(w)
+        lz = np.log(np.abs(z.ravel()))[:, None]
+        (xz, yz), (xw, yw) = self.profiles(lz), self.profiles(math.log(abs(w)))
+        radial = (xz * xw - self.beta * (xz * yw + yz * xw) + yz * yw) / (1.0 - self.beta**2)
+        c = self.zero_mode @ [1.0, math.log(abs(w))]
+        cosd = np.cos(self.ns * (np.angle(z.ravel())[:, None] - np.angle(w)))
+        out = (c[0] + c[1] * lz[:, 0] + (cosd * radial).sum(axis=1)).reshape(z.shape)
+        return out if z.shape else float(out)
+
+    def __call__(self, z):
+        return self.pair(z, self.base)
+
+
 def dense_decomposition_pairings(G, domain, z0: complex, m: int):
-    """The decomposition's pairings of ``|G|^2``, ``H`` and ``nu_1`` node by node: ``G``
-    and the harmonic kernel by their point calls, each test of
+    """The decomposition's pairings of ``|G|^2``, ``H(., z0)`` and ``nu_1`` node by
+    node: ``G`` and ``HarmonicKernel`` by their point calls, each test of
     ``harmonic_test_family`` by dense powers of every area node."""
-    from ringspace.probes import HarmonicKernel
     from ringspace.spaces import area_quadrature
     pts, w = area_quadrature(domain, m)
     values = [np.abs(np.asarray(G(pts), dtype=complex))**2,
@@ -234,13 +283,11 @@ def dense_decomposition_pairings(G, domain, z0: complex, m: int):
 def three_rule_decomposition(G, domain, z0: complex, m: int):
     """``(lambda_1, residual, c0)`` as the decomposition was first computed: ``G``
     scaled by its ``spaces.norm``, the ring-spectrum pairings on a second area
-    rule, ``nu_1`` and ``c0`` from ``_log_defect`` on a third."""
-    from ringspace.probes import HarmonicKernel
+    rule, ``nu_1`` and ``c0`` from ``_log_defect`` on a third; ``H(., z0)`` pairs
+    to each test's value at ``z0``."""
     from ringspace.spaces import area_quadrature, bergman_tag, norm, ring_values
     Gn = G * (1.0 / norm(G, domain, bergman_tag(), m=m))
     pts, w = area_quadrature(domain, m)
-    H = HarmonicKernel(domain, z0, 64)
-    D = np.abs(ring_values(Gn, pts, m))**2 - ring_values(H, pts, m).real
     rho = np.abs(pts[::m])
     ks = np.outer(np.arange(1, 9), [1, -1]).ravel()
 
@@ -249,7 +296,9 @@ def three_rule_decomposition(G, domain, z0: complex, m: int):
         moments = np.sum(rho[:, None]**ks * W[:, ks % m], axis=0)
         return [W[:, 0].real.sum(), *moments.view(float), W[:, 0].real @ np.log(rho)]
     nu, c0 = _log_defect(domain, m)
-    ps, qs = np.array([pairings(D), pairings(nu(pts))])
+    reproduced = [u(z0) for u in harmonic_test_family()]
+    ps = np.array(pairings(np.abs(ring_values(Gn, pts, m))**2)) - reproduced
+    qs = np.array(pairings(nu(pts)))
     lam1 = float(ps @ qs / (qs @ qs))
     return lam1, float(np.max(np.abs(ps - lam1 * qs))), c0
 

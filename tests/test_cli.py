@@ -261,6 +261,31 @@ def test_csv_format(tmp_path):
     assert any(line.startswith("c0,") for line in lines)
 
 
+@pytest.mark.parametrize("args", [
+    ["kernel-zeros", "--r", "0.5", "--base", "0.7"],
+    ["qc-estimate", "--r", "0.5", "--base", "0.6", "--zeros", "0.8", "--m", "256"],
+])
+def test_csv_rows_read_back(args):
+    # a CSV reader sees two fields a row; complex values parse back with
+    # parse_complex and lists with json.loads, both to the JSON document's value
+    import csv
+    results = run_json(args)["results"]
+    result = run_cli([*args, "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.reader(result.output.splitlines()))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    fields = dict(rows[1:])
+    assert sorted(fields) == sorted(results)
+    complex_keys = [k for k, v in results.items() if isinstance(v, dict)]
+    list_keys = [k for k, v in results.items() if isinstance(v, list)]
+    assert complex_keys or list_keys
+    for key in complex_keys:
+        assert cli.parse_complex(fields[key]) == complex(results[key]["re"], results[key]["im"])
+    for key in list_keys:
+        assert json.loads(fields[key]) == results[key]
+
+
 def test_schottky_fit_document():
     doc = run_json(["schottky-fit", "--r", "0.5", "--base", "0.7",
                     "--zeros", "0.6i", "--N", "96"])

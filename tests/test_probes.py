@@ -9,17 +9,18 @@ import scipy.sparse.linalg
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, GeometryError, SolverError
-from ringspace.probes import (HarmonicKernel, _banded_solver, _clamped_apply,
-                              _defect_values, _harmonic_pairings,
+from ringspace.probes import (_banded_solver, _clamped_apply, _defect_values,
+                              _harmonic_pairings, _reproduced_values,
                               bergman_decomposition_residual, biharmonic_green,
                               log_radial_moment)
 from ringspace.spaces import area_quadrature, bergman_tag, norm as space_norm, ring_values
 
-from oracles import (clamped_factors, clamped_operator, dense_decomposition_pairings,
-                     loop_clamped_operator, three_rule_decomposition, two_gbsv_biharmonic)
+from oracles import (HarmonicKernel, clamped_factors, clamped_operator,
+                     dense_decomposition_pairings, loop_clamped_operator,
+                     three_rule_decomposition, two_gbsv_biharmonic)
 
 
-# --------------------------------------------------------- harmonic kernel
+# ------------------------------------------- harmonic kernel (the oracle's)
 
 def test_kernel_reproduces_constants(dom):
     H = HarmonicKernel(dom, 0.7, 64)
@@ -54,21 +55,6 @@ def test_kernel_symmetry(dom):
         assert H.pair(z, w_pt) == pytest.approx(H.pair(w_pt, z), abs=1e-10)
 
 
-@pytest.mark.parametrize("r, base", [(0.5, 0.7), (0.3, 0.5 + 0.4j), (0.8, -0.85 + 0.1j)])
-@pytest.mark.parametrize("m", [64, 512])
-def test_kernel_on_rings_matches_pair(r, base, m):
-    dom = rs.make_annulus(r, base)
-    H = HarmonicKernel(dom, base, 64)
-    pts, _ = area_quadrature(dom, m)
-    direct = H(pts)
-    assert np.max(np.abs(ring_values(H, pts, m).real - direct)) <= 1e-13 * np.max(np.abs(direct))
-
-
-def test_kernel_base_must_be_interior(dom):
-    with pytest.raises(GeometryError):
-        HarmonicKernel(dom, 1.1, 64)
-
-
 # ------------------------------------------------------------ decomposition
 
 def test_log_radial_moment_against_adaptive_quadrature():
@@ -87,6 +73,12 @@ def test_defect_direction_is_orthogonal_to_analytic_parts(dom):
         assert np.sum(w * nv * np.real(pts ** float(n))) == pytest.approx(0.0, abs=1e-12)
     # the projection constant is the area mean of log|z|
     assert c0 == pytest.approx(np.sum(w * np.log(np.abs(pts))) / np.sum(w))
+
+
+def test_decomposition_base_must_be_interior(dom):
+    G = rs.build_kernel(dom, bergman_tag(), 32).section(0.7)
+    with pytest.raises(GeometryError):
+        bergman_decomposition_residual(G, dom, 1.1)
 
 
 def test_decomposition_of_kernel_direction(dom):
@@ -118,13 +110,23 @@ def test_decomposition_pairings_match_the_dense_family(r, m, evaluator):
     section = rs.build_kernel(dom, bergman_tag(), 32).section(base)
     G = section if evaluator == "on_rings" else (lambda z: section(z))
     pts, w = area_quadrature(dom, m)
-    H = HarmonicKernel(dom, base, 64)
     nu, _ = _defect_values(pts, w)
-    values = [np.abs(ring_values(G, pts, m))**2, ring_values(H, pts, m).real, nu]
+    values = [np.abs(ring_values(G, pts, m))**2, nu]
     got = np.array([_harmonic_pairings(f, pts, w, m) for f in values])
-    want = dense_decomposition_pairings(G, dom, base, m)
-    assert got.shape == want.shape == (3, 34)
+    want = dense_decomposition_pairings(G, dom, base, m)[[0, 2]]  # row 1: H
+    assert got.shape == want.shape == (2, 34)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+def test_reproduced_values_match_the_dense_kernel_pairings(r):
+    # <H(., z0), u> = u(z0) for every test u: the closed form against the
+    # oracle kernel paired node by node (at m = 64 its row aliases by O(1))
+    base = (r + 0.05) * np.exp(0.7j)
+    dom = rs.make_annulus(r, base)
+    G = rs.build_kernel(dom, bergman_tag(), 32).section(base)
+    want = dense_decomposition_pairings(G, dom, base, 512)[1]
+    assert np.max(np.abs(_reproduced_values(base) - want)) <= 1e-9
 
 
 @pytest.mark.parametrize("r, base", [(0.5, 0.7), (0.3, 0.5 + 0.4j), (0.685, -0.733 - 0.031j)])

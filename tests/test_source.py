@@ -200,6 +200,12 @@ def _reached_from_cli() -> set[str]:
     return reached
 
 
+def _library_tour() -> str:
+    """The Python block of the README's "Library tour" section."""
+    readme = (ROOT / "README.md").read_text()
+    return readme.split("## Library tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
 def test_every_export_is_reached():
     # ringspace's exports are what a subcommand computes with, what an
     # acceptance criterion checks, or what the README's library tour shows;
@@ -207,13 +213,16 @@ def test_every_export_is_reached():
     exports = {alias.asname or alias.name
                for node in ast.parse((SRC / "__init__.py").read_text()).body
                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    readme = (ROOT / "README.md").read_text()
-    tour = readme.split("## Library tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     used = (_reached_from_cli()
             | _read_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
-            | _read_names(ast.parse(tour)))
+            | _read_names(ast.parse(_library_tour())))
     assert len(exports) > 50
     assert sorted(exports - used) == []
+
+
+def test_library_tour_runs():
+    # the tour counts toward the exports' reach, so it must also run as written
+    exec(compile(_library_tour(), "README.md", "exec"), {})
 
 
 def _run_scipy_users():
