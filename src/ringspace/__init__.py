@@ -20,8 +20,8 @@ from .laurent import LaurentPolynomial, to_laurent
 from .spaces import (SpaceKind, SpaceTag, bergman_tag, gram_matrix, hardy_tag,
                      inner_product, log_monomial_norms, monomial_norms, norm,
                      smirnov_tag)
-from .kernels import (KernelEvaluator, ReproduceReport, ZeroReport, build_kernel,
-                      count_zeros, full_ring, locate_zeros, reproduce_check)
+from .kernels import (KernelEvaluator, ZeroReport, build_kernel, count_zeros, full_ring,
+                      locate_zeros, reproduce_check)
 from .inner import (AtomicSingularMeasure, DivisionBoundReport, InnerFunctionSpec,
                     InnerVerification, ZeroSet, blaschke_factor, blaschke_product,
                     check_orthogonality, division_bound_check, multiply, qc_divisor,

@@ -225,8 +225,9 @@ def _emit(doc: dict, config: RunConfig) -> None:
         import csv
         import io
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(
-            [["key", "value"], *([k, _csv_field(v)] for k, v in sorted(doc["results"].items()))])
+        rows = [[k, _csv_field(v)] for k, v in sorted(doc["results"].items())]
+        rows += [[k, _csv_field(doc[k])] for k in ("status", "tolerances", "ladder") if k in doc]
+        csv.writer(buffer, lineterminator="\n").writerows([["key", "value"], *rows])
         text = buffer.getvalue()
     else:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -385,12 +386,12 @@ def _cmd_kernel(config: RunConfig):
     K = build_kernel(domain, tag, N=config.N, m=config.m)
     w = domain.base_point
     probe = LaurentPolynomial.from_dict({0: 1.0, 2: 0.5, -1: 0.25})
-    rep = reproduce_check(K, probe, 0.5 * (domain.inner_radius + 1.0), m=config.m)
+    residual = reproduce_check(K, probe, 0.5 * (domain.inner_radius + 1.0), m=config.m)
     z_probe = 0.5 * (domain.inner_radius + 1.0) * np.exp(0.7j)
     herm = abs(complex(K(z_probe, w)) - np.conj(complex(K(w, z_probe))))
     results = {"space": config.space,
                "value_at_base": float(np.real(K(w, w))),
-               "reproduce_residual": rep.residual,
+               "reproduce_residual": residual,
                "hermitian_residual": herm}
     grids = _grid_out(config, "kernel_section",
                       np.linspace(domain.inner_radius + 0.02, 0.98, 48), 48, lambda Z: K(Z, w))
@@ -404,7 +405,7 @@ def _cmd_kernel_zeros(config: RunConfig):
     K = build_kernel(domain, tag, N=N, m=config.m)
     section = K.section(domain.base_point)
     count = count_zeros(section, domain, full_ring(domain), m=config.m)
-    report = locate_zeros(section, domain, expected=count)
+    report = locate_zeros(section, domain, count)
     results = {"space": config.space,
                "count": count,
                "locations": [_cnum(z) for z in report.locations],
@@ -439,7 +440,7 @@ def _cmd_candidate_divisor(config: RunConfig):
     domain = _domain(config)
     N = max(config.N, 96)
     cand = candidate_divisor(domain, config.zeros[0], N=N, m=config.m)
-    report = locate_zeros(cand, domain, expected=1)
+    report = locate_zeros(cand, domain, 1)  # candidate_divisor counted it
     results = {
         "kernel_zero": _cnum(cand.kernel_zero),
         "ring_zero_count": 1,

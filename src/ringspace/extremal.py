@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ArgumentError, GeometryError, RingspaceError, SingularConstraintsError,
-                     SingularGramError)
+from .errors import (ArgumentError, ConvergenceError, GeometryError, RingspaceError,
+                     SingularConstraintsError, SingularGramError)
 from .geometry import AnnulusDomain, polar_grid
 from .inner import InnerFunctionSpec, blaschke_factor, capped_blaschke_factor
 from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, refined_solve
@@ -36,6 +36,7 @@ from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag, measure_
                      ring_gram, ring_values, scaled_gram, scaled_rows)
 
 _IDENTITY_GRID = 32  # polar grid of extremal_identity_check
+_LADDER = (8, 16, 24, 32)  # quasicontract_estimate's windows
 
 
 @dataclass(frozen=True)
@@ -170,13 +171,10 @@ def repro_fact_check(G: LaurentPolynomial, p: ExtremalProblem, m: int = 512) -> 
 class CandidateDivisor:
     """One-zero divisor candidate ``B_z1 * K_w(., z0) / B_kernel_zero``."""
 
-    domain: AnnulusDomain
-    zero: complex
-    base: complex
     kernel_zero: complex
-    blaschke: InnerFunctionSpec
-    kernel_section: LaurentPolynomial  # K_w(., base), solved once
-    kernel_zero_factor: InnerFunctionSpec
+    blaschke: InnerFunctionSpec             # B_z1
+    kernel_section: LaurentPolynomial       # K_w(., z0), z0 the base point; solved once
+    kernel_zero_factor: InnerFunctionSpec   # B_kernel_zero
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -192,23 +190,24 @@ class CandidateDivisor:
 
 
 def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96,
-                      m: int = 512, base: complex | None = None) -> CandidateDivisor:
+                      m: int = 512) -> CandidateDivisor:
     """Bergman divisor candidate vanishing only at ``z1``.
 
-    Locates the single zero of the ``|B_z1|^2``-weighted Bergman kernel
-    section and divides it out by a Blaschke factor, leaving exactly one ring
-    zero at ``z1`` (verified by the argument principle).  Windows below about
-    96 leave truncation zeros of the Gram-inverse kernel hugging the boundary
-    circles, which the argument-principle check would count.  The kernel zero
+    Counts the zeros of the ``|B_z1|^2``-weighted Bergman kernel section at the
+    base point (``ConvergenceError`` unless 1), locates that one and divides it
+    out by a Blaschke factor, leaving one ring zero at ``z1`` (counted again).
+    Windows below about 96 leave truncation zeros of the Gram-inverse kernel
+    hugging the boundary circles, which the counts would see.  The kernel zero
     may lie nearer a circle than ``tail_truncation`` allows (5.7e-3 from the
     unit circle at r = 0.416), so its factor is a ``capped_blaschke_factor``.
     """
-    z0 = complex(base) if base is not None else domain.base_point
     B = blaschke_factor(domain, z1)
-    section = build_kernel(domain, bergman_tag(weight_fn=B), N, m).section(z0)
-    w_star = locate_zeros(section, domain, expected=1).locations[0]
-    cand = CandidateDivisor(domain=domain, zero=complex(z1), base=z0,
-                            kernel_zero=w_star, blaschke=B, kernel_section=section,
+    section = build_kernel(domain, bergman_tag(weight_fn=B), N, m).section(domain.base_point)
+    n = count_zeros(section, domain, full_ring(domain))
+    if n != 1:
+        raise ConvergenceError(f"argument principle found {n} zeros where 1 were expected")
+    w_star = locate_zeros(section, domain, 1).locations[0]
+    cand = CandidateDivisor(kernel_zero=w_star, blaschke=B, kernel_section=section,
                             kernel_zero_factor=capped_blaschke_factor(domain, w_star))
     ring_zeros = count_zeros(cand, domain, full_ring(domain))
     if ring_zeros != 1:
@@ -218,43 +217,41 @@ def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96,
 
 
 def quasicontract_estimate(G, z1: complex, domain: AnnulusDomain,
-                           ladder: tuple[int, ...] = (8, 16, 24, 32),
                            m: int = 512) -> DivisorReport:
     """Operator norm of ``f -> f / G0`` on the subspace vanishing at ``z1``.
 
     ``G0`` is ``G`` scaled to unit Bergman norm (a canonical gauge so the
-    estimate is invariant under rescaling ``G``).  For each window size the
-    squared norm is the top generalized eigenvalue of the Grams of ``z^n``
-    weighted by ``|z - z1|^2 / |G0|^2`` and by ``|z - z1|^2``.  Each rung is a
-    principal submatrix of the pencil at the largest window, so the reported
-    square roots are nondecreasing.  Extraneous zeros of ``G`` beyond ``z1``
+    estimate is invariant under rescaling ``G``).  For each window of
+    ``_LADDER`` the squared norm is the top generalized eigenvalue of the Grams
+    of ``z^n`` weighted by ``|z - z1|^2 / |G0|^2`` and by ``|z - z1|^2``.  Each
+    rung is a principal submatrix of the pencil at the largest window, so the
+    reported square roots are nondecreasing.  Extraneous zeros of ``G`` beyond ``z1``
     make the quotients meromorphic and the ladder grow without settling; they
     are detected by the argument principle and flagged.
     """
     pts, w = area_quadrature(domain, m)
     g_vals = ring_values(G, pts, m)
     g_norm_sq = float(np.sum(w * np.abs(g_vals)**2))
-    ring = full_ring(domain)
-    total = count_zeros(G, domain, ring, m=512)
+    total = count_zeros(G, domain, full_ring(domain))
     notes = ""
     extra_locations: tuple[complex, ...] = ()
     if total != 1:
         notes = (f"EXTRANEOUS_ZERO: {total} ring zeros where 1 was prescribed; "
                  "division is meromorphic and the ladder will not settle")
         try:
-            report = locate_zeros(G, domain, expected=total)
+            report = locate_zeros(G, domain, total)
             extra_locations = tuple(z for z in report.locations
                                     if abs(z - z1) > 1e-4)
         except RingspaceError as exc:
             notes += f"; zeros not located ({type(exc).__name__}: {exc})"
-    top = max(ladder)
+    top = _LADDER[-1]
     plain = w * np.abs(pts - z1)**2
     A_s, d = ring_gram(pts, plain, m, top)
     B_s, d_div = ring_gram(pts, plain * g_norm_sq / np.abs(g_vals)**2, m, top)
     B_s = B_s * np.outer(d_div / d, d_div / d)  # into the plain Gram's scaling
     import scipy.linalg
     estimates = []
-    for N in ladder:
+    for N in _LADDER:
         rung = slice(top - N, top + N + 1)
         try:
             eig = scipy.linalg.eigh(B_s[rung, rung], A_s[rung, rung], eigvals_only=True)

@@ -97,12 +97,12 @@ def test_criterion_3_weighted_zero_coincidence(dom):
     # construction) has its zero at the extremal's extraneous zero, which
     # moves with z1; coincidence holds only for the punctured-space reading.
     K = build_kernel(dom, bergman_tag(), N=96)
-    zu = locate_zeros(K.section(0.7), dom, expected=1).locations[0]
+    zu = locate_zeros(K.section(0.7), dom, count=1).locations[0]
     deviations = []
     for z1 in (0.7, -0.6j):
         B = rs.blaschke_factor(dom, z1)
         Kw = build_kernel(dom, bergman_tag(weight_fn=B), N=96, m=512)
-        zw = locate_zeros(Kw.section(0.7), dom, expected=1).locations[0]
+        zw = locate_zeros(Kw.section(0.7), dom, count=1).locations[0]
         deviations.append(abs(zw - zu))
     ok = all(dev <= 1e-6 for dev in deviations)
     report("3b", ok, f"weighted-vs-unweighted zero deviations {deviations} "

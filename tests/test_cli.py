@@ -261,29 +261,48 @@ def test_csv_format(tmp_path):
     assert any(line.startswith("c0,") for line in lines)
 
 
+# a divisor-ladder geometry whose candidate section has no ring zero: exit 4
+QC_ESTIMATE_UNVERIFIED = ["qc-estimate", "--r", "0.6893046228590225",
+                          "--base", "-0.6493103795246503+0.6351763126453396i",
+                          "--zeros", "-0.29992573373215337+0.7047364954006582i"]
+
+
 @pytest.mark.parametrize("args", [
     ["kernel-zeros", "--r", "0.5", "--base", "0.7"],
     ["qc-estimate", "--r", "0.5", "--base", "0.6", "--zeros", "0.8", "--m", "256"],
+    QC_ESTIMATE_UNVERIFIED,
 ])
 def test_csv_rows_read_back(args):
-    # a CSV reader sees two fields a row; complex values parse back with
-    # parse_complex and lists with json.loads, both to the JSON document's value
+    # a CSV reader sees two fields a row: the results, then the status, the
+    # tolerances and any ladder; complex values parse back with parse_complex
+    # and lists and dicts with json.loads, all to the JSON document's value
     import csv
-    results = run_json(args)["results"]
-    result = run_cli([*args, "--format", "csv"])
-    assert result.exit_code == 0, result.output
-    rows = list(csv.reader(result.output.splitlines()))
+    code = 4 if args is QC_ESTIMATE_UNVERIFIED else 0
+    json_run, csv_run = run_cli(args), run_cli([*args, "--format", "csv"])
+    assert json_run.exit_code == csv_run.exit_code == code, csv_run.output
+    doc = json.loads(json_run.stdout)
+    jsonschema.validate(doc, SCHEMA)
+    results = doc["results"]
+    rows = list(csv.reader(csv_run.stdout.splitlines()))
     assert rows[0] == ["key", "value"]
     assert all(len(row) == 2 for row in rows)
     fields = dict(rows[1:])
-    assert sorted(fields) == sorted(results)
+    documented = [k for k in ("status", "tolerances", "ladder") if k in doc]
+    assert sorted(fields) == sorted([*results, *documented])
+    assert fields["status"] == doc["status"] == ("ok" if code == 0 else "unverified")
+    assert json.loads(fields["tolerances"]) == doc["tolerances"]
+    assert ("ladder" in fields) == (args[0] == "qc-estimate" and code == 0)
+    if "ladder" in fields:
+        assert json.loads(fields["ladder"]) == doc["ladder"]
     complex_keys = [k for k, v in results.items() if isinstance(v, dict)]
     list_keys = [k for k, v in results.items() if isinstance(v, list)]
-    assert complex_keys or list_keys
+    assert complex_keys or list_keys or code == 4
     for key in complex_keys:
         assert cli.parse_complex(fields[key]) == complex(results[key]["re"], results[key]["im"])
     for key in list_keys:
         assert json.loads(fields[key]) == results[key]
+    if code == 4:
+        assert fields["error"] == results["error"]
 
 
 def test_schottky_fit_document():
@@ -312,6 +331,35 @@ def test_qc_estimate_ladder_and_flags():
     assert "EXTRANEOUS_ZERO" in doc_raw["results"]["flags"]
     raw_ladder = [entry["estimate"] for entry in doc_raw["ladder"]]
     assert all(b > a for a, b in zip(raw_ladder, raw_ladder[1:]))
+
+
+def test_qc_estimate_without_a_kernel_zero_exits_unverified(tmp_path):
+    # the commonest qc-estimate failure of divisor-ladder seed 3: the
+    # weighted section has no ring zero, so there is nothing to divide out
+    out = tmp_path / "doc.json"
+    result = run_cli(["qc-estimate", "--r", "0.3942202296243591",
+                      "--base", "0.6288790129871104+0.1797656040007157i",
+                      "--zeros", "-0.8043390525490887+0.38334320042113557i", "--out", str(out)])
+    assert result.exit_code == 4
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["status"] == "unverified"
+    assert doc["results"]["error"] == "argument principle found 0 zeros where 1 were expected"
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["kernel-zeros", "--r", "0.5", "--base", "0.7"], 2),            # the section
+    (["candidate-divisor", "--r", "0.6", "--zeros", "0.8"], 4),      # section, candidate
+])
+def test_each_function_is_counted_once(monkeypatch, argv, passes):
+    # a count is one winding pass per circle; locating reuses the count
+    from ringspace import kernels
+    calls = []
+    winding = kernels._winding_on_circle
+    monkeypatch.setattr(kernels, "_winding_on_circle",
+                        lambda *args: calls.append(args[1]) or winding(*args))
+    run_json(argv)
+    assert len(calls) == passes
 
 
 def test_remaining_command_surfaces():

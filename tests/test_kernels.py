@@ -206,32 +206,26 @@ def test_weighted_kernels_need_no_svd(dom, svd_calls):
 def test_reproduce_constant(dom):
     for tag in (smirnov_tag(), bergman_tag(), hardy_tag()):
         K = build_kernel(dom, tag, N=24)
-        rep = reproduce_check(K, LaurentPolynomial.constant(1.0), 0.7)
-        assert rep.residual <= 1e-12
-        assert not rep.out_of_window
+        assert reproduce_check(K, LaurentPolynomial.constant(1.0), 0.7) <= 1e-12
 
 
 def test_reproduce_laurent_polynomial(dom):
     f = LaurentPolynomial.from_dict({3: 1.0, -1: -2.0})
     K = build_kernel(dom, smirnov_tag(), N=24)
-    rep = reproduce_check(K, f, 0.6 + 0.2j)
-    assert rep.residual <= 1e-10
+    assert reproduce_check(K, f, 0.6 + 0.2j) <= 1e-10
 
 
 def test_reproduce_flags_out_of_window(dom):
     K = build_kernel(dom, smirnov_tag(), N=4)
     f = LaurentPolynomial.from_dict({6: 1.0})
-    rep = reproduce_check(K, f, 0.7)
-    assert rep.out_of_window
-    assert rep.residual > 1e-6  # truncation honestly disclosed
+    assert reproduce_check(K, f, 0.7) > 1e-6  # z^6 lies outside the window -4..4
 
 
 def test_reproduce_weighted_kernel(dom):
     B = rs.blaschke_factor(dom, 0.62)
     K = build_kernel(dom, bergman_tag(weight_fn=B), N=24, m=512)
     f = LaurentPolynomial.from_dict({2: 1.0, 0: 0.5, -2: 0.25})
-    rep = reproduce_check(K, f, 0.6 - 0.15j)
-    assert rep.residual <= 1e-9
+    assert reproduce_check(K, f, 0.6 - 0.15j) <= 1e-9
 
 
 # ------------------------------------------------------------ zero counting
@@ -383,7 +377,7 @@ def test_szego_zero_closed_form(dom):
     # of the diagonal series cancel pairwise there
     K = build_kernel(dom, smirnov_tag(), N=96)
     for w in (0.6, 0.7, 0.6 + 0.2j):
-        rep = locate_zeros(K.section(w), dom, expected=1)
+        rep = locate_zeros(K.section(w), dom, count=1)
         assert rep.locations[0] == pytest.approx(-0.5 / np.conj(w), abs=1e-9)
 
 
@@ -392,15 +386,14 @@ BERGMAN_ZERO_07 = -0.5050761251586438  # frozen from the N = 96 run
 
 def test_bergman_zero_regression(dom):
     K = build_kernel(dom, bergman_tag(), N=96)
-    rep = locate_zeros(K.section(0.7), dom, expected=1)
+    rep = locate_zeros(K.section(0.7), dom, count=1)
     assert rep.locations[0] == pytest.approx(BERGMAN_ZERO_07, abs=1e-8)
     assert rep.residual <= 1e-10
-    assert rep.contour_count == 1
 
 
 def test_locate_linear_zero(dom):
     f = LaurentPolynomial.from_dict({1: 1.0, 0: -0.7})
-    rep = locate_zeros(f, dom, expected=1, ring=(0.55, 0.95))
+    rep = locate_zeros(f, dom, count=1, ring=(0.55, 0.95))
     assert rep.locations[0] == pytest.approx(0.7, abs=1e-10)
 
 
@@ -414,9 +407,11 @@ def test_local_minima_match_the_shifted_copy_scan():
 
 
 def test_locate_mismatched_expectation(dom):
+    # locate_zeros trusts its caller's count: asked for two zeros of a
+    # function with one, Newton finds one and the search fails
     f = LaurentPolynomial.from_dict({1: 1.0, 0: -0.7})
-    with pytest.raises(ConvergenceError):
-        locate_zeros(f, dom, expected=2, ring=(0.55, 0.95))
+    with pytest.raises(ConvergenceError, match="found 1 of 2"):
+        locate_zeros(f, dom, count=2, ring=(0.55, 0.95))
 
 
 def test_newton_polish_overflowing_modulus_is_inf():
@@ -435,7 +430,7 @@ def test_locate_zeros_overflow_near_the_zero_is_typed(dom):
         z = np.asarray(z, dtype=complex)
         return np.where(np.abs(z - 0.7) < 1e-3, 1.5e308 + 1.5e308j, z - 0.7)
     with pytest.raises(ConvergenceError):
-        locate_zeros(f, dom, expected=1)
+        locate_zeros(f, dom, count=1)
 
 
 def test_weighted_zero_matches_extremal_extraneous_zero(dom06):
@@ -448,12 +443,12 @@ def test_weighted_zero_matches_extremal_extraneous_zero(dom06):
     B = rs.blaschke_factor(dom06, z1)
     Kw = build_kernel(dom06, bergman_tag(weight_fn=B), N=96, m=512)
     K = build_kernel(dom06, bergman_tag(), N=96)
-    zw = locate_zeros(Kw.section(0.6), dom06, expected=1).locations[0]
-    zu = locate_zeros(K.section(0.6), dom06, expected=1).locations[0]
+    zw = locate_zeros(Kw.section(0.6), dom06, count=1).locations[0]
+    zu = locate_zeros(K.section(0.6), dom06, count=1).locations[0]
     problem = rs.ExtremalProblem(domain=dom06, space=bergman_tag(), base=0.6,
                                  zeros=(z1,), truncation=96)
     G = rs.solve_extremal(problem, m=512)
-    rep = locate_zeros(G, dom06, expected=2, ring=(0.53, 0.97))
+    rep = locate_zeros(G, dom06, count=2, ring=(0.53, 0.97))
     extraneous = min(rep.locations, key=lambda z: abs(z - zw))
     assert abs(zw - extraneous) <= 1e-4
     assert abs(zw - zu) > 0.1  # the coincidence claim fails numerically

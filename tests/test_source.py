@@ -91,6 +91,19 @@ def test_only_cli_passes_a_green_truncation():
     assert found == []
 
 
+def test_locate_zeros_does_not_count():
+    # the caller that needs a function's zero count takes it and passes it
+    # on; locating never runs the argument principle a second time
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    locate = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "locate_zeros")
+    found = [f"kernels.py:{node.lineno}" for node in ast.walk(locate)
+             if isinstance(node, ast.Call)
+             and "count_zeros" in (getattr(node.func, "id", None),
+                                   getattr(node.func, "attr", None))]
+    assert found == []
+
+
 def _config_reads(tree) -> dict[str, set[str]]:
     """Per module-level function: the ``config.<flag>`` attributes it reads,
     itself or through the module's functions it calls (``_domain``,
