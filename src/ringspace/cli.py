@@ -519,15 +519,11 @@ def _cmd_decomposition(config: RunConfig):
     domain = _domain(config)
     N = max(config.N, 48)
     if config.zeros:
-        problem = ExtremalProblem(domain=domain, space=bergman_tag(),
-                                  base=domain.base_point, zeros=config.zeros,
-                                  truncation=N)
-        G = solve_extremal(problem, m=config.m)
+        G = solve_extremal(ExtremalProblem(domain=domain, space=bergman_tag(), truncation=N,
+                                           base=domain.base_point, zeros=config.zeros))
     else:
-        K = build_kernel(domain, bergman_tag(), N=N)
-        G = K.section(domain.base_point)
-    lam1, residual, c0 = bergman_decomposition_residual(G, domain, domain.base_point,
-                                                        m=config.m)
+        G = build_kernel(domain, bergman_tag(), N=N).section(domain.base_point)
+    lam1, residual, c0 = bergman_decomposition_residual(G, domain, domain.base_point)
     results = {
         "lambda_1": lam1,
         "residual": residual,
@@ -593,7 +589,7 @@ _COMMANDS = {
     "decomposition": (
         _cmd_decomposition,
         "Pairings of |G|^2 - H(., z0) against harmonic tests and the log defect.",
-        ("base", "zeros", "N", "m")),
+        ("base", "zeros", "N")),
     "biharmonic": (_cmd_biharmonic, "Clamped biharmonic Green's function probe.",
                    ("pole", "disk", "n_rho", "n_theta", "check_refinement", "grid_out")),
 }

@@ -87,31 +87,33 @@ class LaurentPolynomial:
             result = result + acc
         return result if result.shape else complex(result)
 
-    def on_rings(self, radii, m: int, turn: float = 0.0) -> np.ndarray:
-        """Values at ``radii[i] * e^{i (turn + 2 pi k/m)}``, shape ``(len(radii), m)``,
-        by ``fold_sum`` over a few rings at a time (work arrays near ``2^13``
-        entries), in O(width + len(radii) * m) memory.  Each ring's terms
-        ``c_n rho^n`` are scaled by the largest in log space, so ``rho^n`` cannot
-        overflow where the term does not; the logs are in ``longdouble`` because
-        ``log|c_n|`` and ``n log rho`` cancel, and the phase is ``np.angle``,
-        exact for subnormal coefficients too.  A turn adds ``n * turn`` to the
-        phase of ``c_n``, to about ``|n turn| eps``.
-        """
-        out = np.zeros((len(radii), m), dtype=complex)
+    def ring_terms(self, radii, width: int = 1, turn: float = 0.0):
+        """Yield ``(k, ns, top, terms)`` for the rings from ``radii[k]`` on, a few at a time
+        (work arrays near ``2^13`` entries, or ``width`` a ring): each ring's nonzero terms
+        ``c_n rho^n e^{i n turn}`` are ``e^top * terms``, scaled by the largest in log space
+        (in ``longdouble``: ``log|c_n|`` and ``n log rho`` cancel), so ``rho^n`` cannot
+        overflow where the term does not; the phase ``np.angle(c_n) + n turn`` is exact for
+        subnormal ``c_n``, and good to ``|n turn| eps``."""
         nz = np.flatnonzero(self.coeffs)  # zero terms stay out: -inf is slow in longdouble
         if nz.size == 0:
-            return out
+            return
         ns, c = self.lo + nz, self.coeffs[nz]
         log_c = np.log(np.hypot(c.real.astype(np.longdouble), c.imag.astype(np.longdouble)))
         phase, n_ld = np.exp(1j * (np.angle(c) + ns * turn)), ns.astype(np.longdouble)
         log_rho = np.log(np.asarray(radii, dtype=np.longdouble))
-        step = max(1, 2**13 // max(ns.size, m))  # rings per fold_sum
-        for k in range(0, len(out), step):
+        step = max(1, 2**13 // max(ns.size, width))  # rings per block
+        for k in range(0, len(log_rho), step):
             log_t = log_c + log_rho[k:k + step, None] * n_ld
             top = log_t.max(axis=1, keepdims=True)
             x = (log_t - top).astype(float)  # terms below e^-700 of the top are dropped
-            terms = np.exp(x, out=np.zeros(x.shape), where=x > -700.0) * phase
-            out[k:k + step] = np.exp(top.astype(float)) * fold_sum(ns, terms, m)
+            yield k, ns, top, np.exp(x, out=np.zeros(x.shape), where=x > -700.0) * phase
+
+    def on_rings(self, radii, m: int, turn: float = 0.0) -> np.ndarray:
+        """Values at ``radii[i] * e^{i (turn + 2 pi k/m)}``, shape ``(len(radii), m)``, by
+        ``fold_sum`` of ``ring_terms``, in O(width + len(radii) * m) memory."""
+        out = np.zeros((len(radii), m), dtype=complex)
+        for k, ns, top, terms in self.ring_terms(radii, m, turn):
+            out[k:k + len(terms)] = np.exp(top.astype(float)) * fold_sum(ns, terms, m)
         return out
 
     def derivative(self) -> "LaurentPolynomial":

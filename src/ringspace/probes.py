@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ArgumentError, GeometryError, SolverError
 from .geometry import AnnulusDomain, boundary_angles
-from .spaces import area_quadrature, ring_values
+from .laurent import LaurentPolynomial
+from .spaces import radial_rule
 
 _EXPONENTS = np.outer(np.arange(1, 9), [1, -1]).ravel()  # tests Re, Im z^k: k = 1, -1, ..., 8, -8
 
@@ -31,47 +32,58 @@ def log_radial_moment(r: float) -> float:
     return 2.0 * math.pi * (antiderivative(1.0) - antiderivative(r))
 
 
-def _defect_values(pts, w):
-    """``nu_1 = log|z| - c0`` at the nodes of an area rule, and ``c0``: the rule's
-    mean of ``log|z|``, so that ``nu_1`` pairs to zero with constants."""
-    log_abs = np.log(np.abs(pts))
-    c0 = float(np.sum(w * log_abs) / np.sum(w))
-    return log_abs - c0, c0
+def _defect_pairings(rho, mass):
+    """``nu_1 = log|z| - c0`` on rings ``rho`` of area ``mass`` paired with the tests of
+    ``_reproduced_values``, and ``c0``, the mean of ``log|z|``: radial, so 0 on ``z^k``."""
+    log_rho = np.log(rho)
+    c0 = float(mass @ log_rho / np.sum(mass))
+    qs = np.zeros(2 * _EXPONENTS.size + 2)
+    qs[0], qs[-1] = mass @ (log_rho - c0), (mass * (log_rho - c0)) @ log_rho
+    return qs, c0
 
 
-def _harmonic_pairings(f, pts, w, m: int) -> np.ndarray:
-    """``f`` (values at the nodes of the area rule ``(pts, w)``) paired under ``dA``
-    with 1, ``Re z^k``, ``Im z^k`` (k = 1, -1, ..., 8, -8) and ``log|z|``.  On a ring
-    of radius rho, ``sum w f z^k = rho^k W[k mod m]``, ``W = m * ifft(w f)`` there:
-    exact for every ``m``."""
-    W = np.fft.ifft(np.reshape(w * f, (-1, m)), axis=1, norm="forward")  # m * ifft
-    rho = np.abs(pts[::m])
-    moments = np.sum(rho[:, None]**_EXPONENTS * W[:, _EXPONENTS % m], axis=0)  # Re, Im by .view
-    return np.array([W[:, 0].real.sum(), *moments.view(float), W[:, 0].real @ np.log(rho)])
+def _gauge_pairings(G: LaurentPolynomial, rho, mass) -> np.ndarray:
+    """``|G|^2 / <|G|^2, 1>`` paired under ``dA`` with the tests of ``_reproduced_values``
+    from ``G``'s coefficients: on a ring, ``|G|^2 z^k`` has angular mean ``rho^k s_k``,
+    ``s_k = sum_n a_n conj(a_{n+k})``, ``s_{-k} = conj(s_k)``, with ``a_n = c_n rho^n``
+    from ``ring_terms`` (``e^top`` times terms of modulus at most 1).  A trapezoid in
+    angle sums the same exactly only on more than ``2N + 8`` angles."""
+    s, two_top = np.zeros((rho.size, 9), dtype=complex), np.zeros(rho.size)
+    for k, ns, top, terms in G.ring_terms(rho):
+        a = np.zeros((len(terms), ns[-1] - ns[0] + 9), dtype=complex)  # 8 zeros past the top
+        a[:, ns - ns[0]] = terms
+        lagged = np.lib.stride_tricks.sliding_window_view(a.conj(), a.shape[1] - 8, axis=1)
+        s[k:k + len(a)] = np.einsum("rn,rkn->rk", a[:, :-8], lagged)
+        two_top[k:k + len(a)] = 2.0 * top[:, 0]
+    weight = mass * np.exp(two_top - two_top.max())  # the rings' e^{2 top}, relative
+    sk = np.where(_EXPONENTS > 0, s[:, np.abs(_EXPONENTS)], s[:, np.abs(_EXPONENTS)].conj())
+    moments = (weight[:, None] * rho[:, None]**_EXPONENTS * sk).sum(axis=0)  # Re, Im by .view
+    g = weight * s[:, 0].real
+    return np.array([g.sum(), *moments.view(float), g @ np.log(rho)]) / g.sum()
 
 
 def _reproduced_values(z0: complex) -> np.ndarray:
-    """The tests of ``_harmonic_pairings`` at ``z0``, in its order: what each pairs
-    to with ``H(., z0)``."""
+    """The tests 1, ``Re z^k``, ``Im z^k`` (k = 1, -1, ..., 8, -8) and ``log|z|`` at
+    ``z0``: what each pairs to with ``H(., z0)``."""
     return np.array([1.0, *(complex(z0)**_EXPONENTS).view(float), math.log(abs(z0))])
 
 
-def bergman_decomposition_residual(G, domain: AnnulusDomain, z0: complex,
-                                   m: int = 512) -> tuple[float, float, float]:
+def bergman_decomposition_residual(G: LaurentPolynomial, domain: AnnulusDomain,
+                                   z0: complex) -> tuple[float, float, float]:
     """``(lambda_1, residual, c0)``: fit ``<|G|^2 - H(., z0), u> ~ lambda_1 <nu_1, u>`` over
-    the tests ``u`` of ``_harmonic_pairings``, all on one area rule, ``G`` taken there to
-    the unit-norm gauge ``|G|^2 / sum(w |G|^2)``; ``<H(., z0), u> = u(z0)`` in closed
-    form (``_reproduced_values``).  Only ``log|z|`` pairs with ``nu_1``; the residual
-    is the largest unexplained pairing, which vanishes up to truncation because the
-    rest of ``|G|^2 - H`` annihilates harmonics.  ``c0`` is the rule's mean of
-    ``log|z|`` (``_defect_values``)."""
+    the tests ``u`` of ``_reproduced_values`` on the area rule's radii, ``|G|^2`` from its
+    coefficients (``_gauge_pairings``), ``<H(., z0), u> = u(z0)`` in closed form and
+    ``nu_1`` by ``_defect_pairings``.  The residual is the largest unexplained pairing,
+    which vanishes up to truncation because the rest of ``|G|^2 - H`` annihilates
+    harmonics."""
+    if not isinstance(G, LaurentPolynomial) or not G.coeffs.any():
+        raise ArgumentError(f"decomposition needs a nonzero LaurentPolynomial, got {G!r}")
     if not domain.contains(z0):
         raise GeometryError(f"decomposition base {z0} must be interior")
-    pts, w = area_quadrature(domain, m)
-    g2 = np.abs(ring_values(G, pts, m))**2
-    nu, c0 = _defect_values(pts, w)
-    ps, qs = (_harmonic_pairings(f, pts, w, m) for f in (g2 / np.sum(w * g2), nu))
-    ps -= _reproduced_values(z0)
+    rho, wr = radial_rule(domain)
+    mass = 2.0 * wr * rho  # each ring's share of dA
+    qs, c0 = _defect_pairings(rho, mass)
+    ps = _gauge_pairings(G, rho, mass) - _reproduced_values(z0)
     lam1 = float(ps @ qs / (qs @ qs))
     return lam1, float(np.max(np.abs(ps - lam1 * qs))), c0
 
@@ -106,24 +118,29 @@ def _polar_laplacian(rho, h: float, lo: int, T: int):
 
 def _clamped_apply(u, rho, h: float, lo: int):
     """The clamped operator on interior values ``u`` (rows ``lo..R-2``), matrix-free
-    in the dtype of ``u``: the polar Laplacian, angular links by ``np.roll``, first
-    with ``u = 0`` on the boundary rows, then with the ghost values ``2 u_adjacent
-    / h^2`` there.  On the disk (``lo = 0``) row -1 is row 0 turned by half a circle.
+    in the dtype of ``u``: the polar Laplacian twice, first with ``u = 0`` on the
+    boundary rows, then with the ghost values ``2 u_adjacent / h^2`` there, in place
+    on one buffer of rows ``lo-1..R-1`` whose first and last columns repeat the last
+    and first angles.  On the disk (``lo = 0``) row -1 is row 0 turned by half a circle.
     """
     T = u.shape[1]
     c_rr, c_r, c_tt = _polar_laplacian(rho, h, lo, T)
     c_r, c_tt = c_r[:, None], c_tt[:, None]
-
-    def lap(f):  # rows lo-1..R-1 in, rows lo..R-2 out
-        mid = f[1:-1]
-        return ((-2.0 * c_rr - 2.0 * c_tt) * mid + (c_rr + c_r) * f[2:] + (c_rr - c_r) * f[:-2]
-                + c_tt * (np.roll(mid, 1, axis=1) + np.roll(mid, -1, axis=1)))
-
-    def below(f, ring_row):
-        return np.roll(f[:1], T // 2, axis=1) if lo == 0 else ring_row
-    zero = np.zeros_like(u[:1])
-    v = lap(np.concatenate([below(u, zero), u, zero]))
-    return lap(np.concatenate([below(v, 2.0 * c_rr * u[:1]), v, 2.0 * c_rr * u[-1:]]))
+    centre, up, down = -2.0 * c_rr - 2.0 * c_tt, c_rr + c_r, c_rr - c_r
+    f = np.zeros((u.shape[0] + 2, T + 2), dtype=u.dtype)
+    mid, out, tmp = f[1:-1, 1:-1], np.empty_like(u), np.empty_like(u)
+    mid[...] = u
+    for ghost in (False, True):
+        if ghost:
+            mid[...], f[0, 1:-1], f[-1, 1:-1] = out, 2.0 * c_rr * u[0], 2.0 * c_rr * u[-1]
+        if lo == 0:
+            f[0, 1:-1] = mid[0, (np.arange(T) + T // 2) % T]
+        f[:, 0], f[:, -1] = f[:, -2], f[:, 1]
+        np.multiply(centre, mid, out=out)
+        out += np.multiply(up, f[2:, 1:-1], out=tmp)
+        out += np.multiply(down, f[:-2, 1:-1], out=tmp)
+        out += np.multiply(np.add(f[1:-1, :-2], f[1:-1, 2:], out=tmp), c_tt, out=tmp)
+    return out
 
 
 def _banded_solver(rho, h: float, lo: int, T: int):
@@ -212,7 +229,7 @@ def biharmonic_green(domain: AnnulusDomain | None, pole: complex,
     vmax = float(values.max())
     vmin = float(values.min())
     floor = -1e-6 * max(vmax, 0.0)
-    cells = tuple(map(tuple, np.argwhere(values < floor).tolist()))
+    cells = tuple(zip(*(k.tolist() for k in np.nonzero(values < floor))))
     warning = None
     if check_refinement:
         fine = biharmonic_green(domain, pole, 2 * n_rho, 2 * n_theta,

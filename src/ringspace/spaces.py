@@ -88,16 +88,21 @@ def boundary_quadrature(domain: AnnulusDomain, m: int):
     return pts, w
 
 
+def radial_rule(domain: AnnulusDomain):
+    """The Gauss-Legendre radii ``rho`` on ``[r, 1]`` and their weights ``wr`` in
+    ``d rho``: the radial rule of every area sum."""
+    r = domain.inner_radius
+    x, wx = _gauss_legendre(_GAUSS_RADIAL)
+    return 0.5 * (1.0 - r) * x + 0.5 * (1.0 + r), 0.5 * (1.0 - r) * wx
+
+
 def area_quadrature(domain: AnnulusDomain, m: int):
     """Points and weights for normalized area measure dA = dx dy / pi.
 
-    Tensor product of Gauss-Legendre in radius and trapezoid in angle;
+    Tensor product of ``radial_rule`` in radius and trapezoid in angle;
     weights include the polar metric factor rho.
     """
-    r = domain.inner_radius
-    x, wx = _gauss_legendre(_GAUSS_RADIAL)
-    rho = 0.5 * (1.0 - r) * x + 0.5 * (1.0 + r)
-    wr = 0.5 * (1.0 - r) * wx
+    rho, wr = radial_rule(domain)
     pts = ring_nodes(rho, m).ravel()
     wt = 2.0 * np.pi / m
     w = ((wr * rho)[:, None] * np.full(m, wt)[None, :]).ravel() / np.pi

@@ -12,10 +12,10 @@ least a different algorithm) than the library path it checks:
   search with pencil power-iteration polish, not by a packed eigensolver;
 * Gram matrices, the division pencil and the decomposition's harmonic
   pairings are dense Vandermonde products over every quadrature node, not
-  ring-wise FFT sums; the whole decomposition is also kept as it was first
-  written, on three area rules (the norm's, the pairings' and the one
-  ``nu_1 = log|z| - c0`` is computed on, ``c0`` that rule's mean of
-  ``log|z|``), with ``G`` scaled to unit norm beforehand
+  ring-wise FFT sums or lagged sums of Laurent coefficients; the whole
+  decomposition is also kept as it was first written, on three area rules
+  (the norm's, the pairings' and the one ``nu_1 = log|z| - c0`` is computed
+  on, ``c0`` that rule's mean of ``log|z|``), with ``G`` scaled to unit norm beforehand
   (``three_rule_decomposition``);
 * the harmonic reproducing kernel is assembled mode by mode from radial
   moments by adaptive quadrature and paired node by node
@@ -30,7 +30,9 @@ least a different algorithm) than the library path it checks:
 * the clamped biharmonic operator is one sparse matrix, assembled from a
   vectorized stencil table (``clamped_operator``) or entry by entry from a
   per-node five-point stencil (``loop_clamped_operator``), not applied
-  matrix-free and solved mode by mode after an FFT in angle; the mode-by-mode
+  matrix-free and solved mode by mode after an FFT in angle; applied
+  matrix-free, it takes angular links by ``np.roll`` on fresh row stacks
+  (``roll_clamped_apply``), not in place on one wrap-padded buffer; the mode-by-mode
   banded solve itself is kept as one ``scipy.linalg.solve_banded`` (``gbsv``)
   call per right-hand side (``gbsv_clamped_solve``), against the library's one
   ``gbtrf`` and a ``gbtrs`` per solve;
@@ -270,8 +272,10 @@ class HarmonicKernel:
 
 def dense_decomposition_pairings(G, domain, z0: complex, m: int):
     """The decomposition's pairings of ``|G|^2``, ``H(., z0)`` and ``nu_1`` node by
-    node: ``G`` and ``HarmonicKernel`` by their point calls, each test of
-    ``harmonic_test_family`` by dense powers of every area node."""
+    node on the area rule of ``m`` angles: ``G`` and ``HarmonicKernel`` by their
+    point calls, each test of ``harmonic_test_family`` by dense powers of every
+    area node.  For a window ``-N..N`` the trapezoid in angle is exact for
+    ``|G|^2 z^k`` (``|k| <= 8``) while ``2N + 8 < m``."""
     from ringspace.spaces import area_quadrature
     pts, w = area_quadrature(domain, m)
     values = [np.abs(np.asarray(G(pts), dtype=complex))**2,
@@ -484,13 +488,35 @@ def gbsv_clamped_solve(b, rho, h: float, lo: int):
     return np.fft.irfft((x @ [1.0, 1j]).reshape(-1, n).T, n=T, axis=1)
 
 
+def roll_clamped_apply(u, rho, h: float, lo: int):
+    """The clamped operator on interior values ``u`` (rows ``lo..R-2``), matrix-free
+    in the dtype of ``u``, each application on a fresh stack of rows: the polar
+    Laplacian with angular links by ``np.roll``, first with ``u = 0`` on the boundary
+    rows, then with the ghost values ``2 u_adjacent / h^2`` there.  On the disk
+    (``lo = 0``) row -1 is row 0 turned by half a circle."""
+    T = u.shape[1]
+    r_i, htheta = rho[lo:-1], 2.0 * np.pi / T
+    c_rr, c_r, c_tt = 1.0 / (h * h), 1.0 / (2.0 * h * r_i), 1.0 / (r_i * r_i * htheta * htheta)
+    c_r, c_tt = c_r[:, None], c_tt[:, None]
+
+    def lap(f):  # rows lo-1..R-1 in, rows lo..R-2 out
+        mid = f[1:-1]
+        return ((-2.0 * c_rr - 2.0 * c_tt) * mid + (c_rr + c_r) * f[2:] + (c_rr - c_r) * f[:-2]
+                + c_tt * (np.roll(mid, 1, axis=1) + np.roll(mid, -1, axis=1)))
+
+    def below(f, ring_row):
+        return np.roll(f[:1], T // 2, axis=1) if lo == 0 else ring_row
+    zero = np.zeros_like(u[:1])
+    v = lap(np.concatenate([below(u, zero), u, zero]))
+    return lap(np.concatenate([below(v, 2.0 * c_rr * u[:1]), v, 2.0 * c_rr * u[-1:]]))
+
+
 def two_gbsv_biharmonic(b, rho, h: float, lo: int):
     """``biharmonic_green``'s interior values for the load ``b``: a ``gbsv_clamped_solve``,
-    its residual against the matrix-free operator in ``longdouble``, and a second
+    its residual against ``roll_clamped_apply`` in ``longdouble``, and a second
     ``gbsv_clamped_solve`` for the correction."""
-    from ringspace.probes import _clamped_apply
     u = gbsv_clamped_solve(b, rho, h, lo)
-    refine = b - _clamped_apply(u.astype(np.longdouble), rho, h, lo)
+    refine = b - roll_clamped_apply(u.astype(np.longdouble), rho, h, lo)
     return u + gbsv_clamped_solve(refine.astype(float), rho, h, lo)
 
 

@@ -129,7 +129,6 @@ def test_rejected_geometry_exit_code():
     pytest.param(["blaschke", "--r", "0.5", "--zeros", "0.7", "--m", "0"], id="blaschke"),
     pytest.param(["singular", "--r", "0.5", "--m", "0"], id="singular"),
     pytest.param(["extremal", "--r", "0.5", "--m", "0"], id="extremal"),
-    pytest.param(["decomposition", "--r", "0.5", "--m", "0"], id="decomposition"),
 ])
 def test_too_few_boundary_nodes_exit_code(argv):
     result = run_cli(argv)
@@ -397,20 +396,26 @@ def test_remaining_command_surfaces():
 
 
 @pytest.mark.parametrize("zeros", [[], ["--zeros", "-0.6"]])
-def test_decomposition_builds_one_area_rule(monkeypatch, zeros):
-    # the gauge, the kernel values, nu_1 and c0 all come from one rule per call
-    from ringspace import probes, spaces
+def test_decomposition_evaluates_g_at_no_quadrature_node(monkeypatch, zeros):
+    # the gauge and every pairing of |G|^2 come from G's Laurent coefficients:
+    # no area rule is built and G is neither called nor summed on rings
+    from ringspace import spaces
+    from ringspace.laurent import LaurentPolynomial
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return spaces_rule(*args, **kwargs)
-    spaces_rule = spaces.area_quadrature
-    monkeypatch.setattr(spaces, "area_quadrature", counted)
-    monkeypatch.setattr(probes, "area_quadrature", counted)
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(spaces, "area_quadrature", counted("area_quadrature",
+                                                           spaces.area_quadrature))
+    for name in ("__call__", "on_rings"):
+        monkeypatch.setattr(LaurentPolynomial, name,
+                            counted(name, getattr(LaurentPolynomial, name)))
     doc = run_json(["decomposition", "--r", "0.5", "--base", "0.7", *zeros])
     assert doc["results"]["residual"] <= 1e-5
-    assert len(calls) == 1
+    assert calls == []
 
 
 # ------------------------------------------------------------ flag surface
@@ -443,7 +448,7 @@ FLAGS = {
     "qc-divisor": ["base", "zeros", "atoms", "N", "m", "seed", "trials"],
     "qc-estimate": ["base", "zeros", "N", "m", "undivided"],
     "schottky-fit": ["base", "zeros", "N", "m"],
-    "decomposition": ["base", "zeros", "N", "m"],
+    "decomposition": ["base", "zeros", "N"],
     "biharmonic": ["pole", "disk", "n_rho", "n_theta", "check_refinement", "grid_out"],
 }
 
@@ -462,7 +467,7 @@ def test_flag_surface():
     params = {p.name: p for p in cli.main.commands["kernel"].params}
     assert sorted(params["space"].type.choices) == ["arclength", "bergman", "hardy", "smirnov"]
     assert list(params["format"].type.choices) == ["json", "csv"]
-    assert sum(len(cli.main.commands[name].params) for name in FLAGS) == 117
+    assert sum(len(cli.main.commands[name].params) for name in FLAGS) == 116
 
 
 # Flags with no default: a document echoes them only when they are given.

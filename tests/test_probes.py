@@ -8,16 +8,16 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import ringspace as rs
-from ringspace.errors import ArgumentError, GeometryError, SolverError
-from ringspace.probes import (_banded_solver, _clamped_apply, _defect_values,
-                              _harmonic_pairings, _reproduced_values,
-                              bergman_decomposition_residual, biharmonic_green,
-                              log_radial_moment)
-from ringspace.spaces import area_quadrature, bergman_tag, norm as space_norm, ring_values
+from ringspace.errors import ArgumentError, GeometryError, RingspaceError, SolverError
+from ringspace.probes import (_banded_solver, _clamped_apply, _defect_pairings, _gauge_pairings,
+                              _reproduced_values, bergman_decomposition_residual,
+                              biharmonic_green, log_radial_moment)
+from ringspace.spaces import (area_quadrature, bergman_tag, norm as space_norm, radial_rule,
+                              ring_values)
 
 from oracles import (HarmonicKernel, clamped_factors, clamped_operator,
                      dense_decomposition_pairings, loop_clamped_operator,
-                     three_rule_decomposition, two_gbsv_biharmonic)
+                     roll_clamped_apply, three_rule_decomposition, two_gbsv_biharmonic)
 
 
 # ------------------------------------------- harmonic kernel (the oracle's)
@@ -65,14 +65,25 @@ def test_log_radial_moment_against_adaptive_quadrature():
     assert log_radial_moment(0.5) == pytest.approx(-0.6337007225202719, abs=1e-12)
 
 
+def _rings(dom):
+    """The decomposition's rings: ``radial_rule``'s radii and each ring's share of dA."""
+    rho, wr = radial_rule(dom)
+    return rho, 2.0 * wr * rho
+
+
 def test_defect_direction_is_orthogonal_to_analytic_parts(dom):
+    qs, c0 = _defect_pairings(*_rings(dom))
+    # nu_1 is radial: its pairings with Re, Im z^k are exactly 0, with 1 rounding
+    assert np.all(qs[1:-1] == 0.0)
+    assert qs[0] == pytest.approx(0.0, abs=1e-15)
+    # node by node on the area rule: the same pairings, and c0 its mean of log|z|
     pts, w = area_quadrature(dom, 512)
-    nv, c0 = _defect_values(pts, w)
-    assert np.sum(w * nv) == pytest.approx(0.0, abs=1e-12)
+    log_abs = np.log(np.abs(pts))
+    assert c0 == pytest.approx(np.sum(w * log_abs) / np.sum(w), abs=1e-15)
     for n in (1, 2, -3):
-        assert np.sum(w * nv * np.real(pts ** float(n))) == pytest.approx(0.0, abs=1e-12)
-    # the projection constant is the area mean of log|z|
-    assert c0 == pytest.approx(np.sum(w * np.log(np.abs(pts))) / np.sum(w))
+        pairing = np.sum(w * (log_abs - c0) * np.real(pts ** float(n)))
+        assert pairing == pytest.approx(0.0, abs=1e-12)
+    assert qs[-1] == pytest.approx(np.sum(w * (log_abs - c0) * log_abs), abs=1e-14)
 
 
 def test_decomposition_base_must_be_interior(dom):
@@ -84,8 +95,7 @@ def test_decomposition_base_must_be_interior(dom):
 def test_decomposition_of_kernel_direction(dom):
     K = rs.build_kernel(dom, bergman_tag(), 48)
     scale = math.sqrt(complex(K(0.7, 0.7)).real)
-    G0 = lambda z: np.asarray(K(z, 0.7)) / scale
-    lam1, residual, _ = bergman_decomposition_residual(G0, dom, 0.7, m=512)
+    lam1, residual, _ = bergman_decomposition_residual(K.section(0.7) * (1 / scale), dom, 0.7)
     assert abs(lam1) <= 1e-6
     assert residual <= 1e-6
 
@@ -95,8 +105,33 @@ def test_decomposition_of_one_zero_extremal(dom):
                            zeros=(-0.6,), truncation=48)
     G = rs.solve_extremal(p, m=512)
     Gn = G * (1.0 / space_norm(G, dom, bergman_tag()))
-    lam1, residual, _ = bergman_decomposition_residual(Gn, dom, 0.7, m=512)
+    lam1, residual, _ = bergman_decomposition_residual(Gn, dom, 0.7)
     assert residual <= 1e-5
+
+
+def test_decomposition_takes_only_a_laurent_polynomial(dom):
+    # the pairings come from G's coefficients: a plain callable has none, and a
+    # zero G has no unit-norm gauge
+    G = rs.build_kernel(dom, bergman_tag(), 32).section(0.7)
+    for bad in (lambda z: G(z), rs.LaurentPolynomial(-2, 2, np.zeros(5))):
+        with pytest.raises(ArgumentError):
+            bergman_decomposition_residual(bad, dom, 0.7)
+
+
+def _coefficient_pairings_against_dense(r, N, m, evaluator):
+    """The library's pairings of ``|G|^2`` (unit-norm gauge) and ``nu_1`` from ``G``'s
+    coefficients, and the dense oracle's on ``m`` angles, which is exact while
+    ``2N + 8 < m``; the oracle takes ``G``'s values by Horner (``plain``) or by one FFT
+    per ring (``on_rings``)."""
+    base = (r + 0.05) * np.exp(0.7j)  # 0.05 from the inner circle
+    dom = rs.make_annulus(r, base)
+    G = rs.build_kernel(dom, bergman_tag(), N).section(base)
+    values = G if evaluator == "plain" else (lambda z: ring_values(G, z, m))
+    got = np.array([_gauge_pairings(G, *_rings(dom)), _defect_pairings(*_rings(dom))[0]])
+    want = dense_decomposition_pairings(values, dom, base, m)[[0, 2]]  # row 1: H
+    want[0] /= want[0, 0]
+    assert got.shape == want.shape == (2, 34)
+    return got, want
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
@@ -104,18 +139,32 @@ def test_decomposition_of_one_zero_extremal(dom):
 @pytest.mark.parametrize("evaluator", ["on_rings", "plain"])
 def test_decomposition_pairings_match_the_dense_family(r, m, evaluator):
     # element by element: the residual alone cannot see the sign of the Im z^k
-    # rows, so a base off the real axis keeps them non-zero
-    base = (r + 0.05) * np.exp(0.7j)  # 0.05 from the inner circle
-    dom = rs.make_annulus(r, base)
-    section = rs.build_kernel(dom, bergman_tag(), 32).section(base)
-    G = section if evaluator == "on_rings" else (lambda z: section(z))
-    pts, w = area_quadrature(dom, m)
-    nu, _ = _defect_values(pts, w)
-    values = [np.abs(ring_values(G, pts, m))**2, nu]
-    got = np.array([_harmonic_pairings(f, pts, w, m) for f in values])
-    want = dense_decomposition_pairings(G, dom, base, m)[[0, 2]]  # row 1: H
-    assert got.shape == want.shape == (2, 34)
+    # rows, so a base off the real axis keeps them non-zero; the window is the
+    # widest the dense rule sums exactly (2N + 8 < m), 32 at most
+    got, want = _coefficient_pairings_against_dense(r, min(32, m // 2 - 8), m, evaluator)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N", [160, 320])
+def test_coefficient_pairings_match_the_dense_family_at_wide_windows(N):
+    # windows past the 512-angle rule's exact range (2N + 8 >= 512 at N = 320)
+    got, want = _coefficient_pairings_against_dense(0.5, N, 2048, "on_rings")
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("series", ["kernel", "flat"])
+def test_decomposition_at_a_small_inner_radius(series):
+    # r = 0.05, N = 300: z^-300 leaves the double range on the inner rings, but
+    # each ring's terms are scaled in log space, so the result is finite or the
+    # error typed, and no RuntimeWarning (an error under pytest) is raised
+    dom = rs.make_annulus(0.05, 0.5)
+    try:
+        G = (rs.build_kernel(dom, bergman_tag(), 300).section(0.5) if series == "kernel"
+             else rs.LaurentPolynomial(-300, 300, np.ones(601)))
+        result = bergman_decomposition_residual(G, dom, 0.5)
+    except RingspaceError:
+        return
+    assert np.all(np.isfinite(result))
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
@@ -132,8 +181,8 @@ def test_reproduced_values_match_the_dense_kernel_pairings(r):
 @pytest.mark.parametrize("r, base", [(0.5, 0.7), (0.3, 0.5 + 0.4j), (0.685, -0.733 - 0.031j)])
 @pytest.mark.parametrize("with_zero", [False, True])
 def test_one_rule_decomposition_matches_the_three_rule_oracle(r, base, with_zero):
-    # the gauge taken on the pairings' own rule moves lambda_1 and the residual
-    # by rounding only; c0 is the same sum on the same rule
+    # the gauge and the pairings from G's coefficients move lambda_1 and the
+    # residual by rounding only; c0 is the same mean on the same radii
     dom = rs.make_annulus(r, base)
     if with_zero:
         zero = -0.5j * (1.0 + r)  # midway across the ring
@@ -141,11 +190,11 @@ def test_one_rule_decomposition_matches_the_three_rule_oracle(r, base, with_zero
                                                  zeros=(zero,), truncation=48), m=512)
     else:
         G = rs.build_kernel(dom, bergman_tag(), 64).section(base)
-    lam1, residual, c0 = bergman_decomposition_residual(G, dom, base, m=512)
+    lam1, residual, c0 = bergman_decomposition_residual(G, dom, base)
     want = three_rule_decomposition(G, dom, base, 512)
     assert abs(lam1 - want[0]) <= 1e-13
     assert abs(residual - want[1]) <= 1e-13
-    assert c0 == want[2]
+    assert abs(c0 - want[2]) <= 1e-15  # c0 summed ring by ring, not node by node
 
 
 # ------------------------------------------------------------- biharmonic
@@ -236,6 +285,20 @@ def test_clamped_operator_matches_loop_assembly(disk, n_rho, n_theta):
     assert fast.shape == slow.shape
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(fast, part), getattr(slow, part))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["double", "longdouble"])
+@pytest.mark.parametrize("disk, n_rho, n_theta",
+                         OPERATOR_GRIDS + [(True, 256, 256), (False, 256, 256)])
+def test_clamped_apply_matches_the_roll_oracle_bit_for_bit(disk, n_rho, n_theta, dtype):
+    # in place on one wrap-padded buffer, the same operations in the same order
+    # as the np.roll / np.concatenate form, so the same bits
+    rho, h, lo = _grid(disk, n_rho)
+    u = np.random.default_rng(n_rho + n_theta).standard_normal((n_rho - 1 - lo, n_theta))
+    got = _clamped_apply(u.astype(dtype), rho, h, lo)
+    want = roll_clamped_apply(u.astype(dtype), rho, h, lo)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("disk, n_rho, n_theta", OPERATOR_GRIDS)

@@ -79,6 +79,30 @@ def test_only_spaces_reads_a_weight_fn():
     assert found == []
 
 
+def test_probes_builds_no_area_nodes():
+    # the decomposition pairs |G|^2 from G's coefficients on the area rule's
+    # radii: probes neither imports nor reads the area nodes or values on them
+    tree = ast.parse((SRC / "probes.py").read_text())
+    names = _read_names(tree) | {alias.asname or alias.name for node in ast.walk(tree)
+                                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                                 for alias in node.names}
+    assert sorted(names & {"area_quadrature", "ring_values"}) == []
+
+
+def test_only_spaces_builds_the_radial_rule():
+    # spaces.radial_rule is the one owner of the Gauss-Legendre radii that every
+    # area sum reads, so the radial rule changes in one place
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            allowed = {("spaces.py", "_gauss_legendre"): {"leggauss"},
+                       ("spaces.py", "radial_rule"): {"_gauss_legendre"}}.get(
+                           (path.name, getattr(top, "name", None)), set())
+            found += [f"{path.name}:{top.lineno} {name}" for name in
+                      sorted(_read_names(top) & {"leggauss", "_gauss_legendre"} - allowed)]
+    assert found == []
+
+
 def test_only_cli_passes_a_green_truncation():
     # green picks the truncation from its tail bound; no caller in the
     # library, the green subcommand included, passes one
