@@ -438,12 +438,14 @@ def _cmd_candidate_divisor(config: RunConfig):
     if len(config.zeros) != 1:
         raise click.UsageError("candidate-divisor needs exactly one zero in --zeros")
     domain = _domain(config)
-    N = max(config.N, 96)
-    cand = candidate_divisor(domain, config.zeros[0], N=N, m=config.m)
-    report = locate_zeros(cand, domain, 1)  # candidate_divisor counted it
+    cand = candidate_divisor(domain, config.zeros[0], N=config.N)
+    count = count_zeros(cand, domain, full_ring(domain))
+    if count != 1:
+        raise ArgumentError(f"candidate divisor has {count} ring zeros instead of 1")
+    report = locate_zeros(cand, domain, count)
     results = {
         "kernel_zero": _cnum(cand.kernel_zero),
-        "ring_zero_count": 1,
+        "ring_zero_count": count,
         "zero_location": _cnum(report.locations[0]),
         "zero_residual": report.residual,
         "inner_by_constant_modulus": verify_inner(cand, domain).passed,
@@ -476,8 +478,7 @@ def _cmd_qc_estimate(config: RunConfig):
     domain = _domain(config)
     z1 = config.zeros[0]
     undivided = config.undivided
-    N = max(config.N, 96)
-    cand = candidate_divisor(domain, z1, N=N, m=config.m)
+    cand = candidate_divisor(domain, z1, N=config.N)
     target = replace(cand, kernel_zero_factor=unit_inner(domain)) if undivided else cand
     report = quasicontract_estimate(target, z1, domain, m=config.m)
     changes = [abs(b[1] - a[1]) / b[1]
@@ -576,7 +577,7 @@ _COMMANDS = {
                  ("base", "zeros", "N", "m", "space")),
     "candidate-divisor": (_cmd_candidate_divisor,
                           "One-zero Bergman divisor candidate (kernel zero divided out).",
-                          ("base", "zeros", "N", "m")),
+                          ("base", "zeros", "N")),
     "qc-divisor": (_cmd_qc_divisor,
                    "Quasi-contractive divisor with boundary bounds and division ratios.",
                    ("base", "zeros", "atoms", "N", "m", "seed", "trials")),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ArgumentError, ConvergenceError, GeometryError, RingspaceError,
-                     SingularConstraintsError, SingularGramError)
+                     SingularConstraintsError, SingularGramError, ZeroOnContourError)
 from .geometry import AnnulusDomain, polar_grid
 from .inner import InnerFunctionSpec, blaschke_factor, capped_blaschke_factor
 from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, refined_solve
@@ -169,51 +169,50 @@ def repro_fact_check(G: LaurentPolynomial, p: ExtremalProblem, m: int = 512) -> 
 
 @dataclass(frozen=True)
 class CandidateDivisor:
-    """One-zero divisor candidate ``B_z1 * K_w(., z0) / B_kernel_zero``."""
+    """One-zero divisor candidate ``K_I(., z0) / B_kernel_zero``."""
 
     kernel_zero: complex
-    blaschke: InnerFunctionSpec             # B_z1
-    kernel_section: LaurentPolynomial       # K_w(., z0), z0 the base point; solved once
+    kernel_section: LaurentPolynomial       # K_I(., z0): zeros at z1 and kernel_zero
     kernel_zero_factor: InnerFunctionSpec   # B_kernel_zero
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        num = np.asarray(self.blaschke(z)) * np.asarray(self.kernel_section(z))
-        out = num / np.asarray(self.kernel_zero_factor(z))
+        out = np.asarray(self.kernel_section(z)) / np.asarray(self.kernel_zero_factor(z))
         return out if out.shape else complex(out)
 
     def on_rings(self, radii, m: int, turn: float = 0.0) -> np.ndarray:
         """Values at ``ring_nodes(radii, m, turn)``, every factor by one FFT per ring."""
-        num = (self.blaschke.on_rings(radii, m, turn)
-               * self.kernel_section.on_rings(radii, m, turn))
-        return num / self.kernel_zero_factor.on_rings(radii, m, turn)
+        return (self.kernel_section.on_rings(radii, m, turn)
+                / self.kernel_zero_factor.on_rings(radii, m, turn))
 
 
-def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96,
-                      m: int = 512) -> CandidateDivisor:
-    """Bergman divisor candidate vanishing only at ``z1``.
+def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96) -> CandidateDivisor:
+    """Bergman divisor candidate vanishing only at ``z1``: ``K_I(., z0) / B_w*``.
 
-    Counts the zeros of the ``|B_z1|^2``-weighted Bergman kernel section at the
-    base point (``ConvergenceError`` unless 1), locates that one and divides it
-    out by a Blaschke factor, leaving one ring zero at ``z1`` (counted again).
-    Windows below about 96 leave truncation zeros of the Gram-inverse kernel
-    hugging the boundary circles, which the counts would see.  The kernel zero
-    may lie nearer a circle than ``tail_truncation`` allows (5.7e-3 from the
-    unit circle at r = 0.416), so its factor is a ``capped_blaschke_factor``.
+    ``F = K_I(., z0)`` (``extremal_maximizer`` for ``I = {g : g(z1) = 0}``, diagonal
+    Gram) is ``B_z1`` times the ``|B_z1|^2``-weighted section up to a constant.
+    Its window is the first of ``max(N, 96) * (1, 2, 4, 8)`` where it counts 2 ring
+    zeros, ``z1`` and ``w*`` (short windows leave truncation zeros at the circles).
+    ``w*`` (the one zero of ``F / (z - z1)``) may hug a circle: its factor is capped.
     """
-    B = blaschke_factor(domain, z1)
-    section = build_kernel(domain, bergman_tag(weight_fn=B), N, m).section(domain.base_point)
-    n = count_zeros(section, domain, full_ring(domain))
-    if n != 1:
-        raise ConvergenceError(f"argument principle found {n} zeros where 1 were expected")
-    w_star = locate_zeros(section, domain, 1).locations[0]
-    cand = CandidateDivisor(kernel_zero=w_star, blaschke=B, kernel_section=section,
+    windows = [max(N, 96) * k for k in (1, 2, 4, 8)]
+    for window in windows:
+        F = extremal_maximizer(ExtremalProblem(domain, bergman_tag(), domain.base_point,
+                                               (z1,), window))
+        try:
+            count = count_zeros(F, domain, full_ring(domain))
+        except ZeroOnContourError as exc:
+            count = f"nothing ({exc})"
+        if count == 2:
+            break
+    else:
+        raise ConvergenceError(f"argument principle counted {count} where 2 ring zeros were "
+                               f"expected at windows {', '.join(map(str, windows))}")
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only at z = z1 exactly
+        w_star = locate_zeros(lambda z: F(z) / (np.asarray(z, dtype=complex) - z1),
+                              domain, 1).locations[0]
+    return CandidateDivisor(kernel_zero=w_star, kernel_section=F,
                             kernel_zero_factor=capped_blaschke_factor(domain, w_star))
-    ring_zeros = count_zeros(cand, domain, full_ring(domain))
-    if ring_zeros != 1:
-        raise ArgumentError(
-            f"candidate divisor has {ring_zeros} ring zeros instead of 1")
-    return cand
 
 
 def quasicontract_estimate(G, z1: complex, domain: AnnulusDomain,

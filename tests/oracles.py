@@ -6,7 +6,10 @@ least a different algorithm) than the library path it checks:
 * the Green's function comes from the reflection/product expansion, not from
   Fourier matching;
 * weighted kernels come from the subspace-deflation division formula, not
-  from Gram inversion;
+  from Gram inversion; conversely, the candidate divisor's section comes
+  from the ``|B_z1|^2``-weighted Gram times ``B_z1``
+  (``weighted_candidate_section``), not from projecting the diagonal
+  Bergman kernel off ``z1``;
 * monomial norms come from adaptive quadrature, not closed forms;
 * the operator-norm oracle maximizes Rayleigh quotients by seeded random
   search with pencil power-iteration polish, not by a packed eigensolver;
@@ -164,6 +167,25 @@ def deflated_weighted_kernel(K, B, z, w, z1):
     km = (np.asarray(K(z, w))
           - np.asarray(K(z, z1)) * complex(K(z1, w)) / complex(K(z1, z1)))
     return km / (np.asarray(B(z)) * np.conj(complex(B(w))))
+
+
+def weighted_candidate_section(domain, z1, N: int = 96, m: int = 512):
+    """``B_z1(z) K_B(z, z0)`` and its value at the base point ``z0``.
+
+    ``K_B`` is the ``|B_z1|^2``-weighted Bergman kernel, solved from the
+    weighted quadrature Gram.  ``f -> B_z1 f`` maps the weighted space
+    isometrically onto ``{g : g(z1) = 0}``, so the quotient of the two equals
+    ``K_I(z, z0) / K_I(z0, z0)`` for that subspace's kernel ``K_I``.
+    """
+    from ringspace.inner import blaschke_factor
+    from ringspace.kernels import build_kernel
+    from ringspace.spaces import bergman_tag
+
+    B = blaschke_factor(domain, z1)
+    section = build_kernel(domain, bergman_tag(weight_fn=B), N, m).section(domain.base_point)
+    z0 = domain.base_point
+    return (lambda z: np.asarray(B(z)) * np.asarray(section(z)),
+            complex(B(z0)) * complex(section(z0)))
 
 
 def equilibrated(G):

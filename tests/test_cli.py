@@ -260,7 +260,8 @@ def test_csv_format(tmp_path):
     assert any(line.startswith("c0,") for line in lines)
 
 
-# a divisor-ladder geometry whose candidate section has no ring zero: exit 4
+# a divisor-ladder geometry whose candidate divisor dips below 1e-10 on the
+# outer counting circle, so quasicontract_estimate cannot count it: exit 4
 QC_ESTIMATE_UNVERIFIED = ["qc-estimate", "--r", "0.6893046228590225",
                           "--base", "-0.6493103795246503+0.6351763126453396i",
                           "--zeros", "-0.29992573373215337+0.7047364954006582i"]
@@ -333,8 +334,8 @@ def test_qc_estimate_ladder_and_flags():
 
 
 def test_qc_estimate_without_a_kernel_zero_exits_unverified(tmp_path):
-    # the commonest qc-estimate failure of divisor-ladder seed 3: the
-    # weighted section has no ring zero, so there is nothing to divide out
+    # a divisor-ladder seed-3 geometry with no extra kernel zero: K_I(., z0)
+    # counts only z1 at every window, so there is nothing to divide out
     out = tmp_path / "doc.json"
     result = run_cli(["qc-estimate", "--r", "0.3942202296243591",
                       "--base", "0.6288790129871104+0.1797656040007157i",
@@ -343,12 +344,24 @@ def test_qc_estimate_without_a_kernel_zero_exits_unverified(tmp_path):
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, SCHEMA)
     assert doc["status"] == "unverified"
-    assert doc["results"]["error"] == "argument principle found 0 zeros where 1 were expected"
+    assert doc["results"]["error"] == ("argument principle counted 1 where 2 ring zeros "
+                                       "were expected at windows 96, 192, 384, 768")
+
+
+def test_qc_estimate_divides_a_kernel_zero_the_weighted_section_missed():
+    # divisor-ladder seed 3: the |B_z1|^2-weighted section at N=96 did not
+    # count the one zero this needs (exit 4); K_I(., z0) counts z1 and w*
+    doc = run_json(["qc-estimate", "--r", "0.5894741329579944",
+                    "--base", "-0.2284037034622797+0.6604280890536979i",
+                    "--zeros", "-0.6485426130930246+0.4054512737015564i"])
+    assert doc["status"] == "ok"
+    assert doc["results"]["flags"] == ""
 
 
 @pytest.mark.parametrize("argv, passes", [
     (["kernel-zeros", "--r", "0.5", "--base", "0.7"], 2),            # the section
     (["candidate-divisor", "--r", "0.6", "--zeros", "0.8"], 4),      # section, candidate
+    (["qc-estimate", "--r", "0.5", "--base", "0.6", "--zeros", "0.8"], 4),  # the same
 ])
 def test_each_function_is_counted_once(monkeypatch, argv, passes):
     # a count is one winding pass per circle; locating reuses the count
@@ -444,7 +457,7 @@ FLAGS = {
     "kernel": ["base", "N", "m", "space", "grid_out"],
     "kernel-zeros": ["base", "N", "m", "space"],
     "extremal": ["base", "zeros", "N", "m", "space"],
-    "candidate-divisor": ["base", "zeros", "N", "m"],
+    "candidate-divisor": ["base", "zeros", "N"],
     "qc-divisor": ["base", "zeros", "atoms", "N", "m", "seed", "trials"],
     "qc-estimate": ["base", "zeros", "N", "m", "undivided"],
     "schottky-fit": ["base", "zeros", "N", "m"],
@@ -467,7 +480,7 @@ def test_flag_surface():
     params = {p.name: p for p in cli.main.commands["kernel"].params}
     assert sorted(params["space"].type.choices) == ["arclength", "bergman", "hardy", "smirnov"]
     assert list(params["format"].type.choices) == ["json", "csv"]
-    assert sum(len(cli.main.commands[name].params) for name in FLAGS) == 116
+    assert sum(len(cli.main.commands[name].params) for name in FLAGS) == 115
 
 
 # Flags with no default: a document echoes them only when they are given.

@@ -12,7 +12,7 @@ from ringspace.kernels import build_kernel, count_zeros, locate_zeros
 from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import bergman_tag, hardy_tag, norm as space_norm, quadrature_for, smirnov_tag
 
-from oracles import division_grams, equilibrated, rayleigh_maximize
+from oracles import division_grams, equilibrated, rayleigh_maximize, weighted_candidate_section
 
 EXTREMAL_NORM_FIXTURE = 0.3085661677610915  # A2, r=0.5, z0=0.7, z1=-0.7, from N=96
 
@@ -257,6 +257,45 @@ def test_candidate_divisor_kernel_zero_moves_continuously(dom06):
     assert all(np.isfinite(s) for s in steps)
 
 
+@pytest.mark.parametrize("r, base, z1", [(0.6, 0.75 + 0.1j, -0.8 + 0.1j),
+                                         (0.416, 0.6 + 0.2j, -0.5 + 0.3j),
+                                         (0.5, 0.7, -0.6j)])
+def test_candidate_section_is_the_weighted_section_times_blaschke(r, base, z1):
+    # f -> B f maps A^2(|B|^2) onto {g : g(z1) = 0}, so B(z) K_B(z, z0) is
+    # K_I(z, z0) up to a constant; away from z1, where the quotient is 0/0
+    dom = rs.make_annulus(r, base)
+    F = rs.candidate_divisor(dom, z1, N=96).kernel_section
+    assert F.hi == 96
+    weighted, at_base = weighted_candidate_section(dom, z1, N=96)
+    pts = polar_grid(dom, 32)
+    pts = pts[np.abs(pts - z1) > 1e-3]
+    expected = weighted(pts) / at_base
+    error = np.max(np.abs(F(pts) / complex(F(base)) - expected)) / np.max(np.abs(expected))
+    assert error <= 1e-12
+
+
+def test_candidate_divisor_with_z1_on_a_zero_scan_node():
+    # locate_zeros scans F / (z - z1) on a polar grid; a z1 exactly on a node
+    # is 0/0 there, which must neither warn nor become the located zero
+    dom = rs.make_annulus(0.5, 0.7)
+    ring = rs.full_ring(dom)
+    z1 = complex(np.linspace(ring[0], ring[1], rs.kernels._LOCATE_GRID)[40])
+    cand = rs.candidate_divisor(dom, z1)
+    assert abs(cand.kernel_zero - z1) > 0.1
+    assert count_zeros(cand, dom, ring) == 1
+
+
+def test_candidate_window_doubles_until_the_section_counts_two():
+    # divisor-ladder seed 7: K_I(., z0) counts 5 ring zeros at N=96, 2 at 192
+    dom = rs.make_annulus(0.560697285196115, 0.27731628680196196 + 0.7083348717224514j)
+    z1 = -0.451470698858297 + 0.43829329018082147j
+    F96 = rs.extremal_maximizer(rs.ExtremalProblem(dom, bergman_tag(), dom.base_point, (z1,), 96))
+    assert count_zeros(F96, dom, rs.full_ring(dom)) == 5
+    cand = rs.candidate_divisor(dom, z1)
+    assert cand.kernel_section.hi == 192
+    assert count_zeros(cand.kernel_section, dom, rs.full_ring(dom)) == 2
+
+
 # ------------------------------------------------------- operator-norm probe
 
 def test_quasicontract_sanity_against_random_search(dom06):
@@ -331,12 +370,7 @@ def test_quasicontract_ladder_monotone_and_deterministic(dom06):
 
 def test_quasicontract_flags_extraneous_zero(dom06):
     cand = rs.candidate_divisor(dom06, 0.8)
-
-    def raw(z):
-        z = np.asarray(z, dtype=complex)
-        return np.asarray(cand.blaschke(z)) * np.asarray(cand.kernel_section(z))
-
-    report = rs.quasicontract_estimate(raw, 0.8, dom06, m=512)
+    report = rs.quasicontract_estimate(cand.kernel_section, 0.8, dom06, m=512)
     assert "EXTRANEOUS_ZERO" in report.notes
     assert len(report.zero_locations_of_kernel) == 1
     assert report.zero_locations_of_kernel[0] == pytest.approx(cand.kernel_zero, abs=1e-6)

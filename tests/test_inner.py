@@ -445,7 +445,7 @@ def test_inner_spec_on_rings_near_the_outer_circle(dom, quadrature):
 
 @pytest.mark.parametrize("quadrature", ["area", "boundary"])
 def test_candidate_divisor_on_rings(dom06, quadrature):
-    cand = rs.candidate_divisor(dom06, -0.7, N=96, m=512)
+    cand = rs.candidate_divisor(dom06, -0.7, N=96)
     quad = area_quadrature if quadrature == "area" else boundary_quadrature
     pts, _ = quad(dom06, 512)
     _assert_on_rings_matches_pointwise(cand, pts, 512)
@@ -461,7 +461,7 @@ def test_on_rings_turn_matches_rotated_points(dom06, turn):
     f = LaurentPolynomial(-300, 300, (rng.standard_normal(601) + 1j * rng.standard_normal(601))
                           * scale)
     B = rs.blaschke_factor(dom06, 0.99 * np.exp(0.3j))
-    cand = rs.candidate_divisor(dom06, -0.7, N=96, m=m)
+    cand = rs.candidate_divisor(dom06, -0.7, N=96)
     pts = (radii[:, None] * np.exp(2j * np.pi * np.arange(m) / m) * np.exp(1j * turn)).ravel()
     for g in (f, B, cand):
         with warnings.catch_warnings():

@@ -128,6 +128,20 @@ def test_locate_zeros_does_not_count():
     assert found == []
 
 
+def test_candidate_divisor_builds_no_weighted_kernel():
+    # the candidate is K_I(., z0) on the diagonal Bergman Gram; the weighted
+    # Gram route stays only where it checks that identity
+    tree = ast.parse((SRC / "extremal.py").read_text())
+    candidate = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "candidate_divisor")
+    found = [f"extremal.py:{node.lineno} {ast.unparse(node)}" for node in ast.walk(candidate)
+             if isinstance(node, ast.Call)
+             and ({"blaschke_factor", "build_kernel"} & {getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)}
+                  or any(k.arg == "weight_fn" for k in node.keywords))]
+    assert found == []
+
+
 def _config_reads(tree) -> dict[str, set[str]]:
     """Per module-level function: the ``config.<flag>`` attributes it reads,
     itself or through the module's functions it calls (``_domain``,
