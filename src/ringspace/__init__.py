@@ -15,7 +15,7 @@ from .errors import (ArgumentError, BlaschkeDivergenceError, ConvergenceError,
 from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, make_annulus
 from .harmonic import (GreenFunction, HarmonicRepresentation, analytic_completion,
                        conjugate_period, green, harmonic_measure, measure_density,
-                       point_mass_kernel, schottky, solve_dirichlet)
+                       schottky, solve_dirichlet)
 from .laurent import LaurentPolynomial, to_laurent
 from .spaces import (SpaceKind, SpaceTag, bergman_tag, gram_matrix, hardy_tag,
                      inner_product, log_monomial_norms, monomial_norms, norm,

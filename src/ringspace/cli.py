@@ -35,7 +35,7 @@ from .geometry import (INNER, OUTER, AnnulusDomain, boundary_angles, boundary_no
 from .harmonic import conjugate_period, green, harmonic_measure
 from .inner import (AtomicSingularMeasure, ZeroSet, blaschke_product,
                     division_bound_check, qc_divisor, schottky_fit, singular_inner,
-                    unit_inner, verify_inner)
+                    verify_inner)
 from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, reproduce_check
 from .laurent import LaurentPolynomial
 from .extremal import (ExtremalProblem, candidate_divisor,
@@ -361,9 +361,12 @@ def _cmd_blaschke(config: RunConfig):
 def _cmd_singular(config: RunConfig):
     domain = _domain(config)
     mu = AtomicSingularMeasure(atoms=config.atoms)
-    S = singular_inner(domain, mu, N=config.N)
+    S = singular_inner(domain, mu)
     results = _inner_spec_results(S, domain, config.m)
-    results["ring_zero_count"] = count_zeros(S, domain, full_ring(domain))
+    # The atom factors wind 0 on every circle inside the ring but underflow next
+    # to their atoms on full_ring's counting circles, so the count leaves them out.
+    atom_free = replace(S, singular=AtomicSingularMeasure.empty())
+    results["ring_zero_count"] = count_zeros(atom_free, domain, full_ring(domain))
     results["atom_count"] = len(config.atoms)
     return results, None, {"period": 1e-8}, None
 
@@ -371,8 +374,7 @@ def _cmd_singular(config: RunConfig):
 def _cmd_inner_verify(config: RunConfig):
     domain = _domain(config)
     spec, _ = qc_divisor(domain, ZeroSet(points=config.zeros),
-                         AtomicSingularMeasure(atoms=config.atoms),
-                         N=config.N)
+                         AtomicSingularMeasure(atoms=config.atoms))
     return _inner_spec_results(spec, domain, config.m), None, {"modulus": 1e-6}, None
 
 
@@ -456,7 +458,7 @@ def _cmd_candidate_divisor(config: RunConfig):
 def _cmd_qc_divisor(config: RunConfig):
     domain = _domain(config)
     G, C = qc_divisor(domain, ZeroSet(points=config.zeros),
-                      AtomicSingularMeasure(atoms=config.atoms), N=config.N)
+                      AtomicSingularMeasure(atoms=config.atoms))
     mods = np.abs(G(boundary_nodes(domain, config.m)))
     bound = division_bound_check(G, C, domain, trials=config.trials, seed=config.seed,
                                  m=config.m)
@@ -475,18 +477,16 @@ def _cmd_qc_divisor(config: RunConfig):
 def _cmd_qc_estimate(config: RunConfig):
     if len(config.zeros) != 1:
         raise click.UsageError("qc-estimate needs exactly one zero in --zeros")
-    domain = _domain(config)
-    z1 = config.zeros[0]
-    undivided = config.undivided
+    domain, z1 = _domain(config), config.zeros[0]
     cand = candidate_divisor(domain, z1, N=config.N)
-    target = replace(cand, kernel_zero_factor=unit_inner(domain)) if undivided else cand
+    target = cand.kernel_section if config.undivided else cand
     report = quasicontract_estimate(target, z1, domain, m=config.m)
     changes = [abs(b[1] - a[1]) / b[1]
                for a, b in zip(report.per_truncation, report.per_truncation[1:])]
     results = {
         "constant_estimate": report.constant_estimate,
         "kernel_zero": _cnum(cand.kernel_zero),
-        "undivided": undivided,
+        "undivided": config.undivided,
         "flags": report.notes,
         "extraneous_zeros": [_cnum(z) for z in report.zero_locations_of_kernel],
         "ladder_relative_changes": changes,
@@ -564,10 +564,10 @@ _COMMANDS = {
     "blaschke": (_cmd_blaschke, "Generalized Blaschke product over the given zeros.",
                  ("base", "zeros", "m")),
     "singular": (_cmd_singular, "Singular inner function driven by boundary atoms.",
-                 ("base", "atoms", "N", "m")),
+                 ("base", "atoms", "m")),
     "inner-verify": (_cmd_inner_verify,
                      "Constant-modulus verification of the inner function built from flags.",
-                     ("base", "zeros", "atoms", "N", "m")),
+                     ("base", "zeros", "atoms", "m")),
     "kernel": (_cmd_kernel, "Reproducing kernel diagnostics at the base point.",
                ("base", "N", "m", "space", "grid_out")),
     "kernel-zeros": (_cmd_kernel_zeros,
@@ -580,7 +580,7 @@ _COMMANDS = {
                           ("base", "zeros", "N")),
     "qc-divisor": (_cmd_qc_divisor,
                    "Quasi-contractive divisor with boundary bounds and division ratios.",
-                   ("base", "zeros", "atoms", "N", "m", "seed", "trials")),
+                   ("base", "zeros", "atoms", "m", "seed", "trials")),
     "qc-estimate": (_cmd_qc_estimate,
                     "Operator-norm ladder for division by the candidate divisor.",
                     ("base", "zeros", "N", "m", "undivided")),

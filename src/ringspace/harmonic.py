@@ -4,8 +4,8 @@ A harmonic function on the ring splits into angular modes; each nonzero mode
 ``n`` is a combination ``Re[(A_n rho^n + B_n rho^-n) e^{i n theta}]`` and the
 zero mode is ``c0 + clog * log(rho)``.  Matching Fourier data on the two
 circles gives one uniform Dirichlet solver that realizes everything built
-here: harmonic measures, Green's functions, Poisson-type point-mass kernels,
-Schottky functions, and analytic completions whose one multi-valued term,
+here: harmonic measures, Green's functions, the smooth corrections of singular
+atoms, Schottky functions, and analytic completions whose one multi-valued term,
 ``clog * log z``, carries the whole conjugate period.
 
 Mode coefficients are stored in the scaled form ``Bhat_n = B_n r^{-n}`` so the
@@ -269,24 +269,3 @@ def analytic_completion(h: HarmonicRepresentation) -> LaurentPolynomial:
         coeffs[n] = coeffs.get(n, 0.0) + a
         coeffs[-n] = coeffs.get(-n, 0.0) + np.conj(bh) * r**float(n)
     return LaurentPolynomial.from_dict(coeffs)
-
-
-def point_mass_kernel(domain: AnnulusDomain, component: int, angle: float,
-                      N: int = 64) -> HarmonicRepresentation:
-    """Truncated Poisson-type kernel for a unit point mass on one circle.
-
-    Returns the harmonic function ``p`` with boundary data ``2 pi *
-    delta(theta - angle)`` on the chosen circle and 0 on the other, truncated
-    at frequency ``N``; then ``(1/2pi) integral f(t) p(z; t) dt`` is the
-    harmonic extension of boundary data ``f`` supported on that circle.  The
-    density of harmonic measure w.r.t. arclength on the carrier circle is
-    ``p / (2 pi rho)``.
-    """
-    ns = np.arange(-N, N + 1, dtype=float)
-    data = np.exp(-1j * ns * angle)
-    zero = np.zeros(2 * N + 1, dtype=complex)
-    if component == OUTER:
-        return solve_dirichlet(domain, data, zero, N)
-    if component == INNER:
-        return solve_dirichlet(domain, zero, data, N)
-    raise ArgumentError(f"component index must be 1 or 2, got {component}")

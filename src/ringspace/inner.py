@@ -3,15 +3,16 @@ functions, period removal, verification, and quasi-contractive divisors.
 
 Every constructed inner function is held in closed multiplicative form
 
-    f(z) = z^power * exp(series(z)) * prod_j (z - a_j),
+    f(z) = z^power * exp(series(z)) * prod_k exp(s_k H_k(z)) * prod_j (z - a_j),
 
-where ``series`` is a truncated Laurent series collecting the analytic
-completions of the Green correctors, point-mass kernels, and the period
-remover.  Choosing the removal exponent ``lambda`` on the lattice
-``log(1/r) * Z`` makes the log-term coefficient an exact integer, which is
-the ``z^power`` factor; single-valuedness is then structural.  One helper,
-``_close_period``, picks ``lambda`` and ``power`` for every constructed
-function and checks the closed-form period residual against ``power``.
+where ``H_k`` is singular atom ``k``'s closed-form disk Herglotz kernel and
+``series`` a truncated Laurent series collecting the analytic completions of
+the Green correctors, the atoms' smooth corrections and the period remover.
+Choosing the removal exponent ``lambda`` on the lattice ``log(1/r) * Z``
+makes the log-term coefficient an exact integer, which is the ``z^power``
+factor; single-valuedness is then structural.  One helper, ``_close_period``,
+picks ``lambda`` and ``power`` for every constructed function and checks the
+closed-form period residual against ``power``.
 
 A factor with zero ``a`` uses ``lambda = log(1/r) * omega_2(a)``, the minimal
 representative in ``(0, log(1/r)]``; its boundary modulus is ``1`` on the
@@ -30,8 +31,7 @@ from .errors import (ArgumentError, BlaschkeDivergenceError, ConvergenceError,
                      GeometryError, PeriodError)
 from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, polar_grid, ring_nodes
 from .harmonic import (TRUNCATION_CAP, _log_kernel_data, analytic_completion, green,
-                       harmonic_measure, point_mass_kernel, schottky, solve_dirichlet,
-                       tail_truncation)
+                       harmonic_measure, schottky, solve_dirichlet, tail_truncation)
 from .laurent import LaurentPolynomial
 from .spaces import (boundary_quadrature, hardy_tag, log_monomial_norms, quadrature_for,
                      ring_values, smirnov_tag)
@@ -41,6 +41,8 @@ _DIVISION_WINDOW = 8   # random Laurent h of division_bound_check: z^-8..z^8
 _LAZY_FACTORS = 500    # a lazy blaschke_product that has not settled by then diverges
 _LAZY_TOL = 1e-8       # a lazy product has settled once a factor moves it less than this
 _DIVERGENCE_BOUND = 20.0  # partial sum of g(z_j, z0) past which a lazy product diverges
+_ATOM_TAIL = 1e-16     # an atom's correction runs to the first N with r^N <= this
+_AT_ATOM = 1e-12       # a point this close to an atom takes its factor's radial limit
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,24 @@ def _atom_component(domain: AnnulusDomain, point: complex) -> int:
     raise GeometryError(f"singular atom {point} is not on the boundary")
 
 
+def _atom_factor(domain: AnnulusDomain, zeta: complex, mass: float, z: np.ndarray):
+    """``exp(s H(z))`` of an atom: ``H = (zeta + z)/(zeta - z)``, ``s = mass/2pi`` on the
+    outer circle, ``H = (z + zeta)/(z - zeta)``, ``s = mass/(2 pi r)`` on the inner; ``Re H``
+    is the disk Poisson kernel.  Within ``_AT_ATOM`` of the atom (rounding puts ring
+    nodes there) the factor is its radial limit: 0, or 1 for mass 0."""
+    diff = zeta - z
+    near = np.abs(diff) <= _AT_ATOM
+    # the inner circle's H is -(zeta + z)/(zeta - z), so its s takes the sign
+    s = mass / (2.0 * np.pi) * (1.0 if _atom_component(domain, zeta) == OUTER
+                                else -1.0 / domain.inner_radius)
+    w = s * (zeta + z) / np.where(near, 1.0, diff)
+    # Re w <= 0 on the closed ring: a node rounded just outside it must not overflow
+    return np.where(near, float(mass == 0.0), np.exp(w - np.maximum(w.real, 0.0)))
+
+
 @dataclass(frozen=True)
 class InnerFunctionSpec:
-    """Closed-form inner function ``z^power * exp(series) * prod (z - a_j)``."""
+    """Closed-form inner function ``z^power exp(series) prod exp(s_k H_k) prod (z - a_j)``."""
 
     domain: AnnulusDomain
     zeros: tuple[complex, ...]
@@ -118,6 +135,8 @@ class InnerFunctionSpec:
             out = out * z**self.power
         for a in self.zeros:
             out = out * (z - a)
+        for zeta, mass in self.singular.atoms:
+            out = out * _atom_factor(self.domain, zeta, mass, z)
         return out
 
 
@@ -275,30 +294,33 @@ def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet) -> InnerFunctionSpec
     return product
 
 
-def singular_inner(domain: AnnulusDomain, mu: AtomicSingularMeasure,
-                   N: int = 64) -> InnerFunctionSpec:
+def singular_inner(domain: AnnulusDomain, mu: AtomicSingularMeasure) -> InnerFunctionSpec:
     """Zero-free inner function driven by a non-positive atomic measure.
 
-    Exponent ``(1/2pi) sum_k m_k (P_k + i conj(P_k)) + lambda (omega_1 + i conj)``
-    where ``P_k = -dg/dn_zeta(., zeta_k)`` is the positive Poisson-type kernel
-    of the atom (the truncated point-mass solve), so non-positive masses pull
-    the modulus down toward the atoms and ``|S|`` is locally constant on each
-    circle away from them.  ``lambda`` in ``(0, log(1/r)]`` cancels the
-    atoms' summed period (``_close_period``); with no atoms this forces
+    Atom ``k`` adds ``s_k (H_k + h_k)`` to the exponent: the spec keeps the
+    closed-form factor ``exp(s_k H_k)`` (``_atom_factor``) and ``series`` the
+    completion of the smooth correction ``h_k``, the Dirichlet solution with data
+    ``-r^|n| e^{-in arg zeta_k}`` (cancelling ``Re H_k``) on the far circle and 0
+    on the atom's own, up to ``r^N <= _ATOM_TAIL`` (``ConvergenceError`` past
+    ``TRUNCATION_CAP``, r above about 0.991).  Non-positive masses pull ``|S|``
+    down toward the atoms; it is constant on each circle away from them.
+    ``lambda`` in ``(0, log(1/r)]`` cancels the summed period (``_close_period``;
+    each ``h_k`` has log coefficient exactly ``-+1/log r``); with no atoms
     ``lambda = log(1/r)`` and the result is the invertible inner function ``z / r``.
-
-    Atoms must stay off the quadrature nodes used later for evaluation; shift
-    the nodes otherwise.
     """
     r = domain.inner_radius
-    series = LaurentPolynomial.constant(0.0)
-    clog_total = 0.0
+    N = math.ceil(math.log(_ATOM_TAIL) / math.log(r))
+    series, clog_total = LaurentPolynomial.constant(0.0), 0.0
     for point, mass in mu.atoms:
-        component = _atom_component(domain, point)
-        scale = mass / (2.0 * np.pi) * (1.0 if component == OUTER else 1.0 / r)
-        kernel = point_mass_kernel(domain, component, float(np.angle(point)) % (2 * np.pi), N)
-        series = series + analytic_completion(kernel) * scale
-        clog_total += kernel.clog * scale
+        if N > TRUNCATION_CAP:
+            raise ConvergenceError(f"atom correction window past the cap N = {TRUNCATION_CAP}")
+        ns = np.arange(-N, N + 1)
+        far, zero = -r ** np.abs(ns) * np.exp(-1j * ns * np.angle(point)), np.zeros(2 * N + 1)
+        outer = _atom_component(domain, point) == OUTER
+        scale = mass / (2.0 * np.pi) * (1.0 if outer else 1.0 / r)
+        correction = solve_dirichlet(domain, *((zero, far) if outer else (far, zero)), N)
+        series = series + analytic_completion(correction) * scale
+        clog_total += correction.clog * scale
     lam, power, residual = _close_period(domain, clog_total)
     series = series + LaurentPolynomial.constant(lam)
     spec = InnerFunctionSpec(domain=domain, zeros=(), singular=mu,
@@ -366,8 +388,7 @@ def schottky_fit(f: Callable, domain: AnnulusDomain, m: int = 512) -> tuple[floa
 
 
 def qc_divisor(domain: AnnulusDomain, zeros: ZeroSet | None = None,
-               mu: AtomicSingularMeasure | None = None,
-               N: int = 64) -> tuple[InnerFunctionSpec, float]:
+               mu: AtomicSingularMeasure | None = None) -> tuple[InnerFunctionSpec, float]:
     """Quasi-contractive divisor ``G = B_Z * S_mu`` and its domain constant.
 
     With the combined removal exponent reduced into one period cell
@@ -376,9 +397,7 @@ def qc_divisor(domain: AnnulusDomain, zeros: ZeroSet | None = None,
     """
     zeros = zeros if zeros is not None else ZeroSet(points=())
     mu = mu if mu is not None else AtomicSingularMeasure.empty()
-    B = blaschke_product(domain, zeros)
-    S = singular_inner(domain, mu, N=N)
-    G = multiply(B, S)
+    G = multiply(blaschke_product(domain, zeros), singular_inner(domain, mu))
     return G, 1.0 / domain.inner_radius
 
 

@@ -40,7 +40,11 @@ least a different algorithm) than the library path it checks:
   call per right-hand side (``gbsv_clamped_solve``), against the library's one
   ``gbtrf`` and a ``gbtrs`` per solve;
 * grid-local minima of the zero search come from eight shifted copies of the
-  grid, not from one sliding 3x3 window.
+  grid, not from one sliding 3x3 window;
+* a singular atom's kernel comes from one Dirichlet solve of the Dirichlet
+  kernel cut off at ``N`` (``point_mass_kernel``), completed into the series
+  (``truncated_singular_inner``), not from the closed-form Herglotz factor
+  plus a smooth correction.
 """
 
 from __future__ import annotations
@@ -49,6 +53,12 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from ringspace.geometry import INNER, OUTER
+from ringspace.harmonic import analytic_completion, solve_dirichlet
+from ringspace.inner import (AtomicSingularMeasure, InnerFunctionSpec, _close_period,
+                             _normalize_phase)
+from ringspace.laurent import LaurentPolynomial
 
 
 def prime_product(zeta, r: float, terms: int = 80):
@@ -591,3 +601,41 @@ def loop_local_minima(vals):
                 neighbor = shifted
             is_min &= vals <= neighbor
     return is_min
+
+
+def point_mass_kernel(domain, component: int, angle: float, N: int = 64):
+    """Truncated Poisson-type kernel for a unit point mass on one circle.
+
+    The harmonic function with Fourier data ``e^{-in angle}``, ``|n| <= N``
+    (``2 pi delta(theta - angle)`` cut off at ``N``) on the chosen circle and 0
+    on the other; ``(1/2pi) integral f(t) p(z; t) dt`` is then the harmonic
+    extension of boundary data ``f`` supported on that circle, up to the cut.
+    """
+    ns = np.arange(-N, N + 1, dtype=float)
+    data = np.exp(-1j * ns * angle)
+    zero = np.zeros(2 * N + 1, dtype=complex)
+    if component == OUTER:
+        return solve_dirichlet(domain, data, zero, N)
+    return solve_dirichlet(domain, zero, data, N)
+
+
+def truncated_singular_inner(domain, mu, N: int):
+    """``singular_inner``'s function with each atom's whole kernel the truncated
+    ``point_mass_kernel``, completed into the series (no atom factors).  Its
+    Gibbs error near the atoms decays only like ``1/N``; inside the ring it
+    converges like ``max(rho, r/rho)^N``.
+    """
+    r = domain.inner_radius
+    series, clog = LaurentPolynomial.constant(0.0), 0.0
+    for point, mass in mu.atoms:
+        component = OUTER if abs(abs(point) - 1.0) <= 1e-9 else INNER
+        scale = mass / (2.0 * np.pi) * (1.0 if component == OUTER else 1.0 / r)
+        kernel = point_mass_kernel(domain, component, float(np.angle(point)) % (2 * np.pi), N)
+        series = series + analytic_completion(kernel) * scale
+        clog += kernel.clog * scale
+    lam, power, residual = _close_period(domain, clog)
+    spec = InnerFunctionSpec(domain=domain, zeros=(), singular=AtomicSingularMeasure.empty(),
+                             lam=lam, power=power,
+                             series=series + LaurentPolynomial.constant(lam),
+                             period_residual=residual)
+    return _normalize_phase(spec, complex(spec(domain.base_point)))

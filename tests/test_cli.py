@@ -1,5 +1,6 @@
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -13,7 +14,8 @@ from ringspace.errors import ConvergenceError
 
 from oracles import node_measure_quadrature
 
-SCHEMA = json.loads((Path(__file__).parent.parent / "results.schema.json").read_text())
+ROOT = Path(__file__).parent.parent
+SCHEMA = json.loads((ROOT / "results.schema.json").read_text())
 
 
 def run_cli(args):
@@ -73,6 +75,43 @@ def test_qc_divisor_document():
     assert res["boundary_modulus_min"] >= 1 - 1e-7
     assert res["boundary_modulus_max"] <= 2 + 1e-7
     assert res["division_ratio_max"] <= 2 + 1e-6
+
+
+def test_qc_divisor_with_atoms_meets_the_benchmark_gate():
+    # divisor-ladder seed 3: with each atom's kernel cut off at --N 64, Gibbs
+    # overshoot in the exponent put the division ratios at [2.31, 3.09]
+    # against [1/C, C] = [0.589, 1.696]
+    doc = run_json(["qc-divisor", "--r", "0.5894741329579944",
+                    "--base", "-0.2284037034622797+0.6604280890536979i",
+                    "--zeros", "-0.6485426130930246+0.4054512737015564i,"
+                    "0.17881733017726115-0.7267691201281496i,"
+                    "-0.3705939202784716+0.8582201134503409i",
+                    "--atoms", "-0.7138124882769095+0.7003368700703447i:-0.8801026198425506,"
+                    "-0.49928464840443315-0.31336016545540835i:-0.6181982136634966"])
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from jobs import INVARIANTS
+    finally:
+        sys.path.pop(0)
+    res, tol = doc["results"], doc["tolerances"]
+    assert [name for name, holds in INVARIANTS["qc-divisor"] if not holds(res, tol, doc)] == []
+    # the atom-free bound 1 <= |G| <= C now holds on every node, atoms included
+    assert 1 - 1e-7 <= res["boundary_modulus_min"] <= res["boundary_modulus_max"] <= res["C"]
+
+
+def test_singular_modulus_is_constant_off_its_atom():
+    doc = run_json(["singular", "--r", "0.5", "--base", "0.7", "--atoms", "1@0.3:-0.5"])
+    assert doc["results"]["inner_by_constant_modulus"]
+    assert doc["results"]["modulus_deviation_outer"] <= 1e-10
+
+
+def test_singular_atoms_on_nodes_take_the_radial_limit():
+    # the README's atoms sit on the node angles 0 and pi/2: |S| is 0 there,
+    # so each circle's deviation is its mean modulus, and the run exits 0
+    res = run_json(["singular", "--r", "0.5", "--atoms", "1:-1,0.5i:-0.25"])["results"]
+    for side in ("outer", "inner"):
+        assert res[f"modulus_deviation_{side}"] == res[f"measured_modulus_{side}"] > 0.99
+    assert res["ring_zero_count"] == 0
 
 
 def test_green_document():
@@ -452,13 +491,13 @@ FLAGS = {
     "green": ["m", "pole", "grid_out"],
     "hmeasure": ["base", "j"],
     "blaschke": ["base", "zeros", "m"],
-    "singular": ["base", "atoms", "N", "m"],
-    "inner-verify": ["base", "zeros", "atoms", "N", "m"],
+    "singular": ["base", "atoms", "m"],
+    "inner-verify": ["base", "zeros", "atoms", "m"],
     "kernel": ["base", "N", "m", "space", "grid_out"],
     "kernel-zeros": ["base", "N", "m", "space"],
     "extremal": ["base", "zeros", "N", "m", "space"],
     "candidate-divisor": ["base", "zeros", "N"],
-    "qc-divisor": ["base", "zeros", "atoms", "N", "m", "seed", "trials"],
+    "qc-divisor": ["base", "zeros", "atoms", "m", "seed", "trials"],
     "qc-estimate": ["base", "zeros", "N", "m", "undivided"],
     "schottky-fit": ["base", "zeros", "N", "m"],
     "decomposition": ["base", "zeros", "N"],
@@ -480,7 +519,7 @@ def test_flag_surface():
     params = {p.name: p for p in cli.main.commands["kernel"].params}
     assert sorted(params["space"].type.choices) == ["arclength", "bergman", "hardy", "smirnov"]
     assert list(params["format"].type.choices) == ["json", "csv"]
-    assert sum(len(cli.main.commands[name].params) for name in FLAGS) == 115
+    assert sum(len(cli.main.commands[name].params) for name in FLAGS) == 112
 
 
 # Flags with no default: a document echoes them only when they are given.
@@ -519,7 +558,8 @@ def test_documents_echo_the_flags_taken(name):
     ["hmeasure", "--r", "0.5", "--m", "128"],
     ["biharmonic", "--r", "0.5", "--pole", "0.7", "--base", "0.7"],
     ["singular", "--r", "0.5", "--tol", "1e-2"],
-], ids=["green-N", "green-base", "hmeasure-m", "biharmonic-base", "singular-tol"])
+    ["singular", "--r", "0.5", "--N", "64"],
+], ids=["green-N", "green-base", "hmeasure-m", "biharmonic-base", "singular-tol", "singular-N"])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
     result = run_cli(argv)
     assert result.exit_code == 2

@@ -5,12 +5,12 @@ import pytest
 
 import ringspace as rs
 from ringspace.errors import ArgumentError, ConvergenceError, GeometryError
-from ringspace.harmonic import (TRUNCATION_CAP, HarmonicRepresentation, point_mass_kernel,
-                                solve_dirichlet, tail_truncation)
+from ringspace.harmonic import (TRUNCATION_CAP, HarmonicRepresentation, solve_dirichlet,
+                                tail_truncation)
 from ringspace.spaces import boundary_quadrature, measure_quadrature
 
 from oracles import (boundary_node_list, dense_radial_derivative, green_images,
-                     node_normal_derivative, node_schottky)
+                     node_normal_derivative, node_schottky, point_mass_kernel)
 
 
 # ---------------------------------------------------------------- Dirichlet

@@ -8,7 +8,7 @@ import pytest
 import ringspace as rs
 from ringspace.errors import (ArgumentError, BlaschkeDivergenceError, ConvergenceError,
                              GeometryError, PeriodError)
-from ringspace.geometry import polar_grid
+from ringspace.geometry import polar_grid, ring_nodes
 from ringspace.harmonic import tail_truncation
 from ringspace.inner import capped_blaschke_factor
 from ringspace.kernels import count_zeros, full_ring
@@ -16,7 +16,8 @@ from ringspace.laurent import LaurentPolynomial, to_laurent
 from ringspace.spaces import (area_quadrature, bergman_tag, boundary_quadrature, hardy_tag,
                               norm as space_norm)
 
-from oracles import boundary_node_list, division_ratios_per_trial, horner_count, node_schottky
+from oracles import (boundary_node_list, division_ratios_per_trial, horner_count,
+                     node_schottky, truncated_singular_inner)
 
 
 # ------------------------------------------------------------ single factor
@@ -161,8 +162,12 @@ def test_singular_inner_empty_measure_is_scaled_identity(dom):
 
 def test_singular_inner_single_atom(dom):
     mu = rs.AtomicSingularMeasure(atoms=((1.0 + 0j, -1.0),))
-    S = rs.singular_inner(dom, mu, N=64)
-    assert count_zeros(S, dom, full_ring(dom)) == horner_count(S, full_ring(dom)) == 0
+    S = rs.singular_inner(dom, mu)
+    # counted as the CLI counts: the zero-free atom factor underflows next to
+    # its atom on the counting circle and winds 0, so it is left out
+    atom_free = dataclasses.replace(S, singular=rs.AtomicSingularMeasure.empty())
+    ring = full_ring(dom)
+    assert count_zeros(atom_free, dom, ring) == horner_count(atom_free, ring) == 0
     theta = 2 * np.pi * np.arange(256) / 256
     inner_vals = np.abs(S(0.5 * np.exp(1j * theta)))
     assert np.max(np.abs(inner_vals - inner_vals.mean())) <= 1e-7
@@ -170,20 +175,18 @@ def test_singular_inner_single_atom(dom):
 
 
 def test_singular_inner_maximum_principle(dom):
-    # checked on a grid inset 20% from the circles: the truncated point-mass
-    # kernels carry a Gibbs overshoot in a thin layer near their atoms
+    # the closed-form atoms carry no Gibbs overshoot, so the grid reaches to
+    # 1% of the circles
     mu = rs.AtomicSingularMeasure(atoms=((1.0 + 0j, -0.8), (0.5j * 1.0, -0.3)))
-    S = rs.singular_inner(dom, mu, N=64)
-    rho = np.linspace(0.6, 0.9, 24)
-    theta = 2 * np.pi * np.arange(24) / 24
-    grid = (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    S = rs.singular_inner(dom, mu)
+    grid = polar_grid(dom, 24, inset=0.01)
     assert np.max(np.abs(S(grid))) <= max(S.boundary_moduli) * (1 + 1e-7)
 
 
 def test_singular_inner_modulus_dips_toward_atom(dom):
     # non-positive masses pull |S| down near the carrier
     mu = rs.AtomicSingularMeasure(atoms=((1.0 + 0j, -1.0),))
-    S = rs.singular_inner(dom, mu, N=64)
+    S = rs.singular_inner(dom, mu)
     near = abs(complex(S(0.97)))
     far = abs(complex(S(-0.97)))
     assert near < far
@@ -199,12 +202,55 @@ def test_singular_period_bookkeeping_failure_is_typed(dom, monkeypatch):
 
 
 def test_singular_lattice_step_is_independent_of_truncation(dom):
-    # each atom's log term is +-1/log r at every truncation, so lam and power
-    # are the same bits at N and 2N
+    # each atom's log term is +-1/log r for the closed form's correction and
+    # for the truncated kernel at every N, so lam and power are the same bits
     mu = rs.AtomicSingularMeasure(atoms=((1.0 + 0j, -0.8), (0.5j, -0.3)))
-    S, S2 = (rs.singular_inner(dom, mu, N=n) for n in (64, 128))
-    assert (S.lam, S.power) == (S2.lam, S2.power)
-    assert S.period_residual <= 1e-8 and S2.period_residual <= 1e-8
+    S = rs.singular_inner(dom, mu)
+    for n in (64, 128):
+        T = truncated_singular_inner(dom, mu, n)
+        assert (S.lam, S.power) == (T.lam, T.power)
+    assert S.period_residual <= 1e-8
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+def test_singular_inner_matches_truncated_kernel_oracle(r):
+    # inside the ring the truncated kernel converges like max(rho, r/rho)^N,
+    # so at N = 512 it pins the closed form down to rounding
+    d = rs.make_annulus(r, (1.0 + r) / 2)
+    mu = rs.AtomicSingularMeasure(atoms=((1.0 + 0j, -0.8), (r * 1j, -0.3)))
+    grid = polar_grid(d, 24)
+    exact = rs.singular_inner(d, mu)(grid)
+    oracle = truncated_singular_inner(d, mu, 512)(grid)
+    assert np.max(np.abs(exact - oracle) / np.abs(oracle)) <= 1e-12
+
+
+def test_singular_inner_is_zero_on_its_atoms(dom):
+    # ring nodes land on atoms at angles 0 and pi/2 up to rounding (0.5 e^{i pi/2}
+    # is 3e-17 from 0.5i); there the factor takes its radial limit 0
+    mu = rs.AtomicSingularMeasure(atoms=((1.0 + 0j, -1.0), (0.5j, -0.25), (-1.0 + 0j, 0.0)))
+    S = rs.singular_inner(dom, mu)
+    values = np.abs(S.on_rings([1.0, 0.5], 8))
+    assert values[0, 0] == 0.0 and values[1, 2] == 0.0
+    assert np.all(np.isfinite(values)) and values[0, 4] > 0.0
+    assert np.array_equal(np.abs(S(np.array([1.0, 0.5j]))), [0.0, 0.0])
+
+
+def test_singular_inner_stays_finite_next_to_an_atom(dom):
+    # a node whose modulus rounds above 1, 1e-11 from an atom: there Re H is
+    # about -2e6, and exp of the unclamped exponent overflows
+    nodes = ring_nodes([1.0], 512).ravel()
+    k = int(np.argmax(np.abs(nodes)))
+    assert np.abs(nodes[k]) > 1.0
+    atom = np.exp(1j * (2 * np.pi * k / 512 + 1e-11))
+    S = rs.singular_inner(dom, rs.AtomicSingularMeasure(atoms=((atom, -0.5),)))
+    assert np.all(np.isfinite(S.on_rings([1.0], 512)))
+
+
+def test_singular_correction_window_is_capped():
+    d = rs.make_annulus(0.995, 0.9975)
+    with pytest.raises(ConvergenceError, match="cap N = 4096"):
+        rs.singular_inner(d, rs.AtomicSingularMeasure(atoms=((1.0 + 0j, -0.5),)))
+    assert rs.singular_inner(d, rs.AtomicSingularMeasure.empty()).power == 1
 
 
 def test_atomic_measure_validation(dom):

@@ -142,6 +142,22 @@ def test_candidate_divisor_builds_no_weighted_kernel():
     assert found == []
 
 
+def test_singular_atoms_take_no_truncation():
+    # an atom's kernel is its closed-form Herglotz factor times a smooth
+    # correction on the tail window r^N <= 1e-16: no truncated point-mass
+    # kernel is left, and no caller picks a truncation for the atoms
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.FunctionDef) and node.name == "point_mass_kernel"]
+    found += [f"inner.py:{node.lineno}"
+              for node in ast.parse((SRC / "inner.py").read_text()).body
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("singular_inner", "qc_divisor")
+              and "N" in {a.arg for a in (*node.args.args, *node.args.kwonlyargs)}]
+    assert found == []
+
+
 def _config_reads(tree) -> dict[str, set[str]]:
     """Per module-level function: the ``config.<flag>`` attributes it reads,
     itself or through the module's functions it calls (``_domain``,
