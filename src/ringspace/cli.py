@@ -42,7 +42,8 @@ from .extremal import (ExtremalProblem, candidate_divisor,
                        extremal_identity_check, extremal_maximizer, polar_grid,
                        quasicontract_estimate, repro_fact_check, solve_extremal)
 from .probes import bergman_decomposition_residual, biharmonic_green, log_radial_moment
-from .spaces import bergman_tag, hardy_tag, measure_quadrature, norm as space_norm, smirnov_tag
+from .spaces import (bergman_tag, hardy_tag, measure_quadrature, norm as space_norm,
+                     ring_values, smirnov_tag)
 
 SCHEMA_NAME = "ringspace-results"
 SCHEMA_VERSION = 1
@@ -318,11 +319,11 @@ def _cmd_green(config: RunConfig):
         raise click.UsageError("green needs --pole")
     domain = make_annulus(config.r, pole)
     g = green(domain, pole)
-    residual = float(np.max(np.abs(g(boundary_nodes(domain, 256)))))
+    residual = float(np.max(np.abs(ring_values(g, boundary_nodes(domain, 256), 256))))
     _, weights = measure_quadrature(domain, config.m)  # harmonic measure at the pole
     mass = float(np.sum(weights))
     grid_pts = polar_grid(domain, 50, inset=0.02)
-    interior_min = float(np.min(g(grid_pts)))
+    interior_min = float(np.min(ring_values(g, grid_pts, 50).real))
     grids = _grid_out(config, "green_values",
                       np.linspace(domain.inner_radius + 0.01, 0.99, 64), 64, g)
     results = {"boundary_residual_max": residual, "measure_mass": mass,
@@ -341,7 +342,8 @@ def _cmd_hmeasure(config: RunConfig):
         "c0": w.c0,
         "clog": w.clog,
         "conjugate_period": conjugate_period(w),
-        "partition_residual": float(np.max(np.abs(w1(pts) + w2(pts) - 1.0))),
+        "partition_residual": float(np.max(np.abs(ring_values(w1, pts, 20)
+                                                  + ring_values(w2, pts, 20) - 1.0))),
         "value_at_base": float(w(domain.base_point)),
     }
     return results, None, {"partition": 1e-14}, None
@@ -423,10 +425,11 @@ def _cmd_extremal(config: RunConfig):
     G = solve_extremal(problem, m=config.m)
     F = extremal_maximizer(problem, m=config.m)
     pts = polar_grid(domain, 24)
-    equivalence = float(np.max(np.abs(G(pts) - F(pts) / complex(F(problem.base)))))
+    equivalence = float(np.max(np.abs(ring_values(G, pts, 24)
+                                      - ring_values(F, pts, 24) / complex(F(problem.base)))))
     results = {
         "space": config.space,
-        "norm": space_norm(G, domain, tag, m=config.m),
+        "norm": space_norm(G, domain, tag, m=config.m, measure=problem.measure),
         "value_at_base": _cnum(complex(G(problem.base))),
         "max_value_at_zeros": max((abs(complex(G(z))) for z in config.zeros), default=0.0),
         "formulation_equivalence": equivalence,
@@ -459,7 +462,7 @@ def _cmd_qc_divisor(config: RunConfig):
     domain = _domain(config)
     G, C = qc_divisor(domain, ZeroSet(points=config.zeros),
                       AtomicSingularMeasure(atoms=config.atoms))
-    mods = np.abs(G(boundary_nodes(domain, config.m)))
+    mods = np.abs(ring_values(G, boundary_nodes(domain, config.m), config.m))
     bound = division_bound_check(G, C, domain, trials=config.trials, seed=config.seed,
                                  m=config.m)
     results = {
@@ -502,7 +505,7 @@ def _cmd_schottky_fit(config: RunConfig):
     problem = ExtremalProblem(domain=domain, space=hardy_tag(), base=domain.base_point,
                               zeros=config.zeros, truncation=max(config.N, 96))
     G = solve_extremal(problem, m=config.m)
-    Gn = G * (1.0 / space_norm(G, domain, hardy_tag(), m=config.m))
+    Gn = G * (1.0 / space_norm(G, domain, hardy_tag(), m=config.m, measure=problem.measure))
     lam1, residual = schottky_fit(Gn, domain, m=config.m)
     v = verify_inner(Gn, domain)
     results = {

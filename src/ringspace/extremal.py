@@ -22,17 +22,17 @@ two routes differ by up to about 5e-9, which that check exists to see.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ArgumentError, ConvergenceError, GeometryError, RingspaceError,
                      SingularConstraintsError, SingularGramError, ZeroOnContourError)
-from .geometry import AnnulusDomain, polar_grid
+from .geometry import AnnulusDomain, polar_grid, ring_nodes
 from .inner import InnerFunctionSpec, blaschke_factor, capped_blaschke_factor
 from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, refined_solve
 from .laurent import LaurentPolynomial
-from .spaces import (SpaceKind, SpaceTag, area_quadrature, bergman_tag, measure_quadrature,
+from .spaces import (SpaceKind, SpaceTag, area_quadrature, base_quadrature, bergman_tag,
                      ring_gram, ring_values, scaled_gram, scaled_rows)
 
 _IDENTITY_GRID = 32  # polar grid of extremal_identity_check
@@ -41,13 +41,19 @@ _LADDER = (8, 16, 24, 32)  # quasicontract_estimate's windows
 
 @dataclass(frozen=True)
 class ExtremalProblem:
-    """Least-norm data: value 1 at ``base``, zeros at ``zeros``, window ``truncation``."""
+    """Least-norm data: value 1 at ``base``, zeros at ``zeros``, window ``truncation``.
+
+    The problem holds its space's quadrature and Gram once formed (``measure``,
+    ``gram``), so the solves, the norm and the checks of one problem share one
+    harmonic-measure density and one Gram.
+    """
 
     domain: AnnulusDomain
     space: SpaceTag
     base: complex
     zeros: tuple[complex, ...]
     truncation: int
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.truncation < 0:
@@ -59,6 +65,23 @@ class ExtremalProblem:
                 raise GeometryError(f"point {z} is not strictly inside the annulus")
         if any(abs(z - self.base) < 1e-12 for z in self.zeros):
             raise GeometryError("base point must not be among the zeros")
+
+    def _once(self, key, make):
+        if key not in self._held:
+            self._held[key] = make()
+        return self._held[key]
+
+    def measure(self, m: int):
+        """The space's unweighted ``(pts, w)`` on ``m`` nodes per circle or ring
+        (``base_quadrature``), formed once per problem and ``m``."""
+        return self._once(("measure", m),
+                          lambda: base_quadrature(self.domain, self.space.kind, m))
+
+    def gram(self, m: int):
+        """``scaled_gram`` of the space on the window over ``measure``, formed once
+        per problem and ``m``."""
+        return self._once(("gram", m), lambda: scaled_gram(
+            self.domain, self.space, self.truncation, m, self.measure))
 
 
 @dataclass(frozen=True)
@@ -77,9 +100,10 @@ def solve_extremal(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     Bordered system [[conj(G), E*], [E, 0]] [a; mu] = [0; b] (the norm is
     ``a^H conj(G) a``) solved in the basis ``scaled_gram`` equilibrates and
     refined once (``refined_solve``); the form is positive definite so the
-    solution is unique for independent constraints.
+    solution is unique for independent constraints.  The system is LU-factored
+    once (LAPACK ``getrf``), for the solve and its refinement.
     """
-    Gs, d = scaled_gram(p.domain, p.space, p.truncation, m)
+    Gs, d = p.gram(m)
     Es = scaled_rows([p.base, *p.zeros], p.truncation, d)  # rows E: z^n at the points
     k = Es.shape[0]
     try:
@@ -95,10 +119,12 @@ def solve_extremal(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     kkt[n:, :n] = Es
     rhs = np.zeros(n + k, dtype=complex)
     rhs[n] = 1.0  # value 1 at the base, 0 at the zeros
-    try:
-        sol = refined_solve(kkt.astype(np.clongdouble), lambda v: np.linalg.solve(kkt, v), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGramError(f"bordered KKT system is singular ({exc})") from exc
+    import scipy.linalg
+    lu, piv, info = scipy.linalg.lapack.zgetrf(kkt)
+    if info != 0:
+        raise SingularGramError(f"bordered KKT system is singular (getrf info {info})")
+    sol = refined_solve(kkt.astype(np.clongdouble),
+                        lambda v: scipy.linalg.lapack.zgetrs(lu, piv, v)[0], rhs)
     coeffs = sol[:n] / d
     return LaurentPolynomial(-p.truncation, p.truncation, coeffs)
 
@@ -111,7 +137,7 @@ def extremal_maximizer(p: ExtremalProblem, m: int = 512) -> LaurentPolynomial:
     normalizes.  Independent of the KKT route; the two agree after dividing
     by the base value.
     """
-    K = build_kernel(p.domain, p.space, p.truncation, m)
+    K = build_kernel(p.domain, p.space, p.truncation, m, gram=p.gram(m))
     section, *at_zeros = [K.section(w) for w in (p.base, *p.zeros)]
     if p.zeros:
         kz = np.array([[complex(kj(zi)) for kj in at_zeros] for zi in p.zeros])
@@ -139,11 +165,13 @@ def extremal_identity_check(G: LaurentPolynomial, p: ExtremalProblem, m: int = 5
         raise ArgumentError("the kernel-product identity check needs exactly one zero")
     B = blaschke_factor(p.domain, p.zeros[0])
     weighted = SpaceTag(p.space.kind, weight_fn=B)
-    section = build_kernel(p.domain, weighted, p.truncation, m).section(p.base)
-    pts = polar_grid(p.domain, _IDENTITY_GRID)
-    formula = np.asarray(B(pts)) * np.asarray(section(pts))
+    gram = scaled_gram(p.domain, weighted, p.truncation, m, p.measure)
+    section = build_kernel(p.domain, weighted, p.truncation, m, gram=gram).section(p.base)
+    n = _IDENTITY_GRID
+    pts = polar_grid(p.domain, n)
+    formula = ring_values(B, pts, n) * ring_values(section, pts, n)
     base_val = complex(B(p.base)) * complex(section(p.base))
-    return float(np.max(np.abs(G(pts) - formula / base_val)))
+    return float(np.max(np.abs(ring_values(G, pts, n) - formula / base_val)))
 
 
 def repro_fact_check(G: LaurentPolynomial, p: ExtremalProblem, m: int = 512) -> float:
@@ -156,8 +184,8 @@ def repro_fact_check(G: LaurentPolynomial, p: ExtremalProblem, m: int = 512) -> 
     """
     if p.space.kind is not SpaceKind.HARDY_HARMONIC_MEASURE:
         raise ArgumentError("the reproducing identity lives in the harmonic-measure space")
-    pts, w = measure_quadrature(p.domain, m)
-    gsq = np.abs(np.asarray(G(pts), dtype=complex))**2
+    pts, w = p.measure(m)
+    gsq = np.abs(ring_values(G, pts, m))**2
     worst = 0.0
     half = p.truncation // 2
     for n in range(-half, half + 1):
@@ -186,6 +214,21 @@ class CandidateDivisor:
                 / self.kernel_zero_factor.on_rings(radii, m, turn))
 
 
+@dataclass(frozen=True)
+class _Deflated:
+    """``F(z) / (z - z1)``: ``F`` with its zero at ``z1`` divided out, on rings
+    ``F.on_rings`` over the nodes less ``z1``."""
+
+    F: LaurentPolynomial
+    z1: complex
+
+    def __call__(self, z):
+        return self.F(z) / (np.asarray(z, dtype=complex) - self.z1)
+
+    def on_rings(self, radii, m: int, turn: float = 0.0) -> np.ndarray:
+        return self.F.on_rings(radii, m, turn) / (ring_nodes(radii, m, turn) - self.z1)
+
+
 def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96) -> CandidateDivisor:
     """Bergman divisor candidate vanishing only at ``z1``: ``K_I(., z0) / B_w*``.
 
@@ -209,8 +252,7 @@ def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96) -> Candid
         raise ConvergenceError(f"argument principle counted {count} where 2 ring zeros were "
                                f"expected at windows {', '.join(map(str, windows))}")
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only at z = z1 exactly
-        w_star = locate_zeros(lambda z: F(z) / (np.asarray(z, dtype=complex) - z1),
-                              domain, 1).locations[0]
+        w_star = locate_zeros(_Deflated(F, z1), domain, 1).locations[0]
     return CandidateDivisor(kernel_zero=w_star, kernel_section=F,
                             kernel_zero_factor=capped_blaschke_factor(domain, w_star))
 

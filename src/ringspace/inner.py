@@ -40,6 +40,7 @@ _PERIOD_TOL = 1e-8
 _DIVISION_WINDOW = 8   # random Laurent h of division_bound_check: z^-8..z^8
 _LAZY_FACTORS = 500    # a lazy blaschke_product that has not settled by then diverges
 _LAZY_TOL = 1e-8       # a lazy product has settled once a factor moves it less than this
+_LAZY_GRID = 16        # polar grid of that test
 _DIVERGENCE_BOUND = 20.0  # partial sum of g(z_j, z0) past which a lazy product diverges
 _ATOM_TAIL = 1e-16     # an atom's correction runs to the first N with r^N <= this
 _AT_ATOM = 1e-12       # a point this close to an atom takes its factor's radial limit
@@ -273,7 +274,7 @@ def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet) -> InnerFunctionSpec
             product = multiply(product, blaschke_factor(domain, a))
         return product
     g0 = green(domain, domain.base_point)
-    grid = polar_grid(domain, 16, inset=0.1)  # strictly inside, for the truncation test
+    grid = polar_grid(domain, _LAZY_GRID, inset=0.1)  # strictly inside, for the truncation test
     values, gsum = np.ones(grid.size, dtype=complex), 0.0
     for count, a in enumerate(zeros.iter_points(), 1):
         factor = capped_blaschke_factor(domain, a)
@@ -283,7 +284,7 @@ def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet) -> InnerFunctionSpec
                 f"partial sums of g(z_j, z0) reached {gsum:.3f} without the "
                 f"product settling; the sequence violates the summability condition")
         product = multiply(product, factor)
-        new_values = values * factor(grid)
+        new_values = values * ring_values(factor, grid, _LAZY_GRID)
         change = float(np.max(np.abs(new_values - values)))
         values = new_values
         if change < _LAZY_TOL:
@@ -380,7 +381,7 @@ def schottky_fit(f: Callable, domain: AnnulusDomain, m: int = 512) -> tuple[floa
     """
     pts, ds = boundary_quadrature(domain, m)
     s1 = schottky(domain, m)
-    y = np.abs(np.asarray(f(pts), dtype=complex))**2 - 1.0
+    y = np.abs(ring_values(f, pts, m))**2 - 1.0
     denom = float(np.sum(ds * s1 * s1))
     lam1 = float(np.sum(ds * s1 * y) / denom)
     residual = float(np.sqrt(np.sum(ds * (y - lam1 * s1)**2)))

@@ -76,8 +76,9 @@ def _check_scaled_condition(cond: float) -> None:
 
 
 def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
-                 m: int = 512) -> KernelEvaluator:
-    """Build the reproducing kernel for a tagged space from ``scaled_gram``.
+                 m: int = 512, gram=None) -> KernelEvaluator:
+    """Build the reproducing kernel for a tagged space from ``scaled_gram``, or
+    from its ``(Gs, d)`` where the caller holds them (``ExtremalProblem.gram``).
 
     Unweighted arclength/area kernels use the diagonal monomial series.
     Weighted kernels factor the equilibrated quadrature Gram; so does the
@@ -85,7 +86,7 @@ def build_kernel(domain: AnnulusDomain, tag: SpaceTag, N: int = 64,
     condition number above 1e14 or a failed factorization raises
     ``SingularGramError``.
     """
-    Gs, d = scaled_gram(domain, tag, N, m)
+    Gs, d = scaled_gram(domain, tag, N, m) if gram is None else gram
     if Gs is None:
         return KernelEvaluator(domain, tag, N, scale=d)
     import scipy.linalg
@@ -114,34 +115,47 @@ def reproduce_check(K: KernelEvaluator, f: LaurentPolynomial, w: complex,
 _WINDING_BLOCK = 8192  # nodes per evaluation of f, so memory stays flat as m doubles
 
 
+def _ring_phases(f, rho: float, m: int, turn: float) -> np.ndarray:
+    """Phases of ``f`` at ``ring_nodes([rho], m, turn)``: one FFT through ``f.on_rings``
+    where ``f`` has it, point values otherwise; a value that is not finite or dips
+    below ``1e-10`` refuses the count."""
+    vals = (f.on_rings([rho], m, turn)[0] if hasattr(f, "on_rings")
+            else np.asarray(f(ring_nodes([rho], m, turn)[0]), dtype=complex))
+    if not np.all(np.isfinite(vals)):
+        raise ConvergenceError(f"f is not finite on the circle |z| = {rho}; cannot count")
+    if np.min(np.abs(vals)) < 1e-10:
+        raise ZeroOnContourError(f"|f| dips below 1e-10 on the circle |z| = {rho}; cannot count")
+    return np.angle(vals)
+
+
 def _winding_on_circle(f, rho: float, m: int) -> int:
     """Winding number of ``f`` along ``|z| = rho`` from its wrapped phase steps.
 
     Doubles the node count while a step exceeds pi/2, the guard against wrap
     ambiguity.  The circle is read as ``P`` strided sub-rings (``P`` a power of
     two dividing ``m``, ``m/P <= _WINDING_BLOCK`` where that exists): sub-ring
-    ``s`` holds nodes ``s, s + P, ...`` and is one FFT through ``f.on_rings``
-    at turn ``2 pi s/m`` where ``f`` has it, point values otherwise.  Node
-    ``j + 1`` of sub-ring ``s`` is node ``j`` of sub-ring ``s + 1``, so the
-    steps come elementwise from consecutive sub-rings.
+    ``s`` holds nodes ``s, s + P, ...`` and is the ring at turn ``2 pi s/m``
+    (``_ring_phases``).  Node ``j + 1`` of sub-ring ``s`` is node ``j`` of
+    sub-ring ``s + 1``, so the steps come elementwise from consecutive sub-rings.
+    A level read as one ring is held: the next doubling's even nodes are its
+    nodes, so only the odd ones, the ring of ``m/2`` turned by ``2 pi/m``, are new.
     """
+    held = None
     while True:
         P = 1
         while m // P > _WINDING_BLOCK and m % (2 * P) == 0:
             P *= 2
         worst, turn = 0.0, 0.0
         for s in range(P + 1):  # sub-ring P is sub-ring 0 shifted by one node
-            if s < P:
-                angle = 2.0 * np.pi * s / m
-                vals = (f.on_rings([rho], m // P, angle)[0] if hasattr(f, "on_rings")
-                        else np.asarray(f(ring_nodes([rho], m // P, angle)[0]), dtype=complex))
-                if not np.all(np.isfinite(vals)):
-                    raise ConvergenceError(
-                        f"f is not finite on the circle |z| = {rho}; cannot count")
-                if np.min(np.abs(vals)) < 1e-10:
-                    raise ZeroOnContourError(
-                        f"|f| dips below 1e-10 on the circle |z| = {rho}; cannot count")
-            phase = np.angle(vals) if s < P else np.roll(first, -1)
+            if s == P:
+                phase = np.roll(first, -1)
+            elif held is not None and P == 1:  # interleave the held level and the odd nodes
+                phase = np.empty(m)
+                phase[::2], phase[1::2] = held, _ring_phases(f, rho, m // 2, 2.0 * np.pi / m)
+            elif held is not None and s == 0:  # P == 2: sub-ring 0 is the held level
+                phase = held
+            else:
+                phase = _ring_phases(f, rho, m // P, 2.0 * np.pi * s / m)
             if s == 0:
                 first = prev = phase
             step = np.mod(phase - prev + np.pi, 2.0 * np.pi) - np.pi
@@ -156,6 +170,7 @@ def _winding_on_circle(f, rho: float, m: int) -> int:
             return rounded
         if m >= 2**20:
             raise ConvergenceError(f"phase unwrapping failed to settle at m = {m}")
+        held = first if P == 1 else None
         m *= 2
 
 

@@ -31,7 +31,9 @@ class LaurentPolynomial:
 
     ``coeffs[k]`` holds the coefficient of ``z^(lo + k)``.  Evaluation splits
     into a Horner pass for the nonnegative powers and a Horner pass in ``1/z``
-    for the negative ones, which avoids overflow of bare ``z**-n`` factors.
+    for the negative ones, which avoids overflow of bare ``z**-n`` factors: on
+    Python ``complex`` for one point (``_at``), in numpy for an array of
+    scattered points.  Nodes laid out ring by ring take ``on_rings``.
     """
 
     lo: int
@@ -65,6 +67,9 @@ class LaurentPolynomial:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
+        if z.size == 1:
+            value = self._at(z.item())
+            return np.full(z.shape, value) if z.shape else value
         nonneg_lo = max(self.lo, 0)
         result = np.zeros(z.shape, dtype=complex)
         if self.hi >= 0:
@@ -85,24 +90,69 @@ class LaurentPolynomial:
                 c = self.coeffs[k - self.lo] if k <= min(self.hi, -1) else 0.0
                 acc = (acc + c) * w
             result = result + acc
-        return result if result.shape else complex(result)
+        return result
+
+    def _at(self, z: complex) -> complex:
+        """The value at one point: the array path's two Horner passes on Python
+        ``complex``, about a tenth of the cost of numpy 0-d arithmetic.  Python's
+        complex ``*`` and ``+`` never raise, so an overflow gives inf/nan as the
+        array path does; ``1/z`` and ``z**nonneg_lo`` are numpy scalars, rounded
+        as the array path rounds them (``1/0`` is inf+nanj there)."""
+        c, nonneg_lo, out = self.coeffs.tolist(), max(self.lo, 0), 0j
+        if self.hi >= 0:
+            acc = 0j
+            for a in reversed(c[nonneg_lo - self.lo:]):
+                acc = acc * z + a
+            if nonneg_lo > 0:
+                with np.errstate(all="ignore"):
+                    acc = acc * complex(np.complex128(z)**nonneg_lo)
+            out = out + acc
+        if self.lo < 0:
+            with np.errstate(all="ignore"):
+                w, acc = complex(1.0 / np.complex128(z)), 0j
+            for a in c[:min(self.hi, -1) - self.lo + 1]:
+                acc = (acc + a) * w
+            for _ in range(-1 - min(self.hi, -1)):  # zeros where the window stops above -1
+                acc = acc * w
+            out = out + acc
+        return out
 
     def ring_terms(self, radii, width: int = 1, turn: float = 0.0):
         """Yield ``(k, ns, top, terms)`` for the rings from ``radii[k]`` on, a few at a time
         (work arrays near ``2^13`` entries, or ``width`` a ring): each ring's nonzero terms
-        ``c_n rho^n e^{i n turn}`` are ``e^top * terms``, scaled by the largest in log space
-        (in ``longdouble``: ``log|c_n|`` and ``n log rho`` cancel), so ``rho^n`` cannot
-        overflow where the term does not; the phase ``np.angle(c_n) + n turn`` is exact for
-        subnormal ``c_n``, and good to ``|n turn| eps``."""
+        ``c_n rho^n e^{i n turn}`` are ``e^top * terms``, ``top`` the log of the ring's largest
+        term, so every term has modulus at most 1.
+
+        Where every ``|n log rho|`` is below 600 and every ``|c_n|`` a normal double, the
+        terms are ``c_n rho^n`` in double (``pow`` is good to an ulp), kept for a block of rings
+        whose largest terms all lie in ``[1e-290, 1e290]``.  Other blocks take the log path:
+        terms scaled by the largest in log space (in ``longdouble``: ``log|c_n|`` and
+        ``n log rho`` cancel), so ``rho^n`` cannot overflow where the term does not; the phase
+        ``np.angle(c_n) + n turn`` is exact for subnormal ``c_n``, and good to ``|n turn| eps``."""
         nz = np.flatnonzero(self.coeffs)  # zero terms stay out: -inf is slow in longdouble
         if nz.size == 0:
             return
         ns, c = self.lo + nz, self.coeffs[nz]
-        log_c = np.log(np.hypot(c.real.astype(np.longdouble), c.imag.astype(np.longdouble)))
-        phase, n_ld = np.exp(1j * (np.angle(c) + ns * turn)), ns.astype(np.longdouble)
-        log_rho = np.log(np.asarray(radii, dtype=np.longdouble))
+        radii = np.asarray(radii, dtype=float)
         step = max(1, 2**13 // max(ns.size, width))  # rings per block
-        for k in range(0, len(log_rho), step):
+        modulus = np.abs(c)
+        double = (np.max(np.abs(ns)) * np.max(np.abs(np.log(radii))) < 600.0
+                  and np.min(modulus) >= np.finfo(float).tiny)
+        twisted = c * np.exp(1j * ns * turn) if double and turn else c
+        logs = None
+        for k in range(0, len(radii), step):
+            if double:
+                powers = radii[k:k + step, None] ** ns
+                largest = np.max(modulus * powers, axis=1, keepdims=True)
+                if np.all((largest >= 1e-290) & (largest <= 1e290)):
+                    yield k, ns, np.log(largest), twisted * (powers / largest)
+                    continue
+            if logs is None:
+                log_c = np.log(np.hypot(c.real.astype(np.longdouble),
+                                        c.imag.astype(np.longdouble)))
+                logs = (log_c, np.exp(1j * (np.angle(c) + ns * turn)),
+                        ns.astype(np.longdouble), np.log(radii.astype(np.longdouble)))
+            log_c, phase, n_ld, log_rho = logs
             log_t = log_c + log_rho[k:k + step, None] * n_ld
             top = log_t.max(axis=1, keepdims=True)
             x = (log_t - top).astype(float)  # terms below e^-700 of the top are dropped

@@ -116,14 +116,21 @@ def measure_quadrature(domain: AnnulusDomain, m: int):
     return pts, measure_density(domain, m) * ds
 
 
-def quadrature_for(domain: AnnulusDomain, tag: SpaceTag, m: int):
-    """Points and the tag's whole measure: the quadrature weights times ``|weight_fn|^2``."""
+def base_quadrature(domain: AnnulusDomain, kind: SpaceKind, m: int):
+    """Points and weights of a kind's unweighted measure, ``m`` nodes per circle or ring."""
     measure = {SpaceKind.SMIRNOV_ARCLENGTH: boundary_quadrature,
                SpaceKind.BERGMAN_AREA: area_quadrature,
-               SpaceKind.HARDY_HARMONIC_MEASURE: measure_quadrature}.get(tag.kind)
+               SpaceKind.HARDY_HARMONIC_MEASURE: measure_quadrature}.get(kind)
     if measure is None:
-        raise ArgumentError(f"unknown space tag {tag.kind}")
-    pts, w = measure(domain, m)
+        raise ArgumentError(f"unknown space tag {kind}")
+    return measure(domain, m)
+
+
+def quadrature_for(domain: AnnulusDomain, tag: SpaceTag, m: int, measure=None):
+    """Points and the tag's whole measure: the quadrature weights times ``|weight_fn|^2``.
+    ``measure(m)`` gives the unweighted ``(pts, w)`` where a caller holds them
+    (``ExtremalProblem.measure``); ``base_quadrature`` forms them otherwise."""
+    pts, w = measure(m) if measure is not None else base_quadrature(domain, tag.kind, m)
     return pts, (w * np.abs(ring_values(tag.weight_fn, pts, m))**2 if tag.weighted else w)
 
 
@@ -172,18 +179,32 @@ def ring_gram(pts: np.ndarray, weights: np.ndarray, m: int, N: int):
     a diagonally scaled Toeplitz matrix.  Powers of rho are taken in log space
     with the equilibration folded in, so nothing overflows where ``r^(-2N)``
     would.  ``m`` below ``4N + 4`` aliases the top frequencies.
+
+    More than two rings (the area rule) sum in one GEMM: ``H[s, l] = sum_rho
+    rho^s W[l]`` for ``s, l`` in ``-2N..2N``, ``rho^s`` scaled by its largest ring
+    in log space, and ``G[a, b]`` gathers ``H[a+b, a-b]``.  The two boundary
+    circles keep the ring loop, bit for bit.
     """
     if m < 4 * N + 4:
         raise ArgumentError(f"need m >= 4N+4 = {4 * N + 4} quadrature nodes, got {m}")
     ns = np.arange(-N, N + 1)
     spectra = m * np.fft.ifft(np.reshape(weights, (-1, m)), axis=1)
-    log_pow = np.log(np.abs(pts[::m]))[:, None] * ns[None, :]
+    log_rho = np.log(np.abs(pts[::m]))
+    log_pow = log_rho[:, None] * ns[None, :]
     with np.errstate(divide="ignore"):  # provisional scale: the largest ring term
         log_d = np.max(log_pow + 0.5 * np.log(np.abs(spectra[:, :1].real)), axis=0)
-    lags = (ns[:, None] - ns[None, :]) % m
-    Gs = np.zeros((ns.size, ns.size), dtype=complex)
-    for scaled, spectrum in zip(np.exp(log_pow - log_d), spectra):
-        Gs += np.outer(scaled, scaled) * spectrum[lags]
+    if len(spectra) > 2:
+        s = np.arange(-2 * N, 2 * N + 1)
+        log_s = log_rho[:, None] * s[None, :]
+        top = log_s.max(axis=0)
+        H = np.exp(log_s - top).T @ spectra[:, s % m]
+        sums, lags = ns[:, None] + ns[None, :] + 2 * N, ns[:, None] - ns[None, :] + 2 * N
+        Gs = H[sums, lags] * np.exp(top[sums] - log_d[:, None] - log_d[None, :])
+    else:
+        lags = (ns[:, None] - ns[None, :]) % m
+        Gs = np.zeros((ns.size, ns.size), dtype=complex)
+        for scaled, spectrum in zip(np.exp(log_pow - log_d), spectra):
+            Gs += np.outer(scaled, scaled) * spectrum[lags]
     Gs = 0.5 * (Gs + Gs.conj().T)
     delta = np.sqrt(Gs.diagonal().real)
     Gs = Gs / np.outer(delta, delta)
@@ -195,13 +216,13 @@ def ring_gram(pts: np.ndarray, weights: np.ndarray, m: int, N: int):
     return Gs, d
 
 
-def weighted_gram(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int):
-    """``ring_gram`` of a tag, weight included; ``m`` counts angular nodes per
-    circle (boundary tags) or per radial ring (area tag)."""
-    return ring_gram(*quadrature_for(domain, tag, m), m, N)
+def weighted_gram(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int, measure=None):
+    """``ring_gram`` of a tag, weight included, on ``quadrature_for``'s nodes; ``m``
+    counts angular nodes per circle (boundary tags) or per radial ring (area tag)."""
+    return ring_gram(*quadrature_for(domain, tag, m, measure), m, N)
 
 
-def scaled_gram(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int = 512):
+def scaled_gram(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int = 512, measure=None):
     """The window's equilibrated Gram ``(Gs, d)``, ``G = d Gs d``, for every solver:
     orthogonal tags give ``Gs = None`` (the identity) and ``d`` from ``log_monomial_norms``
     (inf past the double range), others ``weighted_gram`` on ``max(m, 4N+4)`` nodes."""
@@ -210,7 +231,7 @@ def scaled_gram(domain: AnnulusDomain, tag: SpaceTag, N: int, m: int = 512):
     if tag.orthogonal_monomials:
         with np.errstate(over="ignore"):
             return None, np.exp(0.5 * log_monomial_norms(domain, tag, N))
-    return weighted_gram(domain, tag, N, max(m, 4 * N + 4))
+    return weighted_gram(domain, tag, N, max(m, 4 * N + 4), measure)
 
 
 def scaled_rows(points, N: int, d: np.ndarray) -> np.ndarray:
@@ -240,11 +261,12 @@ def inner_product(f: LaurentPolynomial, g: LaurentPolynomial,
                   domain: AnnulusDomain, tag: SpaceTag, m: int = 512) -> complex:
     """Sesquilinear ``<f, g>`` in the tagged space, by quadrature."""
     pts, w = quadrature_for(domain, tag, m)
-    return complex(np.sum(w * f(pts) * np.conj(g(pts))))
+    return complex(np.sum(w * ring_values(f, pts, m) * np.conj(ring_values(g, pts, m))))
 
 
-def norm(f, domain: AnnulusDomain, tag: SpaceTag, m: int = 512) -> float:
-    """Space norm of an arbitrary evaluator by quadrature."""
-    pts, w = quadrature_for(domain, tag, m)
+def norm(f, domain: AnnulusDomain, tag: SpaceTag, m: int = 512, measure=None) -> float:
+    """Space norm of an arbitrary evaluator by quadrature (``measure`` as in
+    ``quadrature_for``)."""
+    pts, w = quadrature_for(domain, tag, m, measure)
     return float(np.sqrt(np.sum(w * np.abs(ring_values(f, pts, m))**2).real))
 

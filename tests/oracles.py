@@ -44,7 +44,12 @@ least a different algorithm) than the library path it checks:
 * a singular atom's kernel comes from one Dirichlet solve of the Dirichlet
   kernel cut off at ``N`` (``point_mass_kernel``), completed into the series
   (``truncated_singular_inner``), not from the closed-form Herglotz factor
-  plus a smooth correction.
+  plus a smooth correction;
+* Laurent values come from numpy Horner on every point at once, 0-d arrays
+  included (``horner_values``), not from one FFT per ring or a scalar loop on
+  Python ``complex``;
+* Grams on more than two rings are summed ring by ring as scaled Toeplitz
+  matrices (``loop_ring_gram``), not in one GEMM over the ``a + b`` powers.
 """
 
 from __future__ import annotations
@@ -639,3 +644,53 @@ def truncated_singular_inner(domain, mu, N: int):
                              series=series + LaurentPolynomial.constant(lam),
                              period_residual=residual)
     return _normalize_phase(spec, complex(spec(domain.base_point)))
+
+
+def horner_values(f: LaurentPolynomial, z):
+    """``f`` at ``z`` by numpy Horner, every shape (a 0-d array too) the same way:
+    nonnegative powers highest first times ``z**max(lo, 0)``, then ``|lo|`` steps in ``1/z``."""
+    z = np.asarray(z, dtype=complex)
+    nonneg_lo = max(f.lo, 0)
+    result = np.zeros(z.shape, dtype=complex)
+    if f.hi >= 0:
+        acc = np.zeros(z.shape, dtype=complex)
+        for c in f.coeffs[nonneg_lo - f.lo:][::-1]:
+            acc = acc * z + c
+        if nonneg_lo > 0:
+            acc = acc * z**nonneg_lo
+        result = result + acc
+    if f.lo < 0:
+        w = 1.0 / z
+        acc = np.zeros(z.shape, dtype=complex)
+        for k in range(f.lo, 0):
+            c = f.coeffs[k - f.lo] if k <= min(f.hi, -1) else 0.0
+            acc = (acc + c) * w
+        result = result + acc
+    return result
+
+
+def loop_ring_gram(pts, weights, m: int, N: int):
+    """``spaces.ring_gram``'s ``(Gs, d)`` summed ring by ring: ``outer(s, s) W[lags]`` per
+    ring with ``s = rho^n / d_n`` in log space, then symmetrized and equilibrated."""
+    ns = np.arange(-N, N + 1)
+    spectra = m * np.fft.ifft(np.reshape(weights, (-1, m)), axis=1)
+    log_pow = np.log(np.abs(pts[::m]))[:, None] * ns[None, :]
+    with np.errstate(divide="ignore"):
+        log_d = np.max(log_pow + 0.5 * np.log(np.abs(spectra[:, :1].real)), axis=0)
+    lags = (ns[:, None] - ns[None, :]) % m
+    Gs = np.zeros((ns.size, ns.size), dtype=complex)
+    for scaled, spectrum in zip(np.exp(log_pow - log_d), spectra):
+        Gs += np.outer(scaled, scaled) * spectrum[lags]
+    Gs = 0.5 * (Gs + Gs.conj().T)
+    delta = np.sqrt(Gs.diagonal().real)
+    Gs = Gs / np.outer(delta, delta)
+    np.fill_diagonal(Gs, 1.0)
+    return Gs, np.exp(log_d) * delta
+
+
+def horner_ring_values(f, pts, m: int):
+    """``spaces.ring_values`` from point values, the ring layout unused: numpy Horner
+    (``horner_values``) for a Laurent series, ``f(pts)`` for everything else, whose
+    series an array of points evaluates by numpy Horner too."""
+    values = horner_values(f, pts) if isinstance(f, LaurentPolynomial) else f(pts)
+    return np.asarray(values, dtype=complex)

@@ -12,7 +12,7 @@ import ringspace as rs
 from ringspace import cli
 from ringspace.errors import ConvergenceError
 
-from oracles import node_measure_quadrature
+from oracles import horner_ring_values, node_measure_quadrature
 
 ROOT = Path(__file__).parent.parent
 SCHEMA = json.loads((ROOT / "results.schema.json").read_text())
@@ -631,3 +631,19 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     for args in examples:
         doc = run_json(args)
         assert doc["command"] == args[0]
+
+
+@pytest.mark.parametrize("args, keys", [
+    (["qc-divisor", "--r", "0.5", "--zeros", "0.7,0.6i", "--trials", "4"],
+     ["boundary_modulus_min", "boundary_modulus_max"]),
+    (["extremal", "--r", "0.5", "--base", "0.7", "--zeros", "-0.6", "--space", "hardy",
+      "--N", "32"], ["formulation_equivalence", "norm"]),
+])
+def test_subcommand_grids_on_rings_match_horner(args, keys, monkeypatch):
+    # qc-divisor's boundary moduli and extremal's equivalence grid take one FFT
+    # a ring; the documents' values agree with point values by numpy Horner
+    got = run_json(args)["results"]
+    monkeypatch.setattr(cli, "ring_values", horner_ring_values)
+    oracle = run_json(args)["results"]
+    for key in keys:
+        assert abs(got[key] - oracle[key]) <= 1e-13 * max(1.0, abs(oracle[key])), key

@@ -12,7 +12,8 @@ from ringspace.kernels import build_kernel, count_zeros, locate_zeros
 from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import bergman_tag, hardy_tag, norm as space_norm, quadrature_for, smirnov_tag
 
-from oracles import division_grams, equilibrated, rayleigh_maximize, weighted_candidate_section
+from oracles import (division_grams, equilibrated, horner_ring_values, horner_values,
+                     rayleigh_maximize, weighted_candidate_section)
 
 EXTREMAL_NORM_FIXTURE = 0.3085661677610915  # A2, r=0.5, z0=0.7, z1=-0.7, from N=96
 
@@ -43,11 +44,14 @@ def test_no_zero_extremal_is_kernel_direction(dom):
 
 
 def test_singular_kkt_system_is_typed(dom, monkeypatch):
+    # the KKT system is LU-factored once; getrf reports an exactly zero pivot
+    # by a positive info, which must surface as the typed error
+    import scipy.linalg
     p = problem(dom, bergman_tag(), (-0.7,), 16)
 
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    def singular(a, *args, **kwargs):
+        return np.array(a), np.zeros(len(a), dtype=np.int32), 1
+    monkeypatch.setattr(scipy.linalg.lapack, "zgetrf", singular)
     with pytest.raises(SingularGramError):
         rs.solve_extremal(p)
 
@@ -376,3 +380,65 @@ def test_quasicontract_flags_extraneous_zero(dom06):
     assert report.zero_locations_of_kernel[0] == pytest.approx(cand.kernel_zero, abs=1e-6)
     ests = [e for _, e in report.per_truncation]
     assert all(b > a for a, b in zip(ests, ests[1:]))  # grows across the ladder
+
+
+# ------------------------------------------- ring route against Horner
+
+@pytest.mark.parametrize("make_tag", [bergman_tag, hardy_tag])
+def test_identity_check_on_rings_matches_horner(dom, make_tag, monkeypatch):
+    # the identity check reads B, the weighted section and G on its polar grid
+    # by one FFT a ring; point values by numpy Horner are the oracle
+    from ringspace import extremal
+    p = problem(dom, make_tag(), (-0.6 + 0.2j,), 24)
+    G = rs.solve_extremal(p)
+    got = extremal.extremal_identity_check(G, p)
+    monkeypatch.setattr(extremal, "ring_values", horner_ring_values)
+    assert abs(got - extremal.extremal_identity_check(G, p)) <= 1e-13
+
+
+def test_reproducing_check_on_rings_matches_horner(dom, monkeypatch):
+    from ringspace import extremal
+    p = problem(dom, hardy_tag(), (-0.6 + 0.2j,), 24)
+    G = rs.solve_extremal(p)
+    G = G * (1.0 / space_norm(G, dom, hardy_tag(), measure=p.measure))
+    got = extremal.repro_fact_check(G, p)
+    monkeypatch.setattr(extremal, "ring_values", horner_ring_values)
+    assert abs(got - extremal.repro_fact_check(G, p)) <= 1e-13
+
+
+def test_deflated_section_on_rings_matches_horner(dom06):
+    # the zero search scans F / (z - z1) on its 64 x 64 polar grid by
+    # F.on_rings over the nodes less z1
+    from ringspace import extremal
+    from ringspace.geometry import ring_nodes
+    from ringspace.kernels import full_ring
+    z1 = 0.75j
+    F = rs.extremal_maximizer(rs.ExtremalProblem(dom06, bergman_tag(), 0.6, (z1,), 96))
+    radii = np.linspace(*full_ring(dom06), 64)
+    Z = ring_nodes(radii, 64)
+    oracle = horner_values(F, Z) / (Z - z1)
+    got = extremal._Deflated(F, z1).on_rings(radii, 64)
+    assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+    point = complex(Z[10, 3])
+    assert abs(extremal._Deflated(F, z1)(point) - oracle[10, 3]) <= 1e-13 * abs(oracle[10, 3])
+
+
+def test_problem_shares_its_measure_and_gram(dom, monkeypatch):
+    # one problem forms its harmonic-measure density and Gram once: the KKT
+    # solve, the maximizer, the norm and the checks all read them
+    from ringspace import harmonic, spaces
+    p = problem(dom, hardy_tag(), (-0.6 + 0.2j,), 24)
+    calls = []
+    density = harmonic.measure_density
+    monkeypatch.setattr(spaces, "measure_density", lambda *a: calls.append(a) or density(*a))
+    G = rs.solve_extremal(p)
+    F = rs.extremal_maximizer(p)
+    space_norm(G, dom, hardy_tag(), measure=p.measure)
+    rs.extremal_identity_check(G, p)
+    rs.repro_fact_check(G, p)
+    assert len(calls) == 1
+    assert p.gram(512) is p.gram(512)
+    fresh = problem(dom, hardy_tag(), (-0.6 + 0.2j,), 24)
+    assert np.array_equal(rs.solve_extremal(fresh).coeffs, G.coeffs)
+    assert np.array_equal(rs.extremal_maximizer(fresh).coeffs, F.coeffs)
+    assert fresh == p

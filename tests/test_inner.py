@@ -17,7 +17,7 @@ from ringspace.spaces import (area_quadrature, bergman_tag, boundary_quadrature,
                               norm as space_norm)
 
 from oracles import (boundary_node_list, division_ratios_per_trial, horner_count,
-                     node_schottky, truncated_singular_inner)
+                     horner_ring_values, node_schottky, truncated_singular_inner)
 
 
 # ------------------------------------------------------------ single factor
@@ -537,3 +537,16 @@ def test_division_bound_check_matches_per_trial_loop(seed):
     ratios = division_ratios_per_trial(G, d, trials=60, seed=seed)
     assert rep.max_ratio == pytest.approx(ratios.max(), rel=1e-12)
     assert rep.min_ratio == pytest.approx(ratios.min(), rel=1e-12)
+
+
+def test_schottky_fit_on_rings_matches_horner(dom, monkeypatch):
+    # |f|^2 - 1 on the two boundary circles by one FFT each; point values by
+    # numpy Horner are the oracle
+    from ringspace import inner
+    p = rs.ExtremalProblem(dom, hardy_tag(), 0.7, (-0.6 + 0.2j,), 48)
+    G = rs.solve_extremal(p)
+    got = inner.schottky_fit(G, dom)
+    monkeypatch.setattr(inner, "ring_values", horner_ring_values)
+    oracle = inner.schottky_fit(G, dom)
+    assert abs(got[0] - oracle[0]) <= 1e-13 * abs(oracle[0])
+    assert abs(got[1] - oracle[1]) <= 1e-13

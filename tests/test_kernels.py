@@ -328,6 +328,38 @@ def test_fft_count_matches_horner_oracle(near, shift, block):
         assert count == sum(ring[0] < abs(a) < ring[1] for a in zeros)
 
 
+@pytest.mark.parametrize("block", [8192, 2048])
+@pytest.mark.parametrize("outer", [False, True])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_winding_doublings_evaluate_only_the_new_nodes(side, outer, block):
+    # a zero 1e-3 (relative) inside or outside a counting circle doubles its
+    # 512 nodes to 4096; each doubling evaluates only the odd nodes, the ring
+    # of half as many turned by one new node spacing, and keeps the level it
+    # held (at block 2048 as sub-ring 0 of two); the count is the Horner oracle's
+    from ringspace import kernels
+    dom = rs.make_annulus(0.5, 0.7)
+    ring = full_ring(dom)
+    circle = ring[outer]
+    a = circle * (1.0 + side * 1e-3) * np.exp(0.4j)
+    f = _product([a, 0.7], 0)
+    sizes = []
+
+    class Probe:
+        def __call__(self, z):
+            return f(z)
+
+        def on_rings(self, radii, m, turn=0.0):
+            if radii[0] == circle:
+                sizes.append(m)
+            return f.on_rings(radii, m, turn)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_WINDING_BLOCK", block)
+        count = count_zeros(Probe(), dom, ring)
+    assert count == horner_count(f, ring) == 1 + (ring[0] < abs(a) < ring[1])
+    assert sizes == [512, 512, 1024, 2048]
+
+
 def test_count_forced_to_2_19_nodes_stays_flat():
     # z^87381 (0b10101010101010101, so no coarse grid aliases it to a small step)
     # times an 8193-term series positive on |z| = 1 needs 2^19 nodes there;

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import ringspace as rs
 from ringspace.laurent import LaurentPolynomial, fold_sum, to_laurent
 
+from oracles import horner_values
+
 
 def brute_eval(f, z):
     return sum(c * z**n for n, c in zip(range(f.lo, f.hi + 1), f.coeffs))
@@ -53,6 +55,73 @@ def test_derivative():
     df = f.derivative()
     z = 0.75 * np.exp(1.1j)
     assert df(z) == pytest.approx(-2.0 / z**2 + 3 * z**2)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_point_value_matches_horner_oracle(seed):
+    # one point runs Horner on Python complex, an array of points in numpy: the
+    # two agree to rounding of the sum of the terms' moduli on random windows
+    rng = np.random.default_rng(seed)
+    lo = int(rng.integers(-400, 20))
+    hi = lo + int(rng.integers(0, 800))
+    ns = np.arange(lo, hi + 1)
+    c = (rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size)) * 0.98 ** np.abs(ns)
+    f = LaurentPolynomial(lo, hi, c)
+    for z in (0.6 + 0.6 * rng.random(8)) * np.exp(2j * np.pi * rng.random(8)):
+        got = f(complex(z))
+        assert isinstance(got, complex)
+        scale = np.sum(np.abs(c) * np.abs(z) ** ns.astype(float))
+        assert abs(got - horner_values(f, z)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("window, z", [((-3, 400), 1e3), ((-3, 400), 0.0), ((-5, -2), 0.0),
+                                       ((-5, -2), 1e-200), ((3, 5), 1e200), ((0, 4), np.nan),
+                                       ((-2, 2), complex(np.inf, 1.0))])
+def test_point_value_non_finite_parity(window, z):
+    # where the numpy path overflows or divides by zero, the scalar path gives
+    # inf/nan too, and neither raises nor warns (Newton reads it as a failed step)
+    f = LaurentPolynomial(*window, np.full(window[1] - window[0] + 1, 1.0 + 0.5j))
+    with np.errstate(all="ignore"):
+        oracle = horner_values(f, z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = f(z)
+    assert not np.isfinite(got) and not np.isfinite(oracle)
+
+
+def test_size_one_arrays_keep_their_shape():
+    f = LaurentPolynomial.from_dict({-2: 0.5, 0: 1.0, 3: 2.0 - 1j})
+    z = 0.7 + 0.2j
+    assert isinstance(f(z), complex) and isinstance(f(np.asarray(z)), complex)
+    assert f(np.array([z])).shape == (1,) and f(np.array([[z]])).shape == (1, 1)
+    assert f(np.array([z]))[0] == f(z) == f(np.array([[z]]))[0, 0]
+    assert f(np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.3])
+@pytest.mark.parametrize("size", [1.0, 1e-300])
+def test_ring_terms_scale_by_each_rings_largest_term(turn, size):
+    # probes reads e^top * terms with |terms| <= 1 and top the log of each ring's
+    # largest term; terms near 1e-300 leave the double path's range and take the
+    # longdouble log path, with the same contract
+    rng = np.random.default_rng(4)
+    ns = np.arange(-96, 97)
+    unit = (rng.standard_normal(ns.size) + 1j) * 0.97 ** np.abs(ns)
+    f = LaurentPolynomial(-96, 96, size * unit)
+    radii = np.linspace(0.5, 1.0, 40)
+    exact = unit * radii[:, None] ** ns * np.exp(1j * ns * turn)  # the terms over size
+    seen = 0
+    for k, n, top, terms in f.ring_terms(radii, 512, turn):
+        block = exact[k:k + len(terms)]
+        largest = np.max(np.abs(block), axis=1)
+        unit_top = (top[:, 0] - np.log(size)).astype(float)
+        assert np.array_equal(n, ns)
+        assert np.max(np.abs(terms)) <= 1.0 + 1e-15
+        assert np.max(np.abs(unit_top - np.log(largest))) <= 1e-12
+        err = np.max(np.abs(np.exp(unit_top)[:, None] * terms - block), axis=1)
+        assert np.all(err <= 1e-13 * largest)
+        seen += len(terms)
+    assert seen == radii.size
 
 
 def test_deep_negative_powers_do_not_overflow():

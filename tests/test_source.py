@@ -158,6 +158,81 @@ def test_singular_atoms_take_no_truncation():
     assert found == []
 
 
+# calls that give ring-structured nodes: polar grids, boundary nodes and every
+# quadrature (``pts, w = ...``); ring_gram reads their positions, ring_values
+# evaluates a function on them
+_RING_NODES = {"polar_grid", "boundary_nodes", "boundary_quadrature", "area_quadrature",
+               "measure_quadrature", "base_quadrature", "quadrature_for", "measure"}
+_NODE_READERS = {"ring_values", "ring_gram"}
+
+
+def _callee(call) -> str | None:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _numpy_call(call) -> bool:
+    root = call.func
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    return isinstance(root, ast.Name) and root.id == "np"
+
+
+def _ring_node_evaluations(tree) -> tuple[list[int], int]:
+    """Lines where a function is called on ring nodes other than through
+    ``ring_values`` (numpy arithmetic on the nodes is not an evaluation), and
+    the number of ``ring_values`` calls on them."""
+    found, routed = [], 0
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        names = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                pairs = [(node.targets[0], node.value)]
+                if isinstance(node.targets[0], ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = list(zip(node.targets[0].elts, node.value.elts))
+                for target, value in pairs:
+                    if isinstance(value, ast.Call) and _callee(value) in _RING_NODES:
+                        target = target.elts[0] if isinstance(target, ast.Tuple) else target
+                        if isinstance(target, ast.Name):
+                            names.add(target.id)
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call) or _numpy_call(node):
+                continue
+            on_nodes = any((isinstance(arg, ast.Name) and arg.id in names)
+                           or (isinstance(arg, ast.Call) and _callee(arg) in _RING_NODES)
+                           for arg in node.args)
+            if on_nodes and _callee(node) == "ring_values":
+                routed += 1
+            elif on_nodes and _callee(node) not in _NODE_READERS:
+                found.append(node.lineno)
+    return sorted(set(found)), routed
+
+
+def test_functions_meet_ring_nodes_through_ring_values():
+    # values on polar grids, boundary nodes and quadrature nodes come through
+    # spaces.ring_values: one FFT a ring where the function has on_rings, and
+    # f(pts) for plain callables
+    found, routed = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        lines, count = _ring_node_evaluations(ast.parse(path.read_text(), filename=str(path)))
+        found += [f"{path.name}:{line}" for line in lines]
+        routed += count
+    assert found == []
+    assert routed >= 15
+
+
+def test_ring_node_rule_sees_point_evaluations():
+    # the rule reads nodes bound by name, by tuple and passed inline
+    code = ("def f(G, g, domain, m):\n"
+            "    pts, w = measure_quadrature(domain, m)\n"
+            "    grid, n = polar_grid(domain, 8), 8\n"
+            "    a = np.abs(G(boundary_nodes(domain, m)))\n"
+            "    b = np.asarray(g(pts), dtype=complex) + G(grid)\n"
+            "    return ring_values(G, pts, m), ring_gram(pts, w, m, 4), np.abs(pts - 1)\n")
+    assert _ring_node_evaluations(ast.parse(code)) == ([4, 5], 1)
+
+
 def _config_reads(tree) -> dict[str, set[str]]:
     """Per module-level function: the ``config.<flag>`` attributes it reads,
     itself or through the module's functions it calls (``_domain``,

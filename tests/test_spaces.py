@@ -9,10 +9,11 @@ from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import (SpaceKind, SpaceTag, _gauss_legendre, area_quadrature,
                               bergman_tag, boundary_quadrature, gram_matrix, hardy_tag,
                               inner_product, log_monomial_norms, measure_quadrature,
-                              monomial_norms, quadrature_for, smirnov_tag, weighted_gram)
+                              monomial_norms, quadrature_for, ring_gram, smirnov_tag,
+                              weighted_gram)
 
 from oracles import (bergman_monomial_norm, dense_gram, equilibrated, green_images,
-                     hardy_monomial_norm, node_measure_quadrature,
+                     hardy_monomial_norm, loop_ring_gram, node_measure_quadrature,
                      smirnov_monomial_norm)
 
 
@@ -303,3 +304,25 @@ def test_unweighted_quadrature_for_is_the_plain_measure():
                        (hardy_tag(), measure_quadrature)):
         for got, want in zip(quadrature_for(d, tag, 128), plain(d, 128)):
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("N", [32, 96])
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+def test_area_gram_by_one_gemm_matches_the_ring_loop(r, N):
+    # 64 rings sum as one product over the a+b powers; the ring-by-ring
+    # Toeplitz sum is the oracle, on a weight that vanishes inside the ring
+    dom = rs.make_annulus(r, math.sqrt(r))
+    pts, w = area_quadrature(dom, 512)
+    w = w * np.abs(pts - 0.8 * math.sqrt(r) * np.exp(0.4j))**2
+    Gs, d = ring_gram(pts, w, 512, N)
+    Go, do = loop_ring_gram(pts, w, 512, N)
+    assert np.max(np.abs(Gs - Go)) <= 1e-14
+    assert np.max(np.abs(d / do - 1.0)) <= 1e-14
+
+
+def test_boundary_gram_keeps_the_ring_loop(dom):
+    # two rings (Hardy and arclength Grams) keep the loop bit for bit
+    pts, w = quadrature_for(dom, hardy_tag(), 512)
+    Gs, d = ring_gram(pts, w, 512, 64)
+    Go, do = loop_ring_gram(pts, w, 512, 64)
+    assert np.array_equal(Gs, Go) and np.array_equal(d, do)
