@@ -8,10 +8,9 @@ extremal solvers, quasi-contractive divisors, and the numerical probes that
 go with them.
 """
 
-from .errors import (ArgumentError, BlaschkeDivergenceError, ConvergenceError,
-                     GeometryError, PeriodError, RingspaceError,
-                     SingularConstraintsError, SingularGramError, SolverError,
-                     ZeroOnContourError)
+from .errors import (ArgumentError, ConvergenceError, GeometryError, PeriodError,
+                     RingspaceError, SingularConstraintsError, SingularGramError,
+                     SolverError, ZeroOnContourError)
 from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, make_annulus
 from .harmonic import (GreenFunction, HarmonicRepresentation, analytic_completion,
                        conjugate_period, green, harmonic_measure, measure_density,
@@ -23,7 +22,7 @@ from .spaces import (SpaceKind, SpaceTag, bergman_tag, gram_matrix, hardy_tag,
 from .kernels import (KernelEvaluator, ZeroReport, build_kernel, count_zeros, full_ring,
                       locate_zeros, reproduce_check)
 from .inner import (AtomicSingularMeasure, DivisionBoundReport, InnerFunctionSpec,
-                    InnerVerification, ZeroSet, blaschke_factor, blaschke_product,
+                    InnerVerification, blaschke_factor, blaschke_product,
                     check_orthogonality, division_bound_check, multiply, qc_divisor,
                     schottky_fit, singular_inner, unit_inner, verify_inner)
 from .extremal import (CandidateDivisor, DivisorReport, ExtremalProblem,

@@ -33,9 +33,8 @@ from .errors import ArgumentError, ConvergenceError, GeometryError, RingspaceErr
 from .geometry import (INNER, OUTER, AnnulusDomain, boundary_angles, boundary_nodes,
                        make_annulus, ring_nodes)
 from .harmonic import conjugate_period, green, harmonic_measure
-from .inner import (AtomicSingularMeasure, ZeroSet, blaschke_product,
-                    division_bound_check, qc_divisor, schottky_fit, singular_inner,
-                    verify_inner)
+from .inner import (AtomicSingularMeasure, blaschke_product, division_bound_check,
+                    qc_divisor, schottky_fit, singular_inner, verify_inner)
 from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, reproduce_check
 from .laurent import LaurentPolynomial
 from .extremal import (ExtremalProblem, candidate_divisor,
@@ -353,7 +352,7 @@ def _cmd_blaschke(config: RunConfig):
     if not config.zeros:
         raise click.UsageError("blaschke needs --zeros")
     domain = _domain(config)
-    B = blaschke_product(domain, ZeroSet(points=config.zeros))
+    B = blaschke_product(domain, config.zeros)
     results = _inner_spec_results(B, domain, config.m)
     results["factors_used"] = len(B.zeros)
     results["ring_zero_count"] = count_zeros(B, domain, full_ring(domain))
@@ -375,7 +374,7 @@ def _cmd_singular(config: RunConfig):
 
 def _cmd_inner_verify(config: RunConfig):
     domain = _domain(config)
-    spec, _ = qc_divisor(domain, ZeroSet(points=config.zeros),
+    spec, _ = qc_divisor(domain, config.zeros,
                          AtomicSingularMeasure(atoms=config.atoms))
     return _inner_spec_results(spec, domain, config.m), None, {"modulus": 1e-6}, None
 
@@ -460,7 +459,7 @@ def _cmd_candidate_divisor(config: RunConfig):
 
 def _cmd_qc_divisor(config: RunConfig):
     domain = _domain(config)
-    G, C = qc_divisor(domain, ZeroSet(points=config.zeros),
+    G, C = qc_divisor(domain, config.zeros,
                       AtomicSingularMeasure(atoms=config.atoms))
     mods = np.abs(ring_values(G, boundary_nodes(domain, config.m), config.m))
     bound = division_bound_check(G, C, domain, trials=config.trials, seed=config.seed,

@@ -48,11 +48,6 @@ class ConvergenceError(RingspaceError):
         self.best_residual = best_residual
 
 
-class BlaschkeDivergenceError(RingspaceError):
-    """Partial sums of Green's function values over a zero sequence exceeded
-    the divergence bound without tail decay; the sequence is not a zero set."""
-
-
 class PeriodError(RingspaceError):
     """The closed-form period check of ``inner._close_period`` left a residual
     above tolerance for an inner-function exponent."""

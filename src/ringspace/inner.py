@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ArgumentError, BlaschkeDivergenceError, ConvergenceError,
-                     GeometryError, PeriodError)
-from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, polar_grid, ring_nodes
-from .harmonic import (TRUNCATION_CAP, _log_kernel_data, analytic_completion, green,
+from .errors import ArgumentError, ConvergenceError, GeometryError, PeriodError
+from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, ring_nodes
+from .harmonic import (TRUNCATION_CAP, _log_kernel_data, analytic_completion,
                        harmonic_measure, schottky, solve_dirichlet, tail_truncation)
 from .laurent import LaurentPolynomial
 from .spaces import (boundary_quadrature, hardy_tag, log_monomial_norms, quadrature_for,
@@ -38,28 +37,8 @@ from .spaces import (boundary_quadrature, hardy_tag, log_monomial_norms, quadrat
 
 _PERIOD_TOL = 1e-8
 _DIVISION_WINDOW = 8   # random Laurent h of division_bound_check: z^-8..z^8
-_LAZY_FACTORS = 500    # a lazy blaschke_product that has not settled by then diverges
-_LAZY_TOL = 1e-8       # a lazy product has settled once a factor moves it less than this
-_LAZY_GRID = 16        # polar grid of that test
-_DIVERGENCE_BOUND = 20.0  # partial sum of g(z_j, z0) past which a lazy product diverges
 _ATOM_TAIL = 1e-16     # an atom's correction runs to the first N with r^N <= this
 _AT_ATOM = 1e-12       # a point this close to an atom takes its factor's radial limit
-
-
-@dataclass(frozen=True)
-class ZeroSet:
-    """Prescribed zeros with multiplicity; ``points`` may be a finite sequence
-    or a lazy iterable/generator for infinite sequences."""
-
-    points: object
-
-    @property
-    def is_lazy(self) -> bool:
-        return not isinstance(self.points, (list, tuple, np.ndarray))
-
-    def iter_points(self) -> Iterator[complex]:
-        for p in self.points:
-            yield complex(p)
 
 
 @dataclass(frozen=True)
@@ -182,8 +161,7 @@ def _normalize_phase(spec: InnerFunctionSpec, value: complex) -> InnerFunctionSp
     the base point) becomes positive real.
 
     A unimodular factor is an invertible inner function, so this does not
-    change any modulus; it pins the free additive constant of the conjugates
-    and makes infinite products converge factorwise.
+    change any modulus; it pins the free additive constant of the conjugates.
     """
     if value == 0.0 or not np.isfinite(value):
         return spec
@@ -205,7 +183,7 @@ def blaschke_factor(domain: AnnulusDomain, a: complex,
         raise GeometryError(f"Blaschke zero {a} must be strictly interior")
     N = tail_truncation(domain, a, 1e-12, 64) if N is None else N
     # Same corrector as the Green's function, without its pole-margin guard:
-    # zeros of convergent products legitimately approach the boundary.
+    # a computed kernel zero may lie near the boundary.
     outer_data, inner_data = _log_kernel_data(domain, a, N)
     corrector = solve_dirichlet(domain, outer_data, inner_data, N)
     # corrector.clog is omega_2(a) = log|a| / log(r), so power is 0
@@ -222,12 +200,13 @@ def blaschke_factor(domain: AnnulusDomain, a: complex,
 
 
 def capped_blaschke_factor(domain: AnnulusDomain, a: complex) -> InnerFunctionSpec:
-    """``blaschke_factor`` for a zero that may lie past ``tail_truncation``'s
-    cap: one the library computed, or one of a sequence that approaches the
-    circles.  Past the cap the factor is built at ``N = TRUNCATION_CAP``.  Its
-    boundary tail ``max(|a|, r/|a|)^N`` then exceeds 1e-12, but inside the ring
-    the tail decays like ``(rho/|a|)^N`` (at r = 0.5, on an inset grid, such
-    factors agree with a 4x longer series bit for bit).
+    """``blaschke_factor`` for a zero the library computed, which may lie past
+    ``tail_truncation``'s cap: the located kernel zero ``w*`` of
+    ``candidate_divisor``.  Past the cap the factor is built at
+    ``N = TRUNCATION_CAP``.  Its boundary tail ``max(|a|, r/|a|)^N`` then
+    exceeds 1e-12, but inside the ring the tail decays like ``(rho/|a|)^N``
+    (at r = 0.5, on an inset grid, such factors agree with a 4x longer series
+    bit for bit).
     """
     try:
         return blaschke_factor(domain, a)
@@ -258,40 +237,12 @@ def unit_inner(domain: AnnulusDomain) -> InnerFunctionSpec:
                              series=LaurentPolynomial.constant(0.0))
 
 
-def blaschke_product(domain: AnnulusDomain, zeros: ZeroSet) -> InnerFunctionSpec:
-    """Product of single-zero factors over a prescribed zero set.
-
-    Finite sets use every zero.  Lazy sets append factors until the latest
-    one moves the product by less than ``_LAZY_TOL`` on an interior test grid, or
-    the sequence ends; ``BlaschkeDivergenceError`` rejects them if the partial
-    sums of ``g(z_j, z0)`` or the factor count pass their caps first, which is
-    how non-summable sequences (no tail decay) surface.  Lazy zeros approach
-    the circles, so their factors are ``capped_blaschke_factor``.
-    """
+def blaschke_product(domain: AnnulusDomain, zeros: Sequence[complex]) -> InnerFunctionSpec:
+    """Product of single-zero factors over a finite zero sequence, repeated
+    points counted with multiplicity; no zeros give ``unit_inner``."""
     product = unit_inner(domain)
-    if not zeros.is_lazy:
-        for a in zeros.iter_points():
-            product = multiply(product, blaschke_factor(domain, a))
-        return product
-    g0 = green(domain, domain.base_point)
-    grid = polar_grid(domain, _LAZY_GRID, inset=0.1)  # strictly inside, for the truncation test
-    values, gsum = np.ones(grid.size, dtype=complex), 0.0
-    for count, a in enumerate(zeros.iter_points(), 1):
-        factor = capped_blaschke_factor(domain, a)
-        gsum += float(g0(a))
-        if gsum > _DIVERGENCE_BOUND:
-            raise BlaschkeDivergenceError(
-                f"partial sums of g(z_j, z0) reached {gsum:.3f} without the "
-                f"product settling; the sequence violates the summability condition")
-        product = multiply(product, factor)
-        new_values = values * ring_values(factor, grid, _LAZY_GRID)
-        change = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if change < _LAZY_TOL:
-            break
-        if count >= _LAZY_FACTORS:
-            raise BlaschkeDivergenceError(
-                f"product did not settle within {_LAZY_FACTORS} factors")
+    for a in zeros:
+        product = multiply(product, blaschke_factor(domain, a))
     return product
 
 
@@ -388,15 +339,15 @@ def schottky_fit(f: Callable, domain: AnnulusDomain, m: int = 512) -> tuple[floa
     return lam1, residual
 
 
-def qc_divisor(domain: AnnulusDomain, zeros: ZeroSet | None = None,
+def qc_divisor(domain: AnnulusDomain, zeros: Sequence[complex] = (),
                mu: AtomicSingularMeasure | None = None) -> tuple[InnerFunctionSpec, float]:
-    """Quasi-contractive divisor ``G = B_Z * S_mu`` and its domain constant.
+    """Quasi-contractive divisor ``G = B_Z * S_mu`` of a finite zero sequence ``Z`` and
+    an atomic measure, and its domain constant.
 
     With the combined removal exponent reduced into one period cell
     ``(0, log(1/r)]``, the boundary moduli satisfy ``1 <= |G| <= 1/r``
     (away from singular atoms), so the divisor constant is ``C = 1/r``.
     """
-    zeros = zeros if zeros is not None else ZeroSet(points=())
     mu = mu if mu is not None else AtomicSingularMeasure.empty()
     G = multiply(blaschke_product(domain, zeros), singular_inner(domain, mu))
     return G, 1.0 / domain.inner_radius

@@ -183,10 +183,10 @@ class LaurentPolynomial:
     __radd__ = __add__
 
     def __mul__(self, other):
+        """Scalar multiple; a series operand is a ``TypeError``."""
         if np.isscalar(other) or isinstance(other, complex):
             return LaurentPolynomial(self.lo, self.hi, self.coeffs * other)
-        c = np.convolve(self.coeffs, other.coeffs)
-        return LaurentPolynomial(self.lo + other.lo, self.hi + other.hi, c)
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -156,15 +156,8 @@ def log_monomial_norms(domain: AnnulusDomain, tag: SpaceTag, N: int) -> np.ndarr
 
 
 def monomial_norms(domain: AnnulusDomain, tag: SpaceTag, N: int) -> np.ndarray:
-    """Diagonal Gram entries ``||z^n||^2``, n = -N..N, unweighted: arclength and
-    area ``exp(log_monomial_norms)``, inf past the double range (r = 0.3: from
-    about |n| = 300); harmonic measure the diagonal of ``scaled_gram`` (its
-    closed form ``omega_1(z0) + r^{2n} omega_2(z0)`` is left to tests)."""
-    if tag.weighted:
-        raise ArgumentError("monomial norms are diagonal only without a weight; "
-                            "use weighted_gram for weighted inner products")
-    if tag.kind is SpaceKind.HARDY_HARMONIC_MEASURE:
-        return scaled_gram(domain, tag, N)[1]**2
+    """``exp(log_monomial_norms)``: ``||z^n||^2``, n = -N..N, for unweighted arclength
+    and area, inf past the double range (r = 0.3: from about |n| = 300)."""
     with np.errstate(over="ignore"):
         return np.exp(log_monomial_norms(domain, tag, N))
 

@@ -49,7 +49,9 @@ least a different algorithm) than the library path it checks:
   included (``horner_values``), not from one FFT per ring or a scalar loop on
   Python ``complex``;
 * Grams on more than two rings are summed ring by ring as scaled Toeplitz
-  matrices (``loop_ring_gram``), not in one GEMM over the ``a + b`` powers.
+  matrices (``loop_ring_gram``), not in one GEMM over the ``a + b`` powers;
+* the product of two Laurent series, which the library does not form, is the
+  convolution of their coefficients (``series_product``).
 """
 
 from __future__ import annotations
@@ -694,3 +696,8 @@ def horner_ring_values(f, pts, m: int):
     series an array of points evaluates by numpy Horner too."""
     values = horner_values(f, pts) if isinstance(f, LaurentPolynomial) else f(pts)
     return np.asarray(values, dtype=complex)
+
+
+def series_product(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
+    """``f * g`` on the window ``f.lo + g.lo .. f.hi + g.hi``: the coefficients convolved."""
+    return LaurentPolynomial(f.lo + g.lo, f.hi + g.hi, np.convolve(f.coeffs, g.coeffs))

@@ -125,7 +125,7 @@ def test_criterion_4_inner_functions(dom):
 
     specs = [B, Bb,
              rs.singular_inner(dom, rs.AtomicSingularMeasure(atoms=((1 + 0j, -0.5),))),
-             rs.qc_divisor(dom, rs.ZeroSet(points=(0.7, 0.6j)))[0]]
+             rs.qc_divisor(dom, (0.7, 0.6j))[0]]
     period = max(s.period_residual for s in specs)
     loop_ok = True
     theta = 2 * np.pi * np.arange(512) / 512
@@ -145,7 +145,7 @@ def test_criterion_4_inner_functions(dom):
 
 
 def test_criterion_5_quasi_contractive_divisor(dom):
-    G, C = rs.qc_divisor(dom, rs.ZeroSet(points=(0.7, 0.6j)))
+    G, C = rs.qc_divisor(dom, (0.7, 0.6j))
     theta = 2 * np.pi * np.arange(512) / 512
     mods = np.concatenate([np.abs(G(np.exp(1j * theta))),
                            np.abs(G(0.5 * np.exp(1j * theta)))])

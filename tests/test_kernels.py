@@ -13,7 +13,7 @@ from ringspace.kernels import (_local_minima, _newton_polish, build_kernel,
 from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import bergman_tag, hardy_tag, smirnov_tag
 
-from oracles import deflated_weighted_kernel, horner_count, loop_local_minima
+from oracles import deflated_weighted_kernel, horner_count, loop_local_minima, series_product
 
 
 def interior_pairs(dom, n, seed=0):
@@ -289,7 +289,7 @@ def _product(zeros, shift):
     """``z^shift * prod (z - a)`` as a Laurent polynomial."""
     f = LaurentPolynomial.from_dict({shift: 1.0})
     for a in zeros:
-        f = f * LaurentPolynomial.from_dict({1: 1.0, 0: -a})
+        f = series_product(f, LaurentPolynomial.from_dict({1: 1.0, 0: -a}))
     return f
 
 
@@ -367,7 +367,7 @@ def test_count_forced_to_2_19_nodes_stays_flat():
     from ringspace import kernels
     ns = np.arange(-4096, 4097)
     g = LaurentPolynomial(-4096, 4096, 0.99 ** np.abs(ns) * np.exp(0.1j * ns))
-    f = LaurentPolynomial.from_dict({87381: 1.0}) * g
+    f = LaurentPolynomial(87381 - 4096, 87381 + 4096, g.coeffs)
     f.on_rings([1.0], kernels._WINDING_BLOCK, 0.1)  # warm the FFT plan cache
     tracemalloc.start()
     try:

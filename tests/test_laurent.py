@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ringspace as rs
 from ringspace.laurent import LaurentPolynomial, fold_sum, to_laurent
 
-from oracles import horner_values
+from oracles import horner_values, series_product
 
 
 def brute_eval(f, z):
@@ -42,12 +42,14 @@ def test_arithmetic_window_bookkeeping():
     g = LaurentPolynomial.from_dict({0: -1.0, 3: 0.5})
     s = f + g
     assert (s.lo, s.hi) == (-2, 3)
-    p = f * g
+    p = series_product(f, g)
     assert (p.lo, p.hi) == (-2, 4)
     z = 0.8 * np.exp(0.3j)
     assert s(z) == pytest.approx(f(z) + g(z))
     assert p(z) == pytest.approx(f(z) * g(z))
     assert (f * 2.5)(z) == pytest.approx(2.5 * f(z))
+    with pytest.raises(TypeError):
+        f * g  # a series operand: only scalar multiples are formed
 
 
 def test_derivative():
