@@ -10,7 +10,9 @@ atoms, Schottky functions, and analytic completions whose one multi-valued term,
 
 Mode coefficients are stored in the scaled form ``Bhat_n = B_n r^{-n}`` so the
 2x2 matching systems stay perfectly conditioned and evaluation never forms
-``rho^-n`` against a large coefficient.
+``rho^-n`` against a large coefficient: the modes' sum is
+``Re[sum_n A_n z^n + Bhat_n (r / conj z)^n]``, two power series evaluated by
+Horner in ``z`` and ``r / conj z``, both of modulus at most 1 on the ring.
 """
 
 from __future__ import annotations
@@ -42,16 +44,15 @@ class HarmonicRepresentation:
     Bhat: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
 
     def __call__(self, z):
-        """The value at ``z``, every mode against every point."""
+        """The value at ``z``: ``c0 + clog log|z|`` plus the modes by Horner in ``z`` and
+        ``rref / conj z`` (the module docstring), with no (modes x points) table."""
         z = np.asarray(z, dtype=complex)
-        rho = np.abs(z)
-        out = self.c0 + self.clog * np.log(rho)
+        out = self.c0 + self.clog * np.log(np.abs(z))
         if self.ns.size:
-            ns = self.ns[:, None]
-            rp = rho.ravel()[None, :]
-            term = self.A[:, None] * rp**ns + self.Bhat[:, None] * (self.rref / rp)**ns
-            term = term * np.exp(1j * ns * np.angle(z).ravel()[None, :])
-            out = out + np.real(term.sum(axis=0)).reshape(rho.shape)
+            c = np.zeros((2, self.ns[-1] + 1), dtype=complex)
+            c[:, self.ns] = self.A, self.Bhat
+            P_A, P_Bhat = (LaurentPolynomial(0, len(row) - 1, row) for row in c)
+            out = out + np.real(P_A(z) + P_Bhat(self.rref / np.conj(z)))
         return out if out.shape else float(out)
 
     def radial_derivative_on_circle(self, rho: float, m: int) -> np.ndarray:
@@ -262,10 +263,10 @@ def analytic_completion(h: HarmonicRepresentation) -> LaurentPolynomial:
     circle is ``conjugate_period(h)``, and ``exp`` of the completion is
     single-valued exactly when ``h.clog`` is an integer.
     """
-    coeffs: dict[int, complex] = {0: complex(h.c0)}
-    r = h.rref
-    for n, a, bh in zip(h.ns, h.A, h.Bhat):
-        n = int(n)
-        coeffs[n] = coeffs.get(n, 0.0) + a
-        coeffs[-n] = coeffs.get(-n, 0.0) + np.conj(bh) * r**float(n)
-    return LaurentPolynomial.from_dict(coeffs)
+    n = int(h.ns[-1]) if h.ns.size else 0
+    c = np.zeros(2 * n + 1, dtype=complex)
+    c[n] = h.c0
+    c[n + h.ns] += h.A
+    # libm pow per power: numpy's vector power can differ in the last bit
+    c[n - h.ns] += np.conj(h.Bhat) * [h.rref**float(k) for k in h.ns]
+    return LaurentPolynomial(-n, n, c)

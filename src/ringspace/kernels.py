@@ -207,8 +207,8 @@ def _derivative(f, z):
 
 def _newton_polish(f, z0: complex):
     z = complex(z0)
+    best = (np.inf, z)
     with np.errstate(all="ignore"):   # np.abs: a modulus past 1.8e308 is inf, not OverflowError
-        best = (np.abs(complex(f(z))), z)
         for _ in range(_NEWTON_MAXITER):
             fz = complex(f(z))
             if not np.isfinite(fz):

@@ -10,6 +10,7 @@ else (Grams, kernels, extremal solves) is expressed in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,11 +30,11 @@ def fold_sum(ns: np.ndarray, terms: np.ndarray, m: int) -> np.ndarray:
 class LaurentPolynomial:
     """Finite Laurent sum ``f(z) = sum_{n=lo..hi} c_n z^n``.
 
-    ``coeffs[k]`` holds the coefficient of ``z^(lo + k)``.  Evaluation splits
-    into a Horner pass for the nonnegative powers and a Horner pass in ``1/z``
-    for the negative ones, which avoids overflow of bare ``z**-n`` factors: on
-    Python ``complex`` for one point (``_at``), in numpy for an array of
-    scattered points.  Nodes laid out ring by ring take ``on_rings``.
+    ``coeffs[k]`` holds the coefficient of ``z^(lo + k)``.  Evaluation at points
+    splits into a Horner pass for the nonnegative powers and a Horner pass in
+    ``1/z`` for the negative ones, which avoids overflow of bare ``z**-n``
+    factors (``_horner``, one point or an array).  Nodes laid out ring by ring
+    take ``on_rings``.
     """
 
     lo: int
@@ -68,53 +69,42 @@ class LaurentPolynomial:
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         if z.size == 1:
-            value = self._at(z.item())
+            value = self._horner(z.item())
             return np.full(z.shape, value) if z.shape else value
-        nonneg_lo = max(self.lo, 0)
-        result = np.zeros(z.shape, dtype=complex)
-        if self.hi >= 0:
-            # Horner, highest power first; then multiply by z**nonneg_lo.
-            pos = self.coeffs[nonneg_lo - self.lo:]
-            acc = np.zeros(z.shape, dtype=complex)
-            for c in pos[::-1]:
-                acc = acc * z + c
-            if nonneg_lo > 0:
-                acc = acc * z**nonneg_lo
-            result = result + acc
-        if self.lo < 0:
-            w = 1.0 / z
-            acc = np.zeros(z.shape, dtype=complex)
-            # lowest power first; exactly |lo| multiplications by 1/z, with
-            # zero coefficients where the window stops above -1
-            for k in range(self.lo, 0):
-                c = self.coeffs[k - self.lo] if k <= min(self.hi, -1) else 0.0
-                acc = (acc + c) * w
-            result = result + acc
-        return result
+        return self._horner(z)
 
-    def _at(self, z: complex) -> complex:
-        """The value at one point: the array path's two Horner passes on Python
-        ``complex``, about a tenth of the cost of numpy 0-d arithmetic.  Python's
-        complex ``*`` and ``+`` never raise, so an overflow gives inf/nan as the
-        array path does; ``1/z`` and ``z**nonneg_lo`` are numpy scalars, rounded
-        as the array path rounds them (``1/0`` is inf+nanj there)."""
-        c, nonneg_lo, out = self.coeffs.tolist(), max(self.lo, 0), 0j
-        if self.hi >= 0:
-            acc = 0j
-            for a in reversed(c[nonneg_lo - self.lo:]):
-                acc = acc * z + a
-            if nonneg_lo > 0:
-                with np.errstate(all="ignore"):
-                    acc = acc * complex(np.complex128(z)**nonneg_lo)
-            out = out + acc
-        if self.lo < 0:
-            with np.errstate(all="ignore"):
-                w, acc = complex(1.0 / np.complex128(z)), 0j
-            for a in c[:min(self.hi, -1) - self.lo + 1]:
-                acc = (acc + a) * w
-            for _ in range(-1 - min(self.hi, -1)):  # zeros where the window stops above -1
-                acc = acc * w
-            out = out + acc
+    @cached_property
+    def _coeff_list(self) -> list:  # once per series: Newton evaluates one at many points
+        return self.coeffs.tolist()
+
+    def _horner(self, z):
+        """The value at ``z``: a Horner pass over the nonnegative powers, highest first,
+        times ``z**max(lo, 0)``, then ``|lo|`` steps in ``1/z``, lowest power first (zeros
+        where the window stops above -1).  A Python ``complex`` (one point) runs on Python
+        scalars, about a tenth of the cost of numpy 0-d arithmetic; an array is updated in
+        place.  ``1/z`` and ``z**lo`` are numpy values either way, so an overflow, or
+        ``z = 0`` with negative powers, gives inf/nan and warns nothing."""
+        point, c, nonneg_lo = isinstance(z, complex), self._coeff_list, max(self.lo, 0)
+        lift, drop = (np.complex128, complex) if point else (np.asarray, np.asarray)
+        zeros = (lambda: 0j) if point else (lambda: np.zeros(z.shape, dtype=complex))
+        out = zeros()
+        with np.errstate(all="ignore"):
+            if self.hi >= 0:
+                acc = zeros()
+                for a in reversed(c[nonneg_lo - self.lo:]):
+                    acc *= z
+                    acc += a
+                if nonneg_lo > 0:
+                    acc *= drop(lift(z)**nonneg_lo)
+                out += acc
+            if self.lo < 0:
+                w, acc = drop(1.0 / lift(z)), zeros()
+                for a in c[:min(self.hi, -1) - self.lo + 1]:
+                    acc += a
+                    acc *= w
+                for _ in range(-1 - min(self.hi, -1)):
+                    acc *= w
+                out += acc
         return out
 
     def ring_terms(self, radii, width: int = 1, turn: float = 0.0):

@@ -24,6 +24,9 @@ least a different algorithm) than the library path it checks:
   moments by adaptive quadrature and paired node by node
   (``HarmonicKernel``, ``dense_decomposition_pairings``), not taken from the
   identity ``<H(., z0), u> = u(z0)`` in closed form;
+* harmonic representations are summed from a dense (modes x points) table of
+  ``rho^n``, ``(rref/rho)^n`` and ``e^{i n theta}`` (``dense_harmonic_values``),
+  not by Horner in ``z`` and ``rref / conj z``;
 * boundary fluxes (harmonic-measure weights, the Schottky function, radial
   derivatives of harmonic representations) come from a node list built one
   node at a time and a dense mode-by-node derivative table, not from one FFT
@@ -45,9 +48,9 @@ least a different algorithm) than the library path it checks:
   kernel cut off at ``N`` (``point_mass_kernel``), completed into the series
   (``truncated_singular_inner``), not from the closed-form Herglotz factor
   plus a smooth correction;
-* Laurent values come from numpy Horner on every point at once, 0-d arrays
-  included (``horner_values``), not from one FFT per ring or a scalar loop on
-  Python ``complex``;
+* Laurent values come from numpy Horner on every point at once, a fresh array
+  a step, 0-d arrays included (``horner_values``), not from one FFT per ring, a
+  scalar loop on Python ``complex`` or updates in place;
 * Grams on more than two rings are summed ring by ring as scaled Toeplitz
   matrices (``loop_ring_gram``), not in one GEMM over the ``a + b`` powers;
 * the product of two Laurent series, which the library does not form, is the
@@ -86,6 +89,25 @@ def green_images(z, a, r: float, terms: int = 80):
             + np.log(np.abs(prime_product(z * np.conj(a), r, terms)))
             + np.log(abs(a)) * np.log(np.abs(z)) / np.log(r)
             - np.log(abs(a)))
+
+
+def dense_harmonic_values(h, z):
+    """A ``HarmonicRepresentation`` at the points ``z``, every mode against every
+    point: ``rho^n``, ``(rref/rho)^n`` and ``e^{i n theta}`` in one (modes x points)
+    table.  Also returns ``|c0| + |clog log rho| + sum_n |A_n| rho^n + |Bhat_n| (rref/rho)^n``,
+    the scale rounding is measured against."""
+    z = np.asarray(z, dtype=complex)
+    rho = np.abs(z)
+    out = h.c0 + h.clog * np.log(rho)
+    scale = abs(h.c0) + np.abs(h.clog * np.log(rho))
+    if h.ns.size:
+        ns = h.ns[:, None]
+        rp = rho.ravel()[None, :]
+        outer, inner = h.A[:, None] * rp**ns, h.Bhat[:, None] * (h.rref / rp)**ns
+        term = (outer + inner) * np.exp(1j * ns * np.angle(z).ravel()[None, :])
+        out = out + np.real(term.sum(axis=0)).reshape(rho.shape)
+        scale = scale + (np.abs(outer) + np.abs(inner)).sum(axis=0).reshape(rho.shape)
+    return out, scale
 
 
 def dense_radial_derivative(h, z):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from ringspace.harmonic import (TRUNCATION_CAP, HarmonicRepresentation, solve_di
                                 tail_truncation)
 from ringspace.spaces import boundary_quadrature, measure_quadrature
 
-from oracles import (boundary_node_list, dense_radial_derivative, green_images,
-                     node_normal_derivative, node_schottky, point_mass_kernel)
+from oracles import (boundary_node_list, dense_harmonic_values, dense_radial_derivative,
+                     green_images, node_normal_derivative, node_schottky, point_mass_kernel)
 
 
 # ---------------------------------------------------------------- Dirichlet
@@ -206,6 +207,51 @@ def _random_representation(rng, r, N):
         pos = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / np.arange(1, N + 1)
         data.append(np.concatenate([np.conj(pos[::-1]), [rng.standard_normal()], pos]))
     return solve_dirichlet(rs.make_annulus(r, 0.5 * (1 + r)), data[0], data[1], N)
+
+
+# --------------------------------------------------------- point values
+
+def _assert_matches_dense(values, h, z, offset=0.0):
+    dense, scale = dense_harmonic_values(h, z)
+    assert np.all(np.abs(values - (offset + dense)) <= 1e-13 * (scale + np.abs(offset)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_values_match_dense_table(seed):
+    rng = np.random.default_rng(seed)
+    r = (0.05, 0.3, 0.6, 0.9)[seed]
+    h = _random_representation(rng, r, 64)
+    z = rs.polar_grid(rs.make_annulus(r, 0.5 * (1 + r)), 12, inset=0.0)
+    _assert_matches_dense(h(z), h, z)
+    _assert_matches_dense(h(z.reshape(12, 12)), h, z.reshape(12, 12))
+    value = h(complex(z[5]))
+    assert isinstance(value, float)
+    _assert_matches_dense(value, h, z[5])
+
+
+@pytest.mark.parametrize("r, pole", [(0.3, 0.91), (0.3, 0.33j), (0.6, 0.66 * np.exp(2j)),
+                                     (0.6, -0.91), (0.05, 0.055 + 0.005j)])
+def test_green_values_match_dense_table(r, pole):
+    # poles near each circle, at truncations the dense table can hold
+    d = rs.make_annulus(r, pole)
+    g = rs.green(d, pole)
+    assert 128 <= g.truncation <= 400
+    z = rs.polar_grid(d, 16, inset=0.01)
+    _assert_matches_dense(g(z), g.corrector, z, offset=-np.log(np.abs(z - pole)))
+
+
+def test_green_values_build_no_mode_by_point_table():
+    # N = 2978 terms on 2500 points: a (modes x points) table needs over 100 MiB
+    d = rs.make_annulus(0.3, 0.3035)
+    g = rs.green(d, 0.3035)
+    pts = rs.polar_grid(d, 50, inset=0.02)
+    tracemalloc.start()
+    try:
+        g(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.truncation > 2000 and peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("seed", range(4))

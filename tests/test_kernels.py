@@ -455,6 +455,19 @@ def test_newton_polish_overflowing_modulus_is_inf():
     assert residual == np.inf
 
 
+def test_newton_polish_evaluates_its_seed_once():
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return (np.asarray(z) - 0.6) * (np.asarray(z) + 0.2)
+
+    root, residual = _newton_polish(f, 0.7)
+    assert abs(root - 0.6) <= 1e-10 and residual <= 1e-10
+    # one value and two derivative samples per step, one value at the zero
+    assert len(calls) == 13 and calls.count(0.7) == 1
+
+
 def test_locate_zeros_overflow_near_the_zero_is_typed(dom):
     # One zero by the argument principle, but every Newton step lands where
     # |f| overflows: the search ends in ConvergenceError, not OverflowError.

@@ -80,7 +80,7 @@ def test_point_value_matches_horner_oracle(seed):
                                        ((-5, -2), 1e-200), ((3, 5), 1e200), ((0, 4), np.nan),
                                        ((-2, 2), complex(np.inf, 1.0))])
 def test_point_value_non_finite_parity(window, z):
-    # where the numpy path overflows or divides by zero, the scalar path gives
+    # where the numpy oracle overflows or divides by zero, a point and an array give
     # inf/nan too, and neither raises nor warns (Newton reads it as a failed step)
     f = LaurentPolynomial(*window, np.full(window[1] - window[0] + 1, 1.0 + 0.5j))
     with np.errstate(all="ignore"):
@@ -88,7 +88,27 @@ def test_point_value_non_finite_parity(window, z):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = f(z)
+        values = f(np.array([z, 0.7 + 0.1j, z]))
     assert not np.isfinite(got) and not np.isfinite(oracle)
+    assert not np.isfinite(values[0]) and np.isfinite(values[1]) and not np.isfinite(values[2])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_array_values_match_horner_oracle_bit_for_bit(seed):
+    # the array path runs the oracle's two numpy passes in place, in its order
+    rng = np.random.default_rng(seed)
+    neg, pos = -int(rng.integers(2, 300)), int(rng.integers(1, 40))
+    windows = [(neg, neg + int(rng.integers(0, 600))), (neg, int(rng.integers(neg, -1))),
+               (pos, pos + int(rng.integers(0, 400))), (0, int(rng.integers(0, 400)))]
+    for lo, hi in windows:  # both sides, only negative powers, lo > 0, lo = 0
+        ns = np.arange(lo, hi + 1)
+        c = (rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size)) * 0.97 ** np.abs(ns)
+        f = LaurentPolynomial(lo, hi, c)
+        z = (0.5 + 0.6 * rng.random(37)) * np.exp(2j * np.pi * rng.random(37))
+        for pts in (z, z.reshape(37, 1), z[:2]):
+            got, expected = f(pts), horner_values(f, pts)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(float), expected.view(float))
 
 
 def test_size_one_arrays_keep_their_shape():
