@@ -249,7 +249,7 @@ def _grid_out(config: RunConfig, name: str, radii, m: int, f) -> list | None:
         for i, rho in enumerate(radii):
             for j, theta in enumerate(boundary_angles(m)):
                 v = complex(values[i, j])
-                fh.write(f"{rho!r},{theta!r},{v.real!r},{v.imag!r}\n")
+                fh.write(f"{float(rho)!r},{float(theta)!r},{v.real!r},{v.imag!r}\n")
     return [{"name": name, "path": str(path)}]
 
 

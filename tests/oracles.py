@@ -38,10 +38,13 @@ least a different algorithm) than the library path it checks:
   per-node five-point stencil (``loop_clamped_operator``), not applied
   matrix-free and solved mode by mode after an FFT in angle; applied
   matrix-free, it takes angular links by ``np.roll`` on fresh row stacks
-  (``roll_clamped_apply``), not in place on one wrap-padded buffer; the mode-by-mode
-  banded solve itself is kept as one ``scipy.linalg.solve_banded`` (``gbsv``)
-  call per right-hand side (``gbsv_clamped_solve``), against the library's one
-  ``gbtrf`` and a ``gbtrs`` per solve;
+  (``roll_clamped_apply``), not in place on one wrap-padded buffer; the point
+  load is solved on the whole grid, its FFT in angle split into real and
+  imaginary columns for one ``scipy.linalg.solve_banded`` (``gbsv``) call per
+  right-hand side (``gbsv_clamped_solve``), and refined against the grid
+  operator in ``longdouble`` (``two_gbsv_biharmonic``), not as one real column
+  per mode with the pole at angle 0, refined mode by mode through the two
+  Laplacian factors, by the library's one ``gbtrf`` and a ``gbtrs`` per solve;
 * grid-local minima of the zero search come from eight shifted copies of the
   grid, not from one sliding 3x3 window;
 * a singular atom's kernel comes from one Dirichlet solve of the Dirichlet
@@ -573,9 +576,9 @@ def roll_clamped_apply(u, rho, h: float, lo: int):
 
 
 def two_gbsv_biharmonic(b, rho, h: float, lo: int):
-    """``biharmonic_green``'s interior values for the load ``b``: a ``gbsv_clamped_solve``,
-    its residual against ``roll_clamped_apply`` in ``longdouble``, and a second
-    ``gbsv_clamped_solve`` for the correction."""
+    """``biharmonic_green``'s interior values for the load ``b`` by the grid-wide route:
+    a ``gbsv_clamped_solve``, its residual against ``roll_clamped_apply`` in
+    ``longdouble``, and a second ``gbsv_clamped_solve`` for the correction."""
     u = gbsv_clamped_solve(b, rho, h, lo)
     refine = b - roll_clamped_apply(u.astype(np.longdouble), rho, h, lo)
     return u + gbsv_clamped_solve(refine.astype(float), rho, h, lo)

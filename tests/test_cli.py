@@ -11,6 +11,7 @@ from click.testing import CliRunner
 import ringspace as rs
 from ringspace import cli
 from ringspace.errors import ConvergenceError
+from ringspace.geometry import boundary_angles
 
 from oracles import horner_ring_values, node_measure_quadrature
 
@@ -149,6 +150,26 @@ def test_biharmonic_disk_document(tmp_path):
     assert lines[0] == "rho,theta,re,im"
     assert len(lines) == 1 + 32 * 32
     assert doc["grids"][0]["path"] == str(grid)
+
+
+@pytest.mark.parametrize("args, n_rho, n_theta", [
+    (["green", "--r", "0.5", "--pole", "0.7"], 64, 64),
+    (["kernel", "--r", "0.5", "--base", "0.7"], 48, 48),
+    (["biharmonic", "--r", "0.5", "--pole", "0.7", "--n-rho", "32", "--n-theta", "40"], 32, 40),
+], ids=["green", "kernel", "biharmonic"])
+def test_grid_out_reads_back_as_numbers(tmp_path, args, n_rho, n_theta):
+    path = tmp_path / "grid.csv"
+    run_json([*args, "--grid-out", str(path)])
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert rows.shape == (n_rho * n_theta, 4)
+    assert np.isfinite(rows).all()
+    rho, theta = rows[:, 0].reshape(n_rho, n_theta), rows[:, 1].reshape(n_rho, n_theta)
+    assert (rho == rho[:, :1]).all() and (np.diff(rho[:, 0]) > 0).all()
+    assert np.array_equal(theta, np.broadcast_to(boundary_angles(n_theta), theta.shape))
+    if args[0] == "biharmonic":  # every value written as its repr, so read back exactly
+        sol = rs.biharmonic_green(rs.make_annulus(0.5, 0.7), 0.7, n_rho, n_theta)
+        assert np.array_equal(rho[:, 0], sol.grid.radii)
+        assert np.array_equal(rows[:, 2], sol.grid.values.ravel())
 
 
 def test_usage_error_exit_code():
