@@ -27,7 +27,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, ConvergenceError, GeometryError, PeriodError
+from .errors import (ArgumentError, ConvergenceError, GeometryError, PeriodError,
+                     SingularGramError)
 from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, ring_nodes
 from .harmonic import (TRUNCATION_CAP, _log_kernel_data, analytic_completion,
                        harmonic_measure, schottky, solve_dirichlet, tail_truncation)
@@ -36,7 +37,7 @@ from .spaces import (boundary_quadrature, hardy_tag, log_monomial_norms, quadrat
                      ring_values, smirnov_tag)
 
 _PERIOD_TOL = 1e-8
-_DIVISION_WINDOW = 8   # random Laurent h of division_bound_check: z^-8..z^8
+_DIVISION_WINDOW = 8   # division_bound_check takes its extremes over h on z^-8..z^8
 _ATOM_TAIL = 1e-16     # an atom's correction runs to the first N with r^N <= this
 _AT_ATOM = 1e-12       # a point this close to an atom takes its factor's radial limit
 
@@ -296,8 +297,8 @@ class InnerVerification:
 
 
 def verify_inner(f: Callable, domain: AnnulusDomain, m: int = 256) -> InnerVerification:
-    """Check constancy of ``|f|`` on each boundary circle at ``m`` nodes."""
-    pts = boundary_nodes(domain, m)
+    """Check constancy of ``|f|`` on each circle at ``m`` nodes off the quadrature nodes."""
+    pts = boundary_nodes(domain, 2 * m)[1::2]  # angles pi (2k + 1) / m: atoms may sit on nodes
     outer, inner_v = np.abs(ring_values(f, pts, m)).reshape(2, m)
     c1, c2 = float(outer.mean()), float(inner_v.mean())
     return InnerVerification(c1=c1, c2=c2,
@@ -355,33 +356,34 @@ def qc_divisor(domain: AnnulusDomain, zeros: Sequence[complex] = (),
 
 @dataclass(frozen=True)
 class DivisionBoundReport:
+    """Extremes of ``||h|| ||G|| / ||G h||`` over Laurent ``h`` on ``z^-8..z^8``."""
+
     max_ratio: float
     min_ratio: float
-    trials: int
 
 
 def division_bound_check(G: InnerFunctionSpec, C: float, domain: AnnulusDomain,
-                         trials: int = 100, seed: int = 0,
                          m: int = 512) -> DivisionBoundReport:
-    """Empirical two-sided division bounds for the normalized divisor.
+    """Exact two-sided division bounds for the normalized divisor on the window.
 
-    Draws random Laurent ``h``, forms ``f = G0 h`` with ``G0 = G / ||G||``,
-    and records ``||f / G0|| / ||f|| = ||h|| / ||f||`` per trial; the max must
-    stay below ``C`` and the min above ``1/C``.  All trials are drawn up front
-    (per trial, real parts then imaginary parts); each squared norm is
-    ``c^T P conj(c)`` with ``P`` a weighted Gram of the window on the nodes.
+    With ``G0 = G / ||G||`` and ``f = G0 h``, ``||f / G0|| / ||f|| = ||h|| ||G|| / ||G h||``
+    must lie in ``[1/C, C]``.  Over ``h`` on ``z^-8..z^8`` its extremes are ``||G||``
+    times the square roots of the extreme eigenvalues of ``A x = mu B x``: the Hardy
+    Gram of the window and the same Gram weighted by ``|G|^2``, solved in the basis
+    scaled to ``diag A = 1``.  Fewer nodes than monomials, or a pencil ``eigh``
+    rejects, raise ``SingularGramError``.
     """
-    if trials < 1:
-        raise ArgumentError(f"need at least one trial, got {trials}")
+    if 2 * m <= 2 * _DIVISION_WINDOW:  # A and B share a null space
+        raise SingularGramError(f"division pencil is singular on {2 * m} nodes")
     pts, w = quadrature_for(domain, hardy_tag(), m)
     g_sq = np.abs(ring_values(G, pts, m))**2
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, 2 * _DIVISION_WINDOW + 1))
-    c = draws[:, 0] + 1j * draws[:, 1]
     powers = pts[:, None] ** np.arange(-_DIVISION_WINDOW, _DIVISION_WINDOW + 1)[None, :]
-
-    def sq_norms(weights):
-        return np.einsum("tj,jk,tk->t", c, (powers.T * weights) @ powers.conj(), c.conj()).real
-
-    ratios = np.sqrt(sq_norms(w) / sq_norms(w * g_sq) * np.sum(w * g_sq))  # G0 = G / ||G||
-    return DivisionBoundReport(max_ratio=float(np.max(ratios)),
-                               min_ratio=float(np.min(ratios)), trials=trials)
+    powers = powers / np.sqrt(w @ np.abs(powers)**2)  # diag A = 1
+    A, B = ((powers.T * v) @ powers.conj() for v in (w, w * g_sq))
+    import scipy.linalg
+    try:
+        mu = scipy.linalg.eigh(A, B, eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGramError(f"division pencil is singular ({exc})") from exc
+    g_norm = math.sqrt(float(np.sum(w * g_sq)))  # G0 = G / ||G||
+    return DivisionBoundReport(g_norm * math.sqrt(mu[-1]), g_norm * math.sqrt(mu[0]))

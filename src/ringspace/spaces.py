@@ -62,10 +62,10 @@ def bergman_tag(weight_fn=None) -> SpaceTag:
 
 
 def ring_values(f, pts: np.ndarray, m: int) -> np.ndarray:
-    """``f`` at quadrature nodes laid out ring by ring (``ring_nodes``): one FFT
-    per ring through ``f.on_rings`` where ``f`` has it, ``f(pts)`` otherwise."""
+    """``f`` at nodes laid out ring by ring (``ring_nodes``, turned by the first node's
+    angle): one FFT per ring through ``f.on_rings`` where ``f`` has it, else ``f(pts)``."""
     if hasattr(f, "on_rings"):
-        return f.on_rings(np.abs(pts[::m]), m).ravel()
+        return f.on_rings(np.abs(pts[::m]), m, float(np.angle(pts[0]))).ravel()
     return np.asarray(f(pts), dtype=complex)
 
 

@@ -13,6 +13,9 @@ least a different algorithm) than the library path it checks:
 * monomial norms come from adaptive quadrature, not closed forms;
 * the operator-norm oracle maximizes Rayleigh quotients by seeded random
   search with pencil power-iteration polish, not by a packed eigensolver;
+* division ratios come from seeded random Laurent ``h``, one at a time
+  (``division_ratios_per_trial``), not from the division pencil's extreme
+  eigenvalues;
 * Gram matrices, the division pencil and the decomposition's harmonic
   pairings are dense Vandermonde products over every quadrature node, not
   ring-wise FFT sums or lagged sums of Laurent coefficients; the whole

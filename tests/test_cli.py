@@ -100,6 +100,15 @@ def test_qc_divisor_with_atoms_meets_the_benchmark_gate():
     assert 1 - 1e-7 <= res["boundary_modulus_min"] <= res["boundary_modulus_max"] <= res["C"]
 
 
+def test_extremal_marks_the_kernel_product_report_only():
+    tol = run_json(["extremal", "--r", "0.5", "--base", "0.7", "--zeros", "0.6i",
+                    "--N", "32"])["tolerances"]
+    assert tol == {"equivalence": 1e-9, "kernel_product": "report-only"}
+    tol = run_json(["extremal", "--r", "0.5", "--base", "0.7", "--zeros", "0.6i,-0.6",
+                    "--N", "32"])["tolerances"]
+    assert tol == {"equivalence": 1e-9}
+
+
 def test_singular_modulus_is_constant_off_its_atom():
     doc = run_json(["singular", "--r", "0.5", "--base", "0.7", "--atoms", "1@0.3:-0.5"])
     assert doc["results"]["inner_by_constant_modulus"]
@@ -107,11 +116,14 @@ def test_singular_modulus_is_constant_off_its_atom():
 
 
 def test_singular_atoms_on_nodes_take_the_radial_limit():
-    # the README's atoms sit on the node angles 0 and pi/2: |S| is 0 there,
-    # so each circle's deviation is its mean modulus, and the run exits 0
+    # the README's atoms sit on the node angles 0 and pi/2, where |S| is 0;
+    # verify_inner samples half a spacing off the nodes, so the document reads inner
     res = run_json(["singular", "--r", "0.5", "--atoms", "1:-1,0.5i:-0.25"])["results"]
-    for side in ("outer", "inner"):
-        assert res[f"modulus_deviation_{side}"] == res[f"measured_modulus_{side}"] > 0.99
+    d = rs.make_annulus(0.5, 0.5**0.5)
+    S = rs.singular_inner(d, rs.AtomicSingularMeasure(atoms=((1.0, -1.0), (0.5j, -0.25))))
+    assert np.all(S(np.array([1.0, 0.5j])) == 0.0)
+    assert res["inner_by_constant_modulus"]
+    assert max(res["modulus_deviation_outer"], res["modulus_deviation_inner"]) <= 1e-10
     assert res["ring_zero_count"] == 0
 
 
@@ -196,11 +208,11 @@ def test_too_few_boundary_nodes_exit_code(argv):
     assert result.stderr.startswith("rejected:")
 
 
-@pytest.mark.parametrize("trials", ["0", "-1"])
-def test_too_few_division_trials_exit_code(trials):
-    result = run_cli(["qc-divisor", "--r", "0.5", "--zeros", "0.7", "--trials", trials])
-    assert result.exit_code == 3
-    assert result.stderr.startswith("rejected:")
+@pytest.mark.parametrize("flag", [["--trials", "4"], ["--seed", "1"]], ids=["trials", "seed"])
+def test_qc_divisor_takes_no_trials_or_seed(flag):
+    # its division ratios are exact extremes, with nothing drawn
+    result = run_cli(["qc-divisor", "--r", "0.5", "--zeros", "0.7", *flag])
+    assert result.exit_code == 2
 
 
 @pytest.mark.parametrize("command", ["kernel", "extremal"])
@@ -376,7 +388,7 @@ def test_schottky_fit_document():
 
 
 def test_repeat_runs_identical():
-    args = ["qc-divisor", "--r", "0.5", "--zeros", "0.7", "--seed", "0"]
+    args = ["qc-divisor", "--r", "0.5", "--zeros", "0.7"]
     d1, d2 = run_json(args), run_json(args)
     assert json.dumps(d1["results"], sort_keys=True) == json.dumps(d2["results"], sort_keys=True)
 
@@ -497,7 +509,6 @@ def test_decomposition_evaluates_g_at_no_quadrature_node(monkeypatch, zeros):
 OPTIONS = {
     "r": ("--r", "float"), "base": ("--base", "complex"), "zeros": ("--zeros", "zeros"),
     "atoms": ("--atoms", "atoms"), "N": ("--N", "integer"), "m": ("--m", "integer"),
-    "seed": ("--seed", "integer"), "trials": ("--trials", "integer"),
     "j": ("--j", "integer"), "space": ("--space", "choice"),
     "undivided": ("--undivided", "boolean", True), "pole": ("--pole", "complex"),
     "disk": ("--disk", "boolean", True), "n_rho": ("--n-rho", "integer"),
@@ -518,7 +529,7 @@ FLAGS = {
     "kernel-zeros": ["base", "N", "m", "space"],
     "extremal": ["base", "zeros", "N", "m", "space"],
     "candidate-divisor": ["base", "zeros", "N"],
-    "qc-divisor": ["base", "zeros", "atoms", "m", "seed", "trials"],
+    "qc-divisor": ["base", "zeros", "atoms", "m"],
     "qc-estimate": ["base", "zeros", "N", "m", "undivided"],
     "schottky-fit": ["base", "zeros", "N", "m"],
     "decomposition": ["base", "zeros", "N"],
@@ -540,7 +551,7 @@ def test_flag_surface():
     params = {p.name: p for p in cli.main.commands["kernel"].params}
     assert sorted(params["space"].type.choices) == ["arclength", "bergman", "hardy", "smirnov"]
     assert list(params["format"].type.choices) == ["json", "csv"]
-    assert sum(len(cli.main.commands[name].params) for name in FLAGS) == 112
+    assert sum(len(cli.main.commands[name].params) for name in FLAGS) == 110
 
 
 # Flags with no default: a document echoes them only when they are given.
@@ -655,7 +666,7 @@ def test_readme_examples_run(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("args, keys", [
-    (["qc-divisor", "--r", "0.5", "--zeros", "0.7,0.6i", "--trials", "4"],
+    (["qc-divisor", "--r", "0.5", "--zeros", "0.7,0.6i"],
      ["boundary_modulus_min", "boundary_modulus_max"]),
     (["extremal", "--r", "0.5", "--base", "0.7", "--zeros", "-0.6", "--space", "hardy",
       "--N", "32"], ["formulation_equivalence", "norm"]),

@@ -203,6 +203,17 @@ def test_weighted_kernels_need_no_svd(dom, svd_calls):
     assert svd_calls == []
 
 
+@pytest.mark.parametrize("N", [48, 96])
+@pytest.mark.parametrize("r, base", [(0.5, 0.7), (0.5, 0.6 + 0.3j), (0.3, 0.55j),
+                                     (0.4, -0.7 + 0.1j)])
+def test_hardy_section_at_the_base_is_one(r, base, N):
+    # harmonic measure at z0 reproduces every analytic f at z0, the constant 1
+    # included, so the section K(., z0) is 1 on every window
+    d = rs.make_annulus(r, base)
+    section = build_kernel(d, hardy_tag(), N).section(d.base_point)
+    assert np.max(np.abs(section(rs.polar_grid(d, 32)) - 1.0)) <= 1e-11
+
+
 def test_reproduce_constant(dom):
     for tag in (smirnov_tag(), bergman_tag(), hardy_tag()):
         K = build_kernel(dom, tag, N=24)

@@ -34,6 +34,28 @@ def test_library_imports_scipy_only_inside_functions():
     assert found == []
 
 
+def _dotted_names(node) -> list[str]:
+    """The modules an import names (``from a import b`` as ``a.b``), or ``x.attr``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return [f"{node.value.id}.{node.attr}"]
+    return []
+
+
+def test_library_draws_no_random_numbers():
+    # every result is a function of its flags: no module imports random or
+    # reads numpy.random
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             for parts in (name.split(".") for name in _dotted_names(node))
+             if parts[0] == "random" or parts[:2] in (["numpy", "random"], ["np", "random"])]
+    assert found == []
+
+
 def test_library_touches_no_other_objects_private_attributes():
     # ``x._name`` is private to x's own class: no module reads or writes it on
     # another object (``self``/``cls`` exempt; dunders are public protocol)
