@@ -461,8 +461,9 @@ def _cmd_qc_divisor(config: RunConfig):
     domain = _domain(config)
     G, C = qc_divisor(domain, config.zeros,
                       AtomicSingularMeasure(atoms=config.atoms))
-    mods = np.abs(ring_values(G, boundary_nodes(domain, config.m), config.m))
-    bound = division_bound_check(G, C, domain, m=config.m)
+    # half a node spacing off the quadrature nodes, where an atom may sit
+    mods = np.abs(ring_values(G, boundary_nodes(domain, 2 * config.m)[1::2], config.m))
+    bound = division_bound_check(G, domain)
     results = {
         "C": C,
         "lambda": G.lam,

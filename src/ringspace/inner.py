@@ -27,17 +27,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ArgumentError, ConvergenceError, GeometryError, PeriodError,
-                     SingularGramError)
+from .errors import ArgumentError, ConvergenceError, GeometryError, PeriodError
 from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, ring_nodes
 from .harmonic import (TRUNCATION_CAP, _log_kernel_data, analytic_completion,
                        harmonic_measure, schottky, solve_dirichlet, tail_truncation)
 from .laurent import LaurentPolynomial
-from .spaces import (boundary_quadrature, hardy_tag, log_monomial_norms, quadrature_for,
-                     ring_values, smirnov_tag)
+from .spaces import boundary_quadrature, log_monomial_norms, ring_values, smirnov_tag
 
 _PERIOD_TOL = 1e-8
-_DIVISION_WINDOW = 8   # division_bound_check takes its extremes over h on z^-8..z^8
 _ATOM_TAIL = 1e-16     # an atom's correction runs to the first N with r^N <= this
 _AT_ATOM = 1e-12       # a point this close to an atom takes its factor's radial limit
 
@@ -356,34 +353,27 @@ def qc_divisor(domain: AnnulusDomain, zeros: Sequence[complex] = (),
 
 @dataclass(frozen=True)
 class DivisionBoundReport:
-    """Extremes of ``||h|| ||G|| / ||G h||`` over Laurent ``h`` on ``z^-8..z^8``."""
+    """Supremum and infimum of ``||h|| ||G|| / ||G h||`` over the Hardy space."""
 
     max_ratio: float
     min_ratio: float
 
 
-def division_bound_check(G: InnerFunctionSpec, C: float, domain: AnnulusDomain,
-                         m: int = 512) -> DivisionBoundReport:
-    """Exact two-sided division bounds for the normalized divisor on the window.
+def division_bound_check(G: InnerFunctionSpec, domain: AnnulusDomain) -> DivisionBoundReport:
+    """Two-sided division bounds for the normalized divisor, in closed form.
 
     With ``G0 = G / ||G||`` and ``f = G0 h``, ``||f / G0|| / ||f|| = ||h|| ||G|| / ||G h||``
-    must lie in ``[1/C, C]``.  Over ``h`` on ``z^-8..z^8`` its extremes are ``||G||``
-    times the square roots of the extreme eigenvalues of ``A x = mu B x``: the Hardy
-    Gram of the window and the same Gram weighted by ``|G|^2``, solved in the basis
-    scaled to ``diag A = 1``.  Fewer nodes than monomials, or a pencil ``eigh``
-    rejects, raise ``SingularGramError``.
+    must lie in ``[1/C, C]``.  ``|G|`` is ``e^lam`` on the outer circle and 1 on the
+    inner one, so in the Hardy space of harmonic measure at the base point
+    ``||G h||^2 = e^{2 lam} ||h||_1^2 + ||h||_2^2`` (``||h||_j^2`` the mass on circle
+    ``j``) for every ``h``.  The extremes are ``||G||`` (approached by ``z^-n``) and
+    ``||G|| e^-lam`` (by ``z^n``), with ``||G||^2 = e^{2 lam} omega_1(z0) + omega_2(z0)``.
+    Only an inner spec has those moduli; anything else raises ``ArgumentError``.
     """
-    if 2 * m <= 2 * _DIVISION_WINDOW:  # A and B share a null space
-        raise SingularGramError(f"division pencil is singular on {2 * m} nodes")
-    pts, w = quadrature_for(domain, hardy_tag(), m)
-    g_sq = np.abs(ring_values(G, pts, m))**2
-    powers = pts[:, None] ** np.arange(-_DIVISION_WINDOW, _DIVISION_WINDOW + 1)[None, :]
-    powers = powers / np.sqrt(w @ np.abs(powers)**2)  # diag A = 1
-    A, B = ((powers.T * v) @ powers.conj() for v in (w, w * g_sq))
-    import scipy.linalg
-    try:
-        mu = scipy.linalg.eigh(A, B, eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGramError(f"division pencil is singular ({exc})") from exc
-    g_norm = math.sqrt(float(np.sum(w * g_sq)))  # G0 = G / ||G||
-    return DivisionBoundReport(g_norm * math.sqrt(mu[-1]), g_norm * math.sqrt(mu[0]))
+    if not isinstance(G, InnerFunctionSpec):
+        raise ArgumentError(f"division bounds need an InnerFunctionSpec, got {type(G).__name__}")
+    moduli = G.boundary_moduli
+    z0 = domain.base_point
+    g_norm = math.sqrt(sum(mod**2 * harmonic_measure(domain, j)(z0)
+                           for mod, j in zip(moduli, (OUTER, INNER))))
+    return DivisionBoundReport(g_norm, g_norm / moduli[0])

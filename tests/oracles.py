@@ -14,8 +14,9 @@ least a different algorithm) than the library path it checks:
 * the operator-norm oracle maximizes Rayleigh quotients by seeded random
   search with pencil power-iteration polish, not by a packed eigensolver;
 * division ratios come from seeded random Laurent ``h``, one at a time
-  (``division_ratios_per_trial``), not from the division pencil's extreme
-  eigenvalues;
+  (``division_ratios_per_trial``), or from the extreme eigenvalues of the
+  window-8 division pencil (``division_pencil``), not from the divisor's
+  boundary moduli in closed form;
 * Gram matrices, the division pencil and the decomposition's harmonic
   pairings are dense Vandermonde products over every quadrature node, not
   ring-wise FFT sums or lagged sums of Laurent coefficients; the whole
@@ -374,11 +375,13 @@ def three_rule_decomposition(G, domain, z0: complex, m: int):
     return lam1, float(np.max(np.abs(ps - lam1 * qs))), c0
 
 
-def rayleigh_maximize(A, B, trials: int = 10000, polish: int = 200, seed: int = 0):
+def rayleigh_maximize(A, B, trials: int = 10000, seed: int = 0):
     """sup of (c* B c)/(c* A c) by random search plus power-iteration polish.
 
     Solves with a Cholesky factor of ``A`` directly rather than calling a
-    generalized eigensolver, so it is an independent maximization route.
+    generalized eigensolver, so it is an independent maximization route.  The
+    polish stops once a step changes the quotient by at most 1e-12 relative,
+    and raises ``RuntimeError`` if 10^6 steps do not get there.
     """
     import scipy.linalg
     rng = np.random.default_rng(seed)
@@ -389,12 +392,15 @@ def rayleigh_maximize(A, B, trials: int = 10000, polish: int = 200, seed: int = 
         val = float(np.real(np.vdot(c, B @ c)) / np.real(np.vdot(c, A @ c)))
         if val > best_val:
             best_val, best_vec = val, c
-    cho = scipy.linalg.cho_factor(A)
-    v = best_vec
-    for _ in range(polish):
-        v = scipy.linalg.cho_solve(cho, B @ v)
+    step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), B)  # A^-1 B
+    v, val = best_vec, best_val
+    for _ in range(10**6):
+        v = step @ v
         v = v / np.linalg.norm(v)
-    return float(np.real(np.vdot(v, B @ v)) / np.real(np.vdot(v, A @ v)))
+        val, last = float(np.real(np.vdot(v, B @ v)) / np.real(np.vdot(v, A @ v))), val
+        if abs(val - last) <= 1e-12 * abs(val):
+            return val
+    raise RuntimeError("Rayleigh polish did not settle to 1e-12 in 10^6 steps")
 
 
 def division_ratios_per_trial(G, domain, trials: int, seed: int, window: int = 8,
@@ -414,6 +420,35 @@ def division_ratios_per_trial(G, domain, trials: int, seed: int, window: int = 8
         ratios.append(np.sqrt(np.sum(w * np.abs(h_vals)**2))
                       / np.sqrt(np.sum(w * np.abs(g_vals * h_vals)**2)))
     return np.array(ratios)
+
+
+def division_pencil(G, domain, m: int = 512):
+    """``(max, min)`` of ``||h|| ||G|| / ||G h||`` over Laurent ``h`` on ``z^-8..z^8``.
+
+    ``||G||`` times the square roots of the extreme eigenvalues of ``A x = mu B x``:
+    the Hardy Gram of the window on ``m`` nodes per circle and the same Gram
+    weighted by ``|G|^2``, solved in the basis scaled to ``diag A = 1``.  Fewer
+    nodes than monomials, or a pencil ``eigh`` rejects, raise ``SingularGramError``.
+    An atom on a node reads its radial limit 0 there, which biases the extremes
+    by O(1/m).
+    """
+    import scipy.linalg
+    from ringspace.errors import SingularGramError
+    from ringspace.spaces import hardy_tag, quadrature_for, ring_values
+    window = 8
+    if 2 * m <= 2 * window:  # A and B share a null space
+        raise SingularGramError(f"division pencil is singular on {2 * m} nodes")
+    pts, w = quadrature_for(domain, hardy_tag(), m)
+    g_sq = np.abs(ring_values(G, pts, m))**2
+    powers = pts[:, None] ** np.arange(-window, window + 1)[None, :]
+    powers = powers / np.sqrt(w @ np.abs(powers)**2)  # diag A = 1
+    A, B = ((powers.T * v) @ powers.conj() for v in (w, w * g_sq))
+    try:
+        mu = scipy.linalg.eigh(A, B, eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGramError(f"division pencil is singular ({exc})") from exc
+    g_norm = math.sqrt(float(np.sum(w * g_sq)))  # G0 = G / ||G||
+    return g_norm * math.sqrt(mu[-1]), g_norm * math.sqrt(mu[0])
 
 
 def _polar_laplacian_stencil(i, j, rho, h, htheta, T, center_flip: bool):

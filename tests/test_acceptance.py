@@ -149,11 +149,11 @@ def test_criterion_5_quasi_contractive_divisor(dom):
     theta = 2 * np.pi * np.arange(512) / 512
     mods = np.concatenate([np.abs(G(np.exp(1j * theta))),
                            np.abs(G(0.5 * np.exp(1j * theta)))])
-    bound = rs.division_bound_check(G, C, dom)
+    bound = rs.division_bound_check(G, dom)
     ok = (C == 2.0 and mods.min() >= 1 - 1e-7 and mods.max() <= C + 1e-7
           and bound.max_ratio <= C + 1e-6)
     assert report(5, ok, f"C = {C}, |G| in [{mods.min():.9f}, {mods.max():.9f}], "
-                         f"max division ratio {bound.max_ratio:.6f} over h on z^-8..z^8")
+                         f"max division ratio {bound.max_ratio:.6f} over the Hardy space")
 
 
 def test_criterion_6_extremal_identity(dom):

@@ -78,6 +78,26 @@ def test_qc_divisor_document():
     assert res["division_ratio_max"] <= 2 + 1e-6
 
 
+def test_qc_divisor_samples_moduli_off_the_nodes():
+    # both atoms sit on quadrature nodes (angles 0 and pi/2), where |G| reads its
+    # radial limit 0; the moduli are sampled half a node spacing away, and the
+    # division ratios come from the moduli (e^lam, 1) in closed form
+    res = run_json(["qc-divisor", "--r", "0.5", "--zeros", "0.7,0.6i",
+                    "--atoms", "1:-1,0.5i:-0.25"])["results"]
+    assert res["boundary_modulus_min"] > 0.9
+    assert res["division_ratio_min"] == pytest.approx(0.894925, abs=1e-6)
+
+
+def test_qc_divisor_ratios_do_not_read_m():
+    docs = [run_json(["qc-divisor", "--r", "0.5", "--zeros", "0.7,0.6i", "--m", m])
+            for m in ("9", "16", "36", "512")]
+    ratios = {(doc["results"]["division_ratio_max"], doc["results"]["division_ratio_min"])
+              for doc in docs}
+    assert len(ratios) == 1
+    # 4 nodes a circle: no pencil to go singular
+    assert run_cli(["qc-divisor", "--r", "0.5", "--zeros", "0.7,0.6i", "--m", "4"]).exit_code == 0
+
+
 def test_qc_divisor_with_atoms_meets_the_benchmark_gate():
     # divisor-ladder seed 3: with each atom's kernel cut off at --N 64, Gibbs
     # overshoot in the exponent put the division ratios at [2.31, 3.09]

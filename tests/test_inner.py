@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import ringspace as rs
-from ringspace.errors import (ArgumentError, ConvergenceError, GeometryError, PeriodError,
-                              SingularGramError)
+from ringspace.errors import ArgumentError, ConvergenceError, GeometryError, PeriodError
 from ringspace.geometry import polar_grid, ring_nodes
 from ringspace.harmonic import tail_truncation
 from ringspace.inner import capped_blaschke_factor
@@ -16,8 +15,8 @@ from ringspace.laurent import LaurentPolynomial, to_laurent
 from ringspace.spaces import (area_quadrature, bergman_tag, boundary_quadrature, hardy_tag,
                               norm as space_norm, quadrature_for)
 
-from oracles import (boundary_node_list, division_ratios_per_trial, horner_count,
-                     horner_ring_values, node_schottky, rayleigh_maximize,
+from oracles import (boundary_node_list, division_pencil, division_ratios_per_trial,
+                     horner_count, horner_ring_values, node_schottky, rayleigh_maximize,
                      truncated_singular_inner)
 
 
@@ -413,9 +412,23 @@ def test_qc_divisor_boundary_bounds(dom):
 
 def test_division_bounds(dom):
     G, C = rs.qc_divisor(dom, (0.7, 0.6j))
-    rep = rs.division_bound_check(G, C, dom)
+    rep = rs.division_bound_check(G, dom)
     assert rep.max_ratio <= C + 1e-6
     assert rep.min_ratio >= 1 / C - 1e-6
+
+
+def test_division_bounds_are_attained_by_monomials(dom):
+    # ||h|| ||G|| / ||G h|| on the Hardy quadrature: z^-30 puts h's mass on the
+    # inner circle (|G| = 1) and z^30 on the outer one (|G| = e^lam), up to r^60
+    G, C = rs.qc_divisor(dom, (0.7, 0.6j))
+    rep = rs.division_bound_check(G, dom)
+    pts, w = quadrature_for(dom, hardy_tag(), 512)
+    g_sq = np.abs(G(pts))**2
+    assert rep.max_ratio == pytest.approx(math.sqrt(np.sum(w * g_sq)), rel=1e-12)
+    for n, extreme in ((-30, rep.max_ratio), (30, rep.min_ratio)):
+        h_sq = np.abs(pts**n)**2
+        ratio = rep.max_ratio * math.sqrt(np.sum(w * h_sq) / np.sum(w * g_sq * h_sq))
+        assert ratio == pytest.approx(extreme, rel=1e-12)
 
 
 def test_division_by_unimodular_constant_is_isometric(dom):
@@ -423,7 +436,7 @@ def test_division_by_unimodular_constant_is_isometric(dom):
     phase = rs.InnerFunctionSpec(domain=dom, zeros=(), singular=G.singular,
                                  lam=0.0, power=0,
                                  series=LaurentPolynomial.constant(0.4j))
-    rep = rs.division_bound_check(phase, 1.0, dom)
+    rep = rs.division_bound_check(phase, dom)
     assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
     assert rep.min_ratio == pytest.approx(1.0, abs=1e-9)
 
@@ -516,19 +529,20 @@ def test_division_bound_check_matches_per_trial_loop(seed):
     d = rs.make_annulus(0.5, 0.5 + 0.4j)
     G, C = rs.qc_divisor(d, (0.7, 0.6j),
                          rs.AtomicSingularMeasure(atoms=((-1.0, -0.3),)))
-    # the exact extremes bound every random Laurent h on the same window
-    rep = rs.division_bound_check(G, C, d)
+    # the extremes over the whole space bound every random Laurent h
+    rep = rs.division_bound_check(G, d)
     ratios = division_ratios_per_trial(G, d, trials=60, seed=seed)
     assert rep.min_ratio * (1 - 1e-10) <= ratios.min()
     assert ratios.max() <= rep.max_ratio * (1 + 1e-10)
 
 
 def test_division_bound_extremes_match_rayleigh_search():
-    # mu_max of A x = mu B x is max x*Ax / x*Bx, and mu_min is 1 / max x*Bx / x*Ax
-    # (the swapped pencil); a Cholesky power iteration on the unscaled Grams
-    # finds both.  Its quotient never passes the extreme, and it sits within
-    # 1e-4 of it: the pencil's top and bottom eigenvalues come in clusters
-    # (1.6e-5 apart at the bottom here) that the iteration does not separate.
+    # mu_max of the oracle pencil A x = mu B x is max x*Ax / x*Bx, and mu_min is
+    # 1 / max x*Bx / x*Ax (the swapped pencil); a Cholesky power iteration on the
+    # unscaled Grams finds both.  Its quotient never passes the extreme, and the
+    # pencil's top and bottom eigenvalues come in clusters (1.6e-5 apart at the
+    # bottom here), so the iteration settles slowly: stopped at a 1e-12 step it
+    # sits within 3.3e-8 of each extreme.
     d = rs.make_annulus(0.5, 0.5 + 0.4j)
     G, C = rs.qc_divisor(d, (0.7, 0.6j),
                          rs.AtomicSingularMeasure(atoms=((-1.0, -0.3),)))
@@ -537,24 +551,42 @@ def test_division_bound_extremes_match_rayleigh_search():
     powers = pts[:, None] ** np.arange(-8, 9)
     A = (powers.T * w) @ powers.conj()
     B = (powers.T * (w * g_sq)) @ powers.conj()
-    rep = rs.division_bound_check(G, C, d)
-    mu_max, mu_min = (ratio**2 / np.sum(w * g_sq) for ratio in (rep.max_ratio, rep.min_ratio))
-    top = rayleigh_maximize(B, A, polish=10000)
-    bottom = 1.0 / rayleigh_maximize(A, B, polish=10000)
-    assert mu_max * (1 - 1e-4) <= top <= mu_max * (1 + 1e-10)
-    assert mu_min * (1 - 1e-10) <= bottom <= mu_min * (1 + 1e-4)
+    mu_max, mu_min = (ratio**2 / np.sum(w * g_sq) for ratio in division_pencil(G, d))
+    top = rayleigh_maximize(B, A)
+    bottom = 1.0 / rayleigh_maximize(A, B)
+    assert mu_max * (1 - 1e-6) <= top <= mu_max * (1 + 1e-10)
+    assert mu_min * (1 - 1e-10) <= bottom <= mu_min * (1 + 1e-6)
 
 
-def test_division_bound_check_singular_pencil_raises(dom):
-    # |G|^2 = 0 makes B vanish, which eigh rejects
-    with pytest.raises(SingularGramError):
-        rs.division_bound_check(LaurentPolynomial.constant(0.0), 2.0, dom)
-    # 16 nodes cannot separate the 17 monomials of z^-8..z^8; here eigh accepts
-    # the rounded pencil and returns mu_min = -0.14
-    d = rs.make_annulus(0.5, math.sqrt(0.5))
-    G, C = rs.qc_divisor(d, (0.7,))
-    with pytest.raises(SingularGramError):
-        rs.division_bound_check(G, C, d, m=8)
+def _divisor_r07(atoms):
+    d = rs.make_annulus(0.7, 0.85j)
+    G, _ = rs.qc_divisor(d, (0.8, -0.75), rs.AtomicSingularMeasure(atoms=atoms))
+    return G, d, rs.division_bound_check(G, d)
+
+
+def test_division_pencil_lies_inside_the_closed_form_off_the_nodes():
+    # window-8 extremes over a subspace of the Hardy space: inside [inf, sup]
+    G, d, rep = _divisor_r07(((0.7 * np.exp(0.3j), -0.3), (np.exp(2.0j), -0.9)))
+    for m in (128, 512):
+        top, bottom = division_pencil(G, d, m)
+        assert rep.min_ratio < bottom <= top < rep.max_ratio
+        assert top == pytest.approx(rep.max_ratio, rel=1e-4)
+
+
+def test_division_pencil_overshoots_with_an_atom_on_a_node():
+    # atoms at angles 0 and pi sit on the quadrature nodes, where |G| reads its
+    # radial limit 0: the pencil's max passes the supremum by O(1/m)
+    G, d, rep = _divisor_r07(((0.7, -0.3), (-1.0, -0.9)))
+    assert rep.max_ratio == pytest.approx(1.147401, abs=1e-6)
+    tops = [division_pencil(G, d, m)[0] for m in (128, 512)]
+    assert tops == pytest.approx([1.16676, 1.14847], abs=1e-5)
+    assert tops[0] > tops[1] > rep.max_ratio
+
+
+def test_division_bound_check_rejects_a_non_inner_function(dom):
+    # the closed form rests on the moduli (e^lam, 1) of an InnerFunctionSpec
+    with pytest.raises(ArgumentError, match="InnerFunctionSpec"):
+        rs.division_bound_check(LaurentPolynomial.constant(1.0), dom)
 
 
 def test_schottky_fit_on_rings_matches_horner(dom, monkeypatch):

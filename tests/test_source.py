@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "ringspace"
 
@@ -402,10 +404,13 @@ def _run_scipy_users():
         assert result.exit_code == 0, result.output
 
 
-def test_cold_hmeasure_imports_no_scipy():
+@pytest.mark.parametrize("argv", [["hmeasure", "--r", "0.5"],
+                                  ["qc-divisor", "--r", "0.5", "--zeros", "0.7,0.6i"]],
+                         ids=["hmeasure", "qc-divisor"])
+def test_cold_run_imports_no_scipy(argv):
     code = ("import sys\n"
             "from ringspace.cli import main\n"
-            "sys.argv[1:] = ['hmeasure', '--r', '0.5']\n"
+            f"sys.argv[1:] = {argv!r}\n"
             "try:\n"
             "    main()\n"
             "except SystemExit as exc:\n"
