@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import ArgumentError, ConvergenceError, GeometryError, RingspaceError
 from .geometry import (INNER, OUTER, AnnulusDomain, boundary_angles, boundary_nodes,
-                       make_annulus, ring_nodes)
+                       make_annulus, offset_boundary_nodes, ring_nodes)
 from .harmonic import conjugate_period, green, harmonic_measure
 from .inner import (AtomicSingularMeasure, blaschke_product, division_bound_check,
                     qc_divisor, schottky_fit, singular_inner, verify_inner)
@@ -115,10 +115,8 @@ _FLAGS = {
                   "probe the raw extremal with its extraneous kernel zero"),
     "pole": ("--pole", _COMPLEX, None, "pole of the Green's function, or load of the plate"),
     "disk": ("--disk", bool, False, "solve on the unit disk"),
-    "n_rho": ("--n-rho", int, 64, "radial resolution"),
-    "n_theta": ("--n-theta", int, 64, "angular resolution"),
-    "check_refinement": ("--check-refinement", bool, False,
-                         "re-solve at doubled resolution and compare minima"),
+    "n_rho": ("--n-rho", int, 64, "radial nodes of the output grid"),
+    "n_theta": ("--n-theta", int, 64, "angular nodes of the output grid"),
     "grid_out": ("--grid-out", str, None, "CSV path for the sampled grid"),
     "out": ("--out", str, None, "write the result document here"),
     "format": ("--format", click.Choice(["json", "csv"]), "json", "primary output format"),
@@ -461,8 +459,7 @@ def _cmd_qc_divisor(config: RunConfig):
     domain = _domain(config)
     G, C = qc_divisor(domain, config.zeros,
                       AtomicSingularMeasure(atoms=config.atoms))
-    # half a node spacing off the quadrature nodes, where an atom may sit
-    mods = np.abs(ring_values(G, boundary_nodes(domain, 2 * config.m)[1::2], config.m))
+    mods = np.abs(ring_values(G, offset_boundary_nodes(domain, config.m), config.m))
     bound = division_bound_check(G, domain)
     results = {
         "C": C,
@@ -540,20 +537,17 @@ def _cmd_biharmonic(config: RunConfig):
     if pole is None:
         raise click.UsageError("biharmonic needs --pole")
     domain = None if disk else make_annulus(config.r, pole)
-    sol = biharmonic_green(domain, pole, config.n_rho, config.n_theta,
-                           check_refinement=config.check_refinement)
+    sol = biharmonic_green(domain, pole, config.n_rho, config.n_theta)
     grids = _grid_out(config, "biharmonic_solution", sol.grid.radii, sol.grid.angles.size,
                       lambda Z: sol.grid.values)
     results = {
         "disk": disk,
         "min_value": sol.min_value,
         "max_value": sol.max_value,
-        "sign_change_cell_count": len(sol.sign_change_cells),
-        "operator_residual": sol.operator_residual,
+        "sign_change_cell_count": sol.sign_change_count,
+        "clamped_residual": sol.clamped_residual,
     }
-    if sol.refinement_warning is not None:
-        results["refinement_warning"] = bool(sol.refinement_warning)
-    return results, None, {"positivity_floor": 1e-6}, grids
+    return results, None, {"positivity_floor": 1e-6, "clamped": 1e-10}, grids
 
 
 # One row per subcommand: handler, help text, and the flags it takes beyond
@@ -593,7 +587,7 @@ _COMMANDS = {
         "Pairings of |G|^2 - H(., z0) against harmonic tests and the log defect.",
         ("base", "zeros", "N")),
     "biharmonic": (_cmd_biharmonic, "Clamped biharmonic Green's function probe.",
-                   ("pole", "disk", "n_rho", "n_theta", "check_refinement", "grid_out")),
+                   ("pole", "disk", "n_rho", "n_theta", "grid_out")),
 }
 _HANDLERS = {name: handler for name, (handler, _, _) in _COMMANDS.items()}
 

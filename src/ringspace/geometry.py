@@ -82,3 +82,11 @@ def boundary_nodes(domain: AnnulusDomain, m: int) -> np.ndarray:
     """The ``2m`` boundary quadrature nodes: ``m`` equispaced on the unit
     circle, then ``m`` on the inner circle (``ring_nodes([1, r], m)``)."""
     return ring_nodes([1.0, domain.inner_radius], m).ravel()
+
+
+def offset_boundary_nodes(domain: AnnulusDomain, m: int) -> np.ndarray:
+    """``boundary_nodes`` turned by half a node spacing, ``m`` a circle at the angles
+    ``pi (2k + 1) / m``: off the quadrature nodes, where an atom may sit."""
+    if m < 4:  # before doubling, so the message names this m
+        raise ArgumentError(f"need at least 4 nodes per ring, got {m}")
+    return boundary_nodes(domain, 2 * m)[1::2]

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ArgumentError, ConvergenceError, GeometryError, PeriodError
-from .geometry import INNER, OUTER, AnnulusDomain, boundary_nodes, ring_nodes
+from .geometry import INNER, OUTER, AnnulusDomain, offset_boundary_nodes, ring_nodes
 from .harmonic import (TRUNCATION_CAP, _log_kernel_data, analytic_completion,
                        harmonic_measure, schottky, solve_dirichlet, tail_truncation)
 from .laurent import LaurentPolynomial
@@ -295,7 +295,7 @@ class InnerVerification:
 
 def verify_inner(f: Callable, domain: AnnulusDomain, m: int = 256) -> InnerVerification:
     """Check constancy of ``|f|`` on each circle at ``m`` nodes off the quadrature nodes."""
-    pts = boundary_nodes(domain, 2 * m)[1::2]  # angles pi (2k + 1) / m: atoms may sit on nodes
+    pts = offset_boundary_nodes(domain, m)
     outer, inner_v = np.abs(ring_values(f, pts, m)).reshape(2, m)
     c1, c2 = float(outer.mean()), float(inner_v.mean())
     return InnerVerification(c1=c1, c2=c2,

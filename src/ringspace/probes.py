@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ArgumentError, GeometryError, SolverError
 from .geometry import AnnulusDomain, boundary_angles
-from .laurent import LaurentPolynomial
+from .harmonic import tail_truncation
+from .laurent import LaurentPolynomial, fold_sum
 from .spaces import radial_rule
 
 _EXPONENTS = np.outer(np.arange(1, 9), [1, -1]).ravel()  # tests Re, Im z^k: k = 1, -1, ..., 8, -8
@@ -101,175 +103,159 @@ class PolarGrid:
 
 @dataclass(frozen=True)
 class BiharmonicSolution:
+    """``biharmonic_green``'s grid and summary.  The sign-change cells are the grid cells
+    ``(i, j)`` below ``-1e-6 max_value``, row-major; counting them forms no list."""
+
     grid: PolarGrid
     pole: complex
     min_value: float
     max_value: float
-    sign_change_cells: tuple[tuple[int, int], ...]
-    operator_residual: float
-    refinement_warning: bool | None = None
+    clamped_residual: float
+
+    def _below_floor(self) -> np.ndarray:
+        return self.grid.values < -1e-6 * max(self.max_value, 0.0)
+
+    @property
+    def sign_change_count(self) -> int:
+        return int(np.count_nonzero(self._below_floor()))
+
+    @cached_property
+    def sign_change_cells(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*(k.tolist() for k in np.nonzero(self._below_floor()))))
 
 
-def _polar_laplacian(rho, h: float, lo: int, T: int):
-    """``c_rr, c_r(i), c_tt(i)`` of the five-point polar Laplacian on rows ``lo..R-2``."""
-    r_i, htheta = rho[lo:-1], 2.0 * np.pi / T
-    return 1.0 / (h * h), 1.0 / (2.0 * h * r_i), 1.0 / (r_i * r_i * htheta * htheta)
+def _distance(rho, s: float, t):
+    """``d = |rho e^{it} - s|^2 = (rho - s)^2 + 4 rho s sin^2(t/2)`` on the grid ``rho x t``,
+    free of cancellation near ``s``, and its ``rho``-derivative."""
+    rho, sin2 = rho[:, None], np.sin(0.5 * t)**2
+    return (rho - s)**2 + 4.0 * rho * s * sin2, 2.0 * (rho - s + 2.0 * s * sin2)
 
 
-def _clamped_apply(u, rho, h: float, lo: int):
-    """The clamped operator on interior values ``u`` (rows ``lo..R-2``), matrix-free
-    in the dtype of ``u``: the polar Laplacian twice, first with ``u = 0`` on the
-    boundary rows, then with the ghost values ``2 u_adjacent / h^2`` there, in place
-    on one buffer of rows ``lo-1..R-1`` whose first and last columns repeat the last
-    and first angles.  On the disk (``lo = 0``) row -1 is row 0 turned by half a circle.
-    """
-    T = u.shape[1]
-    c_rr, c_r, c_tt = _polar_laplacian(rho, h, lo, T)
-    c_r, c_tt = c_r[:, None], c_tt[:, None]
-    centre, up, down = -2.0 * c_rr - 2.0 * c_tt, c_rr + c_r, c_rr - c_r
-    f = np.zeros((u.shape[0] + 2, T + 2), dtype=u.dtype)
-    mid, out, tmp = f[1:-1, 1:-1], np.empty_like(u), np.empty_like(u)
-    mid[...] = u
-    for ghost in (False, True):
-        if ghost:
-            mid[...], f[0, 1:-1], f[-1, 1:-1] = out, 2.0 * c_rr * u[0], 2.0 * c_rr * u[-1]
-        if lo == 0:
-            f[0, 1:-1] = mid[0, (np.arange(T) + T // 2) % T]
-        f[:, 0], f[:, -1] = f[:, -2], f[:, 1]
-        np.multiply(centre, mid, out=out)
-        out += np.multiply(up, f[2:, 1:-1], out=tmp)
-        out += np.multiply(down, f[:-2, 1:-1], out=tmp)
-        out += np.multiply(np.add(f[1:-1, :-2], f[1:-1, 2:], out=tmp), c_tt, out=tmp)
-    return out
+def _log_product_modes(rho, s: float, N: int):
+    """Cosine coefficients ``0..N`` in ``t`` of ``|rho e^{it} - s|^2 log|rho e^{it} - s|`` on
+    the circles ``rho`` (none through ``s``), and their ``rho``-derivatives, ``(rho.size, N+1)``
+    each.  ``log|rho e^{it} - s|`` has ``a_0 = log max(rho, s)`` and ``a_k = -q^k/k``, ``q =
+    min/max`` (as in ``harmonic._log_kernel_data``); the factor ``rho^2 + s^2 - 2 rho s cos t``
+    makes ``b_k = (rho^2 + s^2) a_k - rho s (a_{k-1} + a_{k+1})``, ``2 a_0`` for ``a_{k-1}``
+    at ``k = 1``, and a term-by-term derivative."""
+    rho, k = rho[:, None], np.arange(N + 2)
+    outside = rho > s
+    a = -np.where(outside, s / rho, rho / s)**k / np.maximum(k, 1)
+    da = np.where(outside, -k, k) * a / rho
+    a[:, 0], da[:, 0] = np.log(np.maximum(rho, s))[:, 0], np.where(outside, 1.0 / rho, 0.0)[:, 0]
+
+    def pair(c):  # a_{k-1} + a_{k+1}
+        return np.hstack([np.zeros_like(c[:, :1]), 2.0 * c[:, :1], c[:, 1:N]]) + c[:, 1:]
+    m2 = rho * rho + s * s
+    b = m2 * a[:, :-1] - rho * s * pair(a)
+    db = 2.0 * rho * a[:, :-1] + m2 * da[:, :-1] - s * pair(a) - rho * s * pair(da)
+    return b, db
 
 
-def _banded_solver(rho, h: float, lo: int, T: int):
-    """Factor the clamped system once and return its solve for one real column per
-    angular mode, ``(T/2+1, n)`` in and out.  In angle the operator is circulant, so
-    mode ``k`` is the pentadiagonal radial system ``B_k = A2_k A1_k``.  With ``a_i =
-    c_rr - c_r(i)``, ``e_i = c_rr + c_r(i)`` and ``d_ik = -2 c_rr - 4 c_tt(i)
-    sin^2(pi k/T)``, row ``i`` of ``B_k`` is ``a_i a_{i-1}, a_i (d_{i-1} + d_i), d_i^2 +
-    a_i e_{i-1} + e_i a_{i+1}, e_i (d_i + d_{i+1}), e_i e_{i+1}``, with the ghost value
-    ``2/h^2`` for ``a_{i+1}`` on the last row and ``e_{i-1}`` on the ring's first.  On
-    the disk ``a_0 = 1/h^2 - 1/(2 h rho_0)`` is exactly 0, so the centre flip never
-    enters.  Each mode's bands vanish outside its block, so the modes side by side
-    form one banded system: one ``gbtrf``, then one ``gbtrs`` per solve.
-    """
-    n = rho.size - 1 - lo
-    c_rr, c_r, c_tt = _polar_laplacian(rho, h, lo, T)
-    a, e, g = c_rr - c_r, c_rr + c_r, 2.0 * c_rr
-    d = -2.0 * c_rr - 4.0 * c_tt * np.sin(np.pi * np.arange(T // 2 + 1)[:, None] / T)**2
-    bands = np.zeros((7, T // 2 + 1, n))  # rows 0-1: room for gbtrf's fill-in
-    bands[2, :, 2:] = e[:-2] * e[1:-1]
-    bands[3, :, 1:] = e[:-1] * (d[:, :-1] + d[:, 1:])
-    bands[4] = d * d + a * np.append(0.0 if lo == 0 else g, e[:-1]) + e * np.append(a[1:], g)
-    bands[5, :, :-1] = a[1:] * (d[:, 1:] + d[:, :-1])
-    bands[6, :, :-2] = a[2:] * a[1:-1]
-    import scipy.linalg.lapack
-    import scipy.sparse.linalg  # noqa: F401  (unused; perfbench/tracer.py looks it up in sys.modules)
-    lu, piv, info = scipy.linalg.lapack.dgbtrf(bands.reshape(7, -1), 2, 2)
-    if info != 0:
-        raise SolverError(f"biharmonic radial system is singular (gbtrf info {info})")
-
-    def solve(y):
-        x, _ = scipy.linalg.lapack.dgbtrs(lu, 2, 2, y.reshape(-1, 1), piv)
-        return x.reshape(y.shape)
-    return solve
-
-
-def _mode_apply(y, rho, h: float, lo: int, T: int):
-    """``B_k y_k`` for every angular mode ``k`` (the rows of ``y``) in ``longdouble``:
-    ``A_k`` twice, ``A_k`` the tridiagonal radial Laplacian of mode ``k`` with angular
-    eigenvalue ``centre + 2 c_tt cos(2 pi k/T)``, plus the ghost rows' corners ``a_0 g
-    y_0`` and ``e_{n-1} g y_{n-1}`` (on the disk ``a_0 = 0``).  The coefficients are
-    rounded in double as ``_clamped_apply`` rounds them, and pi is taken in
-    ``longdouble``, so this is that operator, mode by mode.  The formed bands of
-    ``B_k`` would round their products again."""
-    c_rr, c_r, c_tt = _polar_laplacian(rho, h, lo, T)
-    a, e, g, centre, c_tt = (np.asarray(c, dtype=np.longdouble) for c in (
-        c_rr - c_r, c_rr + c_r, 2.0 * c_rr, -2.0 * c_rr - 2.0 * c_tt, c_tt))
-    k = np.arange(y.shape[0], dtype=np.longdouble)[:, None]
-    lam = centre + 2.0 * c_tt * np.cos(2.0 * np.arccos(np.longdouble(-1)) * k / T)
-
-    def lap(v):
-        out = lam * v
-        out[:, 1:] += a[1:] * v[:, :-1]
-        out[:, :-1] += e[:-1] * v[:, 1:]
-        return out
-    out = lap(lap(y))
-    out[:, 0] += a[0] * g * y[:, 0]
-    out[:, -1] += e[-1] * g * y[:, -1]
-    return out
+def _michell(rho, N: int, r: float, slope: bool = False) -> list:
+    """Michell's four radial solutions of the biharmonic equation's angular modes ``0..N``
+    at ``rho``, ``(rho.size, N+1)`` each, or with ``slope`` their ``rho``-derivatives:
+    ``rho^k, (r/rho)^k, rho^(k+2), rho^2 (r/rho)^k``, scaled so that none exceeds 1 on the
+    ring, with ``log rho`` where two coincide (``1, log rho, rho^2, rho^2 log rho`` at
+    ``k = 0``, ``rho log rho`` fourth at ``k = 1``)."""
+    rho, k = rho[:, None], np.arange(N + 1.0)
+    L = np.log(rho)
+    P, Q = np.exp(k * L), np.exp(k * (math.log(r) - L))  # off by ulps only where tiny
+    if slope:
+        phi = [k * P / rho, -k * Q / rho, (k + 2.0) * rho * P, (2.0 - k) * rho * Q]
+        phi[1][:, :1], phi[3][:, :2] = 1.0 / rho, np.hstack([rho * (2.0 * L + 1.0), L + 1.0])
+        return phi
+    Q[:, :1] = L
+    phi = [P, Q, rho * rho * P, rho * rho * Q]
+    phi[3][:, 1:2] = rho * L
+    return phi
 
 
 def biharmonic_green(domain: AnnulusDomain | None, pole: complex,
-                     n_rho: int = 64, n_theta: int = 64,
-                     check_refinement: bool = False) -> BiharmonicSolution:
-    """Clamped biharmonic Green's function by squared polar finite differences.
+                     n_rho: int = 64, n_theta: int = 64) -> BiharmonicSolution:
+    """The clamped plate's Green function, ``Delta^2 G = delta_pole`` with ``G = dG/drho =
+    0`` on the boundary, sampled on an ``n_rho x n_theta`` polar grid.
 
-    ``domain=None`` selects the unit disk (offset radial grid through the
-    center, no inner boundary).  Both clamped conditions enter through the
-    two applications of the Laplacian (``_clamped_apply``): ``u = 0`` on the
-    boundary rows, and there the intermediate field takes the mirrored ghost
-    value ``2 u_adjacent / h^2`` of the zero normal derivative.  The point
-    load, scaled by the inverse polar cell area, is solved with the pole turned
-    to angle 0, where every angular mode's load is the same real column: one
-    real solve per mode (``_banded_solver``, factored once), one refinement
-    against the residual formed per mode in ``longdouble`` through the two
-    Laplacian factors (``_mode_apply``), one inverse FFT, and a roll of the
-    grid back to the pole's angle.  At 256 x 256 the values agree with a
-    reference refined to convergence to about 5e-16 of their largest.
-    ``operator_residual`` applies ``_clamped_apply`` in double on the grid, a
-    check that shares nothing with the bands.
+    ``domain=None`` selects the unit disk (radii offset by half a cell, so none is 0) and
+    Boggio's closed form ``[|z-w|^2 log(|z-w|^2 / |1 - conj(w) z|^2) + (1-|z|^2)(1-|w|^2)] /
+    (16 pi)``, taken as ``d (x - log1p(x)) / (16 pi)``, ``d = |z-w|^2``, ``x = (1-|z|^2)
+    (1-|w|^2) / d``, so it is never negative.  On the ring, ``G = |z-w|^2 log|z-w| / (8 pi)
+    + v``, and ``v`` is biharmonic with the opposite data on both circles.  In the pole's
+    frame that data is a cosine series in ``theta - arg w`` (``_log_product_modes``), so
+    each angular mode of ``v`` is one 4 x 4 matching system in Michell's solutions
+    (``_michell``), all solved at once.  The modes run to ``tail_truncation`` at ``1e-17``,
+    the data's decay ``max(|w|, r/|w|)^k``, and fold onto the output angles a few rows at a
+    time.  ``clamped_residual`` is the largest ``|G|`` or ``|dG/drho|`` on the circles,
+    relative to ``max_value``: on the ring from the modes, on the disk from Boggio's
+    boundary row.  The boundary rows hold 0.
     """
     if n_rho < 32 or n_theta < 32:
         raise ArgumentError("grid resolutions must be at least 32")
     if n_theta % 2:
         raise ArgumentError("need an even number of angular nodes")
+    import scipy.linalg  # noqa: F401  (unused; perfbench/tracer.py looks both up in
+    import scipy.sparse.linalg  # noqa: F401  sys.modules)
     R, T = n_rho, n_theta
-    htheta = 2.0 * np.pi / T
     if domain is None:
         h = 2.0 / (2 * R - 1)
-        rho = (np.arange(R) + 0.5) * h
-        lo, edges = 0, [R - 1]
+        rho, edge = (np.arange(R) + 0.5) * h, -np.inf
     else:
         r = domain.inner_radius
         h = (1.0 - r) / (R - 1)
         rho = r + np.arange(R) * h
-        lo, edges = 1, [0, R - 1]
+        edge = rho[0]
     pole = complex(pole)
-    rp, tp = abs(pole), float(np.angle(pole)) % (2 * np.pi)
-    if min(abs(rp - rho[b]) for b in edges) < 2.0 * h:
+    rp = abs(pole)
+    if not min(rp - edge, rho[-1] - rp) >= 2.0 * h:
         raise GeometryError("pole must sit at least two grid cells from the boundary")
 
-    i_star = lo + int(np.argmin(np.abs(rho[lo:R - 1] - rp)))
-    j_star = int(round(tp / htheta)) % T
-    value = 1.0 / (rho[i_star] * h * htheta)
-    load = np.zeros((T // 2 + 1, R - 1 - lo))  # the load at angle 0, every mode alike
-    load[:, i_star - lo] = value
-    solve = _banded_solver(rho, h, lo, T)
-    y = solve(load)
-    y = y + solve((load - _mode_apply(y.astype(np.longdouble), rho, h, lo, T)).astype(float))
-    u = np.roll(np.fft.irfft(y.T, n=T, axis=1), j_star, axis=1)
-    b = np.zeros_like(u)
-    b[i_star - lo, j_star] = value
-    if not np.all(np.isfinite(u)):
-        raise SolverError("biharmonic system is numerically singular")
-    residual = float(np.max(np.abs(_clamped_apply(u, rho, h, lo) - b)) / np.max(np.abs(b)))
-
-    values = np.zeros((R, T))
-    values[lo:R - 1] = u
+    t = boundary_angles(T) - np.angle(pole)  # the output angles in the pole's frame
+    if domain is None:
+        d, dd = _distance(rho, rp, t)
+        p, dp = (1.0 - rho * rho)[:, None] * (1.0 - rp * rp), -2.0 * rho[-1] * (1.0 - rp * rp)
+        x = p / np.where(d > 0.0, d, 1.0)
+        values = np.where(d > 0.0, d * (x - np.log1p(x)), p) / (16.0 * np.pi)
+        x, d, dd = x[-1], d[-1], dd[-1]  # the boundary row: |G| and dG/drho there
+        edges = np.array([values[-1], (dd * (x - np.log1p(x)) + x / (1.0 + x) * (dp - x * dd))
+                          / (16.0 * np.pi)])
+        values[-1] = 0.0
+    else:
+        N = tail_truncation(domain, pole, 1e-17, 8)
+        circles = np.array([1.0, r])
+        b, db = _log_product_modes(circles, rp, N)
+        phi, dphi = (np.stack(_michell(circles, N, r, slope), axis=-1) for slope in (False, True))
+        matching = np.stack([phi[0], dphi[0], phi[1], dphi[1]], axis=1)
+        data = np.stack([b[0], db[0], b[1], db[1]], axis=1) / (-8.0 * np.pi)
+        try:
+            c = np.linalg.solve(matching, data[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"a biharmonic mode's matching system is singular: {exc}")
+        if not np.all(np.isfinite(c)):
+            raise SolverError("biharmonic mode coefficients are not finite")
+        k = np.arange(N + 1)
+        turn = np.exp(-1j * k * np.angle(pole))
+        values = np.zeros((R, T))
+        # mode k of v decays like max(|w| rho, r^2 / (|w| rho))^k inside, so rows away from
+        # the circles need fewer modes: rows by that count, a few at a time (work arrays
+        # near 2^13 entries)
+        decay = np.maximum(rp * rho, r * r / (rp * rho))
+        need = np.clip(np.ceil(math.log(1e-17) / np.log(decay)), 1, N).astype(int)
+        order, i = 1 + np.argsort(need[1:-1], kind="stable"), 0
+        while i < order.size:
+            entries = (need[order[i:]] + 1) * np.arange(1, order.size - i + 1)
+            rows = order[i:i + max(1, np.count_nonzero(entries <= 2**13))]
+            n = need[rows[-1]] + 1
+            V = sum(cj * f for cj, f in zip(c[:n].T, _michell(rho[rows], n - 1, r)))
+            values[rows] = fold_sum(k[:n], V * turn[:n], T).real
+            i += rows.size
+        d = _distance(rho[1:-1], rp, t)[0]
+        values[1:-1] += d * np.log(d, out=np.zeros_like(d), where=d > 0.0) / (16.0 * np.pi)
+        on_circles = np.stack([np.einsum("ckj,kj->ck", f, c) for f in (phi, dphi)], axis=1)
+        d, dd = _distance(circles, rp, t)
+        log = np.log(d)
+        edges = fold_sum(k, on_circles * turn, T).real  # (circle, value/slope, angle)
+        edges += np.stack([d * log, dd * (log + 1.0)], axis=1) / (16.0 * np.pi)
     vmax = float(values.max())
-    vmin = float(values.min())
-    floor = -1e-6 * max(vmax, 0.0)
-    cells = tuple(zip(*(k.tolist() for k in np.nonzero(values < floor))))
-    warning = None
-    if check_refinement:
-        fine = biharmonic_green(domain, pole, 2 * n_rho, 2 * n_theta,
-                                check_refinement=False)
-        denom = max(abs(fine.min_value), abs(vmin), 1e-300)
-        warning = abs(fine.min_value - vmin) / denom > 0.10
     grid = PolarGrid(radii=rho, angles=boundary_angles(T), values=values)
-    return BiharmonicSolution(grid=grid, pole=pole, min_value=vmin, max_value=vmax,
-                              sign_change_cells=cells, operator_residual=residual,
-                              refinement_warning=warning)
+    return BiharmonicSolution(grid=grid, pole=pole, min_value=float(values.min()), max_value=vmax,
+                              clamped_residual=float(np.max(np.abs(edges)) / vmax))

@@ -37,18 +37,23 @@ least a different algorithm) than the library path it checks:
   per circle;
 * winding numbers come from Horner point values on contiguous blocks of the
   circle and ``np.unwrap``, not from strided sub-rings by FFT;
-* the clamped biharmonic operator is one sparse matrix, assembled from a
-  vectorized stencil table (``clamped_operator``) or entry by entry from a
-  per-node five-point stencil (``loop_clamped_operator``), not applied
-  matrix-free and solved mode by mode after an FFT in angle; applied
-  matrix-free, it takes angular links by ``np.roll`` on fresh row stacks
-  (``roll_clamped_apply``), not in place on one wrap-padded buffer; the point
-  load is solved on the whole grid, its FFT in angle split into real and
-  imaginary columns for one ``scipy.linalg.solve_banded`` (``gbsv``) call per
-  right-hand side (``gbsv_clamped_solve``), and refined against the grid
-  operator in ``longdouble`` (``two_gbsv_biharmonic``), not as one real column
-  per mode with the pole at angle 0, refined mode by mode through the two
-  Laplacian factors, by the library's one ``gbtrf`` and a ``gbtrs`` per solve;
+* the clamped plate's Green function, which the library takes in closed form
+  (Boggio's on the disk, Michell's angular modes on the ring), is also solved
+  by squared polar finite differences (``fd_biharmonic``), which converge to
+  it at second order; that solve is checked in turn against the clamped
+  operator as one sparse matrix, assembled from a vectorized stencil table
+  (``clamped_operator``) or entry by entry from a per-node five-point stencil
+  (``loop_clamped_operator``), not applied matrix-free and solved mode by mode
+  after an FFT in angle; applied matrix-free, it takes angular links by
+  ``np.roll`` on fresh row stacks (``roll_clamped_apply``), not in place on one
+  wrap-padded buffer (``clamped_apply``); the point load is solved on the whole
+  grid, its FFT in angle split into real and imaginary columns for one
+  ``scipy.linalg.solve_banded`` (``gbsv``) call per right-hand side
+  (``gbsv_clamped_solve``), and refined against the grid operator in
+  ``longdouble`` (``two_gbsv_biharmonic``), not as one real column per mode
+  with the pole at angle 0, refined mode by mode through the two Laplacian
+  factors (``mode_apply``), by one ``gbtrf`` and a ``gbtrs`` per solve
+  (``banded_solver``);
 * grid-local minima of the zero search come from eight shifted copies of the
   grid, not from one sliding 3x3 window;
 * a singular atom's kernel comes from one Dirichlet solve of the Dirichlet
@@ -71,6 +76,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from ringspace.errors import SolverError
 from ringspace.geometry import INNER, OUTER
 from ringspace.harmonic import analytic_completion, solve_dirichlet
 from ringspace.inner import (AtomicSingularMeasure, InnerFunctionSpec, _close_period,
@@ -614,12 +620,144 @@ def roll_clamped_apply(u, rho, h: float, lo: int):
 
 
 def two_gbsv_biharmonic(b, rho, h: float, lo: int):
-    """``biharmonic_green``'s interior values for the load ``b`` by the grid-wide route:
+    """``fd_biharmonic``'s interior values for the load ``b`` by the grid-wide route:
     a ``gbsv_clamped_solve``, its residual against ``roll_clamped_apply`` in
     ``longdouble``, and a second ``gbsv_clamped_solve`` for the correction."""
     u = gbsv_clamped_solve(b, rho, h, lo)
     refine = b - roll_clamped_apply(u.astype(np.longdouble), rho, h, lo)
     return u + gbsv_clamped_solve(refine.astype(float), rho, h, lo)
+
+
+def polar_laplacian(rho, h: float, lo: int, T: int):
+    """``c_rr, c_r(i), c_tt(i)`` of the five-point polar Laplacian on rows ``lo..R-2``."""
+    r_i, htheta = rho[lo:-1], 2.0 * np.pi / T
+    return 1.0 / (h * h), 1.0 / (2.0 * h * r_i), 1.0 / (r_i * r_i * htheta * htheta)
+
+
+def clamped_apply(u, rho, h: float, lo: int):
+    """The clamped operator on interior values ``u`` (rows ``lo..R-2``), matrix-free
+    in the dtype of ``u``: the polar Laplacian twice, first with ``u = 0`` on the
+    boundary rows, then with the ghost values ``2 u_adjacent / h^2`` there, in place
+    on one buffer of rows ``lo-1..R-1`` whose first and last columns repeat the last
+    and first angles.  On the disk (``lo = 0``) row -1 is row 0 turned by half a circle.
+    """
+    T = u.shape[1]
+    c_rr, c_r, c_tt = polar_laplacian(rho, h, lo, T)
+    c_r, c_tt = c_r[:, None], c_tt[:, None]
+    centre, up, down = -2.0 * c_rr - 2.0 * c_tt, c_rr + c_r, c_rr - c_r
+    f = np.zeros((u.shape[0] + 2, T + 2), dtype=u.dtype)
+    mid, out, tmp = f[1:-1, 1:-1], np.empty_like(u), np.empty_like(u)
+    mid[...] = u
+    for ghost in (False, True):
+        if ghost:
+            mid[...], f[0, 1:-1], f[-1, 1:-1] = out, 2.0 * c_rr * u[0], 2.0 * c_rr * u[-1]
+        if lo == 0:
+            f[0, 1:-1] = mid[0, (np.arange(T) + T // 2) % T]
+        f[:, 0], f[:, -1] = f[:, -2], f[:, 1]
+        np.multiply(centre, mid, out=out)
+        out += np.multiply(up, f[2:, 1:-1], out=tmp)
+        out += np.multiply(down, f[:-2, 1:-1], out=tmp)
+        out += np.multiply(np.add(f[1:-1, :-2], f[1:-1, 2:], out=tmp), c_tt, out=tmp)
+    return out
+
+
+def banded_solver(rho, h: float, lo: int, T: int):
+    """Factor the clamped system once and return its solve for one real column per
+    angular mode, ``(T/2+1, n)`` in and out.  In angle the operator is circulant, so
+    mode ``k`` is the pentadiagonal radial system ``B_k = A2_k A1_k``.  With ``a_i =
+    c_rr - c_r(i)``, ``e_i = c_rr + c_r(i)`` and ``d_ik = -2 c_rr - 4 c_tt(i)
+    sin^2(pi k/T)``, row ``i`` of ``B_k`` is ``a_i a_{i-1}, a_i (d_{i-1} + d_i), d_i^2 +
+    a_i e_{i-1} + e_i a_{i+1}, e_i (d_i + d_{i+1}), e_i e_{i+1}``, with the ghost value
+    ``2/h^2`` for ``a_{i+1}`` on the last row and ``e_{i-1}`` on the ring's first.  On
+    the disk ``a_0 = 1/h^2 - 1/(2 h rho_0)`` is exactly 0, so the centre flip never
+    enters.  Each mode's bands vanish outside its block, so the modes side by side
+    form one banded system: one ``gbtrf``, then one ``gbtrs`` per solve.
+    """
+    n = rho.size - 1 - lo
+    c_rr, c_r, c_tt = polar_laplacian(rho, h, lo, T)
+    a, e, g = c_rr - c_r, c_rr + c_r, 2.0 * c_rr
+    d = -2.0 * c_rr - 4.0 * c_tt * np.sin(np.pi * np.arange(T // 2 + 1)[:, None] / T)**2
+    bands = np.zeros((7, T // 2 + 1, n))  # rows 0-1: room for gbtrf's fill-in
+    bands[2, :, 2:] = e[:-2] * e[1:-1]
+    bands[3, :, 1:] = e[:-1] * (d[:, :-1] + d[:, 1:])
+    bands[4] = d * d + a * np.append(0.0 if lo == 0 else g, e[:-1]) + e * np.append(a[1:], g)
+    bands[5, :, :-1] = a[1:] * (d[:, 1:] + d[:, :-1])
+    bands[6, :, :-2] = a[2:] * a[1:-1]
+    import scipy.linalg.lapack
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(bands.reshape(7, -1), 2, 2)
+    if info != 0:
+        raise SolverError(f"biharmonic radial system is singular (gbtrf info {info})")
+
+    def solve(y):
+        x, _ = scipy.linalg.lapack.dgbtrs(lu, 2, 2, y.reshape(-1, 1), piv)
+        return x.reshape(y.shape)
+    return solve
+
+
+def mode_apply(y, rho, h: float, lo: int, T: int):
+    """``B_k y_k`` for every angular mode ``k`` (the rows of ``y``) in ``longdouble``:
+    ``A_k`` twice, ``A_k`` the tridiagonal radial Laplacian of mode ``k`` with angular
+    eigenvalue ``centre + 2 c_tt cos(2 pi k/T)``, plus the ghost rows' corners ``a_0 g
+    y_0`` and ``e_{n-1} g y_{n-1}`` (on the disk ``a_0 = 0``).  The coefficients are
+    rounded in double as ``clamped_apply`` rounds them, and pi is taken in
+    ``longdouble``, so this is that operator, mode by mode.  The formed bands of
+    ``B_k`` would round their products again."""
+    c_rr, c_r, c_tt = polar_laplacian(rho, h, lo, T)
+    a, e, g, centre, c_tt = (np.asarray(c, dtype=np.longdouble) for c in (
+        c_rr - c_r, c_rr + c_r, 2.0 * c_rr, -2.0 * c_rr - 2.0 * c_tt, c_tt))
+    k = np.arange(y.shape[0], dtype=np.longdouble)[:, None]
+    lam = centre + 2.0 * c_tt * np.cos(2.0 * np.arccos(np.longdouble(-1)) * k / T)
+
+    def lap(v):
+        out = lam * v
+        out[:, 1:] += a[1:] * v[:, :-1]
+        out[:, :-1] += e[:-1] * v[:, 1:]
+        return out
+    out = lap(lap(y))
+    out[:, 0] += a[0] * g * y[:, 0]
+    out[:, -1] += e[-1] * g * y[:, -1]
+    return out
+
+
+def fd_biharmonic(domain, pole: complex, n_rho: int, n_theta: int):
+    """``(values, operator_residual)``: the clamped plate's Green function by squared
+    polar finite differences on ``ringspace.probes.biharmonic_green``'s grid, which it
+    converges to at second order.  ``domain=None`` is the unit disk (radii offset by half a
+    cell).  Both clamped conditions enter through the two applications of the Laplacian
+    (``clamped_apply``): ``u = 0`` on the boundary rows, and there the intermediate field
+    takes the mirrored ghost value ``2 u_adjacent / h^2``.  The point load sits on the grid
+    node nearest the pole, scaled by the inverse polar cell area, and is solved with the
+    pole turned to angle 0, where every angular mode's load is the same real column: one
+    real solve per mode (``banded_solver``, factored once), one refinement against the
+    residual formed per mode in ``longdouble`` (``mode_apply``), one inverse FFT, and a
+    roll back to the pole's angle.  ``operator_residual`` applies ``clamped_apply`` in
+    double on the grid: ``max|B u - b| / max|b|``."""
+    R, T = n_rho, n_theta
+    htheta = 2.0 * np.pi / T
+    if domain is None:
+        h = 2.0 / (2 * R - 1)
+        rho = (np.arange(R) + 0.5) * h
+        lo = 0
+    else:
+        h = (1.0 - domain.inner_radius) / (R - 1)
+        rho = domain.inner_radius + np.arange(R) * h
+        lo = 1
+    rp, tp = abs(complex(pole)), float(np.angle(pole)) % (2 * np.pi)
+    i_star = lo + int(np.argmin(np.abs(rho[lo:R - 1] - rp)))
+    j_star = int(round(tp / htheta)) % T
+    value = 1.0 / (rho[i_star] * h * htheta)
+    load = np.zeros((T // 2 + 1, R - 1 - lo))  # the load at angle 0, every mode alike
+    load[:, i_star - lo] = value
+    solve = banded_solver(rho, h, lo, T)
+    y = solve(load)
+    y = y + solve((load - mode_apply(y.astype(np.longdouble), rho, h, lo, T)).astype(float))
+    u = np.roll(np.fft.irfft(y.T, n=T, axis=1), j_star, axis=1)
+    b = np.zeros_like(u)
+    b[i_star - lo, j_star] = value
+    residual = float(np.max(np.abs(clamped_apply(u, rho, h, lo) - b)) / np.max(np.abs(b)))
+    values = np.zeros((R, T))
+    values[lo:R - 1] = u
+    return values, residual
 
 
 def horner_winding(f, rho: float, m: int, block: int = 8192) -> int:

@@ -228,6 +228,28 @@ def test_too_few_boundary_nodes_exit_code(argv):
     assert result.stderr.startswith("rejected:")
 
 
+@pytest.mark.parametrize("m", ["1", "3"])
+@pytest.mark.parametrize("argv", [["qc-divisor", "--zeros", "0.7,0.6i"], ["inner-verify"],
+                                  ["blaschke", "--zeros", "0.7"], ["singular"]],
+                         ids=["qc-divisor", "inner-verify", "blaschke", "singular"])
+def test_too_few_offset_nodes_name_the_given_m(argv, m):
+    # the moduli are sampled half a node spacing off the quadrature nodes, on every
+    # other node of a doubled ring; the rejection names the --m given, not 2m
+    result = run_cli([argv[0], "--r", "0.5", *argv[1:], "--m", m])
+    assert result.exit_code == 3
+    assert result.stderr == f"rejected: need at least 4 nodes per ring, got {m}\n"
+
+
+@pytest.mark.parametrize("disk", [True, False], ids=["disk", "ring"])
+def test_biharmonic_document_states_its_clamped_tolerance(disk):
+    argv = ["--disk", "--pole", "0.3"] if disk else ["--r", "0.5", "--pole", "0.7"]
+    doc = run_json(["biharmonic", *argv, "--n-rho", "96", "--n-theta", "96"])
+    assert doc["tolerances"] == {"positivity_floor": 1e-6, "clamped": 1e-10}
+    assert doc["results"]["clamped_residual"] <= 1e-12
+    assert set(doc["results"]) == {"disk", "min_value", "max_value", "sign_change_cell_count",
+                                   "clamped_residual"}
+
+
 @pytest.mark.parametrize("flag", [["--trials", "4"], ["--seed", "1"]], ids=["trials", "seed"])
 def test_qc_divisor_takes_no_trials_or_seed(flag):
     # its division ratios are exact extremes, with nothing drawn
@@ -533,7 +555,6 @@ OPTIONS = {
     "undivided": ("--undivided", "boolean", True), "pole": ("--pole", "complex"),
     "disk": ("--disk", "boolean", True), "n_rho": ("--n-rho", "integer"),
     "n_theta": ("--n-theta", "integer"),
-    "check_refinement": ("--check-refinement", "boolean", True),
     "grid_out": ("--grid-out", "text"), "out": ("--out", "text"),
     "format": ("--format", "choice"), "config_path": ("--config", "file"),
 }
@@ -553,7 +574,7 @@ FLAGS = {
     "qc-estimate": ["base", "zeros", "N", "m", "undivided"],
     "schottky-fit": ["base", "zeros", "N", "m"],
     "decomposition": ["base", "zeros", "N"],
-    "biharmonic": ["pole", "disk", "n_rho", "n_theta", "check_refinement", "grid_out"],
+    "biharmonic": ["pole", "disk", "n_rho", "n_theta", "grid_out"],
 }
 
 
@@ -571,7 +592,7 @@ def test_flag_surface():
     params = {p.name: p for p in cli.main.commands["kernel"].params}
     assert sorted(params["space"].type.choices) == ["arclength", "bergman", "hardy", "smirnov"]
     assert list(params["format"].type.choices) == ["json", "csv"]
-    assert sum(len(cli.main.commands[name].params) for name in FLAGS) == 110
+    assert sum(len(cli.main.commands[name].params) for name in FLAGS) == 109
 
 
 # Flags with no default: a document echoes them only when they are given.

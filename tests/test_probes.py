@@ -1,5 +1,7 @@
 import functools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,16 +11,18 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import ringspace as rs
-from ringspace.errors import ArgumentError, GeometryError, RingspaceError, SolverError
-from ringspace.probes import (_clamped_apply, _defect_pairings, _gauge_pairings,
-                              _reproduced_values, bergman_decomposition_residual,
-                              biharmonic_green, log_radial_moment)
+from ringspace.errors import (ArgumentError, ConvergenceError, GeometryError, RingspaceError,
+                              SolverError)
+from ringspace.probes import (_defect_pairings, _gauge_pairings, _reproduced_values,
+                              bergman_decomposition_residual, biharmonic_green,
+                              log_radial_moment)
 from ringspace.spaces import (area_quadrature, bergman_tag, norm as space_norm, radial_rule,
                               ring_values)
 
-from oracles import (HarmonicKernel, clamped_factors, clamped_operator,
-                     dense_decomposition_pairings, gbsv_clamped_solve, loop_clamped_operator,
-                     roll_clamped_apply, three_rule_decomposition, two_gbsv_biharmonic)
+from oracles import (HarmonicKernel, clamped_apply, clamped_factors, clamped_operator,
+                     dense_decomposition_pairings, fd_biharmonic, gbsv_clamped_solve,
+                     loop_clamped_operator, roll_clamped_apply, three_rule_decomposition,
+                     two_gbsv_biharmonic)
 
 
 # ------------------------------------------- harmonic kernel (the oracle's)
@@ -216,12 +220,12 @@ def test_disk_positivity():
     sol = biharmonic_green(None, 0.3, 64, 64)
     assert sol.min_value >= -1e-6 * sol.max_value
     assert sol.max_value > 0
-    assert sol.operator_residual < 1e-4
+    assert sol.clamped_residual <= 1e-12
 
 
 def test_annulus_sign_change(dom):
     sol = biharmonic_green(rs.make_annulus(0.5, 0.75), 0.75, 64, 64)
-    assert sol.operator_residual < 1e-4
+    assert sol.clamped_residual <= 1e-12
     assert sol.min_value < 0
     assert len(sol.sign_change_cells) > 0
     # negative cells are genuinely below the relative floor
@@ -232,6 +236,7 @@ def test_annulus_sign_change(dom):
     rows, cols = np.nonzero(sol.grid.values < floor)
     assert sol.sign_change_cells == tuple(zip(rows.tolist(), cols.tolist()))
     assert all(type(k) is int for cell in sol.sign_change_cells for k in cell)
+    assert sol.sign_change_count == len(sol.sign_change_cells)
 
 
 def test_annulus_rotation_symmetry():
@@ -242,25 +247,143 @@ def test_annulus_rotation_symmetry():
     assert np.max(np.abs(v - flipped)) <= 1e-10 * max(1.0, np.abs(v).max())
 
 
-def test_refinement_check_flag():
-    sol = biharmonic_green(rs.make_annulus(0.5, 0.75), 0.75, 32, 32,
-                           check_refinement=True)
-    assert sol.refinement_warning is not None
-
-
 def test_disk_center_handling():
-    # pole near the center exercises the across-center stencil
+    # a pole near the centre, where the offset radial grid comes closest to 0
     sol = biharmonic_green(None, 0.05 + 0.02j, 64, 64)
     assert sol.min_value >= -1e-6 * sol.max_value
     assert np.isfinite(sol.grid.values).all()
 
+
+def _away_error(domain, pole, n_rho, n_theta):
+    """The FD oracle's largest error against the construction more than 0.1 from the
+    pole, relative to the construction's largest value."""
+    sol = biharmonic_green(domain, pole, n_rho, n_theta)
+    fd, _ = fd_biharmonic(domain, pole, n_rho, n_theta)
+    z = sol.grid.radii[:, None] * np.exp(1j * sol.grid.angles)
+    away = np.abs(z - pole) > 0.1
+    return np.max(np.abs(fd - sol.grid.values)[away]) / sol.max_value
+
+
+def test_fd_oracle_converges_to_the_construction_at_second_order():
+    # nested ring grids with the pole 0.7 on a node: the FD error away from the pole
+    # reads 1.4e-2, 3.2e-3 and 7.7e-4 at s = 1, 2, 4; on the disk the pole sits on the
+    # node nearest 0.3 of each grid, and the error reads 6.9e-4, 1.7e-4 and 4.3e-5
+    ring = rs.make_annulus(0.5, 0.7)
+    errors = [_away_error(ring, 0.7, 95 * s + 1, 96 * s) for s in (1, 2, 4)]
+    assert errors[0] <= 2e-2 and errors[1] <= 4.5e-3 and errors[2] <= 1.1e-3
+    assert all(3.5 <= a / b <= 4.8 for a, b in zip(errors, errors[1:]))
+    errors = []
+    for s in (1, 2, 4):
+        h = 2.0 / (2 * 96 * s - 1)  # the disk's radii are (i + 1/2) h
+        errors.append(_away_error(None, (round(0.3 / h - 0.5) + 0.5) * h, 96 * s, 96 * s))
+    assert errors[0] <= 1e-3 and errors[1] <= 2.5e-4 and errors[2] <= 6.5e-5
+    assert all(3.5 <= a / b <= 4.8 for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("r, pole", [(0.3, 0.33 * np.exp(2j)), (0.3, 0.955 * np.exp(2j)),
+                                     (0.5, 0.7), (0.5, 0.955j), (0.7, 0.955),
+                                     (0.7, -0.744 + 0.01j)])
+def test_clamped_data_vanishes_on_both_circles(r, pole):
+    # |G| and |dG/drho| on the circles, from the modes, and independently the grid:
+    # where G and dG/drho vanish, the rows h and 2h inside a circle read G'' h^2 / 2
+    # and 2 G'' h^2, a ratio of 4 (a nonzero slope would give 2)
+    sol = biharmonic_green(rs.make_annulus(r, pole), pole, 192, 64)
+    assert sol.clamped_residual <= 1e-12
+    v = np.abs(sol.grid.values)
+    for near, far in ((1, 2), (-2, -3)):
+        assert 3.5 <= v[far].max() / v[near].max() <= 4.5
+
+
+@pytest.mark.parametrize("disk", [True, False], ids=["disk", "ring"])
+def test_green_function_is_symmetric(disk):
+    # G(z, w) = G(w, z), both on grid nodes: rows 12 and 37, angles 3 and 20 of 64
+    domain = None if disk else rs.make_annulus(0.5, 0.7)
+    n_rho = 51  # the ring's radii are 0.5 + 0.01 i
+    rho = biharmonic_green(domain, 0.7, n_rho, 64).grid.radii
+    w, z = rho[12] * np.exp(2j * np.pi * 3 / 64), rho[37] * np.exp(2j * np.pi * 20 / 64)
+    at_w, at_z = (biharmonic_green(domain, p, n_rho, 64) for p in (w, z))
+    scale = max(at_w.max_value, at_z.max_value)
+    assert abs(at_w.grid.values[37, 20] - at_z.grid.values[12, 3]) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("pole", [0.0, 0.3, 0.05 + 0.02j, -0.6 + 0.7j, 0.95j])
+@pytest.mark.parametrize("n", [32, 96])
+def test_boggio_positivity_on_the_grid(pole, n):
+    # Boggio: the disk's clamped plate Green function is positive inside, and the
+    # closed form, taken as d (x - log1p(x)), cannot round below 0
+    try:
+        sol = biharmonic_green(None, pole, n, n)
+    except GeometryError:  # within two cells of the circle on the coarse grid
+        assert n == 32 and abs(pole) > 0.9
+        return
+    assert np.all(sol.grid.values[:-1] > 0.0)
+    assert np.all(sol.grid.values[-1] == 0.0)
+    assert sol.min_value == 0.0 and sol.sign_change_count == 0
+    assert sol.clamped_residual <= 1e-12
+
+
+@pytest.mark.parametrize("disk, n_rho, n_theta, rp",
+                         [(True, 64, 64, 0.3), (True, 33, 34, 0.05),
+                          (False, 48, 48, 0.7), (False, 40, 32, 0.8), (False, 96, 96, 0.6)])
+@pytest.mark.parametrize("steps", [1, 7, -3])
+def test_turning_the_pole_turns_the_grid(disk, n_rho, n_theta, rp, steps):
+    # the construction is taken in the pole's frame, so turning the pole by whole
+    # angular steps rolls the grid, up to the rounding of the angles
+    domain = None if disk else rs.make_annulus(0.5, rp)
+    at_zero = biharmonic_green(domain, rp * np.exp(0.1j), n_rho, n_theta)
+    turned = biharmonic_green(domain, rp * np.exp(0.1j + 2j * np.pi * steps / n_theta),
+                              n_rho, n_theta)
+    rolled = np.roll(at_zero.grid.values, steps, axis=1)
+    assert np.max(np.abs(turned.grid.values - rolled)) <= 1e-13 * at_zero.max_value
+
+
+@pytest.mark.parametrize("pole", [0.993, 0.5035j], ids=["outer", "inner"])
+def test_mode_count_past_the_cap_is_a_convergence_error(pole):
+    # on a grid fine enough that the two-cell guard passes the pole (2h < 0.0035),
+    # the data's decay max(|w|, r/|w|) = 0.993 needs more than TRUNCATION_CAP modes
+    with pytest.raises(ConvergenceError, match="cap"):
+        biharmonic_green(rs.make_annulus(0.5, pole), pole, 520, 32)
+
+
+def test_ring_memory_stays_flat():
+    # |w| = 0.955 at r = 0.5 takes 851 modes: the work arrays stay near 2^13 entries
+    # a block, where one complex (rows x modes) table of the 94 interior rows is 1.3 MB;
+    # the grid and the fundamental solution on it take about 0.8 MB at any mode count
+    domain = rs.make_annulus(0.5, 0.955)
+    biharmonic_green(domain, 0.955, 96, 96)  # warm the FFT plan cache
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = biharmonic_green(domain, 0.955, 96, 96)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.clamped_residual <= 1e-12
+    assert peak < 1.2e6
+
+
+def test_matching_failure_is_typed(monkeypatch):
+    domain = rs.make_annulus(0.5, 0.7)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SolverError):
+        biharmonic_green(domain, 0.7, 32, 32)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
+    with pytest.raises(SolverError):
+        biharmonic_green(domain, 0.7, 32, 32)
+
+
+# ------------------------------------------- the finite-difference oracle
 
 OPERATOR_GRIDS = [(True, 32, 32), (False, 32, 32), (True, 96, 96), (False, 96, 96),
                   (False, 40, 32), (True, 33, 34)]
 
 
 def _grid(disk, n_rho):
-    """``(rho, h, lo)`` as ``biharmonic_green`` lays the grid out (ring: r = 0.5)."""
+    """``(rho, h, lo)`` as ``fd_biharmonic`` lays the grid out (ring: r = 0.5)."""
     if disk:  # offset radial grid through the centre
         h = 2.0 / (2 * n_rho - 1)
         return (np.arange(n_rho) + 0.5) * h, h, 0
@@ -269,7 +392,7 @@ def _grid(disk, n_rho):
 
 
 def _load(rho, h, lo, n_theta, pole):
-    """``biharmonic_green``'s point load at ``pole`` on the interior rows."""
+    """``fd_biharmonic``'s point load at ``pole`` on the interior rows."""
     htheta = 2.0 * np.pi / n_theta
     i_star = lo + int(np.argmin(np.abs(rho[lo:-1] - abs(pole))))
     j_star = int(round(float(np.angle(pole)) % (2 * np.pi) / htheta)) % n_theta
@@ -296,7 +419,7 @@ def test_clamped_apply_matches_the_roll_oracle_bit_for_bit(disk, n_rho, n_theta,
     # as the np.roll / np.concatenate form, so the same bits
     rho, h, lo = _grid(disk, n_rho)
     u = np.random.default_rng(n_rho + n_theta).standard_normal((n_rho - 1 - lo, n_theta))
-    got = _clamped_apply(u.astype(dtype), rho, h, lo)
+    got = clamped_apply(u.astype(dtype), rho, h, lo)
     want = roll_clamped_apply(u.astype(dtype), rho, h, lo)
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got, want)
@@ -307,7 +430,7 @@ def test_matrix_free_stencil_matches_sparse_operator(disk, n_rho, n_theta):
     rho, h, lo = _grid(disk, n_rho)
     u = np.random.default_rng(n_rho + n_theta).standard_normal((n_rho - 1 - lo, n_theta))
     expected = clamped_operator(rho, h, n_theta, disk) @ u.ravel()
-    got = _clamped_apply(u, rho, h, lo).ravel()
+    got = clamped_apply(u, rho, h, lo).ravel()
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
@@ -333,13 +456,14 @@ def _converged_reference(disk, n_rho, n_theta):
 
 
 def _reference_error(disk, n_rho, n_theta):
-    """``biharmonic_green``'s and ``spsolve``'s largest errors against the converged
+    """``fd_biharmonic``'s and ``spsolve``'s largest errors against the converged
     reference, relative to its largest value."""
     pole, ref, u_sparse = _converged_reference(disk, n_rho, n_theta)
-    sol = biharmonic_green(None if disk else rs.make_annulus(0.5, 0.75), pole, n_rho, n_theta)
+    values, _ = fd_biharmonic(None if disk else rs.make_annulus(0.5, 0.75), pole,
+                              n_rho, n_theta)
     scale = np.max(np.abs(ref))
     lo = 0 if disk else 1
-    return (np.max(np.abs(sol.grid.values[lo:-1].ravel() - ref)) / scale,
+    return (np.max(np.abs(values[lo:-1].ravel() - ref)) / scale,
             np.max(np.abs(u_sparse - ref)) / scale)
 
 
@@ -365,7 +489,7 @@ def test_radial_solve_failure_is_typed(monkeypatch):
         return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
     monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", singular)
     with pytest.raises(SolverError):
-        biharmonic_green(None, 0.3, 32, 32)
+        fd_biharmonic(None, 0.3, 32, 32)
 
 
 @pytest.mark.parametrize("disk, n_rho, n_theta, pole",
@@ -377,8 +501,9 @@ def test_factored_solve_matches_two_gbsv_solves(disk, n_rho, n_theta, pole):
     # whole load refined on the grid, on the disk (lo = 0) and on the ring (lo = 1);
     # the routes round differently; the worst gap on these grids is 3.5e-16
     rho, h, lo = _grid(disk, n_rho)
-    sol = biharmonic_green(None if disk else rs.make_annulus(0.5, pole), pole, n_rho, n_theta)
-    got = sol.grid.values[lo:-1]
+    values, _ = fd_biharmonic(None if disk else rs.make_annulus(0.5, pole), pole,
+                              n_rho, n_theta)
+    got = values[lo:-1]
     want = two_gbsv_biharmonic(_load(rho, h, lo, n_theta, pole), rho, h, lo)
     assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
@@ -388,13 +513,11 @@ def test_factored_solve_matches_two_gbsv_solves(disk, n_rho, n_theta, pole):
                           (False, 48, 48, 0.7), (False, 40, 32, 0.8)])
 @pytest.mark.parametrize("steps", [1, 7, -3])
 def test_turning_the_pole_by_whole_steps_rolls_the_grid(disk, n_rho, n_theta, rp, steps):
-    # the load is solved at angle 0 and rolled into place, so every result
-    # turns with the pole bit for bit
+    # the FD load is solved at angle 0 and rolled into place, so the grid and its
+    # operator residual turn with the pole bit for bit
     domain = None if disk else rs.make_annulus(0.5, rp)
-    at_zero = biharmonic_green(domain, rp, n_rho, n_theta)
-    turned = biharmonic_green(domain, rp * np.exp(2j * np.pi * steps / n_theta), n_rho, n_theta)
-    assert np.array_equal(turned.grid.values, np.roll(at_zero.grid.values, steps, axis=1))
-    assert (turned.min_value, turned.max_value, turned.operator_residual) == \
-        (at_zero.min_value, at_zero.max_value, at_zero.operator_residual)
-    assert sorted(turned.sign_change_cells) == sorted(
-        (i, (j + steps) % n_theta) for i, j in at_zero.sign_change_cells)
+    at_zero, residual = fd_biharmonic(domain, rp, n_rho, n_theta)
+    turned, turned_residual = fd_biharmonic(
+        domain, rp * np.exp(2j * np.pi * steps / n_theta), n_rho, n_theta)
+    assert np.array_equal(turned, np.roll(at_zero, steps, axis=1))
+    assert turned_residual == residual
