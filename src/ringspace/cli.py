@@ -21,11 +21,10 @@ import math
 import sys
 import time
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
-import click
 import numpy as np
 
 from . import __version__
@@ -51,6 +50,10 @@ _SPACES = {"smirnov": smirnov_tag, "arclength": smirnov_tag,
            "hardy": hardy_tag, "bergman": bergman_tag}
 
 
+class UsageError(Exception):
+    """A command line or config file the CLI cannot read: exit code 2."""
+
+
 def parse_complex(text: str) -> complex:
     """Parse ``a+bi`` or polar ``rho∠theta`` (``@`` works as an ASCII angle sign)."""
     s = str(text).strip().replace(" ", "")
@@ -61,7 +64,7 @@ def parse_complex(text: str) -> complex:
     try:
         return complex(s.replace("i", "j"))
     except ValueError as exc:
-        raise click.UsageError(f"cannot parse complex literal {text!r}") from exc
+        raise UsageError(f"cannot parse complex literal {text!r}") from exc
 
 
 def parse_complex_list(text: str) -> tuple[complex, ...]:
@@ -79,53 +82,63 @@ def parse_atoms(text: str) -> tuple[tuple[complex, float], ...]:
         try:
             point, mass = part.rsplit(":", 1)
         except ValueError as exc:
-            raise click.UsageError(f"atom {part!r} is not of the form point:mass") from exc
+            raise UsageError(f"atom {part!r} is not of the form point:mass") from exc
         out.append((parse_complex(point), float(mass)))
     return tuple(out)
 
 
-class _Parsed(click.ParamType):
-    """A flag whose text one of the parsers above reads; a config file value
-    is read as its text."""
+class _Kind(NamedTuple):
+    """How a flag's value is read from its text or a config file's value: ``name`` is
+    its type name (the metavar help shows), ``choices`` those a choice's value must be."""
 
-    def __init__(self, name: str, parse):
-        self.name, self.parse = name, parse
-
-    def convert(self, value, param, ctx):
-        try:
-            return self.parse(str(value))
-        except (click.UsageError, ValueError) as exc:
-            self.fail(str(exc), param, ctx)
+    name: str
+    read: Callable
+    choices: tuple = ()
 
 
-_COMPLEX = _Parsed("complex", parse_complex)
-# Every flag once: option, click type, default, help.  A flag whose default is
-# None or () is unset unless given, and the document echoes it only then.
+def _boolean(value) -> bool:
+    """An on/off flag's value in a config file, read as click read booleans."""
+    text = str(value).strip().lower()
+    if text not in ("1", "true", "t", "yes", "y", "on", "0", "false", "f", "no", "n", "off"):
+        raise ValueError(f"{value!r} is not a valid boolean.")
+    return text in ("1", "true", "t", "yes", "y", "on")
+
+
+def _existing_file(value) -> str:
+    path = Path(value)
+    if path.is_dir() or not path.exists():
+        raise ValueError(f"File {str(value)!r} "
+                         f"{'is a directory' if path.is_dir() else 'does not exist'}.")
+    return str(value)
+
+
+_COMPLEX, _INTEGER, _TEXT = (_Kind("complex", parse_complex), _Kind("integer", int),
+                             _Kind("text", str))
+_BOOLEAN = _Kind("boolean", _boolean)
+# Every flag once: option, kind, default, help.  A flag whose default is None or
+# () is unset unless given, and the document echoes it only then.
 _FLAGS = {
-    "r": ("--r", float, None, "inner radius in (0,1)"),
+    "r": ("--r", _Kind("float", float), None, "inner radius in (0,1)"),
     "base": ("--base", _COMPLEX, None, "base point (a+bi or rho∠theta)"),
-    "zeros": ("--zeros", _Parsed("zeros", parse_complex_list), (), "comma-separated zero list"),
-    "atoms": ("--atoms", _Parsed("atoms", parse_atoms), (), "comma-separated point:mass atoms"),
-    "N": ("--N", int, 64, "series/window truncation"),
-    "m": ("--m", int, 512, "quadrature nodes per circle/ring"),
-    "j": ("--j", int, 1, "boundary component (1 outer, 2 inner)"),
-    "space": ("--space", click.Choice(sorted(_SPACES), case_sensitive=False), "bergman",
+    "zeros": ("--zeros", _Kind("zeros", parse_complex_list), (), "comma-separated zero list"),
+    "atoms": ("--atoms", _Kind("atoms", parse_atoms), (), "comma-separated point:mass atoms"),
+    "N": ("--N", _INTEGER, 64, "series/window truncation"),
+    "m": ("--m", _INTEGER, 512, "quadrature nodes per circle/ring"),
+    "j": ("--j", _INTEGER, 1, "boundary component (1 outer, 2 inner)"),
+    "space": ("--space", _Kind("choice", str.lower, tuple(sorted(_SPACES))), "bergman",
               "function space"),
-    "undivided": ("--undivided", bool, False,
+    "undivided": ("--undivided", _BOOLEAN, False,
                   "probe the raw extremal with its extraneous kernel zero"),
     "pole": ("--pole", _COMPLEX, None, "pole of the Green's function, or load of the plate"),
-    "disk": ("--disk", bool, False, "solve on the unit disk"),
-    "n_rho": ("--n-rho", int, 64, "radial nodes of the output grid"),
-    "n_theta": ("--n-theta", int, 64, "angular nodes of the output grid"),
-    "grid_out": ("--grid-out", str, None, "CSV path for the sampled grid"),
-    "out": ("--out", str, None, "write the result document here"),
-    "format": ("--format", click.Choice(["json", "csv"]), "json", "primary output format"),
-    "config_path": ("--config", click.Path(exists=True, dir_okay=False), None,
+    "disk": ("--disk", _BOOLEAN, False, "solve on the unit disk"),
+    "n_rho": ("--n-rho", _INTEGER, 64, "radial nodes of the output grid"),
+    "n_theta": ("--n-theta", _INTEGER, 64, "angular nodes of the output grid"),
+    "grid_out": ("--grid-out", _TEXT, None, "CSV path for the sampled grid"),
+    "out": ("--out", _TEXT, None, "write the result document here"),
+    "format": ("--format", _Kind("choice", str, ("json", "csv")), "json", "primary output format"),
+    "config_path": ("--config", _Kind("file", _existing_file), None,
                     "JSON config file of flag values (flags win)"),
 }
-_OPTIONS = {name: click.Option([opt, name], type=kind, help=text,
-                               **({"is_flag": True} if kind is bool else {}))
-            for name, (opt, kind, _, text) in _FLAGS.items()}
 # Flags every subcommand takes; its ``_COMMANDS`` row names the rest.
 _COMMON = ("r", "out", "format", "config_path")
 
@@ -166,7 +179,7 @@ def parse_config(command: str, flags: dict) -> RunConfig:
         values.update(_config_values(flags["config_path"], values))
     values.update({k: v for k, v in flags.items() if v is not None and v is not False})
     if values["r"] is None and not values.get("disk"):  # the disk has no inner radius
-        raise click.UsageError("missing required flag --r (inner radius)")
+        raise UsageError("missing required flag --r (inner radius)")
     return RunConfig(command=command, **values)
 
 
@@ -176,14 +189,27 @@ def _config_values(path: str, names) -> dict:
     subcommands."""
     try:
         data = json.loads(Path(path).read_text())
-    except ValueError as exc:  # undecodable bytes too
-        raise click.UsageError(f"config file {path} is not valid JSON: {exc}")
+    except (OSError, ValueError) as exc:  # undecodable bytes too
+        raise UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
-        raise click.UsageError(f"config file {path} is not a JSON object of flag values")
+        raise UsageError(f"config file {path} is not a JSON object of flag values")
     try:
-        return {k: _OPTIONS[k].type_cast_value(None, v) for k, v in data.items() if k in names}
-    except click.BadParameter as exc:
-        raise click.UsageError(f"config file {path}: {exc.format_message()}")
+        return {k: None if v is None else _read(k, v) for k, v in data.items() if k in names}
+    except UsageError as exc:
+        raise UsageError(f"config file {path}: {exc}")
+
+
+def _read(name: str, value):
+    """A flag's value from its text, or from a config file's value, as its kind reads it."""
+    opt, kind, _, _ = _FLAGS[name]
+    try:
+        read = kind.read(value)
+    except (UsageError, TypeError, ValueError) as exc:
+        raise UsageError(f"Invalid value for {opt!r}: {exc}") from None
+    if kind.choices and read not in kind.choices:
+        raise UsageError(f"Invalid value for {opt!r}: {value!r} is not one of "
+                         f"{', '.join(map(repr, kind.choices))}.")
+    return read
 
 
 def _document(config: RunConfig, results: dict, status: str = "ok",
@@ -230,7 +256,7 @@ def _emit(doc: dict, config: RunConfig) -> None:
     if config.out:
         Path(config.out).write_text(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _grid_out(config: RunConfig, name: str, radii, m: int, f) -> list | None:
@@ -276,7 +302,7 @@ def run(config: RunConfig) -> int:
     try:
         handler = _HANDLERS[config.command]
     except KeyError:
-        raise click.UsageError(f"unknown command {config.command!r}")
+        raise UsageError(f"unknown command {config.command!r}")
     try:
         bad = _non_finite(config.parameters(), "parameters")
         if bad:  # _emit cannot write them
@@ -286,13 +312,13 @@ def run(config: RunConfig) -> int:
         if bad:
             raise ConvergenceError(f"non-finite values at {', '.join(bad)}")
     except (GeometryError, ArgumentError) as exc:
-        click.echo(f"rejected: {exc}", err=True)
+        print(f"rejected: {exc}", file=sys.stderr)
         return 3
     except RingspaceError as exc:
         doc = _document(config, {"error": str(exc)}, status="unverified",
                         started=started)
         _emit(doc, config)
-        click.echo(f"unverified: {exc}", err=True)
+        print(f"unverified: {exc}", file=sys.stderr)
         return 4
     doc = _document(config, results, ladder=ladder, tolerances=tolerances,
                     grids=grids, started=started)
@@ -311,7 +337,7 @@ def _non_finite(value, path: str) -> list[str]:
 def _cmd_green(config: RunConfig):
     pole = config.pole
     if pole is None:
-        raise click.UsageError("green needs --pole")
+        raise UsageError("green needs --pole")
     domain = make_annulus(config.r, pole)
     g = green(domain, pole)
     residual = float(np.max(np.abs(ring_values(g, boundary_nodes(domain, 256), 256))))
@@ -346,7 +372,7 @@ def _cmd_hmeasure(config: RunConfig):
 
 def _cmd_blaschke(config: RunConfig):
     if not config.zeros:
-        raise click.UsageError("blaschke needs --zeros")
+        raise UsageError("blaschke needs --zeros")
     domain = _domain(config)
     B = blaschke_product(domain, config.zeros)
     results = _inner_spec_results(B, domain, config.m)
@@ -438,7 +464,7 @@ def _cmd_extremal(config: RunConfig):
 
 def _cmd_candidate_divisor(config: RunConfig):
     if len(config.zeros) != 1:
-        raise click.UsageError("candidate-divisor needs exactly one zero in --zeros")
+        raise UsageError("candidate-divisor needs exactly one zero in --zeros")
     domain = _domain(config)
     cand = candidate_divisor(domain, config.zeros[0], N=config.N)
     count = count_zeros(cand, domain, full_ring(domain))
@@ -474,7 +500,7 @@ def _cmd_qc_divisor(config: RunConfig):
 
 def _cmd_qc_estimate(config: RunConfig):
     if len(config.zeros) != 1:
-        raise click.UsageError("qc-estimate needs exactly one zero in --zeros")
+        raise UsageError("qc-estimate needs exactly one zero in --zeros")
     domain, z1 = _domain(config), config.zeros[0]
     cand = candidate_divisor(domain, z1, N=config.N)
     target = cand.kernel_section if config.undivided else cand
@@ -495,7 +521,7 @@ def _cmd_qc_estimate(config: RunConfig):
 
 def _cmd_schottky_fit(config: RunConfig):
     if len(config.zeros) != 1:
-        raise click.UsageError("schottky-fit needs exactly one zero in --zeros")
+        raise UsageError("schottky-fit needs exactly one zero in --zeros")
     domain = _domain(config)
     problem = ExtremalProblem(domain=domain, space=hardy_tag(), base=domain.base_point,
                               zeros=config.zeros, truncation=max(config.N, 96))
@@ -535,7 +561,7 @@ def _cmd_decomposition(config: RunConfig):
 def _cmd_biharmonic(config: RunConfig):
     disk, pole = config.disk, config.pole
     if pole is None:
-        raise click.UsageError("biharmonic needs --pole")
+        raise UsageError("biharmonic needs --pole")
     domain = None if disk else make_annulus(config.r, pole)
     sol = biharmonic_green(domain, pole, config.n_rho, config.n_theta)
     grids = _grid_out(config, "biharmonic_solution", sol.grid.radii, sol.grid.angles.size,
@@ -592,19 +618,118 @@ _COMMANDS = {
 _HANDLERS = {name: handler for name, (handler, _, _) in _COMMANDS.items()}
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="ringspace")
-def main():
-    """Numerics for function spaces on the annulus {r < |z| < 1}."""
+_ABOUT = "Numerics for function spaces on the annulus {r < |z| < 1}."
+_HELP = ("--help", "Show this message and exit.")
 
 
-def _invoke(command: str, **flags):
-    sys.exit(run(parse_config(command, flags)))
+def _help(prog: str, command: str | None) -> str:
+    """Usage, summary and option rows of the program or of one subcommand."""
+    if command is None:
+        usage, about = f"{prog} [OPTIONS] COMMAND [ARGS]...", _ABOUT
+        sections = {"Options": [("--version", "Show the version and exit."), _HELP],
+                    "Commands": [(name, row[1]) for name, row in sorted(_COMMANDS.items())]}
+    else:
+        usage, about = f"{prog} {command} [OPTIONS]", _COMMANDS[command][1]
+        rows = [_FLAGS[name] for name in (*_COMMON, *_COMMANDS[command][2])]
+        sections = {"Options": [*((f"{opt} {_metavar(kind)}".rstrip(), text)
+                                  for opt, kind, _, text in rows), _HELP]}
+    lines = [f"Usage: {usage}", "", f"  {about}"]
+    for title, rows in sections.items():
+        width = max(len(left) for left, _ in rows)
+        lines += ["", f"{title}:", *(f"  {left:<{width}}  {right}" for left, right in rows)]
+    return "\n".join(lines) + "\n"
 
 
-for _name, (_, _help, _flags) in _COMMANDS.items():
-    main.add_command(click.Command(_name, callback=partial(_invoke, _name), help=_help,
-                                   params=[_OPTIONS[flag] for flag in (*_COMMON, *_flags)]))
+def _metavar(kind: _Kind) -> str:
+    if kind.choices:
+        return f"[{'|'.join(kind.choices)}]"
+    return "" if kind is _BOOLEAN else kind.name.upper()
+
+
+def _parse_flags(command: str, args: list[str]) -> dict | None:
+    """A subcommand's flags from its arguments: ``--flag value`` or ``--flag=value``, an
+    on/off flag alone, the last of a repeated flag winning; every flag the subcommand
+    takes maps to its read value, or to None if not given.  None after ``--help``."""
+    taken = (*_COMMON, *_COMMANDS[command][2])
+    options = {_FLAGS[name][0]: name for name in taken}
+    given, extra, wants_help = {}, [], False
+    tokens = iter(args)
+    for token in tokens:
+        if token == "--":
+            extra += tokens
+        elif token == "-" or not token.startswith("-"):
+            extra.append(token)
+        elif token == "--help":
+            wants_help = True
+        else:
+            opt, eq, value = token.partition("=")
+            name = options.get(opt)
+            if name is None:
+                raise UsageError(f"No such option {opt!r}.")
+            if _FLAGS[name][1] is _BOOLEAN:
+                if eq:
+                    raise UsageError(f"Option {opt!r} does not take a value.")
+                value = True
+            elif not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise UsageError(f"Option {opt!r} requires an argument.")
+            given[name] = value
+    if wants_help:
+        return None
+    flags = {name: _read(name, given[name]) if name in given else None for name in taken}
+    if extra:
+        raise UsageError(f"Got unexpected extra argument{'s' * (len(extra) > 1)} "
+                         f"({' '.join(extra)})")
+    return flags
+
+
+def _invoke(argv: list[str], prog: str, command: str | None) -> int:
+    """The exit code of one command line, printing any help or version it asks for."""
+    if not argv or argv[0] == "--help":
+        print(_help(prog, None), end="", file=sys.stdout if argv else sys.stderr)
+        return 0 if argv else 2
+    if argv[0] == "--version":
+        print(f"ringspace, version {__version__}")
+        return 0
+    if command is None:
+        kind = "option" if argv[0].startswith("-") else "command"
+        raise UsageError(f"No such {kind} {argv[0]!r}.")
+    flags = _parse_flags(command, argv[1:])
+    if flags is None:
+        print(_help(prog, command), end="")
+        return 0
+    return run(parse_config(command, flags))
+
+
+class _Main:
+    """The ``ringspace`` program: ``main()`` reads ``sys.argv``, and ``main.main(args=...,
+    prog_name=..., standalone_mode=...)`` takes them as click's ``Command.main`` does, so
+    click's ``CliRunner`` drives it.  Either raises ``SystemExit`` with the exit code;
+    outside standalone mode a usage error is raised instead of shown."""
+
+    name = "ringspace"
+
+    def __call__(self):
+        self.main()
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
+        argv = sys.argv[1:] if args is None else list(args)
+        prog = prog_name or self.name
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        try:
+            code = _invoke(argv, prog, command)
+        except UsageError as exc:
+            if not standalone_mode:
+                raise
+            hint = f"{prog} {command}" if command else prog
+            print(f"{_help(prog, command).splitlines()[0]}\nTry '{hint} --help' for help.\n\n"
+                  f"Error: {exc}", file=sys.stderr)
+            code = 2
+        sys.exit(code)
+
+
+main = _Main()
 
 
 if __name__ == "__main__":

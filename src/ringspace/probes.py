@@ -22,7 +22,7 @@ from .errors import ArgumentError, GeometryError, SolverError
 from .geometry import AnnulusDomain, boundary_angles
 from .harmonic import tail_truncation
 from .laurent import LaurentPolynomial, fold_sum
-from .spaces import radial_rule
+from .spaces import bergman_tag, log_monomial_norms
 
 _EXPONENTS = np.outer(np.arange(1, 9), [1, -1]).ravel()  # tests Re, Im z^k: k = 1, -1, ..., 8, -8
 
@@ -34,34 +34,54 @@ def log_radial_moment(r: float) -> float:
     return 2.0 * math.pi * (antiderivative(1.0) - antiderivative(r))
 
 
-def _defect_pairings(rho, mass):
-    """``nu_1 = log|z| - c0`` on rings ``rho`` of area ``mass`` paired with the tests of
-    ``_reproduced_values``, and ``c0``, the mean of ``log|z|``: radial, so 0 on ``z^k``."""
-    log_rho = np.log(rho)
-    c0 = float(mass @ log_rho / np.sum(mass))
+def _log_means(r: float, ns) -> np.ndarray:
+    """``mu_n``, the mean of ``log|z|`` under ``|z^n|^2 dA``: ``-1/p - log(r) r^p / (1 - r^p)``,
+    ``p = 2n + 2``, with ``r^|p| - 1`` by ``expm1``, and ``log(r)/2`` at ``p = 0``."""
+    L, p = math.log(r), 2.0 * np.asarray(ns, dtype=float) + 2.0
+    flat = p == 0.0
+    p[flat] = 1.0  # set below
+    e = np.expm1(np.abs(p) * L)
+    mu = L * np.where(p > 0.0, 1.0 + e, -1.0) / e - 1.0 / p
+    mu[flat] = 0.5 * L
+    return mu
+
+
+def _defect_pairings(r: float):
+    """``nu_1 = log|z| - c0`` paired under ``dA`` with the tests of ``_reproduced_values``,
+    and ``c0``, the mean of ``log|z|`` (``mu_0``), in closed form: ``nu_1`` is radial, so 0
+    on ``z^k``, 0 on 1 by ``c0``'s definition, and ``int log^2|z| dA - c0^2 |A|`` on
+    ``log|z|``, with ``int log^2|z| dA = (1 - r^2)/2 - r^2 log^2 r + r^2 log r``."""
+    L, area = math.log(r), 1.0 - r * r
+    c0 = -0.5 - r * r * L / area  # mu_0
     qs = np.zeros(2 * _EXPONENTS.size + 2)
-    qs[0], qs[-1] = mass @ (log_rho - c0), (mass * (log_rho - c0)) @ log_rho
+    qs[-1] = 0.5 * area - r * r * L * (L - 1.0) - c0 * c0 * area
     return qs, c0
 
 
-def _gauge_pairings(G: LaurentPolynomial, rho, mass) -> np.ndarray:
-    """``|G|^2 / <|G|^2, 1>`` paired under ``dA`` with the tests of ``_reproduced_values``
-    from ``G``'s coefficients: on a ring, ``|G|^2 z^k`` has angular mean ``rho^k s_k``,
-    ``s_k = sum_n a_n conj(a_{n+k})``, ``s_{-k} = conj(s_k)``, with ``a_n = c_n rho^n``
-    from ``ring_terms`` (``e^top`` times terms of modulus at most 1).  A trapezoid in
-    angle sums the same exactly only on more than ``2N + 8`` angles."""
-    s, two_top = np.zeros((rho.size, 9), dtype=complex), np.zeros(rho.size)
-    for k, ns, top, terms in G.ring_terms(rho):
-        a = np.zeros((len(terms), ns[-1] - ns[0] + 9), dtype=complex)  # 8 zeros past the top
-        a[:, ns - ns[0]] = terms
-        lagged = np.lib.stride_tricks.sliding_window_view(a.conj(), a.shape[1] - 8, axis=1)
-        s[k:k + len(a)] = np.einsum("rn,rkn->rk", a[:, :-8], lagged)
-        two_top[k:k + len(a)] = 2.0 * top[:, 0]
-    weight = mass * np.exp(two_top - two_top.max())  # the rings' e^{2 top}, relative
-    sk = np.where(_EXPONENTS > 0, s[:, np.abs(_EXPONENTS)], s[:, np.abs(_EXPONENTS)].conj())
-    moments = (weight[:, None] * rho[:, None]**_EXPONENTS * sk).sum(axis=0)  # Re, Im by .view
-    g = weight * s[:, 0].real
-    return np.array([g.sum(), *moments.view(float), g @ np.log(rho)]) / g.sum()
+def _gauge_pairings(G: LaurentPolynomial, domain: AnnulusDomain) -> np.ndarray:
+    """``|G|^2 / <|G|^2, 1>`` paired under ``dA`` with the tests of ``_reproduced_values``,
+    as exact sums of ``G``'s coefficients ``c_n``, the monomials being orthogonal under
+    ``dA``: ``<|G|^2, z^k> = sum_n c_n conj(c_{n+k}) ||z^{n+k}||^2``, ``<|G|^2, z^-k> =
+    sum_n conj(c_n) c_{n+k} ||z^n||^2`` and ``<|G|^2, log|z|> = sum_n |c_n|^2 ||z^n||^2
+    mu_n`` (``_log_means``).  The sums run on ``b_n = c_n ||z^n||`` from
+    ``log_monomial_norms``, scaled in log space to a largest modulus of 1, so a norm
+    past the double range still pairs."""
+    ns = np.arange(G.lo, G.hi + 1)
+    N = int(np.max(np.abs(ns)))
+    half = 0.5 * log_monomial_norms(domain, bergman_tag(), N)[ns + N]  # log ||z^n||
+    c = G.coeffs
+    logs = np.log(np.abs(c), out=np.full(c.size, -np.inf), where=c != 0.0) + half
+    b = np.exp(logs - logs.max() + 1j * np.angle(c))
+    lag = np.arange(b.size) + np.arange(9)[:, None]  # row k: n + k
+    products = b * np.append(b, np.zeros(8))[lag].conj()  # b_n conj(b_{n+k}), 0 past the top
+    ratio = np.exp(half[np.minimum(lag, b.size - 1)] - half)  # ||z^{n+k}|| / ||z^n||
+    up = (products * ratio).sum(axis=1)  # <|G|^2, z^k>, k = 0..8
+    down = (products.conj() / ratio).sum(axis=1)  # <|G|^2, z^-k>
+    k = np.abs(_EXPONENTS)
+    moments = np.where(_EXPONENTS > 0, up[k], down[k])  # Re, Im by .view
+    g = up[0].real
+    log_pairing = (b.real**2 + b.imag**2) @ _log_means(domain.inner_radius, ns)
+    return np.array([g, *moments.view(float), log_pairing]) / g
 
 
 def _reproduced_values(z0: complex) -> np.ndarray:
@@ -73,19 +93,17 @@ def _reproduced_values(z0: complex) -> np.ndarray:
 def bergman_decomposition_residual(G: LaurentPolynomial, domain: AnnulusDomain,
                                    z0: complex) -> tuple[float, float, float]:
     """``(lambda_1, residual, c0)``: fit ``<|G|^2 - H(., z0), u> ~ lambda_1 <nu_1, u>`` over
-    the tests ``u`` of ``_reproduced_values`` on the area rule's radii, ``|G|^2`` from its
-    coefficients (``_gauge_pairings``), ``<H(., z0), u> = u(z0)`` in closed form and
-    ``nu_1`` by ``_defect_pairings``.  The residual is the largest unexplained pairing,
-    which vanishes up to truncation because the rest of ``|G|^2 - H`` annihilates
-    harmonics."""
+    the tests ``u`` of ``_reproduced_values``, every pairing exact: ``|G|^2`` by sums of its
+    coefficients (``_gauge_pairings``), ``<H(., z0), u> = u(z0)`` and ``nu_1``
+    (``_defect_pairings``) in closed form.  The residual is the largest unexplained
+    pairing, which vanishes up to truncation because the rest of ``|G|^2 - H``
+    annihilates harmonics."""
     if not isinstance(G, LaurentPolynomial) or not G.coeffs.any():
         raise ArgumentError(f"decomposition needs a nonzero LaurentPolynomial, got {G!r}")
     if not domain.contains(z0):
         raise GeometryError(f"decomposition base {z0} must be interior")
-    rho, wr = radial_rule(domain)
-    mass = 2.0 * wr * rho  # each ring's share of dA
-    qs, c0 = _defect_pairings(rho, mass)
-    ps = _gauge_pairings(G, rho, mass) - _reproduced_values(z0)
+    qs, c0 = _defect_pairings(domain.inner_radius)
+    ps = _gauge_pairings(G, domain) - _reproduced_values(z0)
     lam1 = float(ps @ qs / (qs @ qs))
     return lam1, float(np.max(np.abs(ps - lam1 * qs))), c0
 

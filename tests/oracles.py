@@ -381,6 +381,52 @@ def three_rule_decomposition(G, domain, z0: complex, m: int):
     return lam1, float(np.max(np.abs(ps - lam1 * qs))), c0
 
 
+def radial_defect_pairings(rho, mass):
+    """``nu_1 = log|z| - c0`` on rings ``rho`` of area ``mass`` paired with the
+    decomposition's tests, and ``c0``, the rings' mean of ``log|z|``: radial, so 0 on
+    ``z^k``.  The radial-rule route the closed forms replaced."""
+    log_rho = np.log(rho)
+    c0 = float(mass @ log_rho / np.sum(mass))
+    qs = np.zeros(34)
+    qs[0], qs[-1] = mass @ (log_rho - c0), (mass * (log_rho - c0)) @ log_rho
+    return qs, c0
+
+
+def radial_gauge_pairings(G, rho, mass) -> np.ndarray:
+    """``|G|^2 / <|G|^2, 1>`` paired with the decomposition's tests on rings ``rho`` of area
+    ``mass``, from ``G``'s coefficients: on a ring, ``|G|^2 z^k`` has angular mean
+    ``rho^k s_k``, ``s_k = sum_n a_n conj(a_{n+k})``, ``s_{-k} = conj(s_k)``, with
+    ``a_n = c_n rho^n`` from ``ring_terms`` (``e^top`` times terms of modulus at most 1).
+    The radial-rule route the coefficient sums replaced."""
+    exponents = np.outer(np.arange(1, 9), [1, -1]).ravel()
+    s, two_top = np.zeros((rho.size, 9), dtype=complex), np.zeros(rho.size)
+    for k, ns, top, terms in G.ring_terms(rho):
+        a = np.zeros((len(terms), ns[-1] - ns[0] + 9), dtype=complex)  # 8 zeros past the top
+        a[:, ns - ns[0]] = terms
+        lagged = np.lib.stride_tricks.sliding_window_view(a.conj(), a.shape[1] - 8, axis=1)
+        s[k:k + len(a)] = np.einsum("rn,rkn->rk", a[:, :-8], lagged)
+        two_top[k:k + len(a)] = 2.0 * top[:, 0]
+    weight = mass * np.exp(two_top - two_top.max())  # the rings' e^{2 top}, relative
+    sk = np.where(exponents > 0, s[:, np.abs(exponents)], s[:, np.abs(exponents)].conj())
+    moments = (weight[:, None] * rho[:, None]**exponents * sk).sum(axis=0)
+    g = weight * s[:, 0].real
+    return np.array([g.sum(), *moments.view(float), g @ np.log(rho)]) / g.sum()
+
+
+def radial_rule_decomposition(G, domain, z0: complex):
+    """``(lambda_1, residual, c0)`` with ``|G|^2`` and ``nu_1`` paired ring by ring on
+    ``spaces.radial_rule``'s 64 Gauss-Legendre radii, as the decomposition was computed
+    before its pairings became exact coefficient sums."""
+    from ringspace.probes import _reproduced_values
+    from ringspace.spaces import radial_rule
+    rho, wr = radial_rule(domain)
+    mass = 2.0 * wr * rho  # each ring's share of dA
+    qs, c0 = radial_defect_pairings(rho, mass)
+    ps = radial_gauge_pairings(G, rho, mass) - _reproduced_values(z0)
+    lam1 = float(ps @ qs / (qs @ qs))
+    return lam1, float(np.max(np.abs(ps - lam1 * qs))), c0
+
+
 def rayleigh_maximize(A, B, trials: int = 10000, seed: int = 0):
     """sup of (c* B c)/(c* A c) by random search plus power-iteration polish.
 

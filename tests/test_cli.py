@@ -44,16 +44,14 @@ def test_parse_complex_forms():
 
 
 def test_parse_complex_rejects_garbage():
-    import click
-    with pytest.raises(click.UsageError):
+    with pytest.raises(cli.UsageError):
         cli.parse_complex("fish")
 
 
 def test_parse_atoms():
     atoms = cli.parse_atoms("1:-1,0.5i:-0.25")
     assert atoms == ((1 + 0j, -1.0), (0.5j, -0.25))
-    import click
-    with pytest.raises(click.UsageError):
+    with pytest.raises(cli.UsageError):
         cli.parse_atoms("nonsense")
 
 
@@ -547,16 +545,16 @@ def test_decomposition_evaluates_g_at_no_quadrature_node(monkeypatch, zeros):
 
 # ------------------------------------------------------------ flag surface
 
-# Every flag: its option, click type name and whether it is an on/off flag.
+# Every flag: its option, type name and default; the booleans are the on/off flags.
 OPTIONS = {
-    "r": ("--r", "float"), "base": ("--base", "complex"), "zeros": ("--zeros", "zeros"),
-    "atoms": ("--atoms", "atoms"), "N": ("--N", "integer"), "m": ("--m", "integer"),
-    "j": ("--j", "integer"), "space": ("--space", "choice"),
-    "undivided": ("--undivided", "boolean", True), "pole": ("--pole", "complex"),
-    "disk": ("--disk", "boolean", True), "n_rho": ("--n-rho", "integer"),
-    "n_theta": ("--n-theta", "integer"),
-    "grid_out": ("--grid-out", "text"), "out": ("--out", "text"),
-    "format": ("--format", "choice"), "config_path": ("--config", "file"),
+    "r": ("--r", "float", None), "base": ("--base", "complex", None),
+    "zeros": ("--zeros", "zeros", ()), "atoms": ("--atoms", "atoms", ()),
+    "N": ("--N", "integer", 64), "m": ("--m", "integer", 512), "j": ("--j", "integer", 1),
+    "space": ("--space", "choice", "bergman"), "undivided": ("--undivided", "boolean", False),
+    "pole": ("--pole", "complex", None), "disk": ("--disk", "boolean", False),
+    "n_rho": ("--n-rho", "integer", 64), "n_theta": ("--n-theta", "integer", 64),
+    "grid_out": ("--grid-out", "text", None), "out": ("--out", "text", None),
+    "format": ("--format", "choice", "json"), "config_path": ("--config", "file", None),
 }
 COMMON = ["r", "out", "format", "config_path"]
 # The flags each subcommand takes beyond COMMON: exactly the ones it reads.
@@ -579,20 +577,21 @@ FLAGS = {
 
 
 def test_flag_surface():
-    assert sorted(cli.main.commands) == sorted(FLAGS)
+    # the parser maps every flag a subcommand takes, and only those, to None
+    # when none is given
+    assert sorted(cli._COMMANDS) == sorted(FLAGS)
     assert sorted(cli._HANDLERS) == sorted(FLAGS)
     for name in FLAGS:
-        expected = []
-        for flag in COMMON + FLAGS[name]:
-            opt, type_name, *is_flag = OPTIONS[flag]
-            expected.append((flag, opt, type_name, False if is_flag else None, bool(is_flag)))
-        surface = [(i["name"], i["opts"][0], i["type"]["name"], i["default"], i["is_flag"])
-                   for i in (p.to_info_dict() for p in cli.main.commands[name].params)]
-        assert surface == expected, name
-    params = {p.name: p for p in cli.main.commands["kernel"].params}
-    assert sorted(params["space"].type.choices) == ["arclength", "bergman", "hardy", "smirnov"]
-    assert list(params["format"].type.choices) == ["json", "csv"]
-    assert sum(len(cli.main.commands[name].params) for name in FLAGS) == 109
+        taken = list(cli._parse_flags(name, []))
+        assert taken == COMMON + FLAGS[name], name
+        assert [(cli._FLAGS[flag][0], cli._FLAGS[flag][1].name, cli._FLAGS[flag][2])
+                for flag in taken] == [OPTIONS[flag] for flag in taken], name
+    assert sorted(cli._FLAGS) == sorted(OPTIONS)
+    on_off = {flag for flag, (_, kind, _, _) in cli._FLAGS.items() if kind is cli._BOOLEAN}
+    assert on_off == {flag for flag, (_, kind, _) in OPTIONS.items() if kind == "boolean"}
+    assert sorted(cli._FLAGS["space"][1].choices) == ["arclength", "bergman", "hardy", "smirnov"]
+    assert list(cli._FLAGS["format"][1].choices) == ["json", "csv"]
+    assert sum(len(cli._parse_flags(name, [])) for name in FLAGS) == 109
 
 
 # Flags with no default: a document echoes them only when they are given.
@@ -619,7 +618,7 @@ MINIMAL_ARGV = {
 def test_documents_echo_the_flags_taken(name):
     argv = MINIMAL_ARGV[name]
     doc = run_json([name, "--r", "0.5", *argv])
-    taken = {p.name: p.opts[0] for p in cli.main.commands[name].params}
+    taken = {flag: cli._FLAGS[flag][0] for flag in cli._parse_flags(name, [])}
     expected = {flag for flag, opt in taken.items() if flag not in ("out", "config_path")
                 and (flag not in UNSET_UNLESS_GIVEN or opt in argv)}
     assert set(doc["parameters"]) == expected
@@ -720,3 +719,84 @@ def test_subcommand_grids_on_rings_match_horner(args, keys, monkeypatch):
     oracle = run_json(args)["results"]
     for key in keys:
         assert abs(got[key] - oracle[key]) <= 1e-13 * max(1.0, abs(oracle[key])), key
+
+
+# ------------------------------------------------------------ parser parity
+
+def test_flag_value_after_an_equals_sign():
+    doc = run_json(["hmeasure", "--r=0.5"])
+    assert doc["parameters"]["r"] == 0.5
+
+
+def test_flag_given_twice_takes_the_last_value():
+    doc = run_json(["hmeasure", "--r", "0.4", "--r", "0.5"])
+    assert doc["parameters"]["r"] == 0.5
+
+
+def test_space_is_read_case_insensitively():
+    doc = run_json(["kernel", "--r", "0.5", "--space", "HARDY", "--N", "8", "--m", "64"])
+    assert doc["parameters"]["space"] == doc["results"]["space"] == "hardy"
+
+
+@pytest.mark.parametrize("argv, phrase", [
+    (["hmeasure", "--r"], "requires an argument"),
+    (["nosuch"], "No such command"),
+    (["hmeasure", "--r", "0.5", "stray"], "unexpected extra argument"),
+    (["hmeasure", "--r", "0.5", "--config", "{tmp}/nonexistent.json"],
+     "Invalid value for '--config'"),
+    (["hmeasure", "--r", "abc"], "Invalid value for '--r'"),
+    (["kernel", "--r", "0.5", "--space", "fish"], "Invalid value for '--space'"),
+    (["hmeasure", "--r", "0.5", "--format", "xml"], "Invalid value for '--format'"),
+    (["hmeasure", "--r", "0.5", "--j", "1.5"], "Invalid value for '--j'"),
+    (["biharmonic", "--r", "0.5", "--disk=1", "--pole", "0.3"], "does not take a value"),
+], ids=["missing-value", "no-command", "extra-argument", "missing-config", "bad-float",
+        "bad-choice", "bad-format", "bad-integer", "flag-value"])
+def test_parse_errors_exit_2_with_their_phrase(tmp_path, argv, phrase):
+    result = CliRunner().invoke(cli.main, [a.format(tmp=tmp_path) for a in argv])
+    assert result.exit_code == 2
+    assert phrase in result.output
+    assert "Traceback" not in result.output
+
+
+def test_no_arguments_lists_the_subcommands():
+    result = CliRunner().invoke(cli.main, [])
+    assert result.exit_code == 2
+    listed = [line.split()[0] for line in result.output.split("Commands:", 1)[1].splitlines()
+              if line.strip()]
+    assert listed == sorted(cli._COMMANDS)
+    assert len(listed) == 14
+
+
+def test_version():
+    result = CliRunner().invoke(cli.main, ["--version"])
+    assert result.exit_code == 0
+    assert result.output == "ringspace, version 0.1.0\n"
+
+
+@pytest.mark.parametrize("name", sorted(FLAGS))
+def test_subcommand_help_lists_its_flags(name):
+    result = CliRunner().invoke(cli.main, [name, "--help"])
+    assert result.exit_code == 0
+    listed = [line.split()[0] for line in result.output.splitlines() if line.startswith("  --")]
+    assert listed == [OPTIONS[flag][0] for flag in COMMON + FLAGS[name]] + ["--help"]
+
+
+def _exit_code(argv) -> int:
+    """The code ``main.main`` exits with outside standalone mode, as the benchmark calls it."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=argv, prog_name="ringspace", standalone_mode=False)
+    return exc.value.code
+
+
+def test_main_outside_standalone_mode_raises_the_exit_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"base": "0.7", "m": 128}))
+    out = str(tmp_path / "doc.json")
+    for args in readme_cli_examples():
+        assert _exit_code([*args, "--out", out]) == 0, args
+    assert _exit_code(["green", "--r", "1.5", "--pole", "0.7", "--out", out]) == 3
+
+    def broken(config):
+        raise ConvergenceError("did not settle")
+    monkeypatch.setitem(cli._HANDLERS, "hmeasure", broken)
+    assert _exit_code(["hmeasure", "--r", "0.5", "--out", out]) == 4

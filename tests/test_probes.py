@@ -1,7 +1,9 @@
 import functools
 import math
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,18 +13,18 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import ringspace as rs
+from ringspace.cli import parse_complex
 from ringspace.errors import (ArgumentError, ConvergenceError, GeometryError, RingspaceError,
                               SolverError)
-from ringspace.probes import (_defect_pairings, _gauge_pairings, _reproduced_values,
-                              bergman_decomposition_residual, biharmonic_green,
-                              log_radial_moment)
-from ringspace.spaces import (area_quadrature, bergman_tag, norm as space_norm, radial_rule,
-                              ring_values)
+from ringspace.probes import (_defect_pairings, _gauge_pairings, _log_means,
+                              _reproduced_values, bergman_decomposition_residual,
+                              biharmonic_green, log_radial_moment)
+from ringspace.spaces import area_quadrature, bergman_tag, norm as space_norm, ring_values
 
 from oracles import (HarmonicKernel, clamped_apply, clamped_factors, clamped_operator,
                      dense_decomposition_pairings, fd_biharmonic, gbsv_clamped_solve,
-                     loop_clamped_operator, roll_clamped_apply, three_rule_decomposition,
-                     two_gbsv_biharmonic)
+                     loop_clamped_operator, radial_rule_decomposition, roll_clamped_apply,
+                     three_rule_decomposition, two_gbsv_biharmonic)
 
 
 # ------------------------------------------- harmonic kernel (the oracle's)
@@ -70,14 +72,8 @@ def test_log_radial_moment_against_adaptive_quadrature():
     assert log_radial_moment(0.5) == pytest.approx(-0.6337007225202719, abs=1e-12)
 
 
-def _rings(dom):
-    """The decomposition's rings: ``radial_rule``'s radii and each ring's share of dA."""
-    rho, wr = radial_rule(dom)
-    return rho, 2.0 * wr * rho
-
-
 def test_defect_direction_is_orthogonal_to_analytic_parts(dom):
-    qs, c0 = _defect_pairings(*_rings(dom))
+    qs, c0 = _defect_pairings(dom.inner_radius)
     # nu_1 is radial: its pairings with Re, Im z^k are exactly 0, with 1 rounding
     assert np.all(qs[1:-1] == 0.0)
     assert qs[0] == pytest.approx(0.0, abs=1e-15)
@@ -132,7 +128,7 @@ def _coefficient_pairings_against_dense(r, N, m, evaluator):
     dom = rs.make_annulus(r, base)
     G = rs.build_kernel(dom, bergman_tag(), N).section(base)
     values = G if evaluator == "plain" else (lambda z: ring_values(G, z, m))
-    got = np.array([_gauge_pairings(G, *_rings(dom)), _defect_pairings(*_rings(dom))[0]])
+    got = np.array([_gauge_pairings(G, dom), _defect_pairings(r)[0]])
     want = dense_decomposition_pairings(values, dom, base, m)[[0, 2]]  # row 1: H
     want[0] /= want[0, 0]
     assert got.shape == want.shape == (2, 34)
@@ -186,8 +182,9 @@ def test_reproduced_values_match_the_dense_kernel_pairings(r):
 @pytest.mark.parametrize("r, base", [(0.5, 0.7), (0.3, 0.5 + 0.4j), (0.685, -0.733 - 0.031j)])
 @pytest.mark.parametrize("with_zero", [False, True])
 def test_one_rule_decomposition_matches_the_three_rule_oracle(r, base, with_zero):
-    # the gauge and the pairings from G's coefficients move lambda_1 and the
-    # residual by rounding only; c0 is the same mean on the same radii
+    # on the radial rule, the gauge and the pairings from G's coefficients move
+    # lambda_1 and the residual by rounding only, and c0 is the same mean on the
+    # same radii; the exact coefficient sums sit within the rules' floor of both
     dom = rs.make_annulus(r, base)
     if with_zero:
         zero = -0.5j * (1.0 + r)  # midway across the ring
@@ -195,11 +192,65 @@ def test_one_rule_decomposition_matches_the_three_rule_oracle(r, base, with_zero
                                                  zeros=(zero,), truncation=48), m=512)
     else:
         G = rs.build_kernel(dom, bergman_tag(), 64).section(base)
-    lam1, residual, c0 = bergman_decomposition_residual(G, dom, base)
+    lam1, residual, c0 = radial_rule_decomposition(G, dom, base)
     want = three_rule_decomposition(G, dom, base, 512)
     assert abs(lam1 - want[0]) <= 1e-13
     assert abs(residual - want[1]) <= 1e-13
     assert abs(c0 - want[2]) <= 1e-15  # c0 summed ring by ring, not node by node
+    lam1, residual, c0 = bergman_decomposition_residual(G, dom, base)
+    assert abs(lam1 - want[0]) <= 1e-12
+    assert abs(residual - want[1]) <= 1e-10
+    assert abs(c0 - want[2]) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [-300, -40, -2, -1, 0, 1, 40, 300])
+@pytest.mark.parametrize("r", [0.05, 0.3, 0.7])
+def test_log_means_against_adaptive_quadrature(r, n):
+    # mu_n = int log(rho) rho^(2n+1) d rho / int rho^(2n+1) d rho on [r, 1], the
+    # integrals in units of the larger end's power so that r^(2n+2) cannot overflow
+    top = 1.0 if n >= -1 else r
+    weight = lambda x: (x / top)**(2 * n + 1)  # noqa: E731
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    num = quad(lambda x: math.log(x) * weight(x), r, 1.0, **opts)[0]
+    den = quad(weight, r, 1.0, **opts)[0]
+    assert _log_means(r, [n])[0] == pytest.approx(num / den, rel=1e-11, abs=1e-13)
+
+
+def _probes_decompositions():
+    """``(r, base)`` of the decomposition in each of the benchmark's 54 seed-3 ``probes`` jobs."""
+    sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+    try:
+        from jobs import job_list
+    finally:
+        sys.path.pop(0)
+    argvs = [job[2] for job in job_list("probes", 3, 45)]
+    return [(float(argv[argv.index("--r") + 1]), parse_complex(argv[argv.index("--base") + 1]))
+            for argv in argvs]
+
+
+def test_coefficient_sums_match_the_radial_rule_on_the_benchmark_geometries():
+    # the 54 seed-3 probes decompositions (unweighted section at N = 64): the
+    # exact sums against the 64-radius rule they replaced
+    geometries = _probes_decompositions()
+    assert len(geometries) == 54
+    worst = np.zeros(3)
+    for r, base in geometries:
+        dom = rs.make_annulus(r, base)
+        G = rs.build_kernel(dom, bergman_tag(), 64).section(base)
+        got = bergman_decomposition_residual(G, dom, base)
+        want = radial_rule_decomposition(G, dom, base)
+        worst = np.maximum(worst, np.abs(np.subtract(got, want)))
+    assert worst[0] <= 1e-12 and worst[1] <= 1e-10 and worst[2] <= 1e-15, worst
+
+
+def test_coefficient_sums_beat_the_radial_rule_floor():
+    # seed-3 probes geometry 16 at N = 320: the rule leaves a residual of 1.0e-11,
+    # its floor, where the exact sums leave rounding (5.7e-14)
+    r, base = _probes_decompositions()[16]
+    dom = rs.make_annulus(r, base)
+    G = rs.build_kernel(dom, bergman_tag(), 320).section(base)
+    assert radial_rule_decomposition(G, dom, base)[1] >= 5e-12
+    assert bergman_decomposition_residual(G, dom, base)[1] <= 2e-13
 
 
 # ------------------------------------------------------------- biharmonic

@@ -104,13 +104,14 @@ def test_only_spaces_reads_a_weight_fn():
 
 
 def test_probes_builds_no_area_nodes():
-    # the decomposition pairs |G|^2 from G's coefficients on the area rule's
-    # radii: probes neither imports nor reads the area nodes or values on them
+    # the decomposition pairs |G|^2 by exact sums of G's coefficients against
+    # the monomial norms: probes neither imports nor reads the area nodes, the
+    # area rule's radii or values on them
     tree = ast.parse((SRC / "probes.py").read_text())
     names = _read_names(tree) | {alias.asname or alias.name for node in ast.walk(tree)
                                  if isinstance(node, (ast.Import, ast.ImportFrom))
                                  for alias in node.names}
-    assert sorted(names & {"area_quadrature", "ring_values"}) == []
+    assert sorted(names & {"area_quadrature", "radial_rule", "ring_values"}) == []
 
 
 def test_only_spaces_builds_the_radial_rule():
@@ -408,6 +409,7 @@ def _run_scipy_users():
                                   ["qc-divisor", "--r", "0.5", "--zeros", "0.7,0.6i"]],
                          ids=["hmeasure", "qc-divisor"])
 def test_cold_run_imports_no_scipy(argv):
+    # nor click: the CLI parses its argument vector from its own flag table
     code = ("import sys\n"
             "from ringspace.cli import main\n"
             f"sys.argv[1:] = {argv!r}\n"
@@ -415,7 +417,7 @@ def test_cold_run_imports_no_scipy(argv):
             "    main()\n"
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'click')), "
             "file=sys.stderr)\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
