@@ -17,8 +17,7 @@ from .harmonic import (GreenFunction, HarmonicRepresentation, analytic_completio
                        schottky, solve_dirichlet)
 from .laurent import LaurentPolynomial, to_laurent
 from .spaces import (SpaceKind, SpaceTag, bergman_tag, gram_matrix, hardy_tag,
-                     inner_product, log_monomial_norms, monomial_norms, norm,
-                     smirnov_tag)
+                     inner_product, log_monomial_norms, norm, smirnov_tag)
 from .kernels import (KernelEvaluator, ZeroReport, build_kernel, count_zeros, full_ring,
                       locate_zeros, reproduce_check)
 from .inner import (AtomicSingularMeasure, DivisionBoundReport, InnerFunctionSpec,

@@ -3,10 +3,14 @@
 A harmonic function on the ring splits into angular modes; each nonzero mode
 ``n`` is a combination ``Re[(A_n rho^n + B_n rho^-n) e^{i n theta}]`` and the
 zero mode is ``c0 + clog * log(rho)``.  Matching Fourier data on the two
-circles gives one uniform Dirichlet solver that realizes everything built
-here: harmonic measures, Green's functions, the smooth corrections of singular
-atoms, Schottky functions, and analytic completions whose one multi-valued term,
-``clog * log z``, carries the whole conjugate period.
+circles gives one uniform Dirichlet solver that realizes Green's functions, the
+smooth corrections of singular atoms, and analytic completions whose one
+multi-valued term, ``clog * log z``, carries the whole conjugate period.
+
+Harmonic measure at the base point needs no solve: its density is the Poisson
+kernel of the annulus, whose Fourier coefficients on each circle are closed
+forms in ``r`` and the base point (``measure_density``).  The Schottky function
+reads that density as ``dg/dn``.
 
 Mode coefficients are stored in the scaled form ``Bhat_n = B_n r^{-n}`` so the
 2x2 matching systems stay perfectly conditioned and evaluation never forms
@@ -54,21 +58,6 @@ class HarmonicRepresentation:
             P_A, P_Bhat = (LaurentPolynomial(0, len(row) - 1, row) for row in c)
             out = out + np.real(P_A(z) + P_Bhat(self.rref / np.conj(z)))
         return out if out.shape else float(out)
-
-    def radial_derivative_on_circle(self, rho: float, m: int) -> np.ndarray:
-        """d/d(rho) at the ``m`` equispaced points ``rho e^{2 pi i k/m}``, by one FFT.
-
-        Mode ``n`` contributes ``Re[c_n e^{i n theta}]`` with
-        ``c_n = (n/rho)(A_n rho^n - Bhat_n (rref/rho)^n)``.  At the nodes
-        ``e^{i n theta_k}`` depends on ``n mod m`` only, so folding ``c_n``
-        onto ``n mod m`` is exact for every ``m`` (``fold_sum``).
-        """
-        out = np.full(m, self.clog / rho)
-        if self.ns.size:
-            ns = self.ns
-            c = (ns / rho) * (self.A * rho**ns - self.Bhat * (self.rref / rho)**ns)
-            out += np.real(fold_sum(ns, c, m))
-        return out
 
 
 @dataclass(frozen=True)
@@ -207,29 +196,32 @@ def green(domain: AnnulusDomain, pole: complex, N: int | None = None) -> GreenFu
     return GreenFunction(domain=domain, pole=a, corrector=corrector, truncation=N)
 
 
-def green_boundary_flux(domain: AnnulusDomain, m: int) -> np.ndarray:
-    """Outward ``dg/dn`` of Green's function with pole at the base point, at
-    the ``boundary_nodes(domain, m)``: ``m`` equispaced on the unit circle,
-    then ``m`` on the inner one.
-
-    The ``-log|z - a|`` term is taken node by node and the corrector by one
-    FFT per circle, so a long truncation costs little.
-    """
-    g = green(domain, domain.base_point)
-    nodes = boundary_nodes(domain, m).reshape(2, m)
-    unit = nodes[0]
-    flux = []
-    for z, rho, sign in ((unit, 1.0, 1.0), (nodes[1], domain.inner_radius, -1.0)):
-        diff = z - g.pole
-        sing = -np.real(unit * np.conj(diff)) / np.abs(diff)**2
-        flux.append(sign * (sing + g.corrector.radial_derivative_on_circle(rho, m)))
-    return np.concatenate(flux)
-
-
 def measure_density(domain: AnnulusDomain, m: int) -> np.ndarray:
-    """Density of harmonic measure at ``domain.base_point`` w.r.t. arclength,
-    ``-(1/2 pi) dg/dn``, at the ``boundary_nodes(domain, m)``."""
-    return -green_boundary_flux(domain, m) / (2.0 * np.pi)
+    """Density of harmonic measure at ``domain.base_point`` w.r.t. arclength, at
+    the ``boundary_nodes(domain, m)``, in closed form: no Green function is solved.
+
+    With ``z0 = rho e^{i phi}`` the density per unit angle is
+    ``(1/2 pi) [u_0 + 2 sum_n u_n cos n(theta - phi)]`` on the unit circle,
+    ``u_n = rho^n (1 - (r/rho)^{2n}) / (1 - r^{2n})``, and the same with
+    ``v_n = (r/rho)^n (1 - rho^{2n}) / (1 - r^{2n})`` on the inner one; ``u_0`` and
+    ``v_0`` are ``omega_1(z0)`` and ``omega_2(z0)``.  The terms ``rho^n`` and
+    ``(r/rho)^n`` sum to each circle's Poisson kernel, taken node by node; the
+    rest of the series is folded onto ``n mod m`` (``fold_sum``), exact for every
+    ``m``, over ``tail_truncation``'s window at ``1e-15``.
+    """
+    r, z0 = domain.inner_radius, domain.base_point
+    rho = abs(z0)
+    ns = np.arange(1, tail_truncation(domain, z0, 1e-15, 128) + 1)
+    r2n, pn, qn = r**(2.0 * ns), rho**ns.astype(float), (r / rho)**ns.astype(float)
+    du = pn * (r2n - qn**2) / (1.0 - r2n)
+    dv = qn * (r2n - pn**2) / (1.0 - r2n)
+    c = math.log(rho) / domain.log_gap  # u_0 - 1, and -v_0
+    series = 2.0 * np.real(fold_sum(ns, np.stack([du, dv]) * (np.conj(z0) / rho)**ns, m))
+    nodes = boundary_nodes(domain, m).reshape(2, m)
+    # factored, as rho^2 - r^2 loses digits for a base point near the inner circle
+    poisson = np.array([[(1 - rho) * (1 + rho)], [(rho - r) * (rho + r)]]) / np.abs(nodes - z0)**2
+    density = (poisson + series + [[c], [-c - 1.0]]) / (2.0 * np.pi * np.array([[1.0], [r]]))
+    return density.ravel()
 
 
 def schottky(domain: AnnulusDomain, m: int) -> np.ndarray:
@@ -237,11 +229,12 @@ def schottky(domain: AnnulusDomain, m: int) -> np.ndarray:
     ``boundary_nodes(domain, m)``, the Green pole at the base point.
 
     The annulus has this one independent Schottky function.
-    ``d omega_1/dn = +-1/(rho log(1/r))`` is constant on each circle.
+    ``d omega_1/dn = +-1/(rho log(1/r))`` is constant on each circle, and
+    ``dg/dn = -2 pi measure_density``.
     """
     L = domain.log_gap
     num = np.repeat([1.0 / L, -1.0 / (domain.inner_radius * L)], m)
-    den = green_boundary_flux(domain, m)
+    den = -2.0 * np.pi * measure_density(domain, m)
     # dg/dn < 0 on an analytic boundary with an interior pole; guard anyway.
     if not np.min(np.abs(den)) > 1e-14:
         raise ConvergenceError("dg/dn vanished on the boundary")

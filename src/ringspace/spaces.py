@@ -155,13 +155,6 @@ def log_monomial_norms(domain: AnnulusDomain, tag: SpaceTag, N: int) -> np.ndarr
     return out
 
 
-def monomial_norms(domain: AnnulusDomain, tag: SpaceTag, N: int) -> np.ndarray:
-    """``exp(log_monomial_norms)``: ``||z^n||^2``, n = -N..N, for unweighted arclength
-    and area, inf past the double range (r = 0.3: from about |n| = 300)."""
-    with np.errstate(over="ignore"):
-        return np.exp(log_monomial_norms(domain, tag, N))
-
-
 def ring_gram(pts: np.ndarray, weights: np.ndarray, m: int, N: int):
     """Equilibrated Gram ``(Gs, d)``, ``G[j, k] = d[j] d[k] Gs[j, k]``, of
     ``z^-N..z^N`` against node weights, with ``diag(Gs) == 1``.

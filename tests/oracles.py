@@ -35,6 +35,15 @@ least a different algorithm) than the library path it checks:
   derivatives of harmonic representations) come from a node list built one
   node at a time and a dense mode-by-node derivative table, not from one FFT
   per circle;
+* the harmonic-measure density, which the library takes as each circle's
+  Poisson kernel node by node plus the annulus correction's series, is summed
+  as the whole Poisson series of the annulus in 40-digit ``mpmath``
+  (``poisson_series_density``), and is taken from Green's function at the
+  base point as ``-(1/2 pi) dg/dn``, the Dirichlet corrector's radial
+  derivative by one FFT per circle (``green_boundary_flux``,
+  ``radial_derivative_on_circle``);
+* linear monomial norms ``||z^n||^2`` are ``exp`` of the library's log norms
+  (``monomial_norms``): the library keeps them in log space only;
 * winding numbers come from Horner point values on contiguous blocks of the
   circle and ``np.unwrap``, not from strided sub-rings by FFT;
 * the clamped plate's Green function, which the library takes in closed form
@@ -77,11 +86,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from ringspace.errors import SolverError
-from ringspace.geometry import INNER, OUTER
-from ringspace.harmonic import analytic_completion, solve_dirichlet
+from ringspace.geometry import INNER, OUTER, boundary_nodes
+from ringspace.harmonic import analytic_completion, green, solve_dirichlet
 from ringspace.inner import (AtomicSingularMeasure, InnerFunctionSpec, _close_period,
                              _normalize_phase)
-from ringspace.laurent import LaurentPolynomial
+from ringspace.laurent import LaurentPolynomial, fold_sum
+from ringspace.spaces import log_monomial_norms
 
 
 def prime_product(zeta, r: float, terms: int = 80):
@@ -139,6 +149,66 @@ def dense_radial_derivative(h, z):
     return out
 
 
+def radial_derivative_on_circle(h, rho: float, m: int) -> np.ndarray:
+    """d/d(rho) of a ``HarmonicRepresentation`` at the ``m`` equispaced points
+    ``rho e^{2 pi i k/m}``, by one FFT.
+
+    Mode ``n`` contributes ``Re[c_n e^{i n theta}]`` with
+    ``c_n = (n/rho)(A_n rho^n - Bhat_n (rref/rho)^n)``.  At the nodes
+    ``e^{i n theta_k}`` depends on ``n mod m`` only, so folding ``c_n`` onto
+    ``n mod m`` is exact for every ``m`` (``fold_sum``).
+    """
+    out = np.full(m, h.clog / rho)
+    if h.ns.size:
+        ns = h.ns
+        c = (ns / rho) * (h.A * rho**ns - h.Bhat * (h.rref / rho)**ns)
+        out += np.real(fold_sum(ns, c, m))
+    return out
+
+
+def green_boundary_flux(domain, m: int) -> np.ndarray:
+    """Outward ``dg/dn`` of Green's function with pole at the base point, at the
+    ``boundary_nodes(domain, m)``: the ``-log|z - a|`` term node by node and the
+    Dirichlet corrector by ``radial_derivative_on_circle``."""
+    g = green(domain, domain.base_point)
+    nodes = boundary_nodes(domain, m).reshape(2, m)
+    unit = nodes[0]
+    flux = []
+    for z, rho, sign in ((unit, 1.0, 1.0), (nodes[1], domain.inner_radius, -1.0)):
+        diff = z - g.pole
+        sing = -np.real(unit * np.conj(diff)) / np.abs(diff)**2
+        flux.append(sign * (sing + radial_derivative_on_circle(g.corrector, rho, m)))
+    return np.concatenate(flux)
+
+
+def poisson_series_density(r: float, z0: complex, m: int, digits: int = 40) -> np.ndarray:
+    """Harmonic-measure density at ``z0 = rho e^{i phi}`` per arclength at ``m``
+    equispaced angles on the unit circle, then ``m`` on the inner one, from the
+    whole Poisson series ``(1/2 pi rho_c) [u_0 + 2 Re sum_n u_n e^{i n (theta - phi)}]``
+    in ``digits``-digit ``mpmath``: ``u_n = q^n (1 - s^{2n}) / (1 - r^{2n})`` with
+    ``(q, s) = (rho, r/rho)`` outside and ``(r/rho, rho)`` inside, summed until
+    ``q^n`` falls ``digits + 5`` decades.  At ``theta_k = 2 pi k/m`` the terms are
+    gathered onto ``n mod m`` before the ``m``-point sum, which is exact."""
+    import mpmath
+    with mpmath.workdps(digits):
+        r, z0 = mpmath.mpf(r), mpmath.mpc(z0)
+        rho = abs(z0)
+        twist = mpmath.conj(z0) / rho
+        roots = [mpmath.expj(2 * mpmath.pi * k / m) for k in range(m)]
+        omega_1 = mpmath.log(rho / r) / mpmath.log(1 / r)
+        out = []
+        for radius, q, s, u_0 in ((1, rho, r / rho, omega_1), (r, r / rho, rho, 1 - omega_1)):
+            bins = [mpmath.mpc(0)] * m
+            terms = int(mpmath.ceil((digits + 5) * mpmath.log(10) / -mpmath.log(q)))
+            for n in range(1, terms + 1):
+                u_n = q**n * (1 - s**(2 * n)) / (1 - r**(2 * n))
+                bins[n % m] += u_n * twist**n
+            for k in range(m):
+                total = mpmath.fsum(b * roots[j * k % m] for j, b in enumerate(bins))
+                out.append(float((u_0 + 2 * mpmath.re(total)) / (2 * mpmath.pi * radius)))
+    return np.array(out)
+
+
 def boundary_node_list(domain, m: int):
     """``(point, outward sign, arclength weight)`` per boundary node, built one
     node at a time: ``m`` on the unit circle, then ``m`` on the inner circle."""
@@ -180,6 +250,13 @@ def node_schottky(domain, m: int, N: int = 128):
     g = rs.green(domain, domain.base_point, N)
     return (node_normal_derivative(rs.harmonic_measure(domain, 1), nodes)
             / node_normal_derivative(g, nodes))
+
+
+def monomial_norms(domain, tag, N: int) -> np.ndarray:
+    """``exp(log_monomial_norms)``: ``||z^n||^2``, n = -N..N, for unweighted arclength
+    and area, inf past the double range (r = 0.3: from about |n| = 300)."""
+    with np.errstate(over="ignore"):
+        return np.exp(log_monomial_norms(domain, tag, N))
 
 
 def bergman_monomial_norm(r: float, n: int) -> float:

@@ -22,10 +22,9 @@ from ringspace.kernels import build_kernel, count_zeros, full_ring, locate_zeros
 from ringspace.laurent import LaurentPolynomial, to_laurent
 from ringspace.probes import biharmonic_green
 from ringspace.spaces import (bergman_tag, gram_matrix, hardy_tag, measure_quadrature,
-                              monomial_norms, norm as space_norm, quadrature_for,
-                              smirnov_tag)
+                              norm as space_norm, quadrature_for, smirnov_tag)
 
-from oracles import bergman_monomial_norm, smirnov_monomial_norm
+from oracles import bergman_monomial_norm, monomial_norms, smirnov_monomial_norm
 
 
 def report(number, ok, detail):

@@ -11,7 +11,9 @@ from ringspace.harmonic import (TRUNCATION_CAP, HarmonicRepresentation, solve_di
 from ringspace.spaces import boundary_quadrature, measure_quadrature
 
 from oracles import (boundary_node_list, dense_harmonic_values, dense_radial_derivative,
-                     green_images, node_normal_derivative, node_schottky, point_mass_kernel)
+                     green_boundary_flux, green_images, node_normal_derivative,
+                     node_schottky, point_mass_kernel, poisson_series_density,
+                     radial_derivative_on_circle)
 
 
 # ---------------------------------------------------------------- Dirichlet
@@ -264,7 +266,7 @@ def test_radial_derivative_on_circle_matches_dense(seed, m):
     theta = 2 * np.pi * np.arange(m) / m
     for rho in (1.0, r, math.sqrt(r)):
         dense = dense_radial_derivative(h, rho * np.exp(1j * theta))
-        fft = h.radial_derivative_on_circle(rho, m)
+        fft = radial_derivative_on_circle(h, rho, m)
         assert np.max(np.abs(fft - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -274,7 +276,7 @@ def test_radial_derivative_on_circle_of_green_corrector():
     theta = 2 * np.pi * np.arange(512) / 512
     for rho in (1.0, 0.7):
         dense = dense_radial_derivative(g.corrector, rho * np.exp(1j * theta))
-        fft = g.corrector.radial_derivative_on_circle(rho, 512)
+        fft = radial_derivative_on_circle(g.corrector, rho, 512)
         assert np.max(np.abs(fft - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -299,6 +301,23 @@ def test_measure_density_positive(dom):
     dens = rs.measure_density(dom, 64)
     assert dens.shape == (128,)
     assert np.min(dens) > 0
+
+
+@pytest.mark.parametrize("r, base", [(0.5, 0.7), (0.7, 0.955 * np.exp(0.3j)),
+                                     (0.3, 0.3035), (0.9, 0.95)])
+def test_measure_density_matches_poisson_series(r, base):
+    # the whole Poisson series of the annulus in 40 digits, at the exact angles
+    # 2 pi k/m; the library's nodes e^{i theta_k} carry the rounding of theta_k,
+    # which moves the density by a few eps of its maximum where it is steep
+    pytest.importorskip("mpmath")
+    d = rs.make_annulus(r, base)
+    dens = rs.measure_density(d, 64)
+    ref = poisson_series_density(r, base, 64)
+    top = np.max(ref)
+    assert np.max(np.abs(dens - ref)) <= 8 * np.finfo(float).eps * top
+    # the Green route: -(1/2 pi) dg/dn of a Dirichlet-solved Green function
+    green_route = -green_boundary_flux(d, 64) / (2.0 * np.pi)
+    assert np.max(np.abs(dens - green_route)) <= 1e-13 * top
 
 
 # ----------------------------------------------------------------- Schottky
@@ -384,8 +403,7 @@ def test_schottky_matches_node_oracle_to_flux_rounding(r, base, m):
 
 
 def test_schottky_vanishing_flux_is_typed(dom, monkeypatch):
-    monkeypatch.setattr(rs.harmonic, "green_boundary_flux",
-                        lambda domain, m: np.zeros(2 * m))
+    monkeypatch.setattr(rs.harmonic, "measure_density", lambda domain, m: np.zeros(2 * m))
     with pytest.raises(ConvergenceError, match="vanished"):
         rs.schottky(dom, 8)
 

@@ -353,8 +353,7 @@ def test_schottky_fit_of_identity_function(dom):
 
 
 def test_schottky_fit_vanishing_flux_is_typed(dom, monkeypatch):
-    monkeypatch.setattr(rs.harmonic, "green_boundary_flux",
-                        lambda domain, m: np.zeros(2 * m))
+    monkeypatch.setattr(rs.harmonic, "measure_density", lambda domain, m: np.zeros(2 * m))
     with pytest.raises(ConvergenceError, match="vanished"):
         rs.schottky_fit(lambda z: np.ones(np.shape(z)), dom, m=64)
 

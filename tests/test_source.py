@@ -82,6 +82,18 @@ def test_only_spaces_calls_monomial_norms():
     assert found == []
 
 
+def test_only_cli_calls_green():
+    # harmonic measure and the Schottky function come from the annulus Poisson
+    # kernel in closed form; a Green function is built only for the green
+    # subcommand
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)
+             and "green" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert found == []
+
+
 def test_only_spaces_calls_weighted_gram():
     # scaled_gram owns a window's Gram and its node floor max(m, 4N+4); the
     # ladder pencil reads ring_gram, whose m >= 4N+4 guard stays for it

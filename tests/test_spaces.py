@@ -9,12 +9,12 @@ from ringspace.laurent import LaurentPolynomial
 from ringspace.spaces import (SpaceKind, SpaceTag, _gauss_legendre, area_quadrature,
                               bergman_tag, boundary_quadrature, gram_matrix, hardy_tag,
                               inner_product, log_monomial_norms, measure_quadrature,
-                              monomial_norms, quadrature_for, ring_gram, scaled_gram,
-                              smirnov_tag, weighted_gram)
+                              quadrature_for, ring_gram, scaled_gram, smirnov_tag,
+                              weighted_gram)
 
 from oracles import (bergman_monomial_norm, dense_gram, equilibrated, green_images,
-                     hardy_monomial_norm, loop_ring_gram, node_measure_quadrature,
-                     smirnov_monomial_norm)
+                     hardy_monomial_norm, loop_ring_gram, monomial_norms,
+                     node_measure_quadrature, smirnov_monomial_norm)
 
 
 # ------------------------------------------------------------ monomial norms
