@@ -212,7 +212,7 @@ def measure_density(domain: AnnulusDomain, m: int) -> np.ndarray:
     r, z0 = domain.inner_radius, domain.base_point
     rho = abs(z0)
     ns = np.arange(1, tail_truncation(domain, z0, 1e-15, 128) + 1)
-    r2n, pn, qn = r**(2.0 * ns), rho**ns.astype(float), (r / rho)**ns.astype(float)
+    r2n, pn, qn = r**(2 * ns), rho**ns, (r / rho)**ns
     du = pn * (r2n - qn**2) / (1.0 - r2n)
     dv = qn * (r2n - pn**2) / (1.0 - r2n)
     c = math.log(rho) / domain.log_gap  # u_0 - 1, and -v_0
