@@ -709,11 +709,34 @@ class _Main:
     outside standalone mode a usage error is raised instead of shown."""
 
     name = "ringspace"
+    heap_set = False
 
     def __call__(self):
         self.main()
 
+    def _keep_freed_blocks(self):
+        # The N = 96 Gram, kernel and KKT algebra frees 0.5-1.2 MiB temporaries that
+        # glibc hands back to the kernel (mmap threshold, heap trim), so the next
+        # subcommand page-faults them in again.  2 MiB mmap / 4 MiB trim is the smallest
+        # pair measured to leave no such faults on either benchmark workload (2/2 and
+        # 1/8 do not; BENCH_heap_policy.json).  A user's glibc malloc settings win.
+        import ctypes
+        import os
+        self.heap_set = True
+        if (any(k.startswith("MALLOC_") and k.endswith("_") for k in os.environ)
+                or "glibc.malloc" in os.environ.get("GLIBC_TUNABLES", "")):
+            return
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (AttributeError, OSError, TypeError):   # not glibc, or no C library
+            return
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 2 << 20)   # M_MMAP_THRESHOLD
+        mallopt(-1, 4 << 20)   # M_TRIM_THRESHOLD
+
     def main(self, args=None, prog_name=None, standalone_mode=True):
+        if not self.heap_set:
+            self._keep_freed_blocks()
         argv = sys.argv[1:] if args is None else list(args)
         prog = prog_name or self.name
         command = argv[0] if argv and argv[0] in _COMMANDS else None

@@ -1,5 +1,8 @@
+import ctypes
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -800,3 +803,52 @@ def test_main_outside_standalone_mode_raises_the_exit_code(tmp_path, monkeypatch
         raise ConvergenceError("did not settle")
     monkeypatch.setitem(cli._HANDLERS, "hmeasure", broken)
     assert _exit_code(["hmeasure", "--r", "0.5", "--out", out]) == 4
+
+
+# ---------------------------------------------------------------- heap policy
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+def _repeat_call_faults(tmp_path, **env) -> int:
+    """Minor page faults of the third of three identical ``kernel-zeros`` calls in a
+    fresh interpreter: the first two warm the heap up."""
+    code = ("import resource, sys\n"
+            "from ringspace import cli\n"
+            "argv = ['kernel-zeros', '--r', '0.5', '--base', '0.7', '--space', 'hardy',\n"
+            "        '--N', '96', '--out', sys.argv[1]]\n"
+            "def call():\n"
+            "    try:\n"
+            "        cli.main.main(args=argv, standalone_mode=False)\n"
+            "    except SystemExit as exc:\n"
+            "        if exc.code != 0:\n"
+            "            raise\n"
+            "call(); call()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "call()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    base = {k: v for k, v in os.environ.items()
+            if not (k.startswith("MALLOC_") or k == "GLIBC_TUNABLES")}
+    child = dict(base, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+                 OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", **env)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "doc.json")], env=child,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_repeated_calls_fault_no_freed_blocks_back_in(tmp_path):
+    # the CLI keeps freed blocks of the N = 96 Gram and kernel algebra in the heap,
+    # so a repeated call does not page-fault them in again (about 880 without)
+    assert _repeat_call_faults(tmp_path) < 300
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_users_malloc_setting_wins_over_the_heap_policy(tmp_path):
+    # a glibc MALLOC_*_ variable the user set leaves the allocator alone
+    assert _repeat_call_faults(tmp_path, MALLOC_TRIM_THRESHOLD_="131072") > 300

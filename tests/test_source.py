@@ -1,6 +1,7 @@
 """Rules on the library's source text."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -92,6 +93,35 @@ def test_only_cli_calls_green():
              if isinstance(node, ast.Call)
              and "green" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert found == []
+
+
+def _scopes_naming(tree, name: str) -> set[str]:
+    """The functions and classes (dotted, ``<module>`` at top level) whose own body
+    names ``name`` as a variable or an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if name in (getattr(child, "id", None), getattr(child, "attr", None)):
+                found.add(scope or "<module>")
+            visit(child, scope)
+    visit(tree, "")
+    return found
+
+
+def test_only_the_cli_entry_sets_the_heap_policy():
+    # mallopt changes the whole process's allocator, so only the CLI's entry path
+    # calls it, never at import: ``import ringspace`` leaves a program's heap alone
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    found = {(module, name, scope) for module, tree in trees.items()
+             for name in ("mallopt", "_keep_freed_blocks")
+             for scope in _scopes_naming(tree, name)}
+    assert found == {("cli.py", "mallopt", "_Main._keep_freed_blocks"),
+                     ("cli.py", "_keep_freed_blocks", "_Main.main")}
 
 
 def test_only_spaces_calls_weighted_gram():
@@ -499,3 +529,45 @@ def test_benchmark_tracer_sees_the_probes():
                               ["decomposition", "--r", "0.5", "--base", "0.7"])
     for name in ("probes.biharmonic_green", "probes.bergman_decomposition_residual"):
         assert metrics[f"{name}.calls"] > 0, name
+
+
+# Per-layer names perfbench/run.py adds itself, from outcomes, timings and imports.
+_RUN_ADDED = ("cli.exit.", "cli.raw_exceptions", "gate.", "trace.", "setup.import.")
+
+
+@pytest.mark.parametrize("workload", ["divisor-ladder", "probes"])
+def test_benchmark_trace_order_holds_every_layer(workload, tmp_path):
+    # perfbench/run.py --trace 1 runs a job untraced, then installs the tracer,
+    # which looks scipy's solvers up in sys.modules; each workload in its own
+    # interpreter, so one workload's imports cannot cover for another's
+    code = ("import json, sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+            "import jobs\n"
+            "from tracer import Tracer\n"
+            "from ringspace import cli\n"
+            f"job = jobs.job_list({workload!r}, 3, 45)[0]\n"
+            "def run():\n"
+            "    for argv in job:\n"
+            "        try:\n"
+            "            cli.main.main(args=[*argv, '--out', sys.argv[1]], prog_name='ringspace',\n"
+            "                          standalone_mode=False)\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "run()\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "try:\n"
+            "    run()\n"
+            "finally:\n"
+            "    tracer.uninstall()\n"
+            "print(json.dumps(sorted(tracer.layer_metrics())))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "doc.json")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    layers = set(json.loads(proc.stdout.splitlines()[-1]))
+    wanted = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+              if not m["name"].startswith(_RUN_ADDED)}
+    assert len(wanted) > 50
+    assert sorted(wanted - layers) == []
