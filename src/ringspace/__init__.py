@@ -1,6 +1,6 @@
 """Function-space machinery on the annulus {r < |z| < 1}.
 
-Green's functions and harmonic measures by Fourier matching, Smirnov/Hardy/
+Green's functions and harmonic measures in closed form, Smirnov/Hardy/
 Bergman inner products over a Laurent basis, reproducing kernels with
 argument-principle zero counting, generalized Blaschke products and singular
 inner functions with explicit period removal, constrained least-norm

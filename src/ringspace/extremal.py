@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (ArgumentError, ConvergenceError, GeometryError, RingspaceError,
                      SingularConstraintsError, SingularGramError, ZeroOnContourError)
 from .geometry import AnnulusDomain, polar_grid, ring_nodes
-from .inner import InnerFunctionSpec, blaschke_factor, capped_blaschke_factor
+from .inner import InnerFunctionSpec, blaschke_factor
 from .kernels import build_kernel, count_zeros, full_ring, locate_zeros, refined_solve
 from .laurent import LaurentPolynomial
 from .spaces import (SpaceKind, SpaceTag, area_quadrature, base_quadrature, bergman_tag,
@@ -236,7 +236,7 @@ def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96) -> Candid
     Gram) is ``B_z1`` times the ``|B_z1|^2``-weighted section up to a constant.
     Its window is the first of ``max(N, 96) * (1, 2, 4, 8)`` where it counts 2 ring
     zeros, ``z1`` and ``w*`` (short windows leave truncation zeros at the circles).
-    ``w*`` (the one zero of ``F / (z - z1)``) may hug a circle: its factor is capped.
+    ``w*`` (the one zero of ``F / (z - z1)``) may hug a circle.
     """
     windows = [max(N, 96) * k for k in (1, 2, 4, 8)]
     for window in windows:
@@ -254,7 +254,7 @@ def candidate_divisor(domain: AnnulusDomain, z1: complex, N: int = 96) -> Candid
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only at z = z1 exactly
         w_star = locate_zeros(_Deflated(F, z1), domain, 1).locations[0]
     return CandidateDivisor(kernel_zero=w_star, kernel_section=F,
-                            kernel_zero_factor=capped_blaschke_factor(domain, w_star))
+                            kernel_zero_factor=blaschke_factor(domain, w_star))
 
 
 def quasicontract_estimate(G, z1: complex, domain: AnnulusDomain,

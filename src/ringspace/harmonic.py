@@ -1,11 +1,16 @@
-"""Harmonic machinery on the annulus via Fourier matching.
+"""Harmonic machinery on the annulus via Fourier matching and the prime function.
+
+Green's function and the single-zero inner factor read one closed form, the
+annulus prime function ``P(u) = (1 - u) prod_{k>=1} (1 - r^{2k} u)(1 - r^{2k}/u)``
+(Crowdy & Marshall 2007): ``B_a = P(z/a) / P(z conj a)`` has modulus ``1/|a|`` on
+the unit circle and 1 on the inner one, and ``g(z, a) = -log|B_a| - log|a| omega_1``.
 
 A harmonic function on the ring splits into angular modes; each nonzero mode
 ``n`` is a combination ``Re[(A_n rho^n + B_n rho^-n) e^{i n theta}]`` and the
 zero mode is ``c0 + clog * log(rho)``.  Matching Fourier data on the two
-circles gives one uniform Dirichlet solver that realizes Green's functions, the
-smooth corrections of singular atoms, and analytic completions whose one
-multi-valued term, ``clog * log z``, carries the whole conjugate period.
+circles gives one uniform Dirichlet solver that realizes the smooth corrections
+of singular atoms, and analytic completions whose one multi-valued term,
+``clog * log z``, carries the whole conjugate period.
 
 Harmonic measure at the base point needs no solve: its density is the Poisson
 kernel of the annulus, whose Fourier coefficients on each circle are closed
@@ -62,16 +67,18 @@ class HarmonicRepresentation:
 
 @dataclass(frozen=True)
 class GreenFunction:
-    """``g(z) = -log|z - pole| + corrector(z)``, vanishing on both circles."""
+    """``g(z) = -log|B(z)| - log|pole| omega_1(z)``, vanishing on both circles, with
+    ``B = P(z/pole) / P(z conj pole)`` from ``prime_series`` and ``times_near_factors``."""
 
     domain: AnnulusDomain
     pole: complex
-    corrector: HarmonicRepresentation
-    truncation: int
+    series: LaurentPolynomial
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        out = -np.log(np.abs(z - self.pole)) + self.corrector(z)
+        a, r = self.pole, self.domain.inner_radius
+        log_b = np.real(self.series(z)) + np.log(np.abs(times_near_factors(z - a, z, a, r)))
+        out = -log_b - math.log(abs(a)) * harmonic_measure(self.domain, OUTER)(z)
         return out if out.shape else float(out)
 
 
@@ -132,32 +139,16 @@ def harmonic_measure(domain: AnnulusDomain, j: int) -> HarmonicRepresentation:
     raise ArgumentError(f"boundary component must be 1 or 2, got {j}")
 
 
-def _log_kernel_data(domain: AnnulusDomain, pole: complex, N: int):
-    """Fourier coefficients of ``log|zeta - pole|`` on the two circles.
-
-    Outer circle: ``log|e^{i t} - a| = -sum_k Re[(a e^{-i t})^k] / k``.
-    Inner circle (valid since ``|pole| > r``):
-    ``log|r e^{i t} - a| = log|a| - sum_k Re[(r e^{i t}/a)^k] / k``.
-    """
-    r = domain.inner_radius
-    a = complex(pole)
-    ks = np.arange(1, N + 1, dtype=float)
-    outer_pos = -np.conj(a)**ks / (2.0 * ks)
-    inner_pos = -(r / a)**ks / (2.0 * ks)
-    outer = np.concatenate([np.conj(outer_pos[::-1]), [0.0], outer_pos])
-    inner = np.concatenate([np.conj(inner_pos[::-1]), [math.log(abs(a))], inner_pos])
-    return outer, inner
-
-
 TRUNCATION_CAP = 4096
 
 
 def tail_truncation(domain: AnnulusDomain, pole: complex, tol: float, floor: int) -> int:
     """Smallest ``N >= floor`` with ``max(|pole|, r/|pole|)^N <= tol``.
 
-    The Fourier data of ``log|zeta - pole|`` decays like ``|pole|^n`` on the
-    outer circle and ``(r/|pole|)^n`` on the inner one, so this bounds the
-    boundary residual of a Green corrector truncated at ``N``.  An ``N`` past
+    A series in the Fourier modes of a point's Poisson or log kernel decays like
+    ``|pole|^n`` on the outer circle and ``(r/|pole|)^n`` on the inner one, so this
+    bounds its tail at ``N``: the harmonic-measure density's correction
+    (``measure_density``) and the clamped plate's modes read it.  An ``N`` past
     ``TRUNCATION_CAP`` (at ``tol = 1e-15``, a pole within about 0.0084 of the
     unit circle or 0.0085 r of the inner one) raises ``ConvergenceError``.
     """
@@ -172,28 +163,45 @@ def tail_truncation(domain: AnnulusDomain, pole: complex, tol: float, floor: int
     return max(n, floor)
 
 
-def green(domain: AnnulusDomain, pole: complex, N: int | None = None) -> GreenFunction:
-    """Green's function of the annulus with the given interior pole.
+_PRIME_TAIL = 1e-17  # the prime-function series runs to the first N with r^N <= this
 
-    The corrector solves the Dirichlet problem with data ``log|zeta - pole|``,
-    so the boundary values vanish up to the series truncation error, which
-    decays like ``|pole|^N`` (outer data) and ``(r/|pole|)^N`` (inner data).
-    ``N=None`` takes the truncation from ``tail_truncation`` at ``1e-15`` with
-    a floor of 128: a fixed 128 left boundary residuals of order ``1e-4`` and
-    negative harmonic-measure weights for poles near a circle (r=0.7,
-    |a|=0.955; r=0.9, a=0.95).
+
+def prime_series(domain: AnnulusDomain, a: complex) -> LaurentPolynomial:
+    """``log`` of ``P(z/a) / P(z conj a)`` less its near factors, as a Laurent series.
+
+    ``1 - z/a = -(z - a)/a`` gives the constant ``log(-1/a)``; ``1 - z conj a`` and
+    ``1 - r^2/(z conj a)`` are ``times_near_factors``.  The other factors' logs sum over
+    ``k`` in closed form: ``z^n`` has ``r^{2n} (conj(a)^n - a^-n)`` and ``z^-n`` has
+    ``r^{4n} conj(a)^-n - r^{2n} a^n``, each over ``n (1 - r^{2n})``.  On the ring every
+    term is at most ``r^n / (n (1 - r^{2n}))`` wherever ``a`` is.
     """
-    if N is not None and N < 8:
-        raise ArgumentError(f"Green truncation must be at least 8, got {N}")
+    r, a = domain.inner_radius, complex(a)
+    N = math.ceil(math.log(_PRIME_TAIL) / math.log(r))
+    ns = np.arange(1, N + 1)
+    r2, den = r * r, ns * -np.expm1(2.0 * ns * math.log(r))
+    pos = ((r2 * np.conj(a))**ns - (r2 / a)**ns) / den
+    neg = ((r2 * r2 / np.conj(a))**ns - (r2 * a)**ns) / den
+    return LaurentPolynomial(-N, N, np.concatenate([neg[::-1], [np.log(-1.0 / a)], pos]))
+
+
+def times_near_factors(out, z, a: complex, r: float):
+    """``out * v / ((1 - v)(v - r^2))``, ``v = z conj a``, in place where ``out`` is an array:
+    the factors of ``P(z/a) / P(z conj a)`` whose poles come near a circle with ``a``."""
+    v = z * np.conj(a)
+    out *= v
+    out /= 1.0 - v
+    v -= r * r
+    out /= v
+    return out
+
+
+def green(domain: AnnulusDomain, pole: complex) -> GreenFunction:
+    """Green's function of the annulus with the given interior pole, in closed form."""
     r = domain.inner_radius
     a = complex(pole)
     if abs(a) <= r + 1e-9 or abs(a) >= 1.0 - 1e-9:
         raise GeometryError(f"pole {pole} is on or within 1e-9 of the boundary")
-    if N is None:
-        N = tail_truncation(domain, a, 1e-15, 128)
-    outer, inner = _log_kernel_data(domain, a, N)
-    corrector = solve_dirichlet(domain, outer, inner, N)
-    return GreenFunction(domain=domain, pole=a, corrector=corrector, truncation=N)
+    return GreenFunction(domain=domain, pole=a, series=prime_series(domain, a))
 
 
 def measure_density(domain: AnnulusDomain, m: int) -> np.ndarray:

@@ -3,34 +3,37 @@ functions, period removal, verification, and quasi-contractive divisors.
 
 Every constructed inner function is held in closed multiplicative form
 
-    f(z) = z^power * exp(series(z)) * prod_k exp(s_k H_k(z)) * prod_j (z - a_j),
+    f(z) = z^power * exp(series(z)) * prod_k exp(s_k H_k(z)) * prod_j (z - a_j) N_j(z),
 
-where ``H_k`` is singular atom ``k``'s closed-form disk Herglotz kernel and
-``series`` a truncated Laurent series collecting the analytic completions of
-the Green correctors, the atoms' smooth corrections and the period remover.
-Choosing the removal exponent ``lambda`` on the lattice ``log(1/r) * Z``
-makes the log-term coefficient an exact integer, which is the ``z^power``
-factor; single-valuedness is then structural.  One helper, ``_close_period``,
-picks ``lambda`` and ``power`` for every constructed function and checks the
-closed-form period residual against ``power``.
+where ``H_k`` is singular atom ``k``'s closed-form disk Herglotz kernel,
+``N_j = v / ((1 - v)(v - r^2))`` with ``v = z conj a_j`` the near factors of zero
+``j``'s prime-function ratio (``harmonic.times_near_factors``), and ``series`` a
+truncated Laurent series collecting the rest of those ratios
+(``harmonic.prime_series``), the atoms' smooth corrections and the period remover.
 
-A factor with zero ``a`` uses ``lambda = log(1/r) * omega_2(a)``, the minimal
-representative in ``(0, log(1/r)]``; its boundary modulus is ``1`` on the
-inner circle and ``e^lambda = 1/|a|`` on the outer one.
+The factor with zero ``a`` is ``B_a = c P(z/a) / P(z conj a)``, ``P`` the annulus
+prime function and ``|c| = 1``: single-valued with no period to remove, it has
+modulus ``1`` on the inner circle and ``e^lambda = 1/|a|`` on the outer one, so
+``lambda = log(1/|a|)`` lies in ``(0, log(1/r))`` and ``power = 0``.
+Choosing the removal exponent ``lambda`` of a singular function on the lattice
+``log(1/r) * Z`` makes its log-term coefficient an exact integer, which is the
+``z^power`` factor; single-valuedness is then structural.  One helper,
+``_close_period``, picks ``lambda`` and ``power`` and checks the closed-form
+period residual against ``power``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ArgumentError, ConvergenceError, GeometryError, PeriodError
 from .geometry import INNER, OUTER, AnnulusDomain, offset_boundary_nodes, ring_nodes
-from .harmonic import (TRUNCATION_CAP, _log_kernel_data, analytic_completion,
-                       harmonic_measure, schottky, solve_dirichlet, tail_truncation)
+from .harmonic import (TRUNCATION_CAP, analytic_completion, harmonic_measure, prime_series,
+                       schottky, solve_dirichlet, times_near_factors)
 from .laurent import LaurentPolynomial
 from .spaces import boundary_quadrature, log_monomial_norms, ring_values, smirnov_tag
 
@@ -83,7 +86,8 @@ def _atom_factor(domain: AnnulusDomain, zeta: complex, mass: float, z: np.ndarra
 
 @dataclass(frozen=True)
 class InnerFunctionSpec:
-    """Closed-form inner function ``z^power exp(series) prod exp(s_k H_k) prod (z - a_j)``."""
+    """Closed-form inner function ``z^power exp(series) prod exp(s_k H_k) prod (z - a_j) N_j``
+    (the module docstring)."""
 
     domain: AnnulusDomain
     zeros: tuple[complex, ...]
@@ -112,7 +116,8 @@ class InnerFunctionSpec:
         if self.power != 0:
             out = out * z**self.power
         for a in self.zeros:
-            out = out * (z - a)
+            out = times_near_factors(out, z, a, self.domain.inner_radius)
+            out *= z - a
         for zeta, mass in self.singular.atoms:
             out = out * _atom_factor(self.domain, zeta, mass, z)
         return out
@@ -166,50 +171,23 @@ def _normalize_phase(spec: InnerFunctionSpec, value: complex) -> InnerFunctionSp
     return replace(spec, series=spec.series + LaurentPolynomial.constant(-1j * np.angle(value)))
 
 
-def blaschke_factor(domain: AnnulusDomain, a: complex,
-                    N: Optional[int] = None) -> InnerFunctionSpec:
-    """Single-zero inner factor ``exp(-p(., a) + lambda (omega_1 + i conj))``.
+def blaschke_factor(domain: AnnulusDomain, a: complex) -> InnerFunctionSpec:
+    """Single-zero inner factor ``c P(z/a) / P(z conj a)``, normalized positive at
+    the base point: ``exp(prime_series)`` times ``(z - a)`` and the near factors.
 
-    The conjugate of ``-g(., a)`` has period ``-2 pi omega_2(a)`` around the
-    inner circle and the period remover contributes ``2 pi lambda / log(1/r)``,
-    so the minimal cancelling exponent is ``lambda = log(1/r) * omega_2(a)``.
-    The log terms then cancel exactly and the factor collapses to
-    ``(z - a) * exp(Laurent series)``, normalized positive at the base point.
+    The ratio is single-valued, so ``lambda = log(1/|a|)`` exactly and ``power = 0``.
     """
     a = complex(a)
     if not domain.contains(a):
         raise GeometryError(f"Blaschke zero {a} must be strictly interior")
-    N = tail_truncation(domain, a, 1e-12, 64) if N is None else N
-    # Same corrector as the Green's function, without its pole-margin guard:
-    # a computed kernel zero may lie near the boundary.
-    outer_data, inner_data = _log_kernel_data(domain, a, N)
-    corrector = solve_dirichlet(domain, outer_data, inner_data, N)
-    # corrector.clog is omega_2(a) = log|a| / log(r), so power is 0
-    lam, power, residual = _close_period(domain, corrector.clog * -1.0)
-    series = (analytic_completion(corrector) * (-1.0)) + LaurentPolynomial.constant(lam)
+    series = prime_series(domain, a)
     spec = InnerFunctionSpec(domain=domain, zeros=(a,),
                              singular=AtomicSingularMeasure.empty(),
-                             lam=lam, power=power, series=series,
-                             period_residual=residual)
+                             lam=-math.log(abs(a)), power=0, series=series)
     z0 = domain.base_point
     value = complex(spec(z0)) if abs(z0 - a) > 1e-12 else \
-        complex(z0**power * np.exp(series(z0)))
+        complex(times_near_factors(np.exp(series(z0)), z0, a, domain.inner_radius))
     return _normalize_phase(spec, value)
-
-
-def capped_blaschke_factor(domain: AnnulusDomain, a: complex) -> InnerFunctionSpec:
-    """``blaschke_factor`` for a zero the library computed, which may lie past
-    ``tail_truncation``'s cap: the located kernel zero ``w*`` of
-    ``candidate_divisor``.  Past the cap the factor is built at
-    ``N = TRUNCATION_CAP``.  Its boundary tail ``max(|a|, r/|a|)^N`` then
-    exceeds 1e-12, but inside the ring the tail decays like ``(rho/|a|)^N``
-    (at r = 0.5, on an inset grid, such factors agree with a 4x longer series
-    bit for bit).
-    """
-    try:
-        return blaschke_factor(domain, a)
-    except ConvergenceError:
-        return blaschke_factor(domain, a, TRUNCATION_CAP)
 
 
 def multiply(f: InnerFunctionSpec, g: InnerFunctionSpec) -> InnerFunctionSpec:

@@ -153,7 +153,7 @@ def _log_product_modes(rho, s: float, N: int):
     """Cosine coefficients ``0..N`` in ``t`` of ``|rho e^{it} - s|^2 log|rho e^{it} - s|`` on
     the circles ``rho`` (none through ``s``), and their ``rho``-derivatives, ``(rho.size, N+1)``
     each.  ``log|rho e^{it} - s|`` has ``a_0 = log max(rho, s)`` and ``a_k = -q^k/k``, ``q =
-    min/max`` (as in ``harmonic._log_kernel_data``); the factor ``rho^2 + s^2 - 2 rho s cos t``
+    min/max`` (``log|1 - x| = -Re sum_k x^k/k``); the factor ``rho^2 + s^2 - 2 rho s cos t``
     makes ``b_k = (rho^2 + s^2) a_k - rho s (a_{k-1} + a_{k+1})``, ``2 a_0`` for ``a_{k-1}``
     at ``k = 1``, and a term-by-term derivative."""
     rho, k = rho[:, None], np.arange(N + 2)

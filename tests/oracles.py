@@ -3,8 +3,12 @@
 Everything here is deliberately written against different mathematics (or at
 least a different algorithm) than the library path it checks:
 
-* the Green's function comes from the reflection/product expansion, not from
-  Fourier matching;
+* Green's function and the single-zero Blaschke factor, which the library
+  takes from the annulus prime function as a Laurent series in ``log`` with its
+  near factors explicit, come from the raw reflection product point by point
+  (``green_images``), and from the Dirichlet problem for ``log|zeta - a|`` solved
+  by Fourier matching on a window that grows as ``a`` nears a circle
+  (``dirichlet_green``, ``dirichlet_blaschke``);
 * weighted kernels come from the subspace-deflation division formula, not
   from Gram inversion; conversely, the candidate divisor's section comes
   from the ``|B_z1|^2``-weighted Gram times ``B_z1``
@@ -81,13 +85,15 @@ least a different algorithm) than the library path it checks:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from ringspace.errors import SolverError
+from ringspace.errors import ArgumentError, GeometryError, SolverError
 from ringspace.geometry import INNER, OUTER, boundary_nodes
-from ringspace.harmonic import analytic_completion, green, solve_dirichlet
+from ringspace.harmonic import (HarmonicRepresentation, analytic_completion, harmonic_measure,
+                                solve_dirichlet, tail_truncation)
 from ringspace.inner import (AtomicSingularMeasure, InnerFunctionSpec, _close_period,
                              _normalize_phase)
 from ringspace.laurent import LaurentPolynomial, fold_sum
@@ -112,6 +118,73 @@ def green_images(z, a, r: float, terms: int = 80):
             + np.log(np.abs(prime_product(z * np.conj(a), r, terms)))
             + np.log(abs(a)) * np.log(np.abs(z)) / np.log(r)
             - np.log(abs(a)))
+
+
+def log_kernel_data(domain, pole: complex, N: int):
+    """Fourier coefficients of ``log|zeta - pole|`` on the two circles, ``-N..N``.
+
+    Outer circle: ``log|e^{i t} - a| = -sum_k Re[(a e^{-i t})^k] / k``.
+    Inner circle (valid since ``|pole| > r``):
+    ``log|r e^{i t} - a| = log|a| - sum_k Re[(r e^{i t}/a)^k] / k``.
+    """
+    r = domain.inner_radius
+    a = complex(pole)
+    ks = np.arange(1, N + 1, dtype=float)
+    outer_pos = -np.conj(a)**ks / (2.0 * ks)
+    inner_pos = -(r / a)**ks / (2.0 * ks)
+    outer = np.concatenate([np.conj(outer_pos[::-1]), [0.0], outer_pos])
+    inner = np.concatenate([np.conj(inner_pos[::-1]), [math.log(abs(a))], inner_pos])
+    return outer, inner
+
+
+@dataclass(frozen=True)
+class DirichletGreen:
+    """``g(z) = -log|z - pole| + corrector(z)``, vanishing on both circles up to the
+    corrector's truncation ``N``."""
+
+    domain: object
+    pole: complex
+    corrector: HarmonicRepresentation
+    truncation: int
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=complex)
+        out = -np.log(np.abs(z - self.pole)) + self.corrector(z)
+        return out if out.shape else float(out)
+
+
+def dirichlet_green(domain, pole: complex, N: int | None = None) -> DirichletGreen:
+    """Green's function with the corrector solved from the data ``log|zeta - pole|``
+    (``log_kernel_data``, ``solve_dirichlet``).  The boundary residual decays like
+    ``|pole|^N`` (outer data) and ``(r/|pole|)^N`` (inner data); ``N=None`` takes
+    ``tail_truncation`` at ``1e-15`` with a floor of 128.  ``N < 8`` raises
+    ``ArgumentError``, a pole within 1e-9 of a circle ``GeometryError``."""
+    if N is not None and N < 8:
+        raise ArgumentError(f"Green truncation must be at least 8, got {N}")
+    r, a = domain.inner_radius, complex(pole)
+    if abs(a) <= r + 1e-9 or abs(a) >= 1.0 - 1e-9:
+        raise GeometryError(f"pole {pole} is on or within 1e-9 of the boundary")
+    if N is None:
+        N = tail_truncation(domain, a, 1e-15, 128)
+    corrector = solve_dirichlet(domain, *log_kernel_data(domain, a, N), N)
+    return DirichletGreen(domain=domain, pole=a, corrector=corrector, truncation=N)
+
+
+def dirichlet_blaschke(domain, a: complex, N: int):
+    """The zero-free part ``E`` of the single-zero factor ``(z - a) E(z)``, from
+    ``dirichlet_green``'s corrector ``h`` at window ``N``: ``E = exp(lam - F)`` with ``F``
+    the analytic completion of ``h`` and ``lam = log(1/r) omega_2(a)`` from
+    ``_close_period`` (``power`` is 0), turned so that ``(z0 - a) E(z0) > 0`` at the base
+    point (``E(z0) > 0`` if the zero is there).  ``E`` is a zero-free ``InnerFunctionSpec``:
+    its boundary tail is ``max(|a|, r/|a|)^N``, inside the ring ``(rho/|a|)^N``."""
+    h = dirichlet_green(domain, a, N).corrector
+    lam, power, residual = _close_period(domain, -h.clog)
+    E = InnerFunctionSpec(domain=domain, zeros=(), singular=AtomicSingularMeasure.empty(),
+                          lam=lam, power=power, period_residual=residual,
+                          series=analytic_completion(h) * (-1.0) + LaurentPolynomial.constant(lam))
+    z0 = complex(domain.base_point)
+    shift = z0 - a if abs(z0 - a) > 1e-12 else 1.0
+    return _normalize_phase(E, complex(E(z0)) * shift)
 
 
 def dense_harmonic_values(h, z):
@@ -170,7 +243,7 @@ def green_boundary_flux(domain, m: int) -> np.ndarray:
     """Outward ``dg/dn`` of Green's function with pole at the base point, at the
     ``boundary_nodes(domain, m)``: the ``-log|z - a|`` term node by node and the
     Dirichlet corrector by ``radial_derivative_on_circle``."""
-    g = green(domain, domain.base_point)
+    g = dirichlet_green(domain, domain.base_point)
     nodes = boundary_nodes(domain, m).reshape(2, m)
     unit = nodes[0]
     flux = []
@@ -221,7 +294,7 @@ def boundary_node_list(domain, m: int):
 
 
 def node_normal_derivative(h, nodes):
-    """Outward d/dn of a ``HarmonicRepresentation`` or ``GreenFunction`` at a
+    """Outward d/dn of a ``HarmonicRepresentation`` or ``DirichletGreen`` at a
     ``boundary_node_list``: ``+d/d(rho)`` outside, ``-d/d(rho)`` inside."""
     pts = np.array([p for p, _, _ in nodes])
     sign = np.array([s for _, s, _ in nodes])
@@ -235,9 +308,8 @@ def node_normal_derivative(h, nodes):
 
 def node_measure_quadrature(domain, m: int, N_green: int = 128):
     """Points and harmonic-measure weights ``-(1/2 pi) dg/dn ds`` node by node."""
-    import ringspace as rs
     nodes = boundary_node_list(domain, m)
-    g = rs.green(domain, domain.base_point, N_green)
+    g = dirichlet_green(domain, domain.base_point, N_green)
     pts = np.array([p for p, _, _ in nodes])
     ds = np.array([w for _, _, w in nodes])
     return pts, -node_normal_derivative(g, nodes) / (2.0 * np.pi) * ds
@@ -245,10 +317,9 @@ def node_measure_quadrature(domain, m: int, N_green: int = 128):
 
 def node_schottky(domain, m: int, N: int = 128):
     """``(d omega_1/dn) / (dg/dn)`` node by node, Green pole at the base point."""
-    import ringspace as rs
     nodes = boundary_node_list(domain, m)
-    g = rs.green(domain, domain.base_point, N)
-    return (node_normal_derivative(rs.harmonic_measure(domain, 1), nodes)
+    g = dirichlet_green(domain, domain.base_point, N)
+    return (node_normal_derivative(harmonic_measure(domain, 1), nodes)
             / node_normal_derivative(g, nodes))
 
 

@@ -163,9 +163,8 @@ def test_green_mass_is_the_poles_measure():
 
 
 def test_green_meets_its_stated_tolerance():
-    # the truncation comes from the pole's tail bound (220 terms here, where
-    # r/|pole| = 0.855), so the residual meets the document's own tolerance;
-    # green takes no --N
+    # the closed form's series length depends on r alone, so the residual
+    # meets the document's own tolerance; green takes no --N
     args = ["green", "--r", "0.5", "--pole", "0.55-0.2j"]
     doc = run_json(args)
     assert doc["status"] == "ok"

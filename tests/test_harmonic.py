@@ -11,9 +11,9 @@ from ringspace.harmonic import (TRUNCATION_CAP, HarmonicRepresentation, solve_di
 from ringspace.spaces import boundary_quadrature, measure_quadrature
 
 from oracles import (boundary_node_list, dense_harmonic_values, dense_radial_derivative,
-                     green_boundary_flux, green_images, node_normal_derivative,
-                     node_schottky, point_mass_kernel, poisson_series_density,
-                     radial_derivative_on_circle)
+                     dirichlet_green, green_boundary_flux, green_images,
+                     node_normal_derivative, node_schottky, point_mass_kernel,
+                     poisson_series_density, radial_derivative_on_circle)
 
 
 # ---------------------------------------------------------------- Dirichlet
@@ -73,7 +73,7 @@ def test_dirichlet_constant_data_recovers_measures(dom):
 
 def test_green_truncation_precondition(dom):
     with pytest.raises(ArgumentError):
-        rs.green(dom, 0.7, N=4)
+        dirichlet_green(dom, 0.7, N=4)
 
 
 def test_dirichlet_rejects_nonreal_data(dom):
@@ -124,18 +124,18 @@ def test_measure_bad_component(dom):
 # ------------------------------------------------------------------ Green
 
 def test_green_boundary_residual(dom):
-    g = rs.green(dom, 0.7, N=64)
     theta = 2 * np.pi * np.arange(256) / 256
-    res = max(np.max(np.abs(g(np.exp(1j * theta)))),
-              np.max(np.abs(g(0.5 * np.exp(1j * theta)))))
-    assert res <= 1e-10
+    for g in (rs.green(dom, 0.7), dirichlet_green(dom, 0.7, N=64)):
+        res = max(np.max(np.abs(g(np.exp(1j * theta)))),
+                  np.max(np.abs(g(0.5 * np.exp(1j * theta)))))
+        assert res <= 1e-10
 
 
 def test_green_matches_image_series(dom):
-    g = rs.green(dom, 0.7, N=64)
     pts = [0.6 + 0.1j, -0.8, 0.55j, 0.9, -0.52 - 0.3j, 0.97]
-    for z in pts:
-        assert g(z) == pytest.approx(green_images(z, 0.7, 0.5), abs=5e-12)
+    for g in (rs.green(dom, 0.7), dirichlet_green(dom, 0.7, N=64)):
+        for z in pts:
+            assert g(z) == pytest.approx(green_images(z, 0.7, 0.5), abs=5e-12)
 
 
 def test_green_symmetry(dom):
@@ -145,17 +145,17 @@ def test_green_symmetry(dom):
         za, zb = [rho * np.exp(1j * t)
                   for rho, t in zip(rng.uniform(r + 0.08, 0.92, 2),
                                     rng.uniform(0, 2 * np.pi, 2))]
-        ga = rs.green(dom, za, N=64)
-        gb = rs.green(dom, zb, N=64)
-        assert abs(ga(zb) - gb(za)) <= 1e-8
+        for build in (rs.green, lambda d, p: dirichlet_green(d, p, N=64)):
+            ga, gb = build(dom, za), build(dom, zb)
+            assert abs(ga(zb) - gb(za)) <= 1e-8
 
 
 def test_green_positive_inside(dom):
-    g = rs.green(dom, 0.7, N=64)
     rho = np.linspace(0.505, 0.995, 50)
     theta = 2 * np.pi * np.arange(50) / 50
     Z = (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    assert np.min(g(Z)) > 0
+    for g in (rs.green(dom, 0.7), dirichlet_green(dom, 0.7, N=64)):
+        assert np.min(g(Z)) > 0
 
 
 def test_green_rejects_boundary_pole(dom):
@@ -165,13 +165,40 @@ def test_green_rejects_boundary_pole(dom):
         rs.green(dom, 1.2)
 
 
+@pytest.mark.parametrize("r, pole", [(0.5, 0.7), (0.3, 0.31), (0.05, 0.0505),
+                                     (0.7, 0.955 * np.exp(0.3j)), (0.9, 0.95)])
+def test_green_closed_form_matches_the_dirichlet_oracle(r, pole):
+    d = rs.make_annulus(r, pole)
+    z = rs.polar_grid(d, 32, inset=0.05)
+    closed, solved = rs.green(d, pole)(z), dirichlet_green(d, pole)(z)
+    assert np.max(np.abs(closed - solved)) <= 1e-13 * np.max(np.abs(solved))
+
+
+def test_green_pole_next_to_the_unit_circle():
+    # 0.999^N reaches 1e-15 only at N = 34500, past the Dirichlet oracle's cap;
+    # the closed form's series has 57 terms at r = 0.5 wherever the pole is
+    d = rs.make_annulus(0.5, 0.999)
+    with pytest.raises(ConvergenceError, match="cap N = 4096"):
+        dirichlet_green(d, 0.999)
+    g = rs.green(d, 0.999)
+    assert g.series.hi == 57
+    theta = 2 * np.pi * np.arange(256) / 256
+    residual = max(np.max(np.abs(g(np.exp(1j * theta)))),
+                   np.max(np.abs(g(0.5 * np.exp(1j * theta)))))
+    assert residual <= 4 * np.finfo(float).eps
+    # each value is a difference of O(1) logs, so rounding is absolute
+    rng = np.random.default_rng(9)
+    for zb in rng.uniform(0.55, 0.95, 8) * np.exp(1j * rng.uniform(0, 2 * np.pi, 8)):
+        assert abs(g(zb) - rs.green(d, zb)(0.999)) <= 16 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("r, pole", [(0.5, 0.7), (0.7, 0.955 * np.exp(0.3j)), (0.9, 0.95)])
 def test_green_truncation_is_the_tail_bound(r, pole):
     d = rs.make_annulus(r, pole)
-    assert rs.green(d, pole).truncation == tail_truncation(d, pole, 1e-15, 128)
+    assert dirichlet_green(d, pole).truncation == tail_truncation(d, pole, 1e-15, 128)
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-15])   # the Blaschke and Green tolerances
+@pytest.mark.parametrize("tol", [1e-12, 1e-15])   # Blaschke and Green oracle windows
 @pytest.mark.parametrize("side", ["unit", "inner"])
 def test_tail_truncation_cap_edge(dom, tol, side):
     # q = max(|a|, r/|a|): 0.99 needs at most 3438 terms, 0.995 at least 5513
@@ -236,7 +263,7 @@ def test_values_match_dense_table(seed):
 def test_green_values_match_dense_table(r, pole):
     # poles near each circle, at truncations the dense table can hold
     d = rs.make_annulus(r, pole)
-    g = rs.green(d, pole)
+    g = dirichlet_green(d, pole)
     assert 128 <= g.truncation <= 400
     z = rs.polar_grid(d, 16, inset=0.01)
     _assert_matches_dense(g(z), g.corrector, z, offset=-np.log(np.abs(z - pole)))
@@ -245,7 +272,7 @@ def test_green_values_match_dense_table(r, pole):
 def test_green_values_build_no_mode_by_point_table():
     # N = 2978 terms on 2500 points: a (modes x points) table needs over 100 MiB
     d = rs.make_annulus(0.3, 0.3035)
-    g = rs.green(d, 0.3035)
+    g = dirichlet_green(d, 0.3035)
     pts = rs.polar_grid(d, 50, inset=0.02)
     tracemalloc.start()
     try:
@@ -272,7 +299,7 @@ def test_radial_derivative_on_circle_matches_dense(seed, m):
 
 def test_radial_derivative_on_circle_of_green_corrector():
     d = rs.make_annulus(0.7, 0.955 * np.exp(0.3j))
-    g = rs.green(d, d.base_point, N=751)
+    g = dirichlet_green(d, d.base_point, N=751)
     theta = 2 * np.pi * np.arange(512) / 512
     for rho in (1.0, 0.7):
         dense = dense_radial_derivative(g.corrector, rho * np.exp(1j * theta))
@@ -365,7 +392,7 @@ def test_schottky_eight_node_fixture(dom):
 def _flux_term_sum(domain, m, N):
     """``sum |terms|`` of the outward ``dg/dn`` at each boundary node: the
     ``-log|z - a|`` term, the log mode and every corrector mode."""
-    g = rs.green(domain, domain.base_point, N)
+    g = dirichlet_green(domain, domain.base_point, N)
     c = g.corrector
     out = []
     for rho in (1.0, domain.inner_radius):
@@ -388,7 +415,7 @@ def test_schottky_matches_node_oracle_to_flux_rounding(r, base, m):
     # log2(m) eps sum|terms|, and the division adds eps relative.
     d = rs.make_annulus(r, base)
     N = tail_truncation(d, base, 1e-15, 128)
-    dgdn = node_normal_derivative(rs.green(d, d.base_point, N), boundary_node_list(d, m))
+    dgdn = node_normal_derivative(dirichlet_green(d, d.base_point, N), boundary_node_list(d, m))
     if r == 0.9:
         # converged, the far-side dg/dn is about e^{-pi^2/(1-r)}, near 1e-43
         assert np.min(np.abs(dgdn)) < 1e-14
@@ -438,7 +465,7 @@ def test_completion_of_outer_measure_exponentiates_cleanly():
 
 
 def test_completion_real_part_is_the_function(dom):
-    g = rs.green(dom, 0.66 + 0.12j, N=48)
+    g = dirichlet_green(dom, 0.66 + 0.12j, N=48)
     h = g.corrector
     F = rs.analytic_completion(h)
     rng = np.random.default_rng(5)

@@ -9,15 +9,14 @@ import ringspace as rs
 from ringspace.errors import ArgumentError, ConvergenceError, GeometryError, PeriodError
 from ringspace.geometry import polar_grid, ring_nodes
 from ringspace.harmonic import tail_truncation
-from ringspace.inner import capped_blaschke_factor
 from ringspace.kernels import count_zeros, full_ring
 from ringspace.laurent import LaurentPolynomial, to_laurent
 from ringspace.spaces import (area_quadrature, bergman_tag, boundary_quadrature, hardy_tag,
                               norm as space_norm, quadrature_for)
 
-from oracles import (boundary_node_list, division_pencil, division_ratios_per_trial,
-                     horner_count, horner_ring_values, node_schottky, rayleigh_maximize,
-                     truncated_singular_inner)
+from oracles import (boundary_node_list, dirichlet_blaschke, division_pencil,
+                     division_ratios_per_trial, horner_count, horner_ring_values, node_schottky,
+                     rayleigh_maximize, truncated_singular_inner)
 
 
 # ------------------------------------------------------------ single factor
@@ -105,18 +104,50 @@ def test_blaschke_product_empty_is_unit(dom):
     assert np.max(np.abs(B(z) - 1.0)) == 0.0
 
 
-def test_blaschke_zero_past_the_truncation_cap_is_typed(dom06):
-    # 0.997^4096 = 4.5e-6 > 1e-12: the factor is not inner to 1e-12 on the
-    # unit circle, so only computed zeros build it at the cap
-    with pytest.raises(ConvergenceError, match="3.000e-03 from the unit circle"):
-        rs.blaschke_factor(dom06, 0.997)
-    with pytest.raises(ConvergenceError, match="cap N = 4096"):
-        rs.blaschke_product(dom06, (0.7, 0.997j))
-    capped = capped_blaschke_factor(dom06, 0.997)
-    assert capped.series.hi == 4096
+def test_blaschke_zero_near_the_unit_circle_is_inner(dom06):
+    # 0.997^4096 = 4.5e-6 > 1e-12: a Dirichlet-solved factor is not inner to
+    # 1e-12 at any window up to 4096; the closed form's series has 57 terms at
+    # r = 0.5 wherever the zero is
+    eps = np.finfo(float).eps
+    B = rs.blaschke_factor(dom06, 0.997)
+    assert (B.series.hi, B.lam, B.power, B.period_residual) == (57, -math.log(0.997), 0, 0.0)
+    v = rs.verify_inner(B, dom06)
+    assert v.dev1 <= 16 * eps * v.c1 and v.dev2 <= 16 * eps * v.c2
+    assert rs.verify_inner(rs.blaschke_product(dom06, (0.7, 0.997j)), dom06).passed
     grid = polar_grid(dom06, 16, inset=0.1)
-    longer = rs.blaschke_factor(dom06, 0.997, N=16384)
-    assert np.max(np.abs(capped(grid) - longer(grid))) <= 1e-14
+    longer = (grid - 0.997) * dirichlet_blaschke(dom06, 0.997, 16384)(grid)
+    assert np.max(np.abs(B(grid) - longer)) <= 1e-14
+
+
+@pytest.mark.parametrize("r, a", [(0.5, 0.7), (0.3, 0.31), (0.05, 0.0505), (0.5, 0.55 - 0.3j),
+                                  (0.7, 0.955 * np.exp(0.3j)), (0.9, 0.95)])
+def test_blaschke_closed_form_matches_the_dirichlet_oracle(r, a):
+    d = rs.make_annulus(r, (1 + r) / 2)
+    grid = polar_grid(d, 32, inset=0.05)
+    oracle = (grid - a) * dirichlet_blaschke(d, a, tail_truncation(d, a, 1e-15, 128))(grid)
+    assert np.max(np.abs(rs.blaschke_factor(d, a)(grid) - oracle) / np.abs(oracle)) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.7, 0.9])
+def test_blaschke_modulus_is_constant_next_to_each_circle(r):
+    # a node rounded off its circle by eps rho moves log|B| by about eps rho / gap:
+    # that is the rounding floor for a zero a gap of 1e-3 from the circle
+    d, eps, gap = rs.make_annulus(r, (1 + r) / 2), np.finfo(float).eps, 1e-3
+    for a in ((1 - gap) * np.exp(0.4j), 1 - gap, (r + gap) * np.exp(-2.1j), r + gap):
+        B = rs.blaschke_factor(d, a)
+        v = rs.verify_inner(B, d)
+        assert v.c1 == pytest.approx(1 / abs(a), rel=1e-14)
+        assert v.c2 == pytest.approx(1.0, rel=1e-14)
+        assert v.dev1 <= 4 * eps / gap * v.c1 and v.dev2 <= 4 * eps * r / gap * v.c2
+
+
+def test_blaschke_zero_next_to_a_small_inner_circle():
+    # r = 0.05, a = 0.0505: the near factor v - r^2 is smallest relative to r^2
+    # (the Dirichlet series' inner coefficients, about (r^2/|a|)^n, underflow here)
+    d, eps = rs.make_annulus(0.05, 0.5), np.finfo(float).eps
+    v = rs.verify_inner(rs.blaschke_factor(d, 0.0505), d)
+    assert v.c1 == pytest.approx(1 / 0.0505, rel=1e-14)
+    assert v.dev1 <= 16 * eps * v.c1 and v.dev2 <= 4 * eps * 0.05 / 5e-4 * v.c2
 
 
 # ------------------------------------------------------------ singular inner
@@ -376,14 +407,6 @@ def test_schottky_fit_matches_dense_schottky(dom):
     assert lam1 == pytest.approx(lam_dense, rel=1e-12)
 
 
-def test_blaschke_period_bookkeeping_failure_is_typed(dom, monkeypatch):
-    # a period remover without its log term leaves the period uncancelled
-    monkeypatch.setattr(rs.inner, "harmonic_measure",
-                        lambda domain, j: rs.HarmonicRepresentation(0.0, 0.0, 0.5))
-    with pytest.raises(PeriodError, match="bookkeeping"):
-        rs.blaschke_factor(dom, 0.7)
-
-
 # ----------------------------------------------------------------- divisors
 
 def test_qc_divisor_constant(dom):
@@ -474,14 +497,17 @@ def _assert_on_rings_matches_pointwise(f, pts, m, rtol=1e-13):
 
 @pytest.mark.parametrize("quadrature", ["area", "boundary"])
 def test_inner_spec_on_rings_near_the_outer_circle(dom, quadrature):
-    # |a| = 0.99: the tail bound gives the series thousands of terms a side
-    B = rs.blaschke_factor(dom, 0.99 * np.exp(0.3j))
-    assert B.series.hi - B.series.lo + 1 > 4000
+    # |a| = 0.99: the Dirichlet-solved factor's zero-free part, at its tail-bound
+    # window for 1e-12, has a series of thousands of terms a side
+    a = 0.99 * np.exp(0.3j)
+    solved = dirichlet_blaschke(dom, a, tail_truncation(dom, a, 1e-12, 64))
+    assert solved.series.hi - solved.series.lo + 1 > 4000
+    B = rs.blaschke_factor(dom, a)
     product = rs.multiply(B, rs.blaschke_factor(dom, -0.6 + 0.2j))
     quad = area_quadrature if quadrature == "area" else boundary_quadrature
     pts, _ = quad(dom, 512)
     singular = rs.singular_inner(dom, rs.AtomicSingularMeasure(atoms=((np.exp(1j), -0.5),)))
-    for spec in (B, product, singular):
+    for spec in (solved, B, product, singular):
         _assert_on_rings_matches_pointwise(spec, pts, 512)
 
 

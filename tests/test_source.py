@@ -170,16 +170,23 @@ def test_only_spaces_builds_the_radial_rule():
     assert found == []
 
 
-def test_only_cli_passes_a_green_truncation():
-    # green picks the truncation from its tail bound; no caller in the
-    # library, the green subcommand included, passes one
-    found = [f"{path.name}:{node.lineno}"
+def test_green_and_blaschke_factor_take_no_window():
+    # both read the prime function's series, whose length depends on r alone:
+    # neither takes a window, so no caller can pick one
+    found = {node.name: [a.arg for a in (*node.args.args, *node.args.kwonlyargs)]
+             for path in (SRC / "harmonic.py", SRC / "inner.py")
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name in ("green", "blaschke_factor")}
+    assert found == {"green": ["domain", "pole"], "blaschke_factor": ["domain", "a"]}
+
+
+def test_only_singular_inner_calls_solve_dirichlet():
+    # Green's function and the Blaschke factor are closed forms; the Dirichlet
+    # solve is left for the atoms' smooth corrections
+    found = [f"{path.name}:{scope}"
              for path in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(node, ast.Call)
-             and "green" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-             and (len(node.args) > 2 or any(k.arg == "N" for k in node.keywords))]
-    assert found == []
+             for scope in sorted(_scopes_naming(ast.parse(path.read_text()), "solve_dirichlet"))]
+    assert found == ["inner.py:singular_inner"]
 
 
 def test_locate_zeros_does_not_count():
@@ -197,16 +204,19 @@ def test_locate_zeros_does_not_count():
 
 def test_candidate_divisor_builds_no_weighted_kernel():
     # the candidate is K_I(., z0) on the diagonal Bergman Gram; the weighted
-    # Gram route stays only where it checks that identity
+    # Gram route stays only where it checks that identity.  Its one Blaschke
+    # factor is the located zero's, B_w*, which no kernel is weighted with
     tree = ast.parse((SRC / "extremal.py").read_text())
     candidate = next(node for node in tree.body
                      if isinstance(node, ast.FunctionDef) and node.name == "candidate_divisor")
-    found = [f"extremal.py:{node.lineno} {ast.unparse(node)}" for node in ast.walk(candidate)
-             if isinstance(node, ast.Call)
-             and ({"blaschke_factor", "build_kernel"} & {getattr(node.func, "id", None),
-                                                         getattr(node.func, "attr", None)}
-                  or any(k.arg == "weight_fn" for k in node.keywords))]
-    assert found == []
+    calls = [node for node in ast.walk(candidate) if isinstance(node, ast.Call)]
+    found = [f"extremal.py:{node.lineno} {ast.unparse(node)}" for node in calls
+             if "build_kernel" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+             or any(k.arg == "weight_fn" for k in node.keywords)]
+    factors = [ast.unparse(node) for node in calls
+               if "blaschke_factor" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))]
+    assert found == [] and factors == ["blaschke_factor(domain, w_star)"]
 
 
 def test_singular_atoms_take_no_truncation():

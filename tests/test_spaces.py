@@ -12,8 +12,8 @@ from ringspace.spaces import (SpaceKind, SpaceTag, _gauss_legendre, area_quadrat
                               quadrature_for, ring_gram, scaled_gram, smirnov_tag,
                               weighted_gram)
 
-from oracles import (bergman_monomial_norm, dense_gram, equilibrated, green_images,
-                     hardy_monomial_norm, loop_ring_gram, monomial_norms,
+from oracles import (bergman_monomial_norm, dense_gram, dirichlet_green, equilibrated,
+                     green_images, hardy_monomial_norm, loop_ring_gram, monomial_norms,
                      node_measure_quadrature, smirnov_monomial_norm)
 
 
@@ -77,7 +77,7 @@ def test_measure_quadrature_envelope_near_a_circle(r, base):
     assert np.min(dens) >= -4 * np.finfo(float).eps * np.max(dens)
     assert abs(np.sum(w) - 1.0) <= 1e-10
     N = rs.harmonic.tail_truncation(d, base, 1e-15, 128)
-    g = rs.green(d, base, N)
+    g = dirichlet_green(d, base, N)
     assert g.truncation > 128
     boundary = pts[::4]
     exact = green_images(boundary, base, r, terms=400)
