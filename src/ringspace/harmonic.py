@@ -77,7 +77,7 @@ class GreenFunction:
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         a, r = self.pole, self.domain.inner_radius
-        log_b = np.real(self.series(z)) + np.log(np.abs(times_near_factors(z - a, z, a, r)))
+        log_b = np.real(self.series(z)) + np.log(np.abs(times_near_factors(1.0, z, a, r)))
         out = -log_b - math.log(abs(a)) * harmonic_measure(self.domain, OUTER)(z)
         return out if out.shape else float(out)
 
@@ -169,14 +169,18 @@ _PRIME_TAIL = 1e-17  # the prime-function series runs to the first N with r^N <=
 def prime_series(domain: AnnulusDomain, a: complex) -> LaurentPolynomial:
     """``log`` of ``P(z/a) / P(z conj a)`` less its near factors, as a Laurent series.
 
-    ``1 - z/a = -(z - a)/a`` gives the constant ``log(-1/a)``; ``1 - z conj a`` and
-    ``1 - r^2/(z conj a)`` are ``times_near_factors``.  The other factors' logs sum over
+    ``1 - z/a = -(z - a)/a`` gives the constant ``log(-1/a)``; ``z - a``, ``1 - z conj a``
+    and ``1 - r^2/(z conj a)`` are ``times_near_factors``.  The other factors' logs sum over
     ``k`` in closed form: ``z^n`` has ``r^{2n} (conj(a)^n - a^-n)`` and ``z^-n`` has
     ``r^{4n} conj(a)^-n - r^{2n} a^n``, each over ``n (1 - r^{2n})``.  On the ring every
-    term is at most ``r^n / (n (1 - r^{2n}))`` wherever ``a`` is.
+    term is at most ``r^n / (n (1 - r^{2n}))`` wherever ``a`` is.  A window past
+    ``TRUNCATION_CAP`` (r above about 0.9905) raises ``ConvergenceError``.
     """
     r, a = domain.inner_radius, complex(a)
     N = math.ceil(math.log(_PRIME_TAIL) / math.log(r))
+    if N > TRUNCATION_CAP:
+        raise ConvergenceError(f"prime-function series r^N reaches {_PRIME_TAIL:.0e} only "
+                               f"past the cap N = {TRUNCATION_CAP}: r = {r}")
     ns = np.arange(1, N + 1)
     r2, den = r * r, ns * -np.expm1(2.0 * ns * math.log(r))
     pos = ((r2 * np.conj(a))**ns - (r2 / a)**ns) / den
@@ -184,19 +188,22 @@ def prime_series(domain: AnnulusDomain, a: complex) -> LaurentPolynomial:
     return LaurentPolynomial(-N, N, np.concatenate([neg[::-1], [np.log(-1.0 / a)], pos]))
 
 
-def times_near_factors(out, z, a: complex, r: float):
-    """``out * v / ((1 - v)(v - r^2))``, ``v = z conj a``, in place where ``out`` is an array:
-    the factors of ``P(z/a) / P(z conj a)`` whose poles come near a circle with ``a``."""
+def times_near_factors(out, z, a: complex, r: float, shift=None):
+    """``out * (z - a) v / ((1 - v)(v - r^2))``, ``v = z conj a``, in place where ``out`` is
+    an array: the factors of ``P(z/a) / P(z conj a)`` whose zero or poles come near a circle
+    with ``a``.  ``shift`` stands in for ``z - a``: 1 takes a zero's phase at the zero."""
     v = z * np.conj(a)
     out *= v
     out /= 1.0 - v
     v -= r * r
     out /= v
+    out *= z - a if shift is None else shift
     return out
 
 
 def green(domain: AnnulusDomain, pole: complex) -> GreenFunction:
-    """Green's function of the annulus with the given interior pole, in closed form."""
+    """Green's function of the annulus with the given interior pole, in closed form
+    (``ConvergenceError`` where ``prime_series``' window passes its cap)."""
     r = domain.inner_radius
     a = complex(pole)
     if abs(a) <= r + 1e-9 or abs(a) >= 1.0 - 1e-9:

@@ -3,11 +3,11 @@ functions, period removal, verification, and quasi-contractive divisors.
 
 Every constructed inner function is held in closed multiplicative form
 
-    f(z) = z^power * exp(series(z)) * prod_k exp(s_k H_k(z)) * prod_j (z - a_j) N_j(z),
+    f(z) = z^power * exp(series(z)) * prod_k exp(s_k H_k(z)) * prod_j N_j(z),
 
 where ``H_k`` is singular atom ``k``'s closed-form disk Herglotz kernel,
-``N_j = v / ((1 - v)(v - r^2))`` with ``v = z conj a_j`` the near factors of zero
-``j``'s prime-function ratio (``harmonic.times_near_factors``), and ``series`` a
+``N_j = (z - a_j) v / ((1 - v)(v - r^2))`` with ``v = z conj a_j`` the near factors of
+zero ``j``'s prime-function ratio (``harmonic.times_near_factors``), and ``series`` a
 truncated Laurent series collecting the rest of those ratios
 (``harmonic.prime_series``), the atoms' smooth corrections and the period remover.
 
@@ -86,7 +86,7 @@ def _atom_factor(domain: AnnulusDomain, zeta: complex, mass: float, z: np.ndarra
 
 @dataclass(frozen=True)
 class InnerFunctionSpec:
-    """Closed-form inner function ``z^power exp(series) prod exp(s_k H_k) prod (z - a_j) N_j``
+    """Closed-form inner function ``z^power exp(series) prod exp(s_k H_k) prod N_j``
     (the module docstring)."""
 
     domain: AnnulusDomain
@@ -117,7 +117,6 @@ class InnerFunctionSpec:
             out = out * z**self.power
         for a in self.zeros:
             out = times_near_factors(out, z, a, self.domain.inner_radius)
-            out *= z - a
         for zeta, mass in self.singular.atoms:
             out = out * _atom_factor(self.domain, zeta, mass, z)
         return out
@@ -173,7 +172,8 @@ def _normalize_phase(spec: InnerFunctionSpec, value: complex) -> InnerFunctionSp
 
 def blaschke_factor(domain: AnnulusDomain, a: complex) -> InnerFunctionSpec:
     """Single-zero inner factor ``c P(z/a) / P(z conj a)``, normalized positive at
-    the base point: ``exp(prime_series)`` times ``(z - a)`` and the near factors.
+    the base point: ``exp(prime_series)`` times the near factors ``times_near_factors``
+    (``ConvergenceError`` where ``prime_series``' window passes its cap).
 
     The ratio is single-valued, so ``lambda = log(1/|a|)`` exactly and ``power = 0``.
     """
@@ -185,9 +185,9 @@ def blaschke_factor(domain: AnnulusDomain, a: complex) -> InnerFunctionSpec:
                              singular=AtomicSingularMeasure.empty(),
                              lam=-math.log(abs(a)), power=0, series=series)
     z0 = domain.base_point
-    value = complex(spec(z0)) if abs(z0 - a) > 1e-12 else \
-        complex(times_near_factors(np.exp(series(z0)), z0, a, domain.inner_radius))
-    return _normalize_phase(spec, value)
+    shift = z0 - a if abs(z0 - a) > 1e-12 else 1.0
+    value = times_near_factors(np.exp(series(z0)), z0, a, domain.inner_radius, shift)
+    return _normalize_phase(spec, complex(value))
 
 
 def multiply(f: InnerFunctionSpec, g: InnerFunctionSpec) -> InnerFunctionSpec:

@@ -90,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from ringspace.errors import ArgumentError, GeometryError, SolverError
+from ringspace.errors import SolverError
 from ringspace.geometry import INNER, OUTER, boundary_nodes
 from ringspace.harmonic import (HarmonicRepresentation, analytic_completion, harmonic_measure,
                                 solve_dirichlet, tail_truncation)
@@ -157,13 +157,8 @@ def dirichlet_green(domain, pole: complex, N: int | None = None) -> DirichletGre
     """Green's function with the corrector solved from the data ``log|zeta - pole|``
     (``log_kernel_data``, ``solve_dirichlet``).  The boundary residual decays like
     ``|pole|^N`` (outer data) and ``(r/|pole|)^N`` (inner data); ``N=None`` takes
-    ``tail_truncation`` at ``1e-15`` with a floor of 128.  ``N < 8`` raises
-    ``ArgumentError``, a pole within 1e-9 of a circle ``GeometryError``."""
-    if N is not None and N < 8:
-        raise ArgumentError(f"Green truncation must be at least 8, got {N}")
-    r, a = domain.inner_radius, complex(pole)
-    if abs(a) <= r + 1e-9 or abs(a) >= 1.0 - 1e-9:
-        raise GeometryError(f"pole {pole} is on or within 1e-9 of the boundary")
+    ``tail_truncation`` at ``1e-15`` with a floor of 128."""
+    a = complex(pole)
     if N is None:
         N = tail_truncation(domain, a, 1e-15, 128)
     corrector = solve_dirichlet(domain, *log_kernel_data(domain, a, N), N)

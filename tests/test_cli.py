@@ -289,6 +289,17 @@ def test_extremal_past_the_double_range_exits_unverified(tmp_path):
     assert doc["status"] == "unverified"
 
 
+def test_prime_function_window_past_the_cap_exits_unverified(tmp_path):
+    # r = 0.9999999 would need 3.9e8 prime-function terms; the window is refused first
+    out = tmp_path / "doc.json"
+    for argv in (["blaschke", "--r", "0.9999999", "--zeros", "0.99999995"],
+                 ["green", "--r", "0.9999999", "--pole", "0.99999995"]):
+        result = run_cli([*argv, "--out", str(out)])
+        assert result.exit_code == 4
+        assert result.stderr.startswith("unverified: prime-function series r^N reaches 1e-17")
+        assert json.loads(out.read_text())["status"] == "unverified"
+
+
 def test_non_finite_results_exit_unverified(monkeypatch, tmp_path):
     def not_a_number(config):
         results = {"value": float("nan"), "point": {"re": 0.0, "im": float("inf")}}

@@ -71,9 +71,13 @@ def test_dirichlet_constant_data_recovers_measures(dom):
     assert h2.c0 == pytest.approx(w2.c0) and h2.clog == pytest.approx(w2.clog)
 
 
-def test_green_truncation_precondition(dom):
-    with pytest.raises(ArgumentError):
-        dirichlet_green(dom, 0.7, N=4)
+def test_green_truncation_precondition():
+    # the prime-function window r^N <= 1e-17 passes TRUNCATION_CAP for r above 0.9905:
+    # r = 0.9999999 would need 3.9e8 terms, and raises before building any
+    for r, pole in [(0.991, 0.995), (0.9999999, 0.99999995)]:
+        with pytest.raises(ConvergenceError, match="cap N = 4096: r = "):
+            rs.green(rs.make_annulus(r, pole), pole)
+    assert rs.green(rs.make_annulus(0.99, 0.995), 0.995).series.hi == 3895
 
 
 def test_dirichlet_rejects_nonreal_data(dom):
@@ -194,8 +198,12 @@ def test_green_pole_next_to_the_unit_circle():
 
 @pytest.mark.parametrize("r, pole", [(0.5, 0.7), (0.7, 0.955 * np.exp(0.3j)), (0.9, 0.95)])
 def test_green_truncation_is_the_tail_bound(r, pole):
+    # the window is the first N with r^N <= 1e-17, wherever the pole is
     d = rs.make_annulus(r, pole)
-    assert dirichlet_green(d, pole).truncation == tail_truncation(d, pole, 1e-15, 128)
+    N = math.ceil(math.log(1e-17) / math.log(r))
+    for a in (pole, r + 1e-6, 1.0 - 1e-6):
+        g = rs.green(d, a)
+        assert (g.series.lo, g.series.hi) == (-N, N)
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-15])   # Blaschke and Green oracle windows

@@ -63,6 +63,10 @@ def test_blaschke_factor_positive_at_base(dom):
     val = complex(B(0.7))
     assert abs(val.imag) <= 1e-12 * abs(val)
     assert val.real > 0
+    # a zero at the base point: there the derivative is positive
+    z0 = 0.6 + 0.3j
+    slope = complex(rs.blaschke_factor(rs.make_annulus(0.5, z0), z0)(z0 + 1e-7)) / 1e-7
+    assert abs(slope.imag) <= 1e-5 * abs(slope) and slope.real > 0
 
 
 def test_blaschke_factor_boundary_zero_rejected(dom):
@@ -148,6 +152,13 @@ def test_blaschke_zero_next_to_a_small_inner_circle():
     v = rs.verify_inner(rs.blaschke_factor(d, 0.0505), d)
     assert v.c1 == pytest.approx(1 / 0.0505, rel=1e-14)
     assert v.dev1 <= 16 * eps * v.c1 and v.dev2 <= 4 * eps * 0.05 / 5e-4 * v.c2
+
+
+def test_blaschke_factor_past_the_prime_series_cap_is_typed():
+    # r = 0.9999999 would need 3.9e8 prime-function terms: typed before any is built
+    d = rs.make_annulus(0.9999999, 0.99999995)
+    with pytest.raises(ConvergenceError, match="cap N = 4096: r = "):
+        rs.blaschke_factor(d, 0.99999995)
 
 
 # ------------------------------------------------------------ singular inner
